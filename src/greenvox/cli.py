@@ -2,9 +2,10 @@
 
 Subcommands: greens, modes, purcell, ldos-check, validate.  Exit codes:
 0 success, 2 validation failure, 3 solver failure, 4 configuration
-error.  Heavy imports happen after --threads is applied so the BLAS
-thread pool honors the requested policy; with a fixed thread policy
-repeated runs are byte-identical.
+error.  --threads pins the BLAS/OpenMP thread pool: the package loads
+numpy lazily, so the thread variables are set before any numerical
+library starts; with a fixed thread policy repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -62,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--scene", required=True, help="scene YAML file")
         p.add_argument("--out-dir", default=None, help="directory for output files")
-        p.add_argument("--threads", type=int, default=None, help="BLAS/OpenMP thread count")
+        p.add_argument("--threads", type=int, default=None,
+                       help="pin the BLAS/OpenMP thread pool to this many threads")
         p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
         p.add_argument("--quad", type=_parse_quad, default=None,
                        help="shell quadrature order THETAxPHI override")

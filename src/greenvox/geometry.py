@@ -125,9 +125,6 @@ class VoxelGrid:
         i = int(np.argmin(d))
         return i if d[i] <= rtol * self.voxel_edge else None
 
-    def nearest_center(self, point) -> int:
-        return int(np.argmin(np.linalg.norm(self.centers - np.asarray(point, float), axis=1)))
-
 
 def _lattice_centers(lo, hi, h: float):
     """Symmetric lattice of cell centers covering [lo, hi], (z,y,x) ordering."""

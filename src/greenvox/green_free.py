@@ -121,18 +121,9 @@ def self_term(voxel_volume: float, omega: float):
 # ----------------------------------------------------------------------
 
 def transverse_frame(khat):
-    """Deterministic orthonormal transverse pair (e_plus, e_minus) for khat.
-
-    Built from the coordinate axis with the smallest |khat| component, so
-    the frame never degenerates; e_minus = khat x e_plus.
-    """
-    kh = _as_points(khat)
-    kh = kh / np.linalg.norm(kh)
-    seed = np.zeros(3)
-    seed[int(np.argmin(np.abs(kh)))] = 1.0
-    e1 = seed - (seed @ kh) * kh
-    e1 /= np.linalg.norm(e1)
-    return e1, np.cross(kh, e1)
+    """Deterministic orthonormal transverse pair (e_plus, e_minus) for one khat."""
+    e1, e2 = transverse_frames(_as_points(khat).reshape(1, 3))
+    return e1[0], e2[0]
 
 
 @dataclass(frozen=True)
@@ -190,7 +181,11 @@ def phi_plane_wave(mode: PlaneWaveMode, points):
 
 
 def transverse_frames(nodes):
-    """Vectorized transverse_frame over (Q, 3) unit nodes; returns two (Q, 3)."""
+    """Orthonormal transverse pairs (e_plus, e_minus) for (Q, 3) directions, two (Q, 3).
+
+    Each is built from the coordinate axis with the smallest |khat|
+    component, so the frame never degenerates; e_minus = khat x e_plus.
+    """
     kh = np.atleast_2d(np.asarray(nodes, dtype=float))
     kh = kh / np.linalg.norm(kh, axis=1, keepdims=True)
     seeds = np.eye(3)[np.argmin(np.abs(kh), axis=1)]

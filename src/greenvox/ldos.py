@@ -20,6 +20,10 @@ A two-level emitter with dipole d and transition frequency w decays at
 and the e-continuum part of Gamma_m cancels Gamma_e exactly, leaving
 Gamma = 2 w^2 d . Im G . d; the Purcell factor is Gamma / Gamma_0 with
 Gamma_0 = w^3 |d|^2 / (3 pi), so vacuum gives exactly 1.
+
+The shell e coefficients need no solve: by reciprocity G(x, z_j) = X_j^T
+for the Green columns X already solved at x, and the Green route of e
+contracts them with every shell plane wave at once.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 from .geometry import VoxelGrid
 from .green_free import plane_wave_table
 from .quadrature import SphereQuadrature, make_shell_quadrature  # noqa: F401 (re-export)
-from .vie import MediumSolver, SolverError
+from .vie import MediumSolver, SolverError, as_solver
 
 
 @dataclass(frozen=True)
@@ -65,12 +69,6 @@ def vacuum_decay_rate(omega: float, dipole) -> float:
     return omega**3 * float(d @ d) / (3.0 * np.pi)
 
 
-def _solver(grid, materials, omega, tol):
-    if isinstance(grid, MediumSolver):
-        return grid
-    return MediumSolver(grid, materials, omega, tol)
-
-
 def im_green_at(grid, materials, x, omega: float, tol: float = 1e-10):
     """Im G(x, x, omega): analytic free coincidence limit plus scattered part.
 
@@ -79,7 +77,7 @@ def im_green_at(grid, materials, x, omega: float, tol: float = 1e-10):
     solver tolerance.  At a voxel center the self block of the
     evaluation row uses the equivalent-sphere value M/dV.
     """
-    solver = _solver(grid, materials, omega, tol)
+    solver = as_solver(grid, materials, omega, tol)
     x = np.asarray(x, dtype=float)
     X = solver.grid_fields(x)
     scattered = solver.scattered_at(x, X)
@@ -88,35 +86,27 @@ def im_green_at(grid, materials, x, omega: float, tol: float = 1e-10):
 
 
 # ----------------------------------------------------------------------
-# batched e-fields over a shell quadrature
+# e-fields over a shell quadrature, by reciprocity
 # ----------------------------------------------------------------------
 
-def _e_fields_on_shell(solver: MediumSolver, quad: SphereQuadrature, points):
-    """e for every (node, sigma, zeta) submode at each point.
+def _e_fields_on_shell(solver: MediumSolver, quad: SphereQuadrature, points, green_columns):
+    """e for every (node, sigma, zeta) submode at each point, without a solve.
 
-    Returns (e_pts (P, 3, 4Q) complex, mode_weights (4Q,)).  Submodes are
-    ordered (+,c), (+,s), (-,c), (-,s) per node, matching
-    plane_wave_table.
+    green_columns[p] holds X_j = G(z_j, points[p]), (N, 3, 3); with
+    G(x, z_j) = X_j^T the Green route e(x) = w Phi(x) + dV sum_j beta_j
+    X_j^T w Phi(z_j) is one contraction, on or off the grid.  Returns
+    (e_pts (P, 3, 4Q) complex, mode_weights (4Q,)), submodes ordered
+    (+,c), (+,s), (-,c), (-,s) per node, matching plane_wave_table.
     """
     grid = solver.grid
     w = solver.omega
-    Q = len(quad)
-    phi_grid = plane_wave_table(quad.nodes, w, grid.centers)       # (Q,4,N,3)
-    rhs = (w * phi_grid).reshape(4 * Q, solver.op.n3).T            # (3N, 4Q)
-    e_grid = solver.solve(rhs.astype(complex))                     # (3N, 4Q)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    phi_pts = plane_wave_table(quad.nodes, w, pts)                 # (Q,4,P,3)
-    e_pts = np.empty((len(pts), 3, 4 * Q), dtype=complex)
-    e_grid_blocks = e_grid.reshape(grid.n, 3, 4 * Q)
-    for i, p in enumerate(pts):
-        idx = grid.index_of(p)
-        if idx is not None:
-            e_pts[i] = e_grid_blocks[idx]
-        else:
-            direct = w * phi_pts[:, :, i, :].reshape(4 * Q, 3).T   # (3, 4Q)
-            e_pts[i] = direct + solver.scattered_at(p, e_grid_blocks)
-    mode_weights = np.repeat(quad.weights, 4)
-    return e_pts, mode_weights
+    X = np.asarray(green_columns).reshape(len(pts), grid.n, 3, 3)
+    phi_grid = w * plane_wave_table(quad.nodes, w, grid.centers).reshape(-1, grid.n, 3)
+    phi_pts = w * plane_wave_table(quad.nodes, w, pts).reshape(-1, len(pts), 3)
+    scattered = grid.voxel_volume * np.einsum(
+        "j,pjba,mjb->pam", solver.beta, X, phi_grid, optimize=True)
+    return phi_pts.transpose(1, 2, 0) + scattered, np.repeat(quad.weights, 4)
 
 
 # ----------------------------------------------------------------------
@@ -164,7 +154,7 @@ def ldos_identity_residual(grid, materials, x, y, omega: float,
     on-shell medium sum collapses to the absorption integral through
     alpha_tilde^2 = 2 w Im eps / pi.
     """
-    solver = _solver(grid, materials, omega, tol)
+    solver = as_solver(grid, materials, omega, tol)
     quad = quad or make_shell_quadrature(solver.omega)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -180,9 +170,10 @@ def ldos_identity_residual(grid, materials, x, y, omega: float,
     else:
         lhs = solver.green(x, y, Xy).imag
 
-    e_xy, mode_w = _e_fields_on_shell(solver, quad, np.vstack([x, y]))
+    points, columns = ([x], [Xx]) if coincident else ([x, y], [Xx, Xy])
+    e_xy, mode_w = _e_fields_on_shell(solver, quad, points, columns)
     # (pi c^2 / 2 w^3) with the shell Jacobian w^2/c^3 gives pi/(2 w) at c = 1
-    kappa = (0.5 * np.pi / w) * np.einsum("m,am,bm->ab", mode_w, e_xy[0], e_xy[1].conj())
+    kappa = (0.5 * np.pi / w) * np.einsum("m,am,bm->ab", mode_w, e_xy[0], e_xy[-1].conj())
 
     # absorption form: w^2 sum dV Im(eps) G(x,z) G*(z,y); G(x,z_i) = Xx_i^T
     dV = grid_.voxel_volume
@@ -231,7 +222,7 @@ def gamma_decomposed(grid, materials, emitter: EmitterSpec,
     so |gamma_e + gamma_m_mu_route - gamma_via_im_green| is bounded by
     the contracted LDOS identity residual.
     """
-    solver = _solver(grid, materials, emitter.omega, tol)
+    solver = as_solver(grid, materials, emitter.omega, tol)
     quad = quad or make_shell_quadrature(solver.omega)
     w = solver.omega
     d = emitter.d

@@ -32,7 +32,7 @@ import numpy as np
 
 from .green_free import PlaneWaveMode, g0_from_displacements, phi_plane_wave
 from .permittivity import coupling_alpha_tilde
-from .vie import MediumSolver
+from .vie import MediumSolver, as_solver
 
 #: pointwise v-components are rejected closer to the shell than this
 NEAR_SINGULAR_FLOOR = 1e-6
@@ -88,12 +88,6 @@ class FieldCoefficientSample:
             raise ValueError("field coefficient must be finite")
 
 
-def _solver(grid, materials, omega, tol):
-    if isinstance(grid, MediumSolver):
-        return grid
-    return MediumSolver(grid, materials, omega, tol)
-
-
 def _alpha_at(solver: MediumSolver, index: int, nu: float) -> float:
     if solver.materials is not None:
         model = solver.materials[int(solver.grid.material_ids[index])]
@@ -132,7 +126,7 @@ def e_evaluate(solver: MediumSolver, mode: PlaneWaveMode, e_grid, points):
 
 def e_coefficient(grid, materials, mode: PlaneWaveMode, points, tol: float = 1e-10):
     """Electromagnetic field coefficient e_kappa at the requested points, (P, 3)."""
-    solver = _solver(grid, materials, mode.omega, tol)
+    solver = as_solver(grid, materials, mode.omega, tol)
     eg = e_grid_solution(solver, mode)
     return e_evaluate(solver, mode, eg, points)
 
@@ -143,7 +137,7 @@ def e_coefficient_via_green(grid, materials, mode: PlaneWaveMode, points, tol: f
     e(r) = omega Phi(r) + sum_i dV G(r, z_i) beta_i omega Phi(z_i), with
     G(r, z_i) taken from one solve with source r via reciprocity.
     """
-    solver = _solver(grid, materials, mode.omega, tol)
+    solver = as_solver(grid, materials, mode.omega, tol)
     w = mode.omega
     phi_v = w * phi_plane_wave(mode, solver.grid.centers)          # (N, 3)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -169,7 +163,7 @@ def m_coefficient(grid, materials, mode: MedModeIndex, points, tol: float = 1e-1
     Green tensor; route "direct" solves the m Fredholm equation with its
     own inhomogeneity.  The two agree to solver tolerance.
     """
-    solver = _solver(grid, materials, mode.nu, tol)
+    solver = as_solver(grid, materials, mode.nu, tol)
     idx = solver.grid.index_of(mode.x_point)
     if idx is None:
         raise ValueError("medium mode position must be a voxel center of the grid")
@@ -224,7 +218,7 @@ def v_component_e(grid, materials, mode: PlaneWaveMode, xp, nup: float,
     v^e_kappa(x', nu') = -alpha_tilde(x', nu') e_kappa(x') / (nu'^2 - w^2),
     valid away from the shell nu' = w.
     """
-    solver = _solver(grid, materials, mode.omega, tol)
+    solver = as_solver(grid, materials, mode.omega, tol)
     _check_off_shell(nup, mode.omega)
     idx = solver.grid.index_of(np.asarray(xp, dtype=float))
     if idx is None:
@@ -242,7 +236,7 @@ def u_numerator_e(grid, materials, mode: PlaneWaveMode, probe: PlaneWaveMode,
     symbolic and not included.  Note the primed frequency and mode in the
     integrand.
     """
-    solver = _solver(grid, materials, mode.omega, tol)
+    solver = as_solver(grid, materials, mode.omega, tol)
     eg = e_grid_solution(solver, mode)
     phi_probe = phi_plane_wave(probe, solver.grid.centers)
     ev = -(solver.eps - 1.0)[:, None] * eg
@@ -266,7 +260,7 @@ def v_component_m(grid, materials, mode: MedModeIndex, xp, nup: float,
                       - alpha_tilde(x', nu') m_mu(x') / (nu'^2 - nu^2);
     the delta part is reported as a flag, the smooth part pointwise.
     """
-    solver = _solver(grid, materials, mode.nu, tol)
+    solver = as_solver(grid, materials, mode.nu, tol)
     xp = np.asarray(xp, dtype=float)
     delta_present = bool(np.array_equal(xp, mode.x_point) and nup == mode.nu)
     if abs(nup**2 - mode.nu**2) < NEAR_SINGULAR_FLOOR * mode.nu**2:
@@ -288,7 +282,7 @@ def u_numerator_m(grid, materials, mode: MedModeIndex, probe: PlaneWaveMode,
     point term contributes alpha_tilde Phi_kappa'(x) . n_j and the rest a
     voxel sum over the body.
     """
-    solver = _solver(grid, materials, mode.nu, tol)
+    solver = as_solver(grid, materials, mode.nu, tol)
     idx = solver.grid.index_of(mode.x_point)
     if idx is None:
         raise ValueError("medium mode position must be a voxel center")
@@ -326,7 +320,7 @@ def noise_current_amplitude(grid, materials, x, nu: float,
     alpha_tilde = sqrt(2 nu Im eps / pi); natural units absorb the
     sqrt(hbar / (pi eps0)) and 1/c^2 factors.
     """
-    solver = _solver(grid, materials, nu, tol)
+    solver = as_solver(grid, materials, nu, tol)
     idx = solver.grid.index_of(np.asarray(x, dtype=float))
     if idx is None:
         raise ValueError("x must be a voxel center")

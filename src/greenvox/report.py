@@ -25,9 +25,8 @@ import scipy
 from . import __version__
 from .geometry import VoxelGrid
 from .green_free import g0_closed, im_g0_spectral
-from .ldos import (EmitterSpec, gamma_decomposed, im_green_at,
-                   ldos_identity_residual, make_shell_quadrature, purcell,
-                   vacuum_decay_rate)
+from .ldos import (EmitterSpec, gamma_decomposed, ldos_identity_residual,
+                   make_shell_quadrature, purcell, vacuum_decay_rate)
 from .modes import MedModeIndex, e_coefficient, e_coefficient_via_green, m_coefficient
 from .green_free import PlaneWaveMode
 from .permittivity import PermittivityModel, eval_eps, kk_residual
@@ -120,7 +119,7 @@ def _validate_defaults(cfg: SceneConfig, grid: VoxelGrid) -> dict:
 
 
 def run_validation(cfg: SceneConfig) -> RunReport:
-    """Run the full identity suite on the scene; raises SolverError on solver failure."""
+    """Run the identity suite on one medium and one vacuum solver; raises SolverError."""
     report = _new_report("validate", cfg)
     grid = cfg.build_grid()
     probes = _validate_defaults(cfg, grid)
@@ -156,7 +155,7 @@ def run_validation(cfg: SceneConfig) -> RunReport:
     solver = MediumSolver(grid, cfg.materials, omega, tol, dense_cap=cfg.dense_cap)
 
     # Dyson permutation identity and reciprocity
-    dy = dyson_residual(grid, cfg.materials, omega, x0, y0, tol)
+    dy = dyson_residual(solver, None, omega, x0, y0, tol)
     Gxy = solver.green(x0, y0)
     Gyx = solver.green(y0, x0)
     gnorm = float(np.linalg.norm(Gxy))
@@ -223,11 +222,12 @@ def run_validation(cfg: SceneConfig) -> RunReport:
     # vacuum closure on the same grid with the coupling removed
     vacuum = {rid: PermittivityModel(poles=(), region_id=rid)
               for rid in cfg.materials}
-    p_vac = purcell(grid, vacuum, emitter, tol)
+    vac_solver = MediumSolver(grid, vacuum, omega, tol, dense_cap=cfg.dense_cap)
+    p_vac = purcell(vac_solver, None, emitter, tol)
     checks.append(CheckResult(
         name="vacuum_purcell", passed=abs(p_vac - 1.0) <= THRESHOLDS["vacuum_purcell"],
         value=abs(p_vac - 1.0), threshold=THRESHOLDS["vacuum_purcell"]))
-    vac_rates = gamma_decomposed(grid, vacuum, emitter, quad, tol)
+    vac_rates = gamma_decomposed(vac_solver, None, emitter, quad, tol)
     g0_exact = vacuum_decay_rate(emitter.omega, emitter.d)
     vac_gap = abs(vac_rates.gamma_e - g0_exact) / g0_exact
     checks.append(CheckResult(
@@ -239,6 +239,6 @@ def run_validation(cfg: SceneConfig) -> RunReport:
         "grid_voxels": grid.n,
         "purcell": rates.purcell,
         "gamma_via_im_green": rates.gamma_via_im_green,
-        "im_green_trace": float(np.trace(im_green_at(solver, None, emitter.r, omega, tol))),
+        "im_green_trace": float(np.trace(ident.im_green)),
     }
     return report

@@ -273,28 +273,35 @@ class MediumSolver:
         return g0_closed(x, y, self.omega) + self.scattered_at(x, grid_values)
 
 
+def as_solver(grid, materials, omega: float, tol: float = 1e-10) -> MediumSolver:
+    """The solver passed in place of the grid (its own omega applies), else a new one."""
+    if isinstance(grid, MediumSolver):
+        return grid
+    return MediumSolver(grid, materials, omega, tol)
+
+
 def green_medium(grid: VoxelGrid, materials, omega: float, x, y, tol: float = 1e-10):
     """Medium dyadic Green tensor G(x, y, omega) for a one-off evaluation."""
     return MediumSolver(grid, materials, omega, tol).green(x, y)
 
 
-def dyson_residual(grid: VoxelGrid, materials, omega: float, x, y, tol: float = 1e-10) -> float:
+def dyson_residual(grid, materials, omega: float, x, y, tol: float = 1e-10) -> float:
     """Defect of the permutation identity int beta G0 G = int beta G G0 = G - G0.
 
     Exact in the discrete algebra, so the returned max Frobenius defect
     is bounded by solver tolerance, independent of voxel resolution.
     """
-    ms = MediumSolver(grid, materials, omega, tol)
+    ms = as_solver(grid, materials, omega, tol)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     Xy = ms.grid_fields(y)
     Xx = ms.grid_fields(x)
     G = ms.green(x, y, Xy)
-    diff = G - g0_closed(x, y, omega)
+    diff = G - g0_closed(x, y, ms.omega)
     # int beta G0(x,z) G(z,y): the evaluation route itself
     i1 = ms.scattered_at(x, Xy)
     # int beta G(x,z) G0(z,y): G(x,z) = X(x)_z^T by reciprocity
-    g0_zy = g0_from_displacements(ms.grid.centers - y, omega)
+    g0_zy = g0_from_displacements(ms.grid.centers - y, ms.omega)
     i2 = ms.grid.voxel_volume * np.einsum(
         "j,jba,jbc->ac", ms.beta, Xx, g0_zy)
     return float(max(np.linalg.norm(diff - i1), np.linalg.norm(diff - i2)))

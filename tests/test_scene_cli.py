@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +282,29 @@ def test_cli_module_entrypoint(tmp_path):
     assert proc.returncode == 0, proc.stderr
     payload = json.loads(proc.stdout)
     assert "green" in payload
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    """--threads can only pin BLAS if numpy loads after the CLI parses it."""
+    import greenvox
+
+    env = dict(os.environ, PYTHONPATH=str(Path(greenvox.__file__).resolve().parents[1]))
+    code = ("import sys, greenvox.cli, greenvox; greenvox.__version__; "
+            "print('numpy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_package_exports_resolve_lazily():
+    import greenvox
+
+    for name in greenvox.__all__:
+        assert getattr(greenvox, name) is not None, name
+    assert greenvox.scene.load_scene is load_scene
+    with pytest.raises(AttributeError):
+        greenvox.no_such_export
 
 
 def test_cli_validate_si_scene(tmp_path, capsys):
