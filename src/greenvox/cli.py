@@ -1,11 +1,11 @@
 """Command-line front end.
 
 Subcommands: greens, modes, purcell, ldos-check, validate.  Exit codes:
-0 success, 2 validation failure, 3 solver failure, 4 configuration
-error.  --threads pins the BLAS/OpenMP thread pool: the package loads
-numpy lazily, so the thread variables are set before any numerical
-library starts; with a fixed thread policy repeated runs are
-byte-identical.
+0 success, 2 validation failure, 3 solver failure (out of memory
+included), 4 configuration error.  --threads pins the BLAS/OpenMP
+thread pool: the package loads numpy lazily, so the thread variables
+are set before any numerical library starts; with a fixed thread
+policy repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -303,6 +303,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:
+        print(f"solver out of memory: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except SystemExit as exc:  # config rejection from scene loading
         return exc.code if isinstance(exc.code, int) else EXIT_CONFIG

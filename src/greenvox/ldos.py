@@ -69,17 +69,18 @@ def vacuum_decay_rate(omega: float, dipole) -> float:
     return omega**3 * float(d @ d) / (3.0 * np.pi)
 
 
-def im_green_at(grid, materials, x, omega: float, tol: float = 1e-10):
+def im_green_at(grid, materials, x, omega: float, tol: float = 1e-10, green_columns=None):
     """Im G(x, x, omega): analytic free coincidence limit plus scattered part.
 
     Im G(x, x) = (omega / 6 pi) I + Im sum_j dV G0(x, z_j) beta_j X_j(x)
-    with X the solved columns for source x; real symmetric, PSD up to
-    solver tolerance.  At a voxel center the self block of the
-    evaluation row uses the equivalent-sphere value M/dV.
+    with X the solved columns for source x (green_columns when the
+    caller already holds them); real symmetric, PSD up to solver
+    tolerance.  At a voxel center the self block of the evaluation row
+    uses the equivalent-sphere value M/dV.
     """
     solver = as_solver(grid, materials, omega, tol)
     x = np.asarray(x, dtype=float)
-    X = solver.grid_fields(x)
+    X = solver.grid_fields(x) if green_columns is None else green_columns
     scattered = solver.scattered_at(x, X)
     out = (solver.omega / (6.0 * np.pi)) * np.eye(3) + scattered.imag
     return 0.5 * (out + out.T)
@@ -166,7 +167,7 @@ def ldos_identity_residual(grid, materials, x, y, omega: float,
     Xy = Xx if coincident else solver.grid_fields(y)
 
     if coincident:
-        lhs = im_green_at(solver, None, x, w, tol)
+        lhs = im_green_at(solver, None, x, w, tol, Xx)
     else:
         lhs = solver.green(x, y, Xy).imag
 

@@ -19,8 +19,15 @@ and the Dyson permutation identity exactly (to solver tolerance), which
 is what the identity tests lean on.
 
 A dense LU path (with iterative refinement) covers systems up to
-3N = 3000 unknowns; restarted GMRES with a diagonal preconditioner and a
-chunked matrix-free product covers larger ones and cross-checks.
+3N = 3000 unknowns; restarted GMRES with a diagonal preconditioner
+covers larger ones and cross-checks.  The iterative path stores no
+kernel: every grid lies on a cubic lattice, so K_ij depends only on the
+lattice offset z_i - z_j, K is block-Toeplitz, and K p is a discrete
+convolution.  Embedded in a circulant of twice the lattice extent per
+axis it costs two FFTs and a 3x3 block product per matvec, O(N log N)
+time and O(N) memory (Goodman, Draine & Flatau, Opt. Lett. 16, 1198
+(1991)).  With beta = 0 the operator is the identity and nothing is
+assembled or solved.
 """
 
 from __future__ import annotations
@@ -60,19 +67,50 @@ def _g0_block_rows(centers, rows, omega: float, voxel_volume: float):
     return blocks
 
 
+def _lattice_table(grid: VoxelGrid, omega: float):
+    """Voxel positions in the circulant lattice and the FFT of its kernel table.
+
+    Returns (index (N,), table (3, 3, 2nx, 2ny, 2nz)): index is each
+    voxel's flat position in the zero-padded 2nx x 2ny x 2nz lattice, and
+    table the FFT of the kernel blocks over every offset, dV*G0 at offset
+    d != 0, the self term at 0 and zero at the unused offset n.
+    """
+    rel = (grid.centers - grid.centers.min(axis=0)) / grid.voxel_edge
+    ijk = np.rint(rel)
+    if np.max(np.abs(rel - ijk)) > 1e-9:
+        raise SolverError("voxel centers do not lie on one cubic lattice of the voxel "
+                          "edge; the matrix-free operator needs a lattice grid")
+    ijk = ijk.astype(int)
+    shape = tuple(2 * (ijk.max(axis=0) + 1))
+    # circulant index i holds offset i for i < n and i - 2n above n
+    axes = [np.fft.fftfreq(m, 1.0 / m) for m in shape]
+    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    origin = np.all(offsets == 0.0, axis=-1)
+    offsets[origin] = 1.0  # placeholder, overwritten below
+    blocks = grid.voxel_volume * g0_from_displacements(grid.voxel_edge * offsets, omega)
+    blocks[origin] = self_term_scalar(grid.voxel_volume, omega) * np.eye(3)
+    for axis, m in enumerate(shape):
+        np.moveaxis(blocks, axis, 0)[m // 2] = 0.0
+    table = np.fft.fftn(np.moveaxis(blocks, (-2, -1), (0, 1)), axes=(-3, -2, -1))
+    return np.ravel_multi_index(ijk.T, shape), table
+
+
 @dataclass
 class InteractionOperator:
     """Discretized Fredholm operator p -> p - K diag(beta) p.
 
     kernel holds the dense 3N x 3N matrix of dV*G0 blocks (self term on
-    the diagonal) or None for the matrix-free representation, in which
-    case block rows are rebuilt on the fly in chunks.
+    the diagonal) or None for the matrix-free representation, which
+    keeps lattice = (voxel lattice index, FFT of the kernel table) and
+    forms K p as a circulant convolution.  A vacuum operator (beta = 0)
+    is the identity and keeps neither.
     """
 
     grid: VoxelGrid
     omega: float
     beta: np.ndarray
     kernel: np.ndarray | None
+    lattice: tuple | None = field(default=None, repr=False)
     _lu: tuple | None = field(default=None, repr=False)
 
     @property
@@ -83,21 +121,30 @@ class InteractionOperator:
     def beta_rep(self):
         return np.repeat(self.beta, 3)
 
+    @property
+    def is_identity(self) -> bool:
+        return not np.any(self.beta)
+
+    def kernel_product(self, q):
+        """K q for a (3N, m) array: the stored matrix or the lattice convolution."""
+        if self.kernel is not None:
+            return self.kernel @ q
+        index, table = self.lattice
+        n, m = self.grid.n, q.shape[1]
+        padded = np.zeros((3, m, *table.shape[2:]), dtype=complex)
+        padded.reshape(3, m, -1)[:, :, index] = q.reshape(n, 3, m).transpose(1, 2, 0)
+        spectrum = np.einsum("abxyz,bmxyz->amxyz", table,
+                             np.fft.fftn(padded, axes=(-3, -2, -1)))
+        conv = np.fft.ifftn(spectrum, axes=(-3, -2, -1)).reshape(3, m, -1)[:, :, index]
+        return conv.transpose(2, 0, 1).reshape(3 * n, m)
+
     def apply(self, p):
         """Operator action on (3N,) or (3N, m) arrays."""
         p = np.asarray(p, dtype=complex)
-        scaled = self.beta_rep[:, None] * p.reshape(self.n3, -1)
-        if self.kernel is not None:
-            out = p.reshape(self.n3, -1) - self.kernel @ scaled
-            return out.reshape(p.shape)
-        out = p.reshape(self.n3, -1).copy()
-        n = self.grid.n
-        chunk = max(1, min(n, 500_000 // max(n, 1)))
-        for start in range(0, n, chunk):
-            rows = np.arange(start, min(start + chunk, n))
-            blocks = _g0_block_rows(self.grid.centers, rows, self.omega, self.grid.voxel_volume)
-            flat = blocks.transpose(0, 2, 1, 3).reshape(3 * len(rows), self.n3)
-            out[3 * rows[0]: 3 * (rows[-1] + 1)] -= flat @ scaled
+        if self.is_identity:
+            return p.copy()
+        flat = p.reshape(self.n3, -1)
+        out = flat - self.kernel_product(self.beta_rep[:, None] * flat)
         return out.reshape(p.shape)
 
     def dense_matrix(self):
@@ -125,7 +172,8 @@ def assemble(grid: VoxelGrid, materials, omega: float, *, dense: bool = True,
 
     materials is either a mapping region_id -> PermittivityModel or a
     precomputed per-voxel beta array.  dense=False skips kernel storage
-    and leaves a matrix-free operator for the iterative path.
+    and builds the lattice FFT table of the matrix-free operator for the
+    iterative path; a vacuum (beta = 0) operator builds neither.
     """
     if grid.n == 0:
         raise SolverError("empty grid")
@@ -136,20 +184,23 @@ def assemble(grid: VoxelGrid, materials, omega: float, *, dense: bool = True,
     else:
         beta = np.asarray(materials, dtype=complex).reshape(grid.n)
 
-    kernel = None
-    if dense:
-        if grid.n > dense_cap:
-            raise DenseCapError(
-                f"dense kernel for N={grid.n} voxels exceeds the configured cap "
-                f"({dense_cap}); assemble with dense=False for the iterative path")
-        n3 = 3 * grid.n
-        kernel = np.empty((n3, n3), dtype=complex)
-        chunk = max(1, min(grid.n, 500_000 // max(grid.n, 1)))
-        for start in range(0, grid.n, chunk):
-            rows = np.arange(start, min(start + chunk, grid.n))
-            blocks = _g0_block_rows(grid.centers, rows, omega, grid.voxel_volume)
-            kernel[3 * rows[0]: 3 * (rows[-1] + 1)] = \
-                blocks.transpose(0, 2, 1, 3).reshape(3 * len(rows), n3)
+    if not np.any(beta):
+        return InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=None)
+    if not dense:
+        return InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=None,
+                                   lattice=_lattice_table(grid, omega))
+    if grid.n > dense_cap:
+        raise DenseCapError(
+            f"dense kernel for N={grid.n} voxels exceeds the configured cap "
+            f"({dense_cap}); assemble with dense=False for the iterative path")
+    n3 = 3 * grid.n
+    kernel = np.empty((n3, n3), dtype=complex)
+    chunk = max(1, min(grid.n, 500_000 // max(grid.n, 1)))
+    for start in range(0, grid.n, chunk):
+        rows = np.arange(start, min(start + chunk, grid.n))
+        blocks = _g0_block_rows(grid.centers, rows, omega, grid.voxel_volume)
+        kernel[3 * rows[0]: 3 * (rows[-1] + 1)] = \
+            blocks.transpose(0, 2, 1, 3).reshape(3 * len(rows), n3)
     return InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=kernel)
 
 
@@ -159,13 +210,17 @@ def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10, method: str =
     rhs: (3N,) or (3N, m).  method "dense" uses LU plus iterative
     refinement, "gmres" a restarted Krylov solve with diagonal
     preconditioning; "auto" picks dense when the kernel is stored and
-    3N <= DENSE_LU_LIMIT.
+    3N <= DENSE_LU_LIMIT.  The vacuum operator returns a copy of rhs.
     """
     if not tol > 0.0:
         raise ValueError("solver tolerance must be positive")
+    if method not in ("auto", "dense", "gmres"):
+        raise ValueError(f"unknown solve method {method!r}")
     rhs = np.asarray(rhs, dtype=complex)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side contains non-finite entries")
+    if op.is_identity:
+        return rhs.copy()
     b = rhs.reshape(op.n3, -1)
     rhs_norm = np.linalg.norm(b)
     if rhs_norm == 0.0:
@@ -186,8 +241,6 @@ def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10, method: str =
             raise SolverError(f"dense solve stalled at residual {achieved:.3e} (target {tol:.1e})")
         return x.reshape(rhs.shape)
 
-    if method != "gmres":
-        raise ValueError(f"unknown solve method {method!r}")
     lin = LinearOperator((op.n3, op.n3), matvec=lambda v: op.apply(v), dtype=complex)
     pre_diag = np.repeat(1.0 - self_term_scalar(op.grid.voxel_volume, op.omega) * op.beta, 3)
     precond = LinearOperator((op.n3, op.n3), matvec=lambda v: v / pre_diag, dtype=complex)
@@ -223,7 +276,8 @@ class MediumSolver:
         else:
             self.beta = np.asarray(materials, dtype=complex).reshape(grid.n)
             self.eps = 1.0 + self.beta / omega**2
-        dense = not (method == "gmres")
+        # auto stores the dense kernel up to dense_cap voxels, FFT-GMRES above
+        dense = method == "dense" or (method == "auto" and grid.n <= dense_cap)
         self.op = assemble(grid, self.beta, omega, dense=dense, dense_cap=dense_cap)
 
     def solve(self, rhs):

@@ -272,6 +272,47 @@ def test_cli_solver_failure_exit_code(tmp_path, capsys):
     assert any("positive" in r for r in rows)
 
 
+BIG_CUBE_SCENE = CUBE_SCENE.replace(
+    "min_corner: [-0.4, -0.4, -0.4], max_corner: [0.4, 0.4, 0.4]",
+    "min_corner: [-0.8, -0.8, -0.8], max_corner: [0.8, 0.8, 0.8]") + "solver: {dense_cap: 100}\n"
+
+
+def test_cli_greens_above_dense_cap_solves_matrix_free(tmp_path, capsys):
+    """512 voxels against dense_cap 100: FFT-GMRES, not a DenseCapError traceback."""
+    from greenvox import MediumSolver
+
+    scene = write(tmp_path, "big.yaml", BIG_CUBE_SCENE)
+    src, ev = (0.1, -0.2, 1.3), (1.25, 0.3, -0.1)
+    rc = cli_main(["greens", "--scene", str(scene), "--omega", "1.0",
+                   "--src", ",".join(map(str, src)), "--eval", ",".join(map(str, ev))])
+    out = capsys.readouterr().out
+    assert rc == 0
+    green = json.loads(out)["green"]
+    G = np.asarray(green["re"]) + 1j * np.asarray(green["im"])
+    cfg = load_scene(scene)
+    grid = cfg.build_grid()
+    assert grid.n == 512 > cfg.dense_cap
+    ref = MediumSolver(grid, cfg.materials, 1.0, cfg.solver_tol, method="dense",
+                       dense_cap=grid.n).green(np.asarray(ev), np.asarray(src))
+    assert np.linalg.norm(G - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+def test_cli_memory_error_exit_code(tmp_path, capsys, monkeypatch):
+    import greenvox.vie as vie
+
+    def out_of_memory(*args, **kwargs):
+        raise vie.DenseCapError("dense kernel exceeds the configured cap")
+
+    monkeypatch.setattr(vie, "assemble", out_of_memory)
+    scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
+    rc = cli_main(["greens", "--scene", str(scene), "--omega", "1.0",
+                   "--src", "0,0,0.9", "--eval", "1.2,0,0"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.strip().splitlines() == ["solver out of memory: dense kernel exceeds "
+                                        "the configured cap"]
+
+
 def test_cli_module_entrypoint(tmp_path):
     scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
     proc = subprocess.run(

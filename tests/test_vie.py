@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from greenvox import (Box, DenseCapError, MediumSolver, Sphere, SolverError,
-                      assemble, build_grid, dyson_residual, eval_eps, g0_closed,
+from greenvox import (Box, DenseCapError, MaskShape, MediumSolver, Sphere, SolverError,
+                      VoxelGrid, assemble, build_grid, dyson_residual, eval_eps, g0_closed,
                       green_medium, scaled_contrast, solve_system)
+from greenvox.geometry import write_mask
 from greenvox.green_free import self_term_scalar
 
 from conftest import LORENTZ, OMEGA, loglog_slope
@@ -63,6 +64,63 @@ def test_iterative_matches_dense():
     xi = iterative.solve(rhs)
     assert np.linalg.norm(xi - xd) <= 10 * tol * np.linalg.norm(xd)
     assert iterative.op.kernel is None  # matvec-only representation
+
+
+def test_fft_product_matches_dense_kernel(tmp_path):
+    """The lattice convolution reproduces K q on every kind of lattice grid."""
+    ids = np.ones((5, 4, 6), dtype=int)
+    ids[2, 1:3, 2:4] = 0  # interior hole
+    ids[:, :, 0] = 0  # the body starts one voxel past the mask origin
+    ids[4, 3, 5] = 0
+    write_mask(tmp_path / "holes.mask", ids.shape, 0.15, (0.3, -0.7, 1.1), ids)
+    grids = {
+        "sphere": build_grid(Sphere(center=(0, 0, 0), radius=0.5, region_id=1), 0.152),
+        "two boxes": build_grid([Box(min_corner=(-0.4, -0.3, -0.2), max_corner=(0.4, 0.3, 0.2)),
+                                 Box(min_corner=(0.2, 0.2, 0.0), max_corner=(0.6, 0.9, 0.5))],
+                                0.1),
+        "mask": build_grid(MaskShape(str(tmp_path / "holes.mask"))),
+    }
+    rng = np.random.default_rng(5)
+    for name, grid in grids.items():
+        dense = assemble(grid, {1: LORENTZ}, OMEGA)
+        fft = assemble(grid, {1: LORENTZ}, OMEGA, dense=False)
+        assert fft.kernel is None
+        if name == "two boxes":
+            assert len(set(fft.lattice[1].shape[2:])) == 3  # n_x, n_y, n_z all differ
+        p = rng.normal(size=(dense.n3, 2)) + 1j * rng.normal(size=(dense.n3, 2))
+        q = dense.beta_rep[:, None] * p
+        expected = dense.kernel @ q
+        got = fft.kernel_product(q)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected), name
+        for v in (p, p[:, 0]):
+            assert fft.apply(v).shape == v.shape
+            assert np.linalg.norm(fft.apply(v) - dense.apply(v)) <= 1e-13 * np.linalg.norm(v)
+
+
+def test_off_lattice_grid_rejected_by_matrix_free_path(cube_materials):
+    grid = VoxelGrid([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0], [0.33, 0.1, 0.0]], 0.2, [1, 1, 1])
+    assert assemble(grid, cube_materials, OMEGA).kernel is not None
+    with pytest.raises(SolverError, match="lattice"):
+        assemble(grid, cube_materials, OMEGA, dense=False)
+    with pytest.raises(SolverError, match="lattice"):
+        MediumSolver(grid, cube_materials, OMEGA, method="gmres")
+
+
+def test_fft_gmres_above_dense_cap_keeps_identities():
+    """N > dense_cap: the auto policy goes matrix-free and FFT-GMRES keeps the identities."""
+    grid = build_grid(Sphere(center=(0, 0, 0), radius=1.0, region_id=1), 0.1)
+    assert grid.n == 4224
+    mats = {1: LORENTZ}
+    tol = 1e-10
+    assert MediumSolver(grid, mats, OMEGA, tol).op.kernel is None
+    solver = MediumSolver(grid, mats, OMEGA, tol, method="gmres")
+    x = np.array([1.3, 0.2, -0.1])
+    y = np.array([-0.3, 1.25, 0.2])
+    Gxy = solver.green(x, y)
+    Gyx = solver.green(y, x)
+    gnorm = np.linalg.norm(Gxy)
+    assert np.linalg.norm(Gxy - Gyx.T) <= tol * gnorm
+    assert dyson_residual(solver, None, OMEGA, x, y, tol) <= tol * gnorm
 
 
 def test_green_vacuum_reduces_to_free(cube_grid, vacuum_materials):
