@@ -84,7 +84,10 @@ Shape = Sphere | Box | MaskShape
 
 
 class VoxelGrid:
-    """Immutable cubical voxelization: centers, edge length, material ids."""
+    """Immutable cubical voxelization: centers, edge length, material ids.
+
+    lattice_index is each voxel's (i, j, k) on the lattice, from the minimum center.
+    """
 
     def __init__(self, centers, voxel_edge: float, material_ids):
         centers = np.array(centers, dtype=float).reshape(-1, 3)
@@ -95,17 +98,28 @@ class VoxelGrid:
             raise GridError("centers and material ids disagree in length")
         if not voxel_edge > 0.0:
             raise GridError("voxel edge must be positive")
-        if len(np.unique(np.round(centers / voxel_edge, 6), axis=0)) != len(centers):
+        rel = (centers - centers.min(axis=0)) / voxel_edge
+        ijk = np.rint(rel)
+        if not np.max(np.abs(rel - ijk)) <= 1e-9:
+            raise GridError("voxel centers do not lie on one cubic lattice of the voxel edge")
+        ijk = ijk.astype(int)
+        if len(np.unique(ijk, axis=0)) != len(centers):
             raise GridError("duplicate voxel centers")
-        centers.flags.writeable = False
-        material_ids.flags.writeable = False
+        for array in (centers, material_ids, ijk):
+            array.flags.writeable = False
         self.centers = centers
         self.voxel_edge = float(voxel_edge)
         self.material_ids = material_ids
+        self.lattice_index = ijk
 
     @property
     def n(self) -> int:
         return len(self.centers)
+
+    @property
+    def lattice_shape(self) -> tuple[int, int, int]:
+        """Lattice sites per axis spanned by the voxels, (nx, ny, nz)."""
+        return tuple(int(m) for m in self.lattice_index.max(axis=0) + 1)
 
     @property
     def voxel_volume(self) -> float:

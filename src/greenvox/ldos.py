@@ -69,19 +69,17 @@ def vacuum_decay_rate(omega: float, dipole) -> float:
     return omega**3 * float(d @ d) / (3.0 * np.pi)
 
 
-def im_green_at(grid, materials, x, omega: float, tol: float = 1e-10, green_columns=None):
+def im_green_at(grid, materials, x, omega: float, tol: float = 1e-10):
     """Im G(x, x, omega): analytic free coincidence limit plus scattered part.
 
     Im G(x, x) = (omega / 6 pi) I + Im sum_j dV G0(x, z_j) beta_j X_j(x)
-    with X the solved columns for source x (green_columns when the
-    caller already holds them); real symmetric, PSD up to solver
-    tolerance.  At a voxel center the self block of the evaluation row
-    uses the equivalent-sphere value M/dV.
+    with X the solved columns for source x; real symmetric, PSD up to
+    solver tolerance.  At a voxel center the self block of the
+    evaluation row uses the equivalent-sphere value M/dV.
     """
     solver = as_solver(grid, materials, omega, tol)
     x = np.asarray(x, dtype=float)
-    X = solver.grid_fields(x) if green_columns is None else green_columns
-    scattered = solver.scattered_at(x, X)
+    scattered = solver.scattered_at(x, solver.grid_fields(x))
     out = (solver.omega / (6.0 * np.pi)) * np.eye(3) + scattered.imag
     return 0.5 * (out + out.T)
 
@@ -160,16 +158,11 @@ def ldos_identity_residual(grid, materials, x, y, omega: float,
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = solver.omega
-    grid_ = solver.grid
     coincident = np.array_equal(x, y)
 
     Xx = solver.grid_fields(x)
-    Xy = Xx if coincident else solver.grid_fields(y)
-
-    if coincident:
-        lhs = im_green_at(solver, None, x, w, tol, Xx)
-    else:
-        lhs = solver.green(x, y, Xy).imag
+    Xy = solver.grid_fields(y)
+    lhs = im_green_at(solver, None, x, w, tol) if coincident else solver.green(x, y).imag
 
     points, columns = ([x], [Xx]) if coincident else ([x, y], [Xx, Xy])
     e_xy, mode_w = _e_fields_on_shell(solver, quad, points, columns)
@@ -177,7 +170,7 @@ def ldos_identity_residual(grid, materials, x, y, omega: float,
     kappa = (0.5 * np.pi / w) * np.einsum("m,am,bm->ab", mode_w, e_xy[0], e_xy[-1].conj())
 
     # absorption form: w^2 sum dV Im(eps) G(x,z) G*(z,y); G(x,z_i) = Xx_i^T
-    dV = grid_.voxel_volume
+    dV = solver.grid.voxel_volume
     absorb = w**2 * dV * np.einsum(
         "j,jba,jbc->ac", solver.eps.imag, Xx, Xy.conj())
 
@@ -211,6 +204,27 @@ class DecayRates:
     contracted_residual: float      # |d.(identity defect).d| / (d.ImG.d)
     identity_relative_residual: float  # Frobenius residual / ||Im G||
 
+    @classmethod
+    def from_identity(cls, ident: LdosIdentityResult, emitter: EmitterSpec) -> "DecayRates":
+        """Rates from the LDOS identity evaluated at the emitter's position and frequency."""
+        w, d = emitter.omega, emitter.d
+        d_im_d = float(d @ ident.im_green @ d)
+        gamma_via = 2.0 * w**2 * d_im_d
+        gamma_e = 2.0 * w**2 * float(np.real(d @ ident.kappa_term @ d))
+        gamma_m = gamma_via - gamma_e
+        contracted = (ident.contracted(d) * float(d @ d) / d_im_d
+                      if d_im_d != 0.0 else float("nan"))
+        return cls(
+            gamma_e=gamma_e,
+            gamma_m=gamma_m,
+            gamma_m_mu_route=2.0 * w**2 * float(np.real(d @ ident.m_term @ d)),
+            gamma_total=gamma_e + gamma_m,
+            gamma_via_im_green=gamma_via,
+            purcell=gamma_via / vacuum_decay_rate(w, d),
+            contracted_residual=contracted,
+            identity_relative_residual=ident.relative_absorption,
+        )
+
 
 def gamma_decomposed(grid, materials, emitter: EmitterSpec,
                      quad: SphereQuadrature | None = None,
@@ -224,30 +238,9 @@ def gamma_decomposed(grid, materials, emitter: EmitterSpec,
     the contracted LDOS identity residual.
     """
     solver = as_solver(grid, materials, emitter.omega, tol)
-    quad = quad or make_shell_quadrature(solver.omega)
-    w = solver.omega
-    d = emitter.d
-    r = emitter.r
-
-    ident = ldos_identity_residual(solver, None, r, r, w, quad, tol)
-    d_im_d = float(d @ ident.im_green @ d)
-    gamma_via = 2.0 * w**2 * d_im_d
-    gamma_e = 2.0 * w**2 * float(np.real(d @ ident.kappa_term @ d))
-    gamma_m = gamma_via - gamma_e
-    gamma_m_mu = 2.0 * w**2 * float(np.real(d @ ident.m_term @ d))
-    g0 = vacuum_decay_rate(w, d)
-    contracted = (ident.contracted(d) * float(d @ d) / d_im_d
-                  if d_im_d != 0.0 else float("nan"))
-    return DecayRates(
-        gamma_e=gamma_e,
-        gamma_m=gamma_m,
-        gamma_m_mu_route=gamma_m_mu,
-        gamma_total=gamma_e + gamma_m,
-        gamma_via_im_green=gamma_via,
-        purcell=gamma_via / g0,
-        contracted_residual=contracted,
-        identity_relative_residual=ident.relative_absorption,
-    )
+    ident = ldos_identity_residual(solver, None, emitter.r, emitter.r, solver.omega,
+                                   quad, tol)
+    return DecayRates.from_identity(ident, emitter)
 
 
 def purcell(grid, materials, emitter: EmitterSpec, tol: float = 1e-10) -> float:
@@ -264,7 +257,7 @@ def purcell_sweep(grid: VoxelGrid, materials, emitter_position, dipole, omegas,
 
     Returns one dict per frequency with keys omega, purcell, gamma_e,
     gamma_m, identity_residual (relative), or an error message for rows
-    whose solve failed.  Rows are independent.
+    whose solve failed or ran out of memory.  Rows are independent.
     """
     omegas = list(omegas)
     if any(b < a for a, b in zip(omegas[:-1], omegas[1:])):
@@ -284,6 +277,6 @@ def purcell_sweep(grid: VoxelGrid, materials, emitter_position, dipole, omegas,
                 "gamma_m": rates.gamma_m,
                 "identity_residual": rates.identity_relative_residual,
             })
-        except (SolverError, ValueError) as exc:
-            rows.append({"omega": float(w), "error": str(exc)})
+        except (SolverError, ValueError, MemoryError) as exc:
+            rows.append({"omega": float(w), "error": str(exc) or type(exc).__name__})
     return rows

@@ -18,16 +18,16 @@ kernel and diagonal beta this discrete algebra reproduces reciprocity
 and the Dyson permutation identity exactly (to solver tolerance), which
 is what the identity tests lean on.
 
-A dense LU path (with iterative refinement) covers systems up to
-3N = 3000 unknowns; restarted GMRES with a diagonal preconditioner
-covers larger ones and cross-checks.  The iterative path stores no
-kernel: every grid lies on a cubic lattice, so K_ij depends only on the
-lattice offset z_i - z_j, K is block-Toeplitz, and K p is a discrete
-convolution.  Embedded in a circulant of twice the lattice extent per
-axis it costs two FFTs and a 3x3 block product per matvec, O(N log N)
-time and O(N) memory (Goodman, Draine & Flatau, Opt. Lett. 16, 1198
-(1991)).  With beta = 0 the operator is the identity and nothing is
-assembled or solved.
+Every grid lies on a cubic lattice, so K_ij depends only on the offset
+z_i - z_j, and the kernel is built once, as the table of its 3x3 blocks
+over the lattice offsets.  The dense kernel gathers its blocks from the
+table by offset and is solved by LU with iterative refinement.  The
+matrix-free kernel is the FFT of the table embedded in a circulant of
+twice the lattice extent per axis, so K p costs two FFTs and a 3x3 block
+product (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16, 1198
+(1991)), and is solved by restarted GMRES.  MediumSolver picks the
+representation and the solve follows it.  With beta = 0 the operator is
+the identity and nothing is assembled or solved.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .geometry import VoxelGrid, eps_on_grid
 from .green_free import g0_closed, g0_from_displacements, self_term_scalar
 
-#: largest system solved by dense LU in the "auto" policy
-DENSE_LU_LIMIT = 3000
+
+#: solved sources a MediumSolver keeps, oldest dropped first (validate revisits five)
+_FIELDS_KEPT = 8
 
 
 class SolverError(RuntimeError):
@@ -54,45 +55,21 @@ class DenseCapError(MemoryError):
     pass
 
 
-def _g0_block_rows(centers, rows, omega: float, voxel_volume: float):
-    """Kernel block rows K[rows, :] as (len(rows), N, 3, 3).
+def _kernel_table(grid: VoxelGrid, omega: float):
+    """Kernel blocks over every offset of the circulant lattice, (3, 3, 2nx, 2ny, 2nz).
 
-    K_ij = dV G0(z_i, z_j) for i != j, K_ii = self_term dyadic.
+    Along an axis of n lattice sites, circulant index i holds offset i
+    for i < n and i - 2n above n: dV*G0 at offset d != 0, the self term
+    at 0 and zero at the offset n, which no voxel pair reaches.
     """
-    disp = centers[rows][:, None, :] - centers[None, :, :]
-    self_mask = np.all(disp == 0.0, axis=-1)
-    disp[self_mask] = 1.0  # placeholder, overwritten below
-    blocks = voxel_volume * g0_from_displacements(disp, omega)
-    blocks[self_mask] = self_term_scalar(voxel_volume, omega) * np.eye(3)
-    return blocks
-
-
-def _lattice_table(grid: VoxelGrid, omega: float):
-    """Voxel positions in the circulant lattice and the FFT of its kernel table.
-
-    Returns (index (N,), table (3, 3, 2nx, 2ny, 2nz)): index is each
-    voxel's flat position in the zero-padded 2nx x 2ny x 2nz lattice, and
-    table the FFT of the kernel blocks over every offset, dV*G0 at offset
-    d != 0, the self term at 0 and zero at the unused offset n.
-    """
-    rel = (grid.centers - grid.centers.min(axis=0)) / grid.voxel_edge
-    ijk = np.rint(rel)
-    if np.max(np.abs(rel - ijk)) > 1e-9:
-        raise SolverError("voxel centers do not lie on one cubic lattice of the voxel "
-                          "edge; the matrix-free operator needs a lattice grid")
-    ijk = ijk.astype(int)
-    shape = tuple(2 * (ijk.max(axis=0) + 1))
-    # circulant index i holds offset i for i < n and i - 2n above n
-    axes = [np.fft.fftfreq(m, 1.0 / m) for m in shape]
-    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    origin = np.all(offsets == 0.0, axis=-1)
-    offsets[origin] = 1.0  # placeholder, overwritten below
+    axes = [np.fft.ifftshift(np.arange(-n, n)) for n in grid.lattice_shape]
+    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).astype(float)
+    offsets[0, 0, 0] = 1.0  # placeholder, overwritten below
     blocks = grid.voxel_volume * g0_from_displacements(grid.voxel_edge * offsets, omega)
-    blocks[origin] = self_term_scalar(grid.voxel_volume, omega) * np.eye(3)
-    for axis, m in enumerate(shape):
-        np.moveaxis(blocks, axis, 0)[m // 2] = 0.0
-    table = np.fft.fftn(np.moveaxis(blocks, (-2, -1), (0, 1)), axes=(-3, -2, -1))
-    return np.ravel_multi_index(ijk.T, shape), table
+    blocks[0, 0, 0] = self_term_scalar(grid.voxel_volume, omega) * np.eye(3)
+    for axis, n in enumerate(grid.lattice_shape):
+        np.moveaxis(blocks, axis, 0)[n] = 0.0
+    return np.moveaxis(blocks, (-2, -1), (0, 1))
 
 
 @dataclass
@@ -147,18 +124,15 @@ class InteractionOperator:
         out = flat - self.kernel_product(self.beta_rep[:, None] * flat)
         return out.reshape(p.shape)
 
-    def dense_matrix(self):
-        """A = I - K diag(beta) as a dense array (kernel path only)."""
-        if self.kernel is None:
-            raise SolverError("dense matrix requested from a matrix-free operator")
-        A = -self.kernel * self.beta_rep[None, :]
-        A[np.diag_indices_from(A)] += 1.0
-        return A
-
     def lu(self):
+        """LU factors of A = I - K diag(beta), computed once (stored kernel only)."""
         if self._lu is None:
+            if self.kernel is None:
+                raise SolverError("LU requested from a matrix-free operator")
+            A = -self.kernel * self.beta_rep[None, :]
+            A[np.diag_indices_from(A)] += 1.0
             try:
-                self._lu = lu_factor(self.dense_matrix(), overwrite_a=True, check_finite=False)
+                self._lu = lu_factor(A, overwrite_a=True, check_finite=False)
             except np.linalg.LinAlgError as exc:  # pragma: no cover - needs Im eps <= 0
                 raise SolverError(
                     "operator is singular: the model must be strictly absorbing (Im eps > 0)"
@@ -171,9 +145,11 @@ def assemble(grid: VoxelGrid, materials, omega: float, *, dense: bool = True,
     """Build the discrete Fredholm operator for the grid at frequency omega.
 
     materials is either a mapping region_id -> PermittivityModel or a
-    precomputed per-voxel beta array.  dense=False skips kernel storage
-    and builds the lattice FFT table of the matrix-free operator for the
-    iterative path; a vacuum (beta = 0) operator builds neither.
+    precomputed per-voxel beta array.  Both representations come from
+    one kernel table over the lattice offsets: dense=True gathers the
+    3N x 3N kernel from it block by offset, dense=False keeps its FFT
+    for the matrix-free operator.  A vacuum (beta = 0) operator builds
+    neither.
     """
     if grid.n == 0:
         raise SolverError("empty grid")
@@ -186,36 +162,39 @@ def assemble(grid: VoxelGrid, materials, omega: float, *, dense: bool = True,
 
     if not np.any(beta):
         return InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=None)
-    if not dense:
-        return InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=None,
-                                   lattice=_lattice_table(grid, omega))
-    if grid.n > dense_cap:
+    if dense and grid.n > dense_cap:
         raise DenseCapError(
             f"dense kernel for N={grid.n} voxels exceeds the configured cap "
             f"({dense_cap}); assemble with dense=False for the iterative path")
-    n3 = 3 * grid.n
-    kernel = np.empty((n3, n3), dtype=complex)
-    chunk = max(1, min(grid.n, 500_000 // max(grid.n, 1)))
-    for start in range(0, grid.n, chunk):
-        rows = np.arange(start, min(start + chunk, grid.n))
-        blocks = _g0_block_rows(grid.centers, rows, omega, grid.voxel_volume)
-        kernel[3 * rows[0]: 3 * (rows[-1] + 1)] = \
-            blocks.transpose(0, 2, 1, 3).reshape(3 * len(rows), n3)
-    return InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=kernel)
+    table = _kernel_table(grid, omega)
+    shape = table.shape[2:]
+    ijk = grid.lattice_index
+    if not dense:
+        lattice = (np.ravel_multi_index(ijk.T, shape), np.fft.fftn(table, axes=(-3, -2, -1)))
+        return InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=None,
+                                   lattice=lattice)
+    # block (i, j) is the table entry at the circulant index of z_i - z_j
+    offset = np.ravel_multi_index(
+        tuple((ijk[:, None, a] - ijk[None, :, a]) % m for a, m in enumerate(shape)), shape)
+    flat = table.reshape(3, 3, -1)
+    kernel = np.empty((grid.n, 3, grid.n, 3), dtype=complex)
+    for a in range(3):
+        for b in range(3):
+            kernel[:, a, :, b] = flat[a, b][offset]
+    return InteractionOperator(grid=grid, omega=omega, beta=beta,
+                               kernel=kernel.reshape(3 * grid.n, 3 * grid.n))
 
 
-def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10, method: str = "auto"):
+def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):
     """Solve (I - K diag(beta)) x = rhs to ||op x - rhs|| <= tol ||rhs||.
 
-    rhs: (3N,) or (3N, m).  method "dense" uses LU plus iterative
-    refinement, "gmres" a restarted Krylov solve with diagonal
-    preconditioning; "auto" picks dense when the kernel is stored and
-    3N <= DENSE_LU_LIMIT.  The vacuum operator returns a copy of rhs.
+    rhs: (3N,) or (3N, m).  The representation decides the method: LU,
+    factorized once, with iterative refinement for a stored kernel, and
+    restarted GMRES with a diagonal preconditioner, column by column,
+    for the lattice operator.  The vacuum operator returns a copy of rhs.
     """
     if not tol > 0.0:
         raise ValueError("solver tolerance must be positive")
-    if method not in ("auto", "dense", "gmres"):
-        raise ValueError(f"unknown solve method {method!r}")
     rhs = np.asarray(rhs, dtype=complex)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side contains non-finite entries")
@@ -226,10 +205,7 @@ def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10, method: str =
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
 
-    if method == "auto":
-        method = "dense" if (op.kernel is not None and op.n3 <= DENSE_LU_LIMIT) else "gmres"
-
-    if method == "dense":
+    if op.kernel is not None:
         x = lu_solve(op.lu(), b, check_finite=False)
         for _ in range(3):
             resid = b - op.apply(x)
@@ -261,27 +237,31 @@ class MediumSolver:
     """One assembled operator (and factorization) shared across sources.
 
     All Green-tensor, field-coefficient and LDOS computations at a fixed
-    frequency go through this object so the LU factorization is reused.
+    frequency go through this object, which assembles and factorizes once.
+    method is the one solve decision: "dense" stores the kernel (LU),
+    "gmres" the lattice FFT operator (GMRES), "auto" the kernel up to
+    dense_cap voxels.
     """
 
     def __init__(self, grid: VoxelGrid, materials, omega: float, tol: float = 1e-10,
                  method: str = "auto", dense_cap: int = 1000):
+        if method not in ("auto", "dense", "gmres"):
+            raise ValueError(f"unknown solve method {method!r}")
         self.grid = grid
         self.materials = materials if isinstance(materials, Mapping) else None
         self.omega = float(omega)
         self.tol = float(tol)
-        self.method = method
         if isinstance(materials, Mapping):
             self.eps, self.beta = eps_on_grid(grid, materials, omega)
         else:
             self.beta = np.asarray(materials, dtype=complex).reshape(grid.n)
             self.eps = 1.0 + self.beta / omega**2
-        # auto stores the dense kernel up to dense_cap voxels, FFT-GMRES above
         dense = method == "dense" or (method == "auto" and grid.n <= dense_cap)
         self.op = assemble(grid, self.beta, omega, dense=dense, dense_cap=dense_cap)
+        self._fields = {}
 
     def solve(self, rhs):
-        return solve_system(self.op, rhs, self.tol, self.method)
+        return solve_system(self.op, rhs, self.tol)
 
     # -- geometry-aware kernel pieces -----------------------------------
     def g0_blocks_at(self, point):
@@ -302,8 +282,19 @@ class MediumSolver:
         return self.g0_blocks_at(y).reshape(self.op.n3, 3)
 
     def grid_fields(self, y):
-        """Solved on-grid Green columns X_i = G(z_i, y), shape (N, 3, 3)."""
-        return self.solve(self.source_columns(y)).reshape(self.grid.n, 3, 3)
+        """Solved on-grid Green columns X_i = G(z_i, y), (N, 3, 3), read-only.
+
+        The last eight sources are memoised, so a revisited source is not re-solved.
+        """
+        y = np.asarray(y, dtype=float)
+        key = y.tobytes()
+        if key not in self._fields:
+            X = self.solve(self.source_columns(y)).reshape(self.grid.n, 3, 3)
+            X.flags.writeable = False
+            if len(self._fields) == _FIELDS_KEPT:
+                del self._fields[next(iter(self._fields))]
+            self._fields[key] = X
+        return self._fields[key]
 
     def scattered_at(self, x, grid_values):
         """sum_j dV G0(x, z_j) beta_j V_j for on-grid values V (N, 3, m)."""
@@ -323,7 +314,7 @@ class MediumSolver:
             grid_values = self.grid_fields(y)
         ix = self.grid.index_of(x)
         if ix is not None:
-            return np.asarray(grid_values).reshape(self.grid.n, 3, 3)[ix]
+            return np.asarray(grid_values).reshape(self.grid.n, 3, 3)[ix].copy()
         return g0_closed(x, y, self.omega) + self.scattered_at(x, grid_values)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from greenvox import (Box, GridError, LorentzPole, MaskShape, PermittivityModel,
-                      Sphere, build_grid, eps_on_grid, eval_eps)
+                      Sphere, VoxelGrid, build_grid, eps_on_grid, eval_eps)
 from greenvox.geometry import read_mask, write_mask
 
 
@@ -131,6 +131,17 @@ def test_index_of_exact_center():
     grid = build_grid(Box(min_corner=(0, 0, 0), max_corner=(0.4, 0.4, 0.4)), 0.2)
     assert grid.index_of(grid.centers[3]) == 3
     assert grid.index_of(grid.centers[3] + 0.05) is None
+
+
+def test_voxel_grid_rejects_off_lattice_centers():
+    """Overlapping voxels define no discretization: every center sits on one lattice."""
+    with pytest.raises(GridError, match="lattice"):
+        VoxelGrid([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0], [0.33, 0.1, 0.0]], 0.2, [1, 1, 1])
+    with pytest.raises(GridError, match="duplicate voxel centers"):
+        VoxelGrid([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0], [1e-12, 0.0, 0.0]], 0.2, [1, 1, 1])
+    grid = VoxelGrid([[0.5, 1.0, -0.1], [0.9, 1.0, 0.3]], 0.2, [1, 1])
+    assert grid.lattice_index.tolist() == [[0, 0, 0], [2, 0, 2]]
+    assert grid.lattice_shape == (3, 1, 3)
 
 
 def test_grid_immutable():

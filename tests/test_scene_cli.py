@@ -313,6 +313,31 @@ def test_cli_memory_error_exit_code(tmp_path, capsys, monkeypatch):
                                         "the configured cap"]
 
 
+def test_cli_purcell_records_memory_error_per_row(tmp_path, capsys, monkeypatch):
+    import greenvox.vie as vie
+
+    assemble = vie.assemble
+
+    def out_of_memory_at_0_9(grid, materials, omega, **kwargs):
+        if omega == 0.9:
+            raise vie.DenseCapError("dense kernel exceeds the configured cap")
+        return assemble(grid, materials, omega, **kwargs)
+
+    monkeypatch.setattr(vie, "assemble", out_of_memory_at_0_9)
+    scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
+    rc = cli_main(["purcell", "--scene", str(scene), "--emitter", "0.95,0.15,0.25",
+                   "--dipole", "0,0,1", "--omega-range", "0.8:1.0:3",
+                   "--out-dir", str(tmp_path), "--quad", "4x8"])
+    capsys.readouterr()
+    assert rc == 3
+    rows = [r.split(",") for r in
+            (tmp_path / "purcell.csv").read_text().strip().splitlines()[2:]]
+    assert [float(r[0]) for r in rows] == [0.8, 0.9, 1.0]
+    assert rows[1][1:5] == ["", "", "", ""] and "configured cap" in rows[1][5]
+    for row in (rows[0], rows[2]):
+        assert row[5] == "" and float(row[1]) > 0.0
+
+
 def test_cli_module_entrypoint(tmp_path):
     scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
     proc = subprocess.run(

@@ -8,6 +8,8 @@ adds solves shows up here before it shows up in wall time.
 import numpy as np
 import pytest
 
+import greenvox.ldos as ldos
+import greenvox.report as report_module
 import greenvox.vie as vie
 from greenvox import PlaneWaveMode, e_coefficient, make_shell_quadrature, purcell_sweep
 from greenvox.ldos import _e_fields_on_shell
@@ -48,12 +50,24 @@ def budget(monkeypatch):
     return counts
 
 
-def test_validate_uses_one_medium_and_one_vacuum_solver(budget):
+def test_validate_uses_one_medium_and_one_vacuum_solver(budget, monkeypatch):
+    identities = []
+    original = ldos.ldos_identity_residual
+
+    def counting(*args, **kwargs):
+        identities.append(args[2])
+        return original(*args, **kwargs)
+
+    for module in (ldos, report_module):
+        monkeypatch.setattr(module, "ldos_identity_residual", counting)
     report = run_validation(scene_from_dict(CUBE))
     assert report.passed
     assert budget["assemble"] == 2
     assert budget["lu_factor"] == 1  # the vacuum operator is the identity
     assert max(budget["solve_columns"]) <= 3
+    # each source is solved once per solver, each identity evaluated once per medium
+    assert len(budget["solve_columns"]) <= 8
+    assert len(identities) == 2
 
 
 def test_sweep_solves_one_green_column_set_per_frequency(cube_grid, cube_materials, budget):

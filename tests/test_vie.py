@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from greenvox import (Box, DenseCapError, MaskShape, MediumSolver, Sphere, SolverError,
-                      VoxelGrid, assemble, build_grid, dyson_residual, eval_eps, g0_closed,
+                      assemble, build_grid, dyson_residual, eval_eps, g0_closed,
                       green_medium, scaled_contrast, solve_system)
 from greenvox.geometry import write_mask
-from greenvox.green_free import self_term_scalar
+from greenvox.green_free import self_term, self_term_scalar
 
 from conftest import LORENTZ, OMEGA, loglog_slope
 
@@ -66,22 +66,47 @@ def test_iterative_matches_dense():
     assert iterative.op.kernel is None  # matvec-only representation
 
 
-def test_fft_product_matches_dense_kernel(tmp_path):
-    """The lattice convolution reproduces K q on every kind of lattice grid."""
+def lattice_grids(tmp_path):
+    """A sphere, a two-box union with n_x != n_y != n_z and a mask with holes."""
     ids = np.ones((5, 4, 6), dtype=int)
     ids[2, 1:3, 2:4] = 0  # interior hole
     ids[:, :, 0] = 0  # the body starts one voxel past the mask origin
     ids[4, 3, 5] = 0
     write_mask(tmp_path / "holes.mask", ids.shape, 0.15, (0.3, -0.7, 1.1), ids)
-    grids = {
+    return {
         "sphere": build_grid(Sphere(center=(0, 0, 0), radius=0.5, region_id=1), 0.152),
         "two boxes": build_grid([Box(min_corner=(-0.4, -0.3, -0.2), max_corner=(0.4, 0.3, 0.2)),
                                  Box(min_corner=(0.2, 0.2, 0.0), max_corner=(0.6, 0.9, 0.5))],
                                 0.1),
         "mask": build_grid(MaskShape(str(tmp_path / "holes.mask"))),
     }
+
+
+def pairwise_kernel(grid, omega):
+    """K_ij = dV G0(z_i, z_j) from the center differences, the self term on the diagonal."""
+    n = grid.n
+    K = np.empty((n, n, 3, 3), dtype=complex)
+    for i in range(n):
+        others = np.arange(n) != i
+        K[i, others] = grid.voxel_volume * g0_closed(grid.centers[i], grid.centers[others],
+                                                     omega)
+        K[i, i] = self_term(grid.voxel_volume, omega)
+    return K.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+
+
+def test_kernel_matches_pairwise_reference(tmp_path):
+    """The kernel gathered from the lattice table is the pairwise kernel, exactly symmetric."""
+    for name, grid in lattice_grids(tmp_path).items():
+        K = assemble(grid, {1: LORENTZ}, OMEGA).kernel
+        ref = pairwise_kernel(grid, OMEGA)
+        assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref)), name
+        assert np.array_equal(K, K.T), name
+
+
+def test_fft_product_matches_dense_kernel(tmp_path):
+    """The lattice convolution reproduces K q on every kind of lattice grid."""
     rng = np.random.default_rng(5)
-    for name, grid in grids.items():
+    for name, grid in lattice_grids(tmp_path).items():
         dense = assemble(grid, {1: LORENTZ}, OMEGA)
         fft = assemble(grid, {1: LORENTZ}, OMEGA, dense=False)
         assert fft.kernel is None
@@ -97,13 +122,57 @@ def test_fft_product_matches_dense_kernel(tmp_path):
             assert np.linalg.norm(fft.apply(v) - dense.apply(v)) <= 1e-13 * np.linalg.norm(v)
 
 
-def test_off_lattice_grid_rejected_by_matrix_free_path(cube_materials):
-    grid = VoxelGrid([[0.0, 0.0, 0.0], [0.2, 0.0, 0.0], [0.33, 0.1, 0.0]], 0.2, [1, 1, 1])
-    assert assemble(grid, cube_materials, OMEGA).kernel is not None
-    with pytest.raises(SolverError, match="lattice"):
-        assemble(grid, cube_materials, OMEGA, dense=False)
-    with pytest.raises(SolverError, match="lattice"):
-        MediumSolver(grid, cube_materials, OMEGA, method="gmres")
+def test_solve_follows_the_representation(cube_grid, cube_materials, monkeypatch):
+    """A stored kernel is factorized once and never run through GMRES; a lattice
+    operator is never factorized."""
+    import greenvox.vie as vie_mod
+
+    calls = {"lu_factor": 0, "gmres": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(vie_mod, name, counting(name, getattr(vie_mod, name)))
+    rng = np.random.default_rng(4)
+    rhs = rng.normal(size=(3 * cube_grid.n, 2)) + 0j
+    dense = MediumSolver(cube_grid, cube_materials, OMEGA, method="dense")
+    for _ in range(3):
+        dense.solve(rhs)
+    assert calls == {"lu_factor": 1, "gmres": 0}
+    lattice = MediumSolver(cube_grid, cube_materials, OMEGA, method="gmres")
+    lattice.solve(rhs)
+    assert calls == {"lu_factor": 1, "gmres": 2}  # one GMRES run per column
+    with pytest.raises(SolverError, match="matrix-free"):
+        lattice.op.lu()
+    with pytest.raises(ValueError, match="unknown solve method"):
+        MediumSolver(cube_grid, cube_materials, OMEGA, method="lu")
+
+
+def test_grid_fields_solved_once_per_source(cube_grid, cube_materials, monkeypatch):
+    import greenvox.vie as vie_mod
+
+    solver = MediumSolver(cube_grid, cube_materials, OMEGA)
+    columns = []
+    solve = vie_mod.solve_system
+    monkeypatch.setattr(vie_mod, "solve_system",
+                        lambda op, rhs, tol: columns.append(rhs.shape[1]) or solve(op, rhs, tol))
+    X = solver.grid_fields(Y_OUT)
+    assert solver.grid_fields(Y_OUT.copy()) is X
+    solver.green(X_OUT, Y_OUT)
+    assert columns == [3]
+    with pytest.raises(ValueError):
+        X[0, 0, 0] = 1.0
+    G = solver.green(cube_grid.centers[5], Y_OUT)
+    G[0, 0] = 0.0  # an on-grid value is the caller's own copy
+    assert X[5, 0, 0] != 0.0
+    for k in range(vie_mod._FIELDS_KEPT):  # the memo is bounded, oldest out first
+        solver.grid_fields(Y_OUT + k + 1.0)
+    assert solver.grid_fields(Y_OUT) is not X
+    assert len(columns) == vie_mod._FIELDS_KEPT + 2
 
 
 def test_fft_gmres_above_dense_cap_keeps_identities():
