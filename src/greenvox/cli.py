@@ -2,10 +2,10 @@
 
 Subcommands: greens, modes, purcell, ldos-check, validate.  Exit codes:
 0 success, 2 validation failure, 3 solver failure (out of memory
-included), 4 configuration error.  --threads pins the BLAS/OpenMP
-thread pool: the package loads numpy lazily, so the thread variables
-are set before any numerical library starts; with a fixed thread
-policy repeated runs are byte-identical.
+included), 4 configuration error (a grid error included).  --threads
+pins the BLAS/OpenMP thread pool: the package loads numpy lazily, so
+the thread variables are set before any numerical library starts; with
+a fixed thread policy repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -297,10 +297,14 @@ def main(argv=None) -> int:
     _apply_thread_policy(args.threads)
     handlers = {"greens": _cmd_greens, "modes": _cmd_modes, "purcell": _cmd_purcell,
                 "ldos-check": _cmd_ldos_check, "validate": _cmd_validate}
+    from .geometry import GridError
     from .vie import SolverError
 
     try:
         return handlers[args.command](args)
+    except GridError as exc:  # the scene's body cannot be voxelized
+        print(f"grid error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -86,7 +86,8 @@ Shape = Sphere | Box | MaskShape
 class VoxelGrid:
     """Immutable cubical voxelization: centers, edge length, material ids.
 
-    lattice_index is each voxel's (i, j, k) on the lattice, from the minimum center.
+    lattice_index is each voxel's (i, j, k) on the lattice, whose site
+    (0, 0, 0) is lattice_origin, the minimum center per axis.
     """
 
     def __init__(self, centers, voxel_edge: float, material_ids):
@@ -98,16 +99,18 @@ class VoxelGrid:
             raise GridError("centers and material ids disagree in length")
         if not voxel_edge > 0.0:
             raise GridError("voxel edge must be positive")
-        rel = (centers - centers.min(axis=0)) / voxel_edge
+        origin = centers.min(axis=0)
+        rel = (centers - origin) / voxel_edge
         ijk = np.rint(rel)
         if not np.max(np.abs(rel - ijk)) <= 1e-9:
             raise GridError("voxel centers do not lie on one cubic lattice of the voxel edge")
         ijk = ijk.astype(int)
         if len(np.unique(ijk, axis=0)) != len(centers):
             raise GridError("duplicate voxel centers")
-        for array in (centers, material_ids, ijk):
+        for array in (centers, material_ids, ijk, origin):
             array.flags.writeable = False
         self.centers = centers
+        self.lattice_origin = origin
         self.voxel_edge = float(voxel_edge)
         self.material_ids = material_ids
         self.lattice_index = ijk
@@ -134,10 +137,11 @@ class VoxelGrid:
         return self.centers.min(axis=0) - h, self.centers.max(axis=0) + h
 
     def index_of(self, point, rtol: float = 1e-9):
-        """Index of the voxel whose center coincides with point, else None."""
-        d = np.linalg.norm(self.centers - np.asarray(point, dtype=float), axis=1)
-        i = int(np.argmin(d))
-        return i if d[i] <= rtol * self.voxel_edge else None
+        """Index of the voxel whose center lies within rtol edges of point per axis, else None."""
+        rel = (np.asarray(point, dtype=float) - self.lattice_origin) / self.voxel_edge
+        site = np.rint(rel)
+        hit = np.flatnonzero(np.all(self.lattice_index == site, axis=1))
+        return int(hit[0]) if len(hit) and np.all(np.abs(rel - site) <= rtol) else None
 
 
 def _lattice_centers(lo, hi, h: float):

@@ -172,12 +172,13 @@ def phi_plane_wave(mode: PlaneWaveMode, points):
     """Real transverse basis function sqrt(2) (2 pi)^(-3/2) eps_sigma cos/sin(k.r).
 
     points: (3,) or (P, 3); returns matching (3,) or (P, 3) real array.
-    Transversality k . Phi = 0 holds by construction.
+    Transversality k . Phi = 0 holds by construction.  The values are the
+    mode's submode of plane_wave_table.
     """
     pts = _as_points(points)
-    phase = pts @ mode.k_vector
-    osc = np.cos(phase) if mode.zeta == "c" else np.sin(phase)
-    return PHI_NORM * np.multiply.outer(osc, mode.polarization)
+    submode = 2 * (mode.sigma == -1) + (mode.zeta == "s")
+    table = plane_wave_table(mode.k_vector / mode.omega, mode.omega, pts.reshape(-1, 3))
+    return table[0, submode].reshape(pts.shape)
 
 
 def transverse_frames(nodes):

@@ -93,19 +93,25 @@ def _e_fields_on_shell(solver: MediumSolver, quad: SphereQuadrature, points, gre
 
     green_columns[p] holds X_j = G(z_j, points[p]), (N, 3, 3); with
     G(x, z_j) = X_j^T the Green route e(x) = w Phi(x) + dV sum_j beta_j
-    X_j^T w Phi(z_j) is one contraction, on or off the grid.  Returns
-    (e_pts (P, 3, 4Q) complex, mode_weights (4Q,)), submodes ordered
-    (+,c), (+,s), (-,c), (-,s) per node, matching plane_wave_table.
+    X_j^T w Phi(z_j) is one matrix product, on or off the grid: the
+    (4Q, 3N) plane-wave table times dV w beta_j X_j as a (3N, 3P) complex
+    matrix viewed as (3N, 6P) reals.  Returns (e_pts (P, 3, 4Q) complex,
+    mode_weights (4Q,)), submodes ordered (+,c), (+,s), (-,c), (-,s) per
+    node, matching plane_wave_table.
     """
     grid = solver.grid
     w = solver.omega
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    X = np.asarray(green_columns).reshape(len(pts), grid.n, 3, 3)
-    phi_grid = w * plane_wave_table(quad.nodes, w, grid.centers).reshape(-1, grid.n, 3)
-    phi_pts = w * plane_wave_table(quad.nodes, w, pts).reshape(-1, len(pts), 3)
-    scattered = grid.voxel_volume * np.einsum(
-        "j,pjba,mjb->pam", solver.beta, X, phi_grid, optimize=True)
-    return phi_pts.transpose(1, 2, 0) + scattered, np.repeat(quad.weights, 4)
+    P = len(pts)
+    X = np.asarray(green_columns).reshape(P, grid.n, 3, 3)
+    coupled = np.ascontiguousarray(
+        (grid.voxel_volume * w * solver.beta[:, None, None, None]
+         * X.transpose(1, 2, 0, 3)).reshape(3 * grid.n, 3 * P))
+    phi_grid = plane_wave_table(quad.nodes, w, grid.centers).reshape(-1, 3 * grid.n)
+    scattered = (phi_grid @ coupled.view(float)).view(complex)       # (4Q, 3P)
+    phi_pts = w * plane_wave_table(quad.nodes, w, pts).reshape(-1, 3 * P)
+    e_pts = (phi_pts + scattered).T.reshape(P, 3, -1)
+    return e_pts, np.repeat(quad.weights, 4)
 
 
 # ----------------------------------------------------------------------

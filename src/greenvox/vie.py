@@ -13,17 +13,24 @@ volume-equivalent-sphere self term M(a) I on it, so the linear system is
     (I - K diag(beta)) X = G0(. , y)|_V,
 
 followed by the same equation used as an evaluation formula anywhere:
-G(x, y) = G0(x, y) + sum_j dV G0(x, z_j) beta_j X_j.  With a symmetric
+G(x, y) = G0(x, y) + sum_j dV G0(x, z_j) beta_j X_j, where a point inside
+voxel j takes the self term M/dV in place of G0(x, z_j).  With a symmetric
 kernel and diagonal beta this discrete algebra reproduces reciprocity
 and the Dyson permutation identity exactly (to solver tolerance), which
 is what the identity tests lean on.
 
 Every grid lies on a cubic lattice, so K_ij depends only on the offset
 z_i - z_j, and the kernel is built once, as the table of its 3x3 blocks
-over the lattice offsets.  The dense kernel gathers its blocks from the
-table by offset and is solved by LU with iterative refinement.  The
-matrix-free kernel is the FFT of the table embedded in a circulant of
-twice the lattice extent per axis, so K p costs two FFTs and a 3x3 block
+over the lattice offsets.  The dense kernel gathers its blocks from a
+table over the offsets that voxel pairs produce and is solved by
+mixed-precision LU: A = I - K diag(beta) is factored once in complex64,
+and each solve is refined in complex128, with the residual from the
+complex128 kernel, until every column has a backward error of one
+float64 epsilon (the method of LAPACK zcgesv; Buttari et al., ACM TOMS
+34(4), 17 (2008)); an operator too ill-conditioned for that is
+refactored once in complex128.
+The matrix-free kernel is the FFT of the table embedded in a circulant
+of twice the lattice extent per axis, so K p costs two FFTs and a 3x3 block
 product (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16, 1198
 (1991)), and is solved by restarted GMRES.  MediumSolver picks the
 representation and the solve follows it.  With beta = 0 the operator is
@@ -46,6 +53,9 @@ from .green_free import g0_closed, g0_from_displacements, self_term_scalar
 #: solved sources a MediumSolver keeps, oldest dropped first (validate revisits five)
 _FIELDS_KEPT = 8
 
+#: refinement steps on one set of LU factors before giving up on them (zcgesv's ITERMAX)
+_REFINE_STEPS = 30
+
 
 class SolverError(RuntimeError):
     pass
@@ -55,20 +65,17 @@ class DenseCapError(MemoryError):
     pass
 
 
-def _kernel_table(grid: VoxelGrid, omega: float):
-    """Kernel blocks over every offset of the circulant lattice, (3, 3, 2nx, 2ny, 2nz).
+def _kernel_table(grid: VoxelGrid, omega: float, axes):
+    """Kernel blocks over the offsets axes[0] x axes[1] x axes[2], (3, 3, *lengths).
 
-    Along an axis of n lattice sites, circulant index i holds offset i
-    for i < n and i - 2n above n: dV*G0 at offset d != 0, the self term
-    at 0 and zero at the offset n, which no voxel pair reaches.
+    Offsets are in lattice steps: dV*G0 at a nonzero offset, the self
+    term at 0, which every axis holds.
     """
-    axes = [np.fft.ifftshift(np.arange(-n, n)) for n in grid.lattice_shape]
     offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).astype(float)
-    offsets[0, 0, 0] = 1.0  # placeholder, overwritten below
+    origin = tuple(int(np.flatnonzero(ax == 0)[0]) for ax in axes)
+    offsets[origin] = 1.0  # placeholder, overwritten below
     blocks = grid.voxel_volume * g0_from_displacements(grid.voxel_edge * offsets, omega)
-    blocks[0, 0, 0] = self_term_scalar(grid.voxel_volume, omega) * np.eye(3)
-    for axis, n in enumerate(grid.lattice_shape):
-        np.moveaxis(blocks, axis, 0)[n] = 0.0
+    blocks[origin] = self_term_scalar(grid.voxel_volume, omega) * np.eye(3)
     return np.moveaxis(blocks, (-2, -1), (0, 1))
 
 
@@ -80,7 +87,9 @@ class InteractionOperator:
     the diagonal) or None for the matrix-free representation, which
     keeps lattice = (voxel lattice index, FFT of the kernel table) and
     forms K p as a circulant convolution.  A vacuum operator (beta = 0)
-    is the identity and keeps neither.
+    is the identity and keeps neither.  factored lists the dtype of
+    every LU factorization, in order, and refinements the refinement
+    steps every dense solve took.
     """
 
     grid: VoxelGrid
@@ -89,6 +98,8 @@ class InteractionOperator:
     kernel: np.ndarray | None
     lattice: tuple | None = field(default=None, repr=False)
     _lu: tuple | None = field(default=None, repr=False)
+    factored: list = field(default_factory=list, repr=False)
+    refinements: list = field(default_factory=list, repr=False)
 
     @property
     def n3(self) -> int:
@@ -124,19 +135,27 @@ class InteractionOperator:
         out = flat - self.kernel_product(self.beta_rep[:, None] * flat)
         return out.reshape(p.shape)
 
-    def lu(self):
-        """LU factors of A = I - K diag(beta), computed once (stored kernel only)."""
-        if self._lu is None:
+    def lu(self, double: bool = False):
+        """((lu, piv), ||A||_inf) for A = I - K diag(beta) (stored kernel only).
+
+        A is formed and factored once, in complex64; double=True asks for
+        complex128 factors, which then replace the complex64 ones.
+        """
+        dtype = np.dtype(np.complex128 if double else np.complex64)
+        if self._lu is None or (double and self._lu[0][0].dtype != dtype):
             if self.kernel is None:
                 raise SolverError("LU requested from a matrix-free operator")
-            A = -self.kernel * self.beta_rep[None, :]
+            A = np.empty(self.kernel.shape, dtype=dtype)
+            np.multiply(self.kernel, -self.beta_rep, out=A, casting="same_kind")
             A[np.diag_indices_from(A)] += 1.0
+            norm = np.linalg.norm(A, np.inf)
             try:
-                self._lu = lu_factor(A, overwrite_a=True, check_finite=False)
+                self._lu = (lu_factor(A, overwrite_a=True, check_finite=False), norm)
             except np.linalg.LinAlgError as exc:  # pragma: no cover - needs Im eps <= 0
                 raise SolverError(
                     "operator is singular: the model must be strictly absorbing (Im eps > 0)"
                 ) from exc
+            self.factored.append(dtype)
         return self._lu
 
 
@@ -146,10 +165,11 @@ def assemble(grid: VoxelGrid, materials, omega: float, *, dense: bool = True,
 
     materials is either a mapping region_id -> PermittivityModel or a
     precomputed per-voxel beta array.  Both representations come from
-    one kernel table over the lattice offsets: dense=True gathers the
-    3N x 3N kernel from it block by offset, dense=False keeps its FFT
-    for the matrix-free operator.  A vacuum (beta = 0) operator builds
-    neither.
+    one kernel table builder over lattice offsets: dense=True gathers the
+    3N x 3N kernel block by offset from a table over the per-axis offsets
+    that voxel pairs produce, dense=False keeps the FFT of the table over
+    the circulant lattice for the matrix-free operator.  A vacuum
+    (beta = 0) operator builds neither.
     """
     if grid.n == 0:
         raise SolverError("empty grid")
@@ -166,17 +186,31 @@ def assemble(grid: VoxelGrid, materials, omega: float, *, dense: bool = True,
         raise DenseCapError(
             f"dense kernel for N={grid.n} voxels exceeds the configured cap "
             f"({dense_cap}); assemble with dense=False for the iterative path")
-    table = _kernel_table(grid, omega)
-    shape = table.shape[2:]
     ijk = grid.lattice_index
     if not dense:
-        lattice = (np.ravel_multi_index(ijk.T, shape), np.fft.fftn(table, axes=(-3, -2, -1)))
+        # circulant of 2n sites per axis: index i holds offset i below n and
+        # i - 2n above it, and zero at i = n, an offset no voxel pair reaches
+        table = _kernel_table(grid, omega,
+                              [np.fft.ifftshift(np.arange(-n, n)) for n in grid.lattice_shape])
+        for axis, n in enumerate(grid.lattice_shape):
+            np.moveaxis(table, 2 + axis, 0)[n] = 0.0
+        lattice = (np.ravel_multi_index(ijk.T, table.shape[2:]),
+                   np.fft.fftn(table, axes=(-3, -2, -1)))
         return InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=None,
                                    lattice=lattice)
-    # block (i, j) is the table entry at the circulant index of z_i - z_j
-    offset = np.ravel_multi_index(
-        tuple((ijk[:, None, a] - ijk[None, :, a]) % m for a, m in enumerate(shape)), shape)
+    # the table spans only the per-axis offsets that voxel pairs produce;
+    # block (i, j) is its entry at the offset z_i - z_j
+    axes, pair_index = [], []
+    for coord in ijk.T:
+        sites = np.unique(coord)
+        offsets = np.unique(sites[:, None] - sites[None, :])
+        position = np.zeros(2 * sites[-1] + 1, dtype=int)
+        position[offsets + sites[-1]] = np.arange(len(offsets))
+        axes.append(offsets)
+        pair_index.append(position[coord[:, None] - coord[None, :] + sites[-1]])
+    table = _kernel_table(grid, omega, axes)
     flat = table.reshape(3, 3, -1)
+    offset = np.ravel_multi_index(pair_index, table.shape[2:])
     kernel = np.empty((grid.n, 3, grid.n, 3), dtype=complex)
     for a in range(3):
         for b in range(3):
@@ -185,13 +219,44 @@ def assemble(grid: VoxelGrid, materials, omega: float, *, dense: bool = True,
                                kernel=kernel.reshape(3 * grid.n, 3 * grid.n))
 
 
+def _refined_lu_solve(op: InteractionOperator, b, factors):
+    """Solve on LU factors, refining in complex128 to a backward error of eps.
+
+    Every column must reach ||r||_inf <= ||x||_inf ||A||_inf eps, with
+    r = b - op x from the complex128 kernel and eps the float64 machine
+    epsilon, whatever tolerance the caller asked for.  This is zcgesv's
+    test without its sqrt(3N) slack, which let a solve stop one step
+    early with 1e-13 relative errors in its small components.
+    Corrections are solved on columns scaled to unit max, so complex64
+    factors see no overflow or underflow.  Returns (x, r, corrections,
+    bound met).
+    """
+    lu_piv, norm = factors
+    bound = norm * np.finfo(float).eps
+    x = np.zeros_like(b)
+    resid = b
+    for step in range(_REFINE_STEPS + 1):
+        scale = np.max(np.abs(resid), axis=0)
+        scale[scale == 0.0] = 1.0
+        x += scale * lu_solve(lu_piv, (resid / scale).astype(lu_piv[0].dtype),
+                              check_finite=False)
+        resid = b - op.apply(x)
+        if np.all(np.max(np.abs(resid), axis=0) <= bound * np.max(np.abs(x), axis=0)):
+            return x, resid, step, True
+    return x, resid, step, False
+
+
 def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):
     """Solve (I - K diag(beta)) x = rhs to ||op x - rhs|| <= tol ||rhs||.
 
-    rhs: (3N,) or (3N, m).  The representation decides the method: LU,
-    factorized once, with iterative refinement for a stored kernel, and
-    restarted GMRES with a diagonal preconditioner, column by column,
-    for the lattice operator.  The vacuum operator returns a copy of rhs.
+    rhs: (3N,) or (3N, m).  The representation decides the method.  A
+    stored kernel is factorized once in complex64 and every solve is
+    refined in complex128 to a backward error of one float64 epsilon, so
+    the answer is accurate to complex128 whatever tol is; if 30
+    refinement steps do not reach that bound the operator is refactorized
+    once in complex128 and the solve refined again.  The lattice operator
+    is solved by restarted GMRES with a diagonal preconditioner, column
+    by column.  The vacuum operator returns a copy of rhs.
     """
     if not tol > 0.0:
         raise ValueError("solver tolerance must be positive")
@@ -206,13 +271,12 @@ def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):
         return np.zeros_like(rhs)
 
     if op.kernel is not None:
-        x = lu_solve(op.lu(), b, check_finite=False)
-        for _ in range(3):
-            resid = b - op.apply(x)
-            if np.linalg.norm(resid) <= tol * rhs_norm:
-                break
-            x += lu_solve(op.lu(), resid, check_finite=False)
-        achieved = np.linalg.norm(b - op.apply(x)) / rhs_norm
+        x, resid, steps, met = _refined_lu_solve(op, b, op.lu())
+        if not met:  # too ill-conditioned for complex64 factors
+            x, resid, more, met = _refined_lu_solve(op, b, op.lu(double=True))
+            steps += more
+        op.refinements.append(steps)
+        achieved = np.linalg.norm(resid) / rhs_norm
         if not np.isfinite(achieved) or achieved > tol:
             raise SolverError(f"dense solve stalled at residual {achieved:.3e} (target {tol:.1e})")
         return x.reshape(rhs.shape)
@@ -265,9 +329,15 @@ class MediumSolver:
 
     # -- geometry-aware kernel pieces -----------------------------------
     def g0_blocks_at(self, point):
-        """G0(point, z_j) blocks (N, 3, 3); self block M/dV if point is a center."""
+        """G0(point, z_j) blocks (N, 3, 3), with the self block M/dV for the voxel holding point.
+
+        A point inside the body sees its own voxel through the self term,
+        at the center or off it, so the evaluation formula is finite
+        everywhere and continuous at a voxel center (G0 to the center
+        would diverge as the point nears it).
+        """
         point = np.asarray(point, dtype=float)
-        idx = self.grid.index_of(point)
+        idx = self.grid.index_of(point, rtol=0.5 - 1e-9)
         disp = point[None, :] - self.grid.centers
         if idx is not None:
             disp[idx] = 1.0

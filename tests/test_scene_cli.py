@@ -260,6 +260,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert rc == 4
 
 
+def test_cli_grid_error_exit_code(tmp_path, capsys):
+    """A body the grid cannot voxelize is a configuration error: exit 4, one line."""
+    scene = write(tmp_path, "coarse.yaml", CUBE_SCENE.replace("voxel_edge: 0.2",
+                                                               "voxel_edge: 0.9"))
+    rc = cli_main(["greens", "--scene", str(scene), "--omega", "1.0",
+                   "--src", "0,0,0.9", "--eval", "1.2,0,0"])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.strip().splitlines() == ["grid error: voxel edge exceeds the shape diameter"]
+
+
 def test_cli_solver_failure_exit_code(tmp_path, capsys):
     # a nonpositive frequency in the sweep fails its row, itemized, exit 3
     scene = write(tmp_path, "cube.yaml", CUBE_SCENE)

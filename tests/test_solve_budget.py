@@ -32,8 +32,9 @@ CUBE = {
 
 @pytest.fixture
 def budget(monkeypatch):
-    """Counts assemble and lu_factor calls and the columns of every solve_system call."""
-    counts = {"assemble": 0, "lu_factor": 0, "solve_columns": []}
+    """Counts assemble and lu_factor calls and the columns of every solve_system call,
+    and keeps every assembled operator."""
+    counts = {"assemble": 0, "lu_factor": 0, "solve_columns": [], "operators": []}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -42,7 +43,10 @@ def budget(monkeypatch):
                 counts["solve_columns"].append(rhs.shape[1] if rhs.ndim == 2 else 1)
             else:
                 counts[name] += 1
-            return fn(*args, **kwargs)
+            result = fn(*args, **kwargs)
+            if name == "assemble":
+                counts["operators"].append(result)
+            return result
         return wrapper
 
     for name in ("assemble", "lu_factor", "solve_system"):
@@ -64,6 +68,7 @@ def test_validate_uses_one_medium_and_one_vacuum_solver(budget, monkeypatch):
     assert report.passed
     assert budget["assemble"] == 2
     assert budget["lu_factor"] == 1  # the vacuum operator is the identity
+    assert [op.factored for op in budget["operators"]] == [[np.complex64], []]
     assert max(budget["solve_columns"]) <= 3
     # each source is solved once per solver, each identity evaluated once per medium
     assert len(budget["solve_columns"]) <= 8
@@ -78,6 +83,11 @@ def test_sweep_solves_one_green_column_set_per_frequency(cube_grid, cube_materia
     assert budget["assemble"] == budget["lu_factor"] == len(omegas)
     assert len(budget["solve_columns"]) == len(omegas)
     assert max(budget["solve_columns"]) <= 3
+    # one complex64 factorization per frequency, never refactored in complex128,
+    # and a few complex128 refinement steps per solve
+    for op in budget["operators"]:
+        assert op.factored == [np.complex64]
+        assert len(op.refinements) == 1 and op.refinements[0] <= 3
 
 
 def test_shell_e_fields_match_direct_solve_per_submode(cube_solver):

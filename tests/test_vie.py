@@ -5,6 +5,7 @@ from greenvox import (Box, DenseCapError, MaskShape, MediumSolver, Sphere, Solve
                       assemble, build_grid, dyson_residual, eval_eps, g0_closed,
                       green_medium, scaled_contrast, solve_system)
 from greenvox.geometry import write_mask
+from greenvox.modes import MedModeIndex, m_coefficient
 from greenvox.green_free import self_term, self_term_scalar
 
 from conftest import LORENTZ, OMEGA, loglog_slope
@@ -67,7 +68,8 @@ def test_iterative_matches_dense():
 
 
 def lattice_grids(tmp_path):
-    """A sphere, a two-box union with n_x != n_y != n_z and a mask with holes."""
+    """A sphere, a two-box union with n_x != n_y != n_z, a mask with holes and two
+    4^3 boxes ten edges apart on the diagonal."""
     ids = np.ones((5, 4, 6), dtype=int)
     ids[2, 1:3, 2:4] = 0  # interior hole
     ids[:, :, 0] = 0  # the body starts one voxel past the mask origin
@@ -79,6 +81,10 @@ def lattice_grids(tmp_path):
                                  Box(min_corner=(0.2, 0.2, 0.0), max_corner=(0.6, 0.9, 0.5))],
                                 0.1),
         "mask": build_grid(MaskShape(str(tmp_path / "holes.mask"))),
+        "separated boxes": build_grid([Box(min_corner=(-0.2, -0.2, -0.2),
+                                           max_corner=(0.2, 0.2, 0.2)),
+                                       Box(min_corner=(0.8, 0.8, 0.8),
+                                           max_corner=(1.2, 1.2, 1.2))], 0.1),
     }
 
 
@@ -94,13 +100,21 @@ def pairwise_kernel(grid, omega):
     return K.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
 
 
-def test_kernel_matches_pairwise_reference(tmp_path):
-    """The kernel gathered from the lattice table is the pairwise kernel, exactly symmetric."""
+def test_kernel_matches_pairwise_reference(tmp_path, monkeypatch):
+    """The kernel gathered from the lattice table is the pairwise kernel, exactly
+    symmetric, and the table holds no more blocks than there are voxel pairs."""
+    import greenvox.vie as vie_mod
+
+    tables = []
+    build = vie_mod._kernel_table
+    monkeypatch.setattr(vie_mod, "_kernel_table",
+                        lambda *args: tables.append(build(*args)) or tables[-1])
     for name, grid in lattice_grids(tmp_path).items():
         K = assemble(grid, {1: LORENTZ}, OMEGA).kernel
         ref = pairwise_kernel(grid, OMEGA)
         assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref)), name
         assert np.array_equal(K, K.T), name
+        assert np.prod(tables[-1].shape[2:]) <= grid.n**2, name
 
 
 def test_fft_product_matches_dense_kernel(tmp_path):
@@ -190,6 +204,57 @@ def test_fft_gmres_above_dense_cap_keeps_identities():
     gnorm = np.linalg.norm(Gxy)
     assert np.linalg.norm(Gxy - Gyx.T) <= tol * gnorm
     assert dyson_residual(solver, None, OMEGA, x, y, tol) <= tol * gnorm
+
+
+def test_ill_conditioned_operator_refactors_in_complex128(cube_grid, cube_materials):
+    """An eigenvalue of K diag(beta) within 1e-7 of 1 defeats refinement on complex64
+    factors: the solve refactors once in complex128 and still meets tol."""
+    op = assemble(cube_grid, cube_materials, OMEGA)
+    mu = np.linalg.eigvals(op.kernel * op.beta_rep)
+    beta = op.beta * (1.0 - 1e-7) / mu[np.argmin(np.abs(mu))]
+    tol = 1e-6
+    solver = MediumSolver(cube_grid, beta, OMEGA, tol)
+    rng = np.random.default_rng(7)
+    rhs = rng.normal(size=(solver.op.n3, 2)) + 1j * rng.normal(size=(solver.op.n3, 2))
+    x = solver.solve(rhs)
+    assert solver.op.factored == [np.complex64, np.complex128]
+    assert np.linalg.norm(solver.op.apply(x) - rhs) <= tol * np.linalg.norm(rhs)
+    solver.solve(rhs)  # the complex128 factors are kept
+    assert solver.op.factored == [np.complex64, np.complex128]
+
+
+def test_loose_tolerance_still_solves_to_double_precision(sphere_grid, drude_materials):
+    """The dense solve stops at a backward error of one float64 epsilon, not at tol."""
+    solver = MediumSolver(sphere_grid, drude_materials, OMEGA, tol=1e-6)
+    rng = np.random.default_rng(8)
+    rhs = rng.normal(size=(solver.op.n3, 3)) + 1j * rng.normal(size=(solver.op.n3, 3))
+    x = solver.solve(rhs)
+    assert np.linalg.norm(solver.op.apply(x) - rhs) <= 1e-13 * np.linalg.norm(rhs)
+    Gxy = solver.green(X_OUT, Y_OUT)
+    Gyx = solver.green(Y_OUT, X_OUT)
+    assert np.linalg.norm(Gxy - Gyx.T) <= 1e-12 * np.linalg.norm(Gxy)
+    # a one-column solve and a column of a three-column solve agree to double precision
+    mu = MedModeIndex(x=tuple(sphere_grid.centers[sphere_grid.n // 2]), nu=OMEGA, j=3)
+    pts = np.vstack([X_OUT, sphere_grid.centers[0]])
+    green_route = m_coefficient(solver, None, mu, pts, route="green")
+    direct_route = m_coefficient(solver, None, mu, pts, route="direct")
+    assert np.linalg.norm(green_route - direct_route) <= 1e-14 * np.linalg.norm(green_route)
+    assert solver.op.factored == [np.complex64]
+
+
+def test_point_inside_a_voxel_sees_it_through_the_self_term(sphere_solver):
+    """Off a voxel center inside the body G stays finite and tends to the center value
+    (G0 to the center alone gave |G| ~ 1e22 at 1e-8 edges on this sphere)."""
+    grid = sphere_solver.grid
+    center = grid.centers[100]
+    step = grid.voxel_edge * np.array([1.0, 0.3, -0.2])
+    G_center = sphere_solver.green(center, Y_OUT)
+    for s in (1e-8, 1e-4):
+        inside = center + s * step
+        G = sphere_solver.green(inside, Y_OUT)
+        assert np.linalg.norm(G - G_center) <= 10 * s * np.linalg.norm(G_center)
+        Gyx = sphere_solver.green(Y_OUT, inside)
+        assert np.linalg.norm(G - Gyx.T) <= 1e-12 * np.linalg.norm(G)
 
 
 def test_green_vacuum_reduces_to_free(cube_grid, vacuum_materials):
