@@ -165,6 +165,7 @@ def _read_points_csv(path):
 def _cmd_modes(args) -> int:
     from .green_free import PlaneWaveMode
     from .modes import e_coefficient
+    from .vie import MediumSolver
 
     cfg = _load_scene_or_exit(args)
     grid = cfg.build_grid()
@@ -175,7 +176,9 @@ def _cmd_modes(args) -> int:
     mode = PlaneWaveMode(k=tuple(args.omega * kdir),
                          sigma=+1 if args.sigma == "+" else -1, zeta=args.zeta)
     points = _read_points_csv(args.eval)
-    values = e_coefficient(grid, cfg.materials, mode, points, cfg.solver_tol)
+    solver = MediumSolver(grid, cfg.materials, mode.omega, cfg.solver_tol,
+                          dense_cap=cfg.dense_cap)
+    values = e_coefficient(solver, None, mode, points, cfg.solver_tol)
     lines = [f"# config_hash={cfg.config_hash}",
              "x,y,z,re_ex,im_ex,re_ey,im_ey,re_ez,im_ez"]
     for pt, v in zip(points, values):
@@ -200,7 +203,7 @@ def _cmd_purcell(args) -> int:
         return EXIT_CONFIG
     omegas = [a + (b - a) * i / max(n - 1, 1) for i in range(n)]
     rows = purcell_sweep(grid, cfg.materials, args.emitter, args.dipole, omegas,
-                         cfg.solver_tol, cfg.n_theta, cfg.n_phi)
+                         cfg.solver_tol, cfg.n_theta, cfg.n_phi, cfg.dense_cap)
     lines = [f"# config_hash={cfg.config_hash}",
              "omega,purcell,gamma_e,gamma_m,identity_residual,error"]
     for r in rows:
@@ -249,14 +252,16 @@ def _cmd_ldos_check(args) -> int:
     import numpy as np
 
     from .ldos import ldos_identity_residual, make_shell_quadrature
+    from .vie import MediumSolver
 
     cfg = _load_scene_or_exit(args)
     grid = cfg.build_grid()
     x = np.asarray(args.point)
     y = np.asarray(args.point2) if args.point2 else x
     quad = make_shell_quadrature(args.omega, cfg.n_theta, cfg.n_phi)
-    ident = ldos_identity_residual(grid, cfg.materials, x, y, args.omega, quad,
-                                   cfg.solver_tol)
+    solver = MediumSolver(grid, cfg.materials, args.omega, cfg.solver_tol,
+                          dense_cap=cfg.dense_cap)
+    ident = ldos_identity_residual(solver, None, x, y, args.omega, quad, cfg.solver_tol)
     payload = {
         "config_hash": cfg.config_hash,
         "omega": args.omega,

@@ -18,6 +18,7 @@ material of the scene.  Voxel centers sit at origin + (index + 1/2) * edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -119,10 +120,31 @@ class VoxelGrid:
     def n(self) -> int:
         return len(self.centers)
 
-    @property
+    @cached_property
     def lattice_shape(self) -> tuple[int, int, int]:
         """Lattice sites per axis spanned by the voxels, (nx, ny, nz)."""
         return tuple(int(m) for m in self.lattice_index.max(axis=0) + 1)
+
+    @cached_property
+    def pair_offsets(self):
+        """(axes, index): the offsets in lattice steps that voxel pairs produce
+        along each axis, and the flat index of the offset z_i - z_j in the
+        grid axes[0] x axes[1] x axes[2] for every pair, int32 (N, N).
+
+        Computed on first use and kept, so a frequency sweep builds it once.
+        """
+        axes, pair_index = [], []
+        for coord in self.lattice_index.T:
+            sites = np.unique(coord)
+            offsets = np.unique(sites[:, None] - sites[None, :])
+            position = np.zeros(2 * sites[-1] + 1, dtype=int)
+            position[offsets + sites[-1]] = np.arange(len(offsets))
+            axes.append(offsets)
+            pair_index.append(position[coord[:, None] - coord[None, :] + sites[-1]])
+        index = np.ravel_multi_index(pair_index, [len(ax) for ax in axes]).astype(np.int32)
+        for array in (*axes, index):
+            array.flags.writeable = False
+        return tuple(axes), index
 
     @property
     def voxel_volume(self) -> float:

@@ -258,12 +258,15 @@ def purcell(grid, materials, emitter: EmitterSpec, tol: float = 1e-10) -> float:
 
 
 def purcell_sweep(grid: VoxelGrid, materials, emitter_position, dipole, omegas,
-                  tol: float = 1e-10, n_theta: int = 8, n_phi: int = 16):
+                  tol: float = 1e-10, n_theta: int = 8, n_phi: int = 16,
+                  dense_cap: int = 1000):
     """Purcell/decay table over frequencies; per-row failures are recorded.
 
     Returns one dict per frequency with keys omega, purcell, gamma_e,
     gamma_m, identity_residual (relative), or an error message for rows
-    whose solve failed or ran out of memory.  Rows are independent.
+    whose solve failed or ran out of memory.  Rows are independent; each
+    frequency gets a MediumSolver that stores the dense kernel up to
+    dense_cap voxels.
     """
     omegas = list(omegas)
     if any(b < a for a, b in zip(omegas[:-1], omegas[1:])):
@@ -274,7 +277,7 @@ def purcell_sweep(grid: VoxelGrid, materials, emitter_position, dipole, omegas,
             emitter = EmitterSpec(position=tuple(emitter_position), omega=float(w),
                                   dipole=tuple(dipole))
             quad = make_shell_quadrature(float(w), n_theta, n_phi)
-            solver = MediumSolver(grid, materials, float(w), tol)
+            solver = MediumSolver(grid, materials, float(w), tol, dense_cap=dense_cap)
             rates = gamma_decomposed(solver, None, emitter, quad, tol)
             rows.append({
                 "omega": float(w),

@@ -30,9 +30,13 @@ float64 epsilon (the method of LAPACK zcgesv; Buttari et al., ACM TOMS
 34(4), 17 (2008)); an operator too ill-conditioned for that is
 refactored once in complex128.
 The matrix-free kernel is the FFT of the table embedded in a circulant
-of twice the lattice extent per axis, so K p costs two FFTs and a 3x3 block
-product (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16, 1198
-(1991)), and is solved by restarted GMRES.  MediumSolver picks the
+of twice the lattice extent per axis, so K p is a 3x3 block product
+between two FFTs (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16,
+1198 (1991)), and is solved by restarted GMRES.  The FFTs are pruned
+(Markel, IEEE Trans. Audio Electroacoust. 19, 305 (1971)): p lives in
+the body box, one eighth of the circulant, so the forward transform runs
+one axis at a time over the lines that can be nonzero, and the inverse
+keeps only the body box after each axis.  MediumSolver picks the
 representation and the solve follows it.  With beta = 0 the operator is
 the identity and nothing is assembled or solved.
 """
@@ -40,6 +44,7 @@ the identity and nothing is assembled or solved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
@@ -85,11 +90,14 @@ class InteractionOperator:
 
     kernel holds the dense 3N x 3N matrix of dV*G0 blocks (self term on
     the diagonal) or None for the matrix-free representation, which
-    keeps lattice = (voxel lattice index, FFT of the kernel table) and
+    keeps lattice = (flat index of every voxel in its n_x x n_y x n_z
+    body box, FFT of the kernel table over the circulant lattice) and
     forms K p as a circulant convolution.  A vacuum operator (beta = 0)
     is the identity and keeps neither.  factored lists the dtype of
-    every LU factorization, in order, and refinements the refinement
-    steps every dense solve took.
+    every LU factorization, in order, refinements the refinement
+    steps every dense solve took, and iterations the (operator
+    applications, achieved relative residual) of every column GMRES
+    solved.
     """
 
     grid: VoxelGrid
@@ -100,12 +108,13 @@ class InteractionOperator:
     _lu: tuple | None = field(default=None, repr=False)
     factored: list = field(default_factory=list, repr=False)
     refinements: list = field(default_factory=list, repr=False)
+    iterations: list = field(default_factory=list, repr=False)
 
     @property
     def n3(self) -> int:
         return 3 * self.grid.n
 
-    @property
+    @cached_property
     def beta_rep(self):
         return np.repeat(self.beta, 3)
 
@@ -114,17 +123,27 @@ class InteractionOperator:
         return not np.any(self.beta)
 
     def kernel_product(self, q):
-        """K q for a (3N, m) array: the stored matrix or the lattice convolution."""
+        """K q for a (3N, m) array: the stored matrix or the lattice convolution.
+
+        The convolution runs pruned FFTs: q is scattered into the body
+        box and transformed one axis at a time, zero-padded to 2 n_a, so
+        each axis transforms only the lines that can be nonzero; the
+        spectrum is multiplied by the table's 3x3 blocks and inverted one
+        axis at a time, keeping the first n_a sites of each axis, which
+        is where the body lies.
+        """
         if self.kernel is not None:
             return self.kernel @ q
         index, table = self.lattice
-        n, m = self.grid.n, q.shape[1]
-        padded = np.zeros((3, m, *table.shape[2:]), dtype=complex)
-        padded.reshape(3, m, -1)[:, :, index] = q.reshape(n, 3, m).transpose(1, 2, 0)
-        spectrum = np.einsum("abxyz,bmxyz->amxyz", table,
-                             np.fft.fftn(padded, axes=(-3, -2, -1)))
-        conv = np.fft.ifftn(spectrum, axes=(-3, -2, -1)).reshape(3, m, -1)[:, :, index]
-        return conv.transpose(2, 0, 1).reshape(3 * n, m)
+        n, m, shape = self.grid.n, q.shape[1], self.grid.lattice_shape
+        box = np.zeros((3, m, *shape), dtype=complex)
+        box.reshape(3, m, -1)[:, :, index] = q.reshape(n, 3, m).transpose(1, 2, 0)
+        for axis, length in enumerate(shape, start=2):
+            box = np.fft.fft(box, n=2 * length, axis=axis)
+        box = np.einsum("abxyz,bmxyz->amxyz", table, box)
+        for axis in (4, 3, 2):  # the contiguous axis first, on the largest array
+            box = np.fft.ifft(box, axis=axis)[(slice(None),) * axis + (slice(shape[axis - 2]),)]
+        return box.reshape(3, m, -1)[:, :, index].transpose(2, 0, 1).reshape(3 * n, m)
 
     def apply(self, p):
         """Operator action on (3N,) or (3N, m) arrays."""
@@ -186,7 +205,6 @@ def assemble(grid: VoxelGrid, materials, omega: float, *, dense: bool = True,
         raise DenseCapError(
             f"dense kernel for N={grid.n} voxels exceeds the configured cap "
             f"({dense_cap}); assemble with dense=False for the iterative path")
-    ijk = grid.lattice_index
     if not dense:
         # circulant of 2n sites per axis: index i holds offset i below n and
         # i - 2n above it, and zero at i = n, an offset no voxel pair reaches
@@ -194,23 +212,15 @@ def assemble(grid: VoxelGrid, materials, omega: float, *, dense: bool = True,
                               [np.fft.ifftshift(np.arange(-n, n)) for n in grid.lattice_shape])
         for axis, n in enumerate(grid.lattice_shape):
             np.moveaxis(table, 2 + axis, 0)[n] = 0.0
-        lattice = (np.ravel_multi_index(ijk.T, table.shape[2:]),
+        lattice = (np.ravel_multi_index(grid.lattice_index.T, grid.lattice_shape),
                    np.fft.fftn(table, axes=(-3, -2, -1)))
         return InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=None,
                                    lattice=lattice)
     # the table spans only the per-axis offsets that voxel pairs produce;
     # block (i, j) is its entry at the offset z_i - z_j
-    axes, pair_index = [], []
-    for coord in ijk.T:
-        sites = np.unique(coord)
-        offsets = np.unique(sites[:, None] - sites[None, :])
-        position = np.zeros(2 * sites[-1] + 1, dtype=int)
-        position[offsets + sites[-1]] = np.arange(len(offsets))
-        axes.append(offsets)
-        pair_index.append(position[coord[:, None] - coord[None, :] + sites[-1]])
-    table = _kernel_table(grid, omega, axes)
-    flat = table.reshape(3, 3, -1)
-    offset = np.ravel_multi_index(pair_index, table.shape[2:])
+    axes, offset = grid.pair_offsets
+    offset = offset.astype(np.intp)  # once, not in each of the nine gathers
+    flat = _kernel_table(grid, omega, axes).reshape(3, 3, -1)
     kernel = np.empty((grid.n, 3, grid.n, 3), dtype=complex)
     for a in range(3):
         for b in range(3):
@@ -281,14 +291,21 @@ def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):
             raise SolverError(f"dense solve stalled at residual {achieved:.3e} (target {tol:.1e})")
         return x.reshape(rhs.shape)
 
-    lin = LinearOperator((op.n3, op.n3), matvec=lambda v: op.apply(v), dtype=complex)
+    def matvec(v):
+        nonlocal applications
+        applications += 1
+        return op.apply(v)
+
+    lin = LinearOperator((op.n3, op.n3), matvec=matvec, dtype=complex)
     pre_diag = np.repeat(1.0 - self_term_scalar(op.grid.voxel_volume, op.omega) * op.beta, 3)
     precond = LinearOperator((op.n3, op.n3), matvec=lambda v: v / pre_diag, dtype=complex)
     x = np.empty_like(b)
     for j in range(b.shape[1]):
+        applications = 0
         xj, info = gmres(lin, b[:, j], x0=b[:, j], rtol=tol * 0.1, atol=0.0,
                          restart=80, maxiter=400, M=precond)
-        achieved = np.linalg.norm(b[:, j] - op.apply(xj)) / np.linalg.norm(b[:, j])
+        achieved = np.linalg.norm(b[:, j] - matvec(xj)) / np.linalg.norm(b[:, j])
+        op.iterations.append((applications, float(achieved)))
         if info != 0 or not np.isfinite(achieved) or achieved > tol:
             raise SolverError(
                 f"GMRES failed to converge on column {j}: achieved residual "

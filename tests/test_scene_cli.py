@@ -308,6 +308,35 @@ def test_cli_greens_above_dense_cap_solves_matrix_free(tmp_path, capsys):
     assert np.linalg.norm(G - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("command", [
+    ["purcell", "--emitter", "1.25,0.3,-0.1", "--dipole", "0,0,1",
+     "--omega-range", "1.0:1.0:1"],
+    ["ldos-check", "--omega", "1.0", "--point", "1.25,0.3,-0.1"],
+    ["modes", "--omega", "1.0", "--kdir", "0,0,1", "--eval", "points.csv"],
+], ids=lambda argv: argv[0])
+def test_cli_command_honours_scene_dense_cap(command, tmp_path, capsys, monkeypatch):
+    """512 voxels against dense_cap 100: every command solves matrix-free."""
+    import greenvox.vie as vie
+
+    operators = []
+    assemble = vie.assemble
+
+    def recording(*args, **kwargs):
+        operators.append(assemble(*args, **kwargs))
+        return operators[-1]
+
+    monkeypatch.setattr(vie, "assemble", recording)
+    monkeypatch.chdir(tmp_path)
+    scene = write(tmp_path, "big.yaml", BIG_CUBE_SCENE)
+    write(tmp_path, "points.csv", "x,y,z\n1.25,0.3,-0.1\n")
+    rc = cli_main([command[0], "--scene", str(scene), "--quad", "4x8",
+                   "--out-dir", str(tmp_path), *command[1:]])
+    capsys.readouterr()
+    assert rc == 0
+    assert operators and all(op.kernel is None and op.lattice is not None
+                             for op in operators)
+
+
 def test_cli_memory_error_exit_code(tmp_path, capsys, monkeypatch):
     import greenvox.vie as vie
 

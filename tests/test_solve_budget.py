@@ -107,3 +107,20 @@ def test_shell_e_fields_match_direct_solve_per_submode(cube_solver):
             for p in range(len(points)):
                 assert (np.linalg.norm(got[p] - direct[p])
                         <= 1e-12 * np.linalg.norm(direct[p])), (q, s, p)
+
+
+def test_lattice_green_columns_take_at_most_60_matvecs(budget):
+    """The 8^3 Lorentz cube solves its three Green columns by FFT-GMRES in 54
+    operator applications (the final residual check included), each within tol."""
+    cube = dict(CUBE, geometry={"voxel_edge": 0.2, "shapes": [
+        {"kind": "box", "min_corner": [-0.8] * 3, "max_corner": [0.8] * 3, "region_id": 1}]})
+    cfg = scene_from_dict(cube)
+    grid = cfg.build_grid()
+    assert grid.n == 512
+    solver = vie.MediumSolver(grid, cfg.materials, 1.0, TOL, method="gmres")
+    solver.grid_fields(np.array([0.1, -0.2, 1.3]))
+    op, = budget["operators"]
+    assert op.kernel is None and budget["lu_factor"] == 0
+    assert len(op.iterations) == 3
+    assert sum(matvecs for matvecs, _ in op.iterations) <= 60
+    assert all(residual <= TOL for _, residual in op.iterations)

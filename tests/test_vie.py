@@ -68,8 +68,9 @@ def test_iterative_matches_dense():
 
 
 def lattice_grids(tmp_path):
-    """A sphere, a two-box union with n_x != n_y != n_z, a mask with holes and two
-    4^3 boxes ten edges apart on the diagonal."""
+    """A sphere, a two-box union with n_x != n_y != n_z, a mask with holes, two
+    4^3 boxes ten edges apart on the diagonal, a slab one voxel thick and a single
+    voxel (lattice axes of one site, padded to two)."""
     ids = np.ones((5, 4, 6), dtype=int)
     ids[2, 1:3, 2:4] = 0  # interior hole
     ids[:, :, 0] = 0  # the body starts one voxel past the mask origin
@@ -85,6 +86,9 @@ def lattice_grids(tmp_path):
                                            max_corner=(0.2, 0.2, 0.2)),
                                        Box(min_corner=(0.8, 0.8, 0.8),
                                            max_corner=(1.2, 1.2, 1.2))], 0.1),
+        "slab": build_grid(Box(min_corner=(-0.3, -0.2, 0.0), max_corner=(0.3, 0.2, 0.1)), 0.1),
+        "single voxel": build_grid(Box(min_corner=(0.2, 0.1, -0.3), max_corner=(0.3, 0.2, -0.2)),
+                                   0.1),
     }
 
 
