@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -101,19 +102,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _exit_config(message):
+    print(message, file=sys.stderr)
+    raise SystemExit(EXIT_CONFIG)
+
+
 def _load_scene_or_exit(args):
-    from .scene import SceneError, load_scene
+    """The scene with the --tol/--quad overrides, validated and hashed like the file."""
+    from .scene import SceneError, load_scene, scene_from_dict, scene_to_dict
 
     try:
         cfg = load_scene(args.scene)
+        canon, overrides = scene_to_dict(cfg), {}
+        if args.tol is not None:
+            overrides["solver"] = {**canon["solver"], "tol": args.tol}
+        if args.quad is not None:
+            overrides["quadrature"] = dict(zip(("n_theta", "n_phi"), args.quad))
+        if overrides:
+            cfg = scene_from_dict(canon | overrides, source_path=cfg.source_path)
     except SceneError as exc:
-        print(str(exc), file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
-    if args.tol is not None:
-        cfg.solver_tol = args.tol
-    if args.quad is not None:
-        cfg.n_theta, cfg.n_phi = args.quad
+        _exit_config(str(exc))
     return cfg
+
+
+def _check_omega(omega):
+    if not (math.isfinite(omega) and omega > 0.0):
+        _exit_config(f"--omega must be a positive finite frequency, got {omega!r}")
 
 
 def _out_dir(args) -> Path:
@@ -135,13 +149,9 @@ def _write(path: Path, text: str):
 def _cmd_greens(args) -> int:
     import numpy as np
 
-    from .vie import MediumSolver
-
     cfg = _load_scene_or_exit(args)
-    grid = cfg.build_grid()
-    solver = MediumSolver(grid, cfg.materials, args.omega, cfg.solver_tol,
-                          dense_cap=cfg.dense_cap)
-    G = solver.green(np.asarray(args.eval), np.asarray(args.src))
+    _check_omega(args.omega)
+    G = cfg.solver(args.omega).green(np.asarray(args.eval), np.asarray(args.src))
     payload = {"config_hash": cfg.config_hash, "omega": args.omega,
                "source": list(args.src), "eval": list(args.eval),
                "green": _complex_matrix_payload(G)}
@@ -153,32 +163,34 @@ def _cmd_greens(args) -> int:
 
 
 def _read_points_csv(path):
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line or line.lower().startswith(("x", "#")):
-            continue
-        rows.append([float(v) for v in line.split(",")[:3]])
+    try:
+        lines = [line.strip() for line in Path(path).read_text().splitlines()]
+        rows = [[float(v) for v in line.split(",")[:3]] for line in lines
+                if line and not line.lower().startswith(("x", "#"))]
+    except (OSError, ValueError) as exc:
+        _exit_config(f"--eval {path}: {exc}")
+    if not rows or any(len(row) != 3 for row in rows):
+        _exit_config(f"--eval {path}: expected rows of three numbers x,y,z")
     return rows
 
 
 def _cmd_modes(args) -> int:
-    from .green_free import PlaneWaveMode
-    from .modes import e_coefficient
-    from .vie import MediumSolver
-
-    cfg = _load_scene_or_exit(args)
-    grid = cfg.build_grid()
     import numpy as np
 
+    from .green_free import PlaneWaveMode
+    from .modes import e_coefficient
+
+    cfg = _load_scene_or_exit(args)
+    _check_omega(args.omega)
     kdir = np.asarray(args.kdir, dtype=float)
-    kdir = kdir / np.linalg.norm(kdir)
+    norm = np.linalg.norm(kdir)
+    if not (np.isfinite(norm) and norm > 0.0):
+        _exit_config(f"--kdir must be a nonzero finite direction, got {args.kdir}")
+    kdir = kdir / norm
     mode = PlaneWaveMode(k=tuple(args.omega * kdir),
                          sigma=+1 if args.sigma == "+" else -1, zeta=args.zeta)
     points = _read_points_csv(args.eval)
-    solver = MediumSolver(grid, cfg.materials, mode.omega, cfg.solver_tol,
-                          dense_cap=cfg.dense_cap)
-    values = e_coefficient(solver, None, mode, points, cfg.solver_tol)
+    values = e_coefficient(cfg.solver(mode.omega), None, mode, points, cfg.solver_tol)
     lines = [f"# config_hash={cfg.config_hash}",
              "x,y,z,re_ex,im_ex,re_ey,im_ey,re_ez,im_ez"]
     for pt, v in zip(points, values):
@@ -196,14 +208,13 @@ def _cmd_purcell(args) -> int:
     from .ldos import purcell_sweep
 
     cfg = _load_scene_or_exit(args)
-    grid = cfg.build_grid()
+    cfg.grid  # a body that cannot be voxelized is a config error, not a failed row
     a, b, n = args.omega_range
     if n < 1:
-        print("omega range needs at least one point", file=sys.stderr)
-        return EXIT_CONFIG
+        _exit_config("omega range needs at least one point")
     omegas = [a + (b - a) * i / max(n - 1, 1) for i in range(n)]
-    rows = purcell_sweep(grid, cfg.materials, args.emitter, args.dipole, omegas,
-                         cfg.solver_tol, cfg.n_theta, cfg.n_phi, cfg.dense_cap)
+    rows = purcell_sweep(cfg.solver, args.emitter, args.dipole, omegas,
+                         cfg.n_theta, cfg.n_phi)
     lines = [f"# config_hash={cfg.config_hash}",
              "omega,purcell,gamma_e,gamma_m,identity_residual,error"]
     for r in rows:
@@ -252,16 +263,14 @@ def _cmd_ldos_check(args) -> int:
     import numpy as np
 
     from .ldos import ldos_identity_residual, make_shell_quadrature
-    from .vie import MediumSolver
 
     cfg = _load_scene_or_exit(args)
-    grid = cfg.build_grid()
+    _check_omega(args.omega)
     x = np.asarray(args.point)
     y = np.asarray(args.point2) if args.point2 else x
     quad = make_shell_quadrature(args.omega, cfg.n_theta, cfg.n_phi)
-    solver = MediumSolver(grid, cfg.materials, args.omega, cfg.solver_tol,
-                          dense_cap=cfg.dense_cap)
-    ident = ldos_identity_residual(solver, None, x, y, args.omega, quad, cfg.solver_tol)
+    ident = ldos_identity_residual(cfg.solver(args.omega), None, x, y, args.omega, quad,
+                                   cfg.solver_tol)
     payload = {
         "config_hash": cfg.config_hash,
         "omega": args.omega,

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import VoxelGrid
 from .green_free import plane_wave_table
 from .quadrature import SphereQuadrature, make_shell_quadrature  # noqa: F401 (re-export)
 from .vie import MediumSolver, SolverError, as_solver
@@ -257,16 +256,15 @@ def purcell(grid, materials, emitter: EmitterSpec, tol: float = 1e-10) -> float:
     return gamma / vacuum_decay_rate(emitter.omega, d)
 
 
-def purcell_sweep(grid: VoxelGrid, materials, emitter_position, dipole, omegas,
-                  tol: float = 1e-10, n_theta: int = 8, n_phi: int = 16,
-                  dense_cap: int = 1000):
+def purcell_sweep(solver_at, emitter_position, dipole, omegas,
+                  n_theta: int = 8, n_phi: int = 16):
     """Purcell/decay table over frequencies; per-row failures are recorded.
 
-    Returns one dict per frequency with keys omega, purcell, gamma_e,
-    gamma_m, identity_residual (relative), or an error message for rows
-    whose solve failed or ran out of memory.  Rows are independent; each
-    frequency gets a MediumSolver that stores the dense kernel up to
-    dense_cap voxels.
+    solver_at(omega) returns the MediumSolver of one frequency, such as
+    SceneConfig.solver.  Returns one dict per frequency with keys omega,
+    purcell, gamma_e, gamma_m, identity_residual (relative), or an error
+    message for rows whose solver could not be built, whose solve failed
+    or which ran out of memory.  Rows are independent.
     """
     omegas = list(omegas)
     if any(b < a for a, b in zip(omegas[:-1], omegas[1:])):
@@ -277,8 +275,8 @@ def purcell_sweep(grid: VoxelGrid, materials, emitter_position, dipole, omegas,
             emitter = EmitterSpec(position=tuple(emitter_position), omega=float(w),
                                   dipole=tuple(dipole))
             quad = make_shell_quadrature(float(w), n_theta, n_phi)
-            solver = MediumSolver(grid, materials, float(w), tol, dense_cap=dense_cap)
-            rates = gamma_decomposed(solver, None, emitter, quad, tol)
+            solver = solver_at(float(w))
+            rates = gamma_decomposed(solver, None, emitter, quad, solver.tol)
             rows.append({
                 "omega": float(w),
                 "purcell": rates.purcell,

@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,13 @@ _DEFAULTS = {
 _KNOWN_TOP = {"schema_version", "units", "materials", "geometry", "solver",
               "quadrature", "runs"}
 _KNOWN_RUNS = {"greens", "modes", "purcell", "ldos_check", "validate"}
+
+#: geometric shape kinds: class and the unit kind of each field besides
+#: region_id; a mask shape is a file path and has its own branch
+_SHAPE_FIELDS = {
+    "sphere": (Sphere, {"center": "length[3]", "radius": "length"}),
+    "box": (Box, {"min_corner": "length[3]", "max_corner": "length[3]"}),
+}
 
 
 class SceneError(ValueError):
@@ -76,8 +84,20 @@ class SceneConfig:
     config_hash: str = ""
     source_path: str | None = None
 
-    def build_grid(self) -> VoxelGrid:
+    @cached_property
+    def grid(self) -> VoxelGrid:
+        """The voxel grid, built once and shared by the solvers of every frequency."""
         return build_grid(self.shapes, self.voxel_edge)
+
+    def build_grid(self) -> VoxelGrid:
+        return self.grid
+
+    def solver(self, omega: float):
+        """The scene's MediumSolver at omega; the one place its solve policy is applied."""
+        from .vie import MediumSolver  # loading a scene does not load scipy
+
+        return MediumSolver(self.grid, self.materials, omega, self.solver_tol,
+                            dense_cap=self.dense_cap)
 
 
 def _number(ctx, raw, errors, positive=False):
@@ -106,6 +126,19 @@ def _vector3(ctx, raw, errors):
         return None
     out = [_number(f"{ctx}[{i}]", v, errors) for i, v in enumerate(raw)]
     return None if any(v is None for v in out) else tuple(out)
+
+
+def _value(ctx, raw, kind, errors, positive=False):
+    """A number, or a 3-vector when kind ends in "[3]"; None after an error."""
+    if kind.endswith("[3]"):
+        return _vector3(ctx, raw, errors)
+    return _number(ctx, raw, errors, positive=positive)
+
+
+def _to_internal(units: UnitSystem, value, kind):
+    if kind.endswith("[3]"):
+        return tuple(units.to_internal(v, kind[:-3]) for v in value)
+    return units.to_internal(value, kind)
 
 
 def _check_unknown(ctx, block, known, errors):
@@ -196,35 +229,25 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
             errors.append(f"{ctx}: expected a mapping")
             continue
         kind = s.get("kind")
-        if kind == "sphere":
-            _check_unknown(ctx, s, {"kind", "center", "radius", "region_id"}, errors)
-            center = _vector3(f"{ctx}.center", s.get("center"), errors)
-            radius = _number(f"{ctx}.radius", s.get("radius", None), errors, positive=True)
+        if kind in _SHAPE_FIELDS:
+            fields = _SHAPE_FIELDS[kind][1]
+            _check_unknown(ctx, s, {"kind", "region_id", *fields}, errors)
+            params = {name: _value(f"{ctx}.{name}", s.get(name), unit, errors, positive=True)
+                      for name, unit in fields.items()}
             rid = s.get("region_id")
             if not isinstance(rid, int):
                 errors.append(f"{ctx}.region_id: expected an integer")
             elif rid not in declared_ids:
                 errors.append(f"{ctx}.region_id: dangling region id {rid}")
-            elif center is not None and radius is not None:
-                parsed_shapes.append(("sphere", {"center": center, "radius": radius,
-                                                 "region_id": rid}))
-        elif kind == "box":
-            _check_unknown(ctx, s, {"kind", "min_corner", "max_corner", "region_id"}, errors)
-            lo = _vector3(f"{ctx}.min_corner", s.get("min_corner"), errors)
-            hi = _vector3(f"{ctx}.max_corner", s.get("max_corner"), errors)
-            rid = s.get("region_id")
-            if not isinstance(rid, int):
-                errors.append(f"{ctx}.region_id: expected an integer")
-            elif rid not in declared_ids:
-                errors.append(f"{ctx}.region_id: dangling region id {rid}")
-            elif lo is not None and hi is not None:
-                parsed_shapes.append(("box", {"min_corner": lo, "max_corner": hi,
-                                              "region_id": rid}))
+            elif None not in params.values():
+                parsed_shapes.append((kind, {**params, "region_id": rid}))
         elif kind == "mask":
             _check_unknown(ctx, s, {"kind", "path"}, errors)
             p = s.get("path")
             if not isinstance(p, str):
                 errors.append(f"{ctx}.path: expected a string")
+            elif system == "SI":
+                errors.append(f"{ctx}: mask shapes are not supported in SI scenes")
             else:
                 full = str((Path(base_dir) / p) if base_dir is not None else Path(p))
                 parsed_shapes.append(("mask", {"path": full}))
@@ -258,46 +281,28 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
 
     # resolve units: build geometric shapes, convert SI -> internal -------
     shapes_internal = []
-    if ref_len is None:
-        ref_len = _default_reference_length(parsed_shapes)
-    units = UnitSystem(mode=system, L0=ref_len)
-
-    def ilen(v):
-        return units.to_internal(v, "length")
-
-    def ivec(v):
-        return tuple(units.to_internal(x, "length") for x in v)
-
     try:
+        if ref_len is None:
+            ref_len = _default_reference_length(parsed_shapes)
+        units = UnitSystem(mode=system, L0=ref_len)
         for kind, params in parsed_shapes:
-            if kind == "sphere":
-                shapes_internal.append(Sphere(center=ivec(params["center"]),
-                                              radius=ilen(params["radius"]),
-                                              region_id=params["region_id"]))
-            elif kind == "box":
-                shapes_internal.append(Box(min_corner=ivec(params["min_corner"]),
-                                           max_corner=ivec(params["max_corner"]),
-                                           region_id=params["region_id"]))
+            if kind == "mask":
+                shapes_internal.append(MaskShape(**params))
             else:
-                if system == "SI":
-                    raise SceneError(["mask shapes are not supported in SI scenes"])
-                shapes_internal.append(MaskShape(path=params["path"]))
+                cls, fields = _SHAPE_FIELDS[kind]
+                shapes_internal.append(cls(region_id=params["region_id"], **{
+                    name: _to_internal(units, params[name], unit) for name, unit in fields.items()}))
     except GridError as exc:
         raise SceneError([str(exc)]) from None
 
-    materials = {}
-    for rid, poles in parsed_materials:
-        materials[rid] = PermittivityModel(
-            poles=tuple(LorentzPole(omega0=units.to_internal(p["omega0"], "frequency"),
-                                    omegap=units.to_internal(p["omegap"], "frequency"),
-                                    gamma=units.to_internal(p["gamma"], "frequency"))
-                        for p in poles),
-            region_id=rid)
+    materials = {rid: PermittivityModel(region_id=rid, poles=tuple(
+        LorentzPole(**{k: _to_internal(units, v, "frequency") for k, v in p.items()})
+        for p in poles)) for rid, poles in parsed_materials}
 
     runs_internal = _convert_runs(runs, units)
 
     cfg = SceneConfig(units=units, materials=materials, shapes=shapes_internal,
-                      voxel_edge=None if voxel_edge is None else ilen(voxel_edge),
+                      voxel_edge=voxel_edge and _to_internal(units, voxel_edge, "length"),
                       solver_tol=tol, dense_cap=dense_cap,
                       n_theta=n_theta, n_phi=n_phi, runs=runs_internal,
                       source_path=source_path)
@@ -308,17 +313,11 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
 
 def _default_reference_length(parsed_shapes) -> float:
     """Bounding-box diagonal of the declared geometric shapes (1.0 fallback)."""
-    los, his = [], []
-    for kind, params in parsed_shapes:
-        if kind == "sphere":
-            c, r = np.asarray(params["center"]), params["radius"]
-            los.append(c - r)
-            his.append(c + r)
-        elif kind == "box":
-            los.append(np.asarray(params["min_corner"]))
-            his.append(np.asarray(params["max_corner"]))
-    if not los:
+    boxes = [_SHAPE_FIELDS[kind][0](**params).bounding_box()
+             for kind, params in parsed_shapes if kind in _SHAPE_FIELDS]
+    if not boxes:
         return 1.0
+    los, his = zip(*boxes)
     return float(np.linalg.norm(np.max(his, axis=0) - np.min(los, axis=0)))
 
 
@@ -356,14 +355,10 @@ def _convert_runs(runs: dict, units: UnitSystem) -> dict:
                 errors.append(f"runs.{block_name}.{key}: unknown field")
             elif kind is None:
                 conv[key] = value
-            elif kind.endswith("[3]"):
-                vec = _vector3(f"runs.{block_name}.{key}", value, errors)
-                if vec is not None:
-                    conv[key] = tuple(units.to_internal(v, kind[:-3]) for v in vec)
             else:
-                num = _number(f"runs.{block_name}.{key}", value, errors)
-                if num is not None:
-                    conv[key] = units.to_internal(num, kind)
+                parsed = _value(f"runs.{block_name}.{key}", value, kind, errors)
+                if parsed is not None:
+                    conv[key] = _to_internal(units, parsed, kind)
         out[block_name] = conv
     if errors:
         raise SceneError(errors)
@@ -372,16 +367,8 @@ def _convert_runs(runs: dict, units: UnitSystem) -> dict:
 
 def scene_to_dict(cfg: SceneConfig) -> dict:
     """Canonical dictionary of the resolved scene in internal units."""
-    shapes = []
-    for s in cfg.shapes:
-        if isinstance(s, Sphere):
-            shapes.append({"kind": "sphere", "center": list(s.center),
-                           "radius": s.radius, "region_id": s.region_id})
-        elif isinstance(s, Box):
-            shapes.append({"kind": "box", "min_corner": list(s.min_corner),
-                           "max_corner": list(s.max_corner), "region_id": s.region_id})
-        else:
-            shapes.append({"kind": "mask", "path": s.path})
+    kinds = {cls: kind for kind, (cls, _) in _SHAPE_FIELDS.items()} | {MaskShape: "mask"}
+    shapes = [{"kind": kinds[type(s)], **_plain(asdict(s))} for s in cfg.shapes]
     return {
         "schema_version": SCHEMA_VERSION,
         # canonical form is always the internal-unit scene; loading it back
@@ -395,7 +382,10 @@ def scene_to_dict(cfg: SceneConfig) -> dict:
         "geometry": {"voxel_edge": cfg.voxel_edge, "shapes": shapes},
         "solver": {"tol": cfg.solver_tol, "dense_cap": cfg.dense_cap},
         "quadrature": {"n_theta": cfg.n_theta, "n_phi": cfg.n_phi},
-        "runs": {k: {kk: (list(vv) if isinstance(vv, tuple) else vv)
-                     for kk, vv in v.items()}
-                 for k, v in sorted(cfg.runs.items())},
+        "runs": {k: _plain(v) for k, v in sorted(cfg.runs.items())},
     }
+
+
+def _plain(block: dict) -> dict:
+    """Tuples as lists, so the canonical dictionary is plain JSON/YAML data."""
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in block.items()}

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from greenvox import (EmitterSpec, PermittivityModel, Sphere, build_grid,
+import functools
+
+from greenvox import (EmitterSpec, MediumSolver, PermittivityModel, Sphere, build_grid,
                       gamma_decomposed, im_green_at, ldos_identity_residual,
                       make_shell_quadrature, purcell, purcell_sweep,
                       scaled_contrast, vacuum_decay_rate)
@@ -144,8 +146,8 @@ def test_purcell_far_emitter(cube_solver):
 
 def test_purcell_sweep_vacuum_and_cardinality(cube_grid, vacuum_materials):
     omegas = [0.6, 0.8, 1.0, 1.2]
-    rows = purcell_sweep(cube_grid, vacuum_materials, tuple(R_OUT), tuple(DIPOLE),
-                         omegas, TOL, 4, 8)
+    rows = purcell_sweep(lambda w: MediumSolver(cube_grid, vacuum_materials, w, TOL),
+                         tuple(R_OUT), tuple(DIPOLE), omegas, 4, 8)
     assert len(rows) == len(omegas)
     for row in rows:
         assert row["purcell"] == pytest.approx(1.0, abs=1e-10)
@@ -153,16 +155,16 @@ def test_purcell_sweep_vacuum_and_cardinality(cube_grid, vacuum_materials):
 
 
 def test_purcell_sweep_records_row_failures(cube_grid, cube_materials):
-    rows = purcell_sweep(cube_grid, cube_materials, tuple(R_OUT), tuple(DIPOLE),
-                         [-0.5, 1.0], TOL, 2, 4)
+    rows = purcell_sweep(lambda w: MediumSolver(cube_grid, cube_materials, w, TOL),
+                         tuple(R_OUT), tuple(DIPOLE), [-0.5, 1.0], 2, 4)
     assert "error" in rows[0] and "positive" in rows[0]["error"]
     assert "purcell" in rows[1]
 
 
 def test_purcell_sweep_requires_sorted(cube_grid, cube_materials):
     with pytest.raises(ValueError, match="sorted"):
-        purcell_sweep(cube_grid, cube_materials, tuple(R_OUT), tuple(DIPOLE),
-                      [1.0, 0.5], TOL, 2, 4)
+        purcell_sweep(lambda w: MediumSolver(cube_grid, cube_materials, w, TOL),
+                      tuple(R_OUT), tuple(DIPOLE), [1.0, 0.5], 2, 4)
 
 
 def test_drude_sphere_resonance_position_stable():
@@ -179,9 +181,18 @@ def test_drude_sphere_resonance_position_stable():
     spacing = 0.05
     w_quasistatic = np.sqrt(1.5**2 / 3 - 0.02**2)
 
+    grid_at = functools.cache(
+        lambda h: build_grid(Sphere(center=(0, 0, 0), radius=1.0, region_id=1), h))
+
+    @functools.cache
+    def solver_at(h, w):
+        # the medium solve does not depend on the shell quadrature, so the two
+        # sweeps at one h share their solvers
+        return MediumSolver(grid_at(h), mats, w, TOL)
+
     def peak(h, nt, nphi):
-        grid = build_grid(Sphere(center=(0, 0, 0), radius=1.0, region_id=1), h)
-        rows = purcell_sweep(grid, mats, emitter, dipole, omegas, TOL, nt, nphi)
+        rows = purcell_sweep(functools.partial(solver_at, h), emitter, dipole, omegas,
+                             nt, nphi)
         ps = [r["purcell"] for r in rows]
         assert max(ps) > 1.0
         return omegas[int(np.argmax(ps))]

@@ -101,6 +101,37 @@ def test_round_trip_idempotent(tmp_path):
     assert cfg2.config_hash == cfg.config_hash
 
 
+C_LIGHT = 299792458.0
+L0 = 1e-6
+F0 = C_LIGHT / L0
+
+
+@pytest.mark.parametrize("raw, expected", [
+    ({"geometry": {"voxel_edge": 0.2, "shapes": [
+        {"kind": "box", "min_corner": [-0.4] * 3, "max_corner": [0.4] * 3, "region_id": 1}]},
+      "materials": [{"region_id": 1, "poles": [{"omega0": 1.5, "omegap": 1.0, "gamma": 0.4}]}]},
+     "d2443515f689f6cbaba1ded0e4f308afd30331b3ea9fd5f1bfdf98eedf1b0bc4"),
+    ({"geometry": {"voxel_edge": 0.25, "shapes": [
+        {"kind": "sphere", "center": [0.1, 0, 0], "radius": 1.0, "region_id": 1}]},
+      "materials": [{"region_id": 1, "poles": [{"omega0": 0.0, "omegap": 1.5, "gamma": 0.3}]}]},
+     "0601cfe0cb160be7aaea71b1d95af866fc8e5da4c3c94a3526683a83d63a8542"),
+    ({"units": {"system": "SI"},
+      "materials": [
+          {"region_id": 1, "poles": [{"omega0": 1.5 * F0, "omegap": F0, "gamma": 0.4 * F0}]},
+          {"region_id": 2, "poles": []}],
+      "geometry": {"voxel_edge": 0.2 * L0, "shapes": [
+          {"kind": "sphere", "center": [0, 0, 0], "radius": L0, "region_id": 1},
+          {"kind": "box", "min_corner": [0.5 * L0, -0.4 * L0, -0.4 * L0],
+           "max_corner": [1.5 * L0, 0.4 * L0, 0.4 * L0], "region_id": 2}]},
+      "runs": {"validate": {"omega": F0}}},
+     "dc4d99c5594f3d125081a628aef4eee44e771a8870427a5b176662a95792cc7f"),
+], ids=["natural box", "natural sphere", "SI union"])
+def test_config_hash_pinned(raw, expected):
+    """Parsing, unit conversion, the default reference length and the canonical
+    form all feed the hash; these values were computed by an earlier release."""
+    assert scene_from_dict(raw).config_hash == expected
+
+
 def test_mask_scene(tmp_path):
     from greenvox.geometry import write_mask
 
@@ -260,6 +291,60 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert rc == 4
 
 
+def test_cli_overrides_are_validated_and_hashed(tmp_path, capsys):
+    """--tol/--quad go through the scene's validation and into config_hash."""
+    scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
+    quad48 = write(tmp_path, "quad48.yaml", CUBE_SCENE + "quadrature: {n_theta: 4, n_phi: 8}\n")
+
+    def ldos_check(path, *extra):
+        rc = cli_main(["ldos-check", "--scene", str(path), "--omega", "1.0",
+                       "--point", "1.2,0.1,0.0", *extra])
+        out, err = capsys.readouterr()
+        return rc, (json.loads(out) if rc == 0 else err)
+
+    _, plain = ldos_check(scene)
+    _, q816 = ldos_check(scene, "--quad", "8x16")
+    _, q48 = ldos_check(scene, "--quad", "4x8")
+    _, from_file = ldos_check(quad48)
+    assert plain["config_hash"] == load_scene(scene).config_hash
+    assert q816 == plain  # the override restates the scene's default
+    assert q48["config_hash"] != plain["config_hash"]
+    assert q48["relative_residual_absorption_form"] != plain["relative_residual_absorption_form"]
+    assert q48 == from_file
+    _, tol8 = ldos_check(scene, "--tol", "1e-8")
+    assert tol8["config_hash"] not in (plain["config_hash"], q48["config_hash"])
+
+    rc, err = ldos_check(scene, "--tol", "0")
+    assert rc == 4 and "solver.tol: must be strictly positive" in err
+    rc, err = ldos_check(scene, "--quad", "1x1")
+    assert rc == 4 and "quadrature.n_theta: expected an integer >= 2" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["greens", "--omega=-1", "--src", "0,0,0.9", "--eval", "1.2,0,0"], "--omega"),
+    (["modes", "--omega=-1", "--kdir", "0,0,1", "--eval", "points.csv"], "--omega"),
+    (["ldos-check", "--omega=-1", "--point", "1.2,0,0"], "--omega"),
+    (["modes", "--omega", "1", "--kdir", "0,0,0", "--eval", "points.csv"], "--kdir"),
+    (["modes", "--omega", "1", "--kdir", "0,0,1", "--eval", "missing.csv"], "missing.csv"),
+    (["modes", "--omega", "1", "--kdir", "0,0,1", "--eval", "words.csv"], "words.csv"),
+    (["modes", "--omega", "1", "--kdir", "0,0,1", "--eval", "pairs.csv"], "pairs.csv"),
+    (["modes", "--omega", "1", "--kdir", "0,0,1", "--eval", "header.csv"], "header.csv"),
+], ids=["greens omega", "modes omega", "ldos-check omega", "zero kdir", "missing csv",
+        "non-numeric csv", "two-column csv", "no points"])
+def test_cli_bad_input_is_a_config_error(argv, message, tmp_path, capsys, monkeypatch):
+    """Bad command-line input exits 4 with one stderr line, not a traceback."""
+    monkeypatch.chdir(tmp_path)
+    scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
+    write(tmp_path, "points.csv", "x,y,z\n1.2,0.3,-0.2\n")
+    write(tmp_path, "words.csv", "x,y,z\n1.2,zero,-0.2\n")
+    write(tmp_path, "pairs.csv", "1.2,0.3\n")
+    write(tmp_path, "header.csv", "x,y,z\n")
+    rc = cli_main([argv[0], "--scene", str(scene), *argv[1:]])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 4
+    assert len(err) == 1 and message in err[0]
+
+
 def test_cli_grid_error_exit_code(tmp_path, capsys):
     """A body the grid cannot voxelize is a configuration error: exit 4, one line."""
     scene = write(tmp_path, "coarse.yaml", CUBE_SCENE.replace("voxel_edge: 0.2",
@@ -309,10 +394,11 @@ def test_cli_greens_above_dense_cap_solves_matrix_free(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", [
-    ["purcell", "--emitter", "1.25,0.3,-0.1", "--dipole", "0,0,1",
+    ["purcell", "--quad", "4x8", "--emitter", "1.25,0.3,-0.1", "--dipole", "0,0,1",
      "--omega-range", "1.0:1.0:1"],
-    ["ldos-check", "--omega", "1.0", "--point", "1.25,0.3,-0.1"],
-    ["modes", "--omega", "1.0", "--kdir", "0,0,1", "--eval", "points.csv"],
+    ["ldos-check", "--quad", "4x8", "--omega", "1.0", "--point", "1.25,0.3,-0.1"],
+    ["modes", "--quad", "4x8", "--omega", "1.0", "--kdir", "0,0,1", "--eval", "points.csv"],
+    ["validate"],
 ], ids=lambda argv: argv[0])
 def test_cli_command_honours_scene_dense_cap(command, tmp_path, capsys, monkeypatch):
     """512 voxels against dense_cap 100: every command solves matrix-free."""
@@ -329,12 +415,14 @@ def test_cli_command_honours_scene_dense_cap(command, tmp_path, capsys, monkeypa
     monkeypatch.chdir(tmp_path)
     scene = write(tmp_path, "big.yaml", BIG_CUBE_SCENE)
     write(tmp_path, "points.csv", "x,y,z\n1.25,0.3,-0.1\n")
-    rc = cli_main([command[0], "--scene", str(scene), "--quad", "4x8",
-                   "--out-dir", str(tmp_path), *command[1:]])
+    rc = cli_main([command[0], "--scene", str(scene), "--out-dir", str(tmp_path),
+                   *command[1:]])
     capsys.readouterr()
     assert rc == 0
-    assert operators and all(op.kernel is None and op.lattice is not None
-                             for op in operators)
+    # validate's vacuum closure (beta = 0) is the identity: no kernel and no lattice
+    medium = [op for op in operators if np.any(op.beta)]
+    assert medium and all(op.kernel is None and op.lattice is not None for op in medium)
+    assert all(op.kernel is None for op in operators)
 
 
 def test_cli_memory_error_exit_code(tmp_path, capsys, monkeypatch):

@@ -10,6 +10,7 @@ import pytest
 
 import greenvox.ldos as ldos
 import greenvox.report as report_module
+import greenvox.scene as scene_module
 import greenvox.vie as vie
 from greenvox import PlaneWaveMode, e_coefficient, make_shell_quadrature, purcell_sweep
 from greenvox.ldos import _e_fields_on_shell
@@ -75,11 +76,20 @@ def test_validate_uses_one_medium_and_one_vacuum_solver(budget, monkeypatch):
     assert len(identities) == 2
 
 
-def test_sweep_solves_one_green_column_set_per_frequency(cube_grid, cube_materials, budget):
+def test_sweep_solves_one_green_column_set_per_frequency(budget, monkeypatch):
+    grids = []
+    build_grid = scene_module.build_grid
+
+    def counting(*args):
+        grids.append(build_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(scene_module, "build_grid", counting)
     omegas = [0.8, 1.0, 1.2]
-    rows = purcell_sweep(cube_grid, cube_materials, R_OUT, (0.0, 0.0, 1.0), omegas,
-                         TOL, n_theta=4, n_phi=8)
+    rows = purcell_sweep(scene_from_dict(CUBE).solver, R_OUT, (0.0, 0.0, 1.0), omegas,
+                         n_theta=4, n_phi=8)
     assert all("error" not in r for r in rows)
+    assert len(grids) == 1  # the scene's grid serves every frequency
     assert budget["assemble"] == budget["lu_factor"] == len(omegas)
     assert len(budget["solve_columns"]) == len(omegas)
     assert max(budget["solve_columns"]) <= 3
