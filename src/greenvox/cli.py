@@ -2,10 +2,11 @@
 
 Subcommands: greens, modes, purcell, ldos-check, validate.  Exit codes:
 0 success, 2 validation failure, 3 solver failure (out of memory
-included), 4 configuration error (a grid error included).  --threads
-pins the BLAS/OpenMP thread pool: the package loads numpy lazily, so
-the thread variables are set before any numerical library starts; with
-a fixed thread policy repeated runs are byte-identical.
+included), 4 configuration error (a grid error or a command-line usage
+error included).  --threads pins the BLAS/OpenMP thread pool: the
+package loads numpy lazily, so the thread variables are set before any
+numerical library starts; with a fixed thread policy repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -55,10 +56,18 @@ def _parse_range(text):
         raise argparse.ArgumentTypeError("omega range looks like start:stop:count")
 
 
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors exit EXIT_CONFIG, since its own 2 is EXIT_VALIDATION."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="greenvox",
-                                 description="Dyadic Green tensors, field coefficients "
-                                             "and Purcell factors for finite absorbing bodies")
+    ap = _Parser(prog="greenvox",
+                 description="Dyadic Green tensors, field coefficients "
+                             "and Purcell factors for finite absorbing bodies")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -151,6 +160,9 @@ def _cmd_greens(args) -> int:
 
     cfg = _load_scene_or_exit(args)
     _check_omega(args.omega)
+    if args.src == args.eval:
+        _exit_config("--src equals --eval, where G diverges; "
+                     "ldos-check --point gives Im G(x, x)")
     G = cfg.solver(args.omega).green(np.asarray(args.eval), np.asarray(args.src))
     payload = {"config_hash": cfg.config_hash, "omega": args.omega,
                "source": list(args.src), "eval": list(args.eval),
@@ -307,7 +319,10 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (EXIT_CONFIG)
+        return exc.code
     _apply_thread_policy(args.threads)
     handlers = {"greens": _cmd_greens, "modes": _cmd_modes, "purcell": _cmd_purcell,
                 "ldos-check": _cmd_ldos_check, "validate": _cmd_validate}

@@ -165,8 +165,7 @@ def ldos_identity_residual(grid, materials, x, y, omega: float,
     w = solver.omega
     coincident = np.array_equal(x, y)
 
-    Xx = solver.grid_fields(x)
-    Xy = solver.grid_fields(y)
+    Xx, Xy = solver.grid_fields(np.stack([x, y]))  # one solve, of 3 columns if coincident
     lhs = im_green_at(solver, None, x, w, tol) if coincident else solver.green(x, y).imag
 
     points, columns = ([x], [Xx]) if coincident else ([x, y], [Xx, Xy])

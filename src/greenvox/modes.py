@@ -135,20 +135,17 @@ def e_coefficient_via_green(grid, materials, mode: PlaneWaveMode, points, tol: f
     """e_kappa through the medium Green tensor (route-equivalence partner).
 
     e(r) = omega Phi(r) + sum_i dV G(r, z_i) beta_i omega Phi(z_i), with
-    G(r, z_i) taken from one solve with source r via reciprocity.
+    G(r, z_i) taken via reciprocity from the Green columns of source r,
+    solved for all points at once.
     """
     solver = as_solver(grid, materials, mode.omega, tol)
     w = mode.omega
     phi_v = w * phi_plane_wave(mode, solver.grid.centers)          # (N, 3)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty((len(pts), 3), dtype=complex)
-    dV = solver.grid.voxel_volume
-    for i, p in enumerate(pts):
-        X = solver.grid_fields(p)                                  # X_i = G(z_i, p)
-        # G(p, z_i) = X_i^T
-        out[i] = (w * phi_plane_wave(mode, p)
-                  + dV * np.einsum("j,jba,jb->a", solver.beta, X, phi_v))
-    return out
+    X = solver.grid_fields(pts)                                    # X[p]_i = G(z_i, p)
+    # G(p, z_i) = X[p]_i^T
+    return (w * phi_plane_wave(mode, pts)
+            + solver.grid.voxel_volume * np.einsum("j,pjba,jb->pa", solver.beta, X, phi_v))
 
 
 # ----------------------------------------------------------------------

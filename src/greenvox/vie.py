@@ -368,20 +368,37 @@ class MediumSolver:
         """Right-hand side G0(z_i, y) n_j restricted to the grid, (3N, 3)."""
         return self.g0_blocks_at(y).reshape(self.op.n3, 3)
 
-    def grid_fields(self, y):
-        """Solved on-grid Green columns X_i = G(z_i, y), (N, 3, 3), read-only.
+    def grid_fields(self, sources):
+        """Solved on-grid Green columns X_i = G(z_i, y), read-only.
 
-        The last eight sources are memoised, so a revisited source is not re-solved.
+        sources is one point y (3,), giving (N, 3, 3), or P points (P, 3),
+        giving (P, N, 3, 3).  Every source not yet memoised is solved,
+        a duplicate once, in one solve of 3P right-hand sides, so each
+        refinement step reads the factors and the kernel once for all of
+        them.  The last eight sources are memoised, oldest dropped first,
+        so a revisited source is not re-solved.
         """
-        y = np.asarray(y, dtype=float)
-        key = y.tobytes()
-        if key not in self._fields:
-            X = self.solve(self.source_columns(y)).reshape(self.grid.n, 3, 3)
+        pts = np.asarray(sources, dtype=float)
+        if pts.ndim not in (1, 2) or pts.shape[-1] != 3:
+            raise ValueError(f"sources must be (3,) or (P, 3), got shape {pts.shape}")
+        rows = pts.reshape(-1, 3)
+        keys = [p.tobytes() for p in rows]
+        fields = {key: self._fields[key] for key in keys if key in self._fields}
+        new = {key: p for key, p in zip(keys, rows) if key not in fields}
+        if new:
+            rhs = np.hstack([self.source_columns(p) for p in new.values()])
+            X = self.solve(rhs).reshape(self.grid.n, 3, len(new), 3)
+            X = np.ascontiguousarray(X.transpose(2, 0, 1, 3))
             X.flags.writeable = False
-            if len(self._fields) == _FIELDS_KEPT:
-                del self._fields[next(iter(self._fields))]
-            self._fields[key] = X
-        return self._fields[key]
+            for key, Xp in zip(new, X):
+                if len(self._fields) == _FIELDS_KEPT:
+                    del self._fields[next(iter(self._fields))]
+                self._fields[key] = fields[key] = Xp
+        if pts.ndim == 1:
+            return fields[keys[0]]
+        out = np.stack([fields[key] for key in keys])
+        out.flags.writeable = False
+        return out
 
     def scattered_at(self, x, grid_values):
         """sum_j dV G0(x, z_j) beta_j V_j for on-grid values V (N, 3, m)."""
@@ -426,8 +443,7 @@ def dyson_residual(grid, materials, omega: float, x, y, tol: float = 1e-10) -> f
     ms = as_solver(grid, materials, omega, tol)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    Xy = ms.grid_fields(y)
-    Xx = ms.grid_fields(x)
+    Xy, Xx = ms.grid_fields(np.stack([y, x]))
     G = ms.green(x, y, Xy)
     diff = G - g0_closed(x, y, ms.omega)
     # int beta G0(x,z) G(z,y): the evaluation route itself

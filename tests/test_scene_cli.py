@@ -329,8 +329,9 @@ def test_cli_overrides_are_validated_and_hashed(tmp_path, capsys):
     (["modes", "--omega", "1", "--kdir", "0,0,1", "--eval", "words.csv"], "words.csv"),
     (["modes", "--omega", "1", "--kdir", "0,0,1", "--eval", "pairs.csv"], "pairs.csv"),
     (["modes", "--omega", "1", "--kdir", "0,0,1", "--eval", "header.csv"], "header.csv"),
+    (["greens", "--omega", "1", "--src", "2,0,0", "--eval", "2,0,0"], "ldos-check"),
 ], ids=["greens omega", "modes omega", "ldos-check omega", "zero kdir", "missing csv",
-        "non-numeric csv", "two-column csv", "no points"])
+        "non-numeric csv", "two-column csv", "no points", "coincident greens"])
 def test_cli_bad_input_is_a_config_error(argv, message, tmp_path, capsys, monkeypatch):
     """Bad command-line input exits 4 with one stderr line, not a traceback."""
     monkeypatch.chdir(tmp_path)
@@ -343,6 +344,18 @@ def test_cli_bad_input_is_a_config_error(argv, message, tmp_path, capsys, monkey
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 4
     assert len(err) == 1 and message in err[0]
+
+
+def test_cli_usage_errors_are_config_errors(tmp_path, capsys):
+    """argparse would exit 2, the validation-failure code: usage errors exit 4, --help 0."""
+    scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
+    greens = ["greens", "--scene", str(scene), "--omega", "1"]
+    assert cli_main([*greens, "--src", "2,0", "--eval", "1.2,0,0"]) == 4
+    assert "--src expects three comma-separated numbers" in capsys.readouterr().err
+    assert cli_main([*greens, "--src", "2,0,0"]) == 4
+    assert "the following arguments are required: --eval" in capsys.readouterr().err
+    assert cli_main(["greens", "--help"]) == 0
+    assert "--src SRC" in capsys.readouterr().out
 
 
 def test_cli_grid_error_exit_code(tmp_path, capsys):

@@ -5,6 +5,8 @@ shell e-fields from the Green columns by reciprocity), so a change that
 adds solves shows up here before it shows up in wall time.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ import greenvox.report as report_module
 import greenvox.scene as scene_module
 import greenvox.vie as vie
 from greenvox import PlaneWaveMode, e_coefficient, make_shell_quadrature, purcell_sweep
+from greenvox.cli import main as cli_main
 from greenvox.ldos import _e_fields_on_shell
 from greenvox.report import run_validation
 from greenvox.scene import scene_from_dict
@@ -70,10 +73,29 @@ def test_validate_uses_one_medium_and_one_vacuum_solver(budget, monkeypatch):
     assert budget["assemble"] == 2
     assert budget["lu_factor"] == 1  # the vacuum operator is the identity
     assert [op.factored for op in budget["operators"]] == [[np.complex64], []]
-    assert max(budget["solve_columns"]) <= 3
-    # each source is solved once per solver, each identity evaluated once per medium
-    assert len(budget["solve_columns"]) <= 8
+    # one block of the five Green sources (15 columns), the two direct-route solves
+    # (1 column each) and the vacuum identity (3 columns); the total also catches a
+    # shell e-field solve (512 columns) coming back
+    assert len(budget["solve_columns"]) <= 4
+    assert sum(budget["solve_columns"]) <= 20
+    assert all(steps <= 3 for op in budget["operators"] for steps in op.refinements)
     assert len(identities) == 2
+
+
+def test_ldos_check_for_a_separated_pair_solves_once(budget, tmp_path, capsys):
+    scene = tmp_path / "cube.yaml"
+    scene.write_text(json.dumps(CUBE))
+    rc = cli_main(["ldos-check", "--scene", str(scene), "--omega", "1.0",
+                   "--point", "0.95,0.15,0.25", "--point2=-0.2,0.95,0.4"])
+    capsys.readouterr()
+    assert rc == 0
+    assert budget["solve_columns"] == [6]
+
+
+def test_dyson_residual_solves_both_sources_at_once(budget):
+    solver = scene_from_dict(CUBE).solver(1.0)
+    vie.dyson_residual(solver, None, 1.0, R_OUT, np.array([-0.2, 0.95, 0.4]), TOL)
+    assert budget["solve_columns"] == [6]
 
 
 def test_sweep_solves_one_green_column_set_per_frequency(budget, monkeypatch):

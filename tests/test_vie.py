@@ -170,14 +170,22 @@ def test_solve_follows_the_representation(cube_grid, cube_materials, monkeypatch
         MediumSolver(cube_grid, cube_materials, OMEGA, method="lu")
 
 
-def test_grid_fields_solved_once_per_source(cube_grid, cube_materials, monkeypatch):
+def counted_solves(monkeypatch):
+    """Columns of every solve_system call from here on."""
     import greenvox.vie as vie_mod
 
-    solver = MediumSolver(cube_grid, cube_materials, OMEGA)
     columns = []
     solve = vie_mod.solve_system
     monkeypatch.setattr(vie_mod, "solve_system",
                         lambda op, rhs, tol: columns.append(rhs.shape[1]) or solve(op, rhs, tol))
+    return columns
+
+
+def test_grid_fields_solved_once_per_source(cube_grid, cube_materials, monkeypatch):
+    import greenvox.vie as vie_mod
+
+    solver = MediumSolver(cube_grid, cube_materials, OMEGA)
+    columns = counted_solves(monkeypatch)
     X = solver.grid_fields(Y_OUT)
     assert solver.grid_fields(Y_OUT.copy()) is X
     solver.green(X_OUT, Y_OUT)
@@ -191,6 +199,51 @@ def test_grid_fields_solved_once_per_source(cube_grid, cube_materials, monkeypat
         solver.grid_fields(Y_OUT + k + 1.0)
     assert solver.grid_fields(Y_OUT) is not X
     assert len(columns) == vie_mod._FIELDS_KEPT + 2
+
+
+@pytest.mark.parametrize("method, rel", [("dense", 1e-13), ("gmres", 1e-10)])
+def test_batched_grid_fields_match_single_sources(cube_grid, cube_materials, method, rel,
+                                                  monkeypatch):
+    """A (P, 3) call solves its new sources, a duplicate once, in one block and returns
+    what P single-source solves return (to 1e-13 on LU, to tol on GMRES)."""
+    points = np.array([Y_OUT, X_OUT, cube_grid.centers[7], Y_OUT, X_OUT + 0.3])
+    reference = MediumSolver(cube_grid, cube_materials, OMEGA, method=method)
+    singles = [reference.solve(reference.source_columns(p)).reshape(cube_grid.n, 3, 3)
+               for p in points]
+    solver = MediumSolver(cube_grid, cube_materials, OMEGA, method=method)
+    columns = counted_solves(monkeypatch)
+    X = solver.grid_fields(points)
+    assert columns == [12]  # four distinct sources
+    assert X.shape == (len(points), cube_grid.n, 3, 3) and not X.flags.writeable
+    for Xp, single in zip(X, singles):
+        assert np.linalg.norm(Xp - single) <= rel * np.linalg.norm(single)
+    # memoised sources stay out of the block
+    again = solver.grid_fields(np.stack([X_OUT, Y_OUT - 0.3, cube_grid.centers[7]]))
+    assert columns == [12, 3]
+    np.testing.assert_array_equal(again[0], X[1])
+    np.testing.assert_array_equal(solver.grid_fields(Y_OUT), X[0])
+    assert columns == [12, 3]
+    with pytest.raises(ValueError, match="sources must be"):
+        solver.grid_fields(np.zeros(6))
+
+
+def test_grid_fields_batch_larger_than_the_memo(cube_grid, cube_materials, monkeypatch):
+    import greenvox.vie as vie_mod
+
+    points = Y_OUT + 0.1 * np.arange(vie_mod._FIELDS_KEPT + 2)[:, None]
+    reference = MediumSolver(cube_grid, cube_materials, OMEGA)
+    singles = [reference.solve(reference.source_columns(p)).reshape(cube_grid.n, 3, 3)
+               for p in points]
+    solver = MediumSolver(cube_grid, cube_materials, OMEGA)
+    columns = counted_solves(monkeypatch)
+    X = solver.grid_fields(points)
+    assert columns == [3 * len(points)]
+    for Xp, single in zip(X, singles):
+        assert np.linalg.norm(Xp - single) <= 1e-13 * np.linalg.norm(single)
+    solver.grid_fields(points[2:])  # the memo keeps the last eight
+    assert columns == [3 * len(points)]
+    solver.grid_fields(points[0])
+    assert columns == [3 * len(points), 3]
 
 
 def test_fft_gmres_above_dense_cap_keeps_identities():
