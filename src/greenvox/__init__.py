@@ -33,7 +33,7 @@ _EXPORTS = {
     "quadrature": ("SphereQuadrature", "make_shell_quadrature"),
     "scene": ("SceneConfig", "SceneError", "load_scene", "scene_to_dict"),
     "vie": ("DenseCapError", "InteractionOperator", "MediumSolver", "SolverError",
-            "assemble", "dyson_residual", "green_medium", "solve_system"),
+            "assemble", "dyson_residual", "solve_system"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("cli", "report", *_EXPORTS)

@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 from pathlib import Path
@@ -57,7 +58,15 @@ def _parse_range(text):
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors exit EXIT_CONFIG, since its own 2 is EXIT_VALIDATION."""
+    """ArgumentParser whose usage errors exit EXIT_CONFIG, since its own 2 is EXIT_VALIDATION.
+
+    A "-" before a digit starts a value, as in "--point2 -0.3,1.4,0.2", where
+    argparse itself takes a lone negative number only.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -202,7 +211,7 @@ def _cmd_modes(args) -> int:
     mode = PlaneWaveMode(k=tuple(args.omega * kdir),
                          sigma=+1 if args.sigma == "+" else -1, zeta=args.zeta)
     points = _read_points_csv(args.eval)
-    values = e_coefficient(cfg.solver(mode.omega), None, mode, points, cfg.solver_tol)
+    values = e_coefficient(cfg.solver(mode.omega), mode, points)
     lines = [f"# config_hash={cfg.config_hash}",
              "x,y,z,re_ex,im_ex,re_ey,im_ey,re_ez,im_ez"]
     for pt, v in zip(points, values):
@@ -281,8 +290,7 @@ def _cmd_ldos_check(args) -> int:
     x = np.asarray(args.point)
     y = np.asarray(args.point2) if args.point2 else x
     quad = make_shell_quadrature(args.omega, cfg.n_theta, cfg.n_phi)
-    ident = ldos_identity_residual(cfg.solver(args.omega), None, x, y, args.omega, quad,
-                                   cfg.solver_tol)
+    ident = ldos_identity_residual(cfg.solver(args.omega), x, y, quad)
     payload = {
         "config_hash": cfg.config_hash,
         "omega": args.omega,

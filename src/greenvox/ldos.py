@@ -24,6 +24,9 @@ Gamma_0 = w^3 |d|^2 / (3 pi), so vacuum gives exactly 1.
 The shell e coefficients need no solve: by reciprocity G(x, z_j) = X_j^T
 for the Green columns X already solved at x, and the Green route of e
 contracts them with every shell plane wave at once.
+
+Every function takes the MediumSolver of its frequency first (purcell
+also a grid); an emitter at another frequency raises ValueError.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from .green_free import plane_wave_table
 from .quadrature import SphereQuadrature, make_shell_quadrature  # noqa: F401 (re-export)
-from .vie import MediumSolver, SolverError, as_solver
+from .vie import MediumSolver, SolverError
 
 
 @dataclass(frozen=True)
@@ -68,15 +71,14 @@ def vacuum_decay_rate(omega: float, dipole) -> float:
     return omega**3 * float(d @ d) / (3.0 * np.pi)
 
 
-def im_green_at(grid, materials, x, omega: float, tol: float = 1e-10):
-    """Im G(x, x, omega): analytic free coincidence limit plus scattered part.
+def im_green_at(solver: MediumSolver, x):
+    """Im G(x, x) at solver.omega: analytic free coincidence limit plus scattered part.
 
     Im G(x, x) = (omega / 6 pi) I + Im sum_j dV G0(x, z_j) beta_j X_j(x)
     with X the solved columns for source x; real symmetric, PSD up to
     solver tolerance.  At a voxel center the self block of the
     evaluation row uses the equivalent-sphere value M/dV.
     """
-    solver = as_solver(grid, materials, omega, tol)
     x = np.asarray(x, dtype=float)
     scattered = solver.scattered_at(x, solver.grid_fields(x))
     out = (solver.omega / (6.0 * np.pi)) * np.eye(3) + scattered.imag
@@ -148,17 +150,15 @@ class LdosIdentityResult:
         return float(abs(d @ defect @ d)) / float(d @ d)
 
 
-def ldos_identity_residual(grid, materials, x, y, omega: float,
-                           quad: SphereQuadrature | None = None,
-                           tol: float = 1e-10) -> LdosIdentityResult:
-    """Residuals of the Green-tensor LDOS identity at the pair (x, y).
+def ldos_identity_residual(solver: MediumSolver, x, y,
+                           quad: SphereQuadrature | None = None) -> LdosIdentityResult:
+    """Residuals of the Green-tensor LDOS identity at the pair (x, y), at solver.omega.
 
     The kappa term is quadrature-limited; the absorption and m forms are
     algebraically identical (they agree to solver tolerance) because the
     on-shell medium sum collapses to the absorption integral through
     alpha_tilde^2 = 2 w Im eps / pi.
     """
-    solver = as_solver(grid, materials, omega, tol)
     quad = quad or make_shell_quadrature(solver.omega)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -166,7 +166,7 @@ def ldos_identity_residual(grid, materials, x, y, omega: float,
     coincident = np.array_equal(x, y)
 
     Xx, Xy = solver.grid_fields(np.stack([x, y]))  # one solve, of 3 columns if coincident
-    lhs = im_green_at(solver, None, x, w, tol) if coincident else solver.green(x, y).imag
+    lhs = im_green_at(solver, x) if coincident else solver.green(x, y).imag
 
     points, columns = ([x], [Xx]) if coincident else ([x, y], [Xx, Xy])
     e_xy, mode_w = _e_fields_on_shell(solver, quad, points, columns)
@@ -230,9 +230,8 @@ class DecayRates:
         )
 
 
-def gamma_decomposed(grid, materials, emitter: EmitterSpec,
-                     quad: SphereQuadrature | None = None,
-                     tol: float = 1e-10) -> DecayRates:
+def gamma_decomposed(solver: MediumSolver, emitter: EmitterSpec,
+                     quad: SphereQuadrature | None = None) -> DecayRates:
     """Decay-rate decomposition Gamma_e + Gamma_m with its compensation data.
 
     gamma_m follows the identity route (Im G minus the e-continuum term),
@@ -241,15 +240,22 @@ def gamma_decomposed(grid, materials, emitter: EmitterSpec,
     so |gamma_e + gamma_m_mu_route - gamma_via_im_green| is bounded by
     the contracted LDOS identity residual.
     """
-    solver = as_solver(grid, materials, emitter.omega, tol)
-    ident = ldos_identity_residual(solver, None, emitter.r, emitter.r, solver.omega,
-                                   quad, tol)
+    solver.check_frequency(emitter.omega, "emitter")
+    ident = ldos_identity_residual(solver, emitter.r, emitter.r, quad)
     return DecayRates.from_identity(ident, emitter)
 
 
 def purcell(grid, materials, emitter: EmitterSpec, tol: float = 1e-10) -> float:
-    """Purcell factor Gamma / Gamma_0 from the coincidence Im G; 1 in vacuum."""
-    img = im_green_at(grid, materials, emitter.r, emitter.omega, tol)
+    """Purcell factor Gamma / Gamma_0 from the coincidence Im G; 1 in vacuum.
+
+    grid is a VoxelGrid, solved with materials at emitter.omega to tol, or
+    a MediumSolver at that frequency.  This grid form stays because
+    perfbench's reference answer calls purcell(grid, materials, emitter, tol).
+    """
+    solver = (grid if isinstance(grid, MediumSolver)
+              else MediumSolver(grid, materials, emitter.omega, tol))
+    solver.check_frequency(emitter.omega, "emitter")
+    img = im_green_at(solver, emitter.r)
     d = emitter.d
     gamma = 2.0 * emitter.omega**2 * float(d @ img @ d)
     return gamma / vacuum_decay_rate(emitter.omega, d)
@@ -275,7 +281,7 @@ def purcell_sweep(solver_at, emitter_position, dipole, omegas,
                                   dipole=tuple(dipole))
             quad = make_shell_quadrature(float(w), n_theta, n_phi)
             solver = solver_at(float(w))
-            rates = gamma_decomposed(solver, None, emitter, quad, solver.tol)
+            rates = gamma_decomposed(solver, emitter, quad)
             rows.append({
                 "omega": float(w),
                 "purcell": rates.purcell,

@@ -16,7 +16,9 @@ tensor,
     m_mu(r)    = -alpha_tilde(x, nu) nu^2 G(r, x) n_j.
 
 Both routes are implemented; they agree to solver tolerance as an exact
-discrete identity, which the tests exploit.
+discrete identity, which the tests exploit.  Every function takes the
+MediumSolver of the mode's frequency first, and a mode at another
+frequency raises ValueError.
 
 The scattering eigenfunction components are exposed through their smooth
 parts only: v-components as pointwise values away from the on-shell
@@ -32,7 +34,7 @@ import numpy as np
 
 from .green_free import PlaneWaveMode, g0_from_displacements, phi_plane_wave
 from .permittivity import coupling_alpha_tilde
-from .vie import MediumSolver, as_solver
+from .vie import MediumSolver
 
 #: pointwise v-components are rejected closer to the shell than this
 NEAR_SINGULAR_FLOOR = 1e-6
@@ -93,8 +95,7 @@ def _alpha_at(solver: MediumSolver, index: int, nu: float) -> float:
         model = solver.materials[int(solver.grid.material_ids[index])]
         return float(coupling_alpha_tilde(model, nu))
     # without material models the solver only knows eps at its own frequency
-    if abs(nu - solver.omega) > 1e-12 * solver.omega:
-        raise ValueError("coupling at nu != solver frequency requires material models")
+    solver.check_frequency(nu, "coupling (no material models)")
     return float(np.sqrt(max(2.0 * nu / np.pi * solver.eps[index].imag, 0.0)))
 
 
@@ -104,8 +105,7 @@ def _alpha_at(solver: MediumSolver, index: int, nu: float) -> float:
 
 def e_grid_solution(solver: MediumSolver, mode: PlaneWaveMode):
     """On-grid e values from the direct Fredholm solve, (N, 3)."""
-    if abs(mode.omega - solver.omega) > 1e-12 * solver.omega:
-        raise ValueError("mode shell frequency must match the solver frequency")
+    solver.check_frequency(mode.omega, "mode shell")
     rhs = (mode.omega * phi_plane_wave(mode, solver.grid.centers)).reshape(solver.op.n3)
     return solver.solve(rhs.astype(complex)).reshape(solver.grid.n, 3)
 
@@ -124,21 +124,20 @@ def e_evaluate(solver: MediumSolver, mode: PlaneWaveMode, e_grid, points):
     return out
 
 
-def e_coefficient(grid, materials, mode: PlaneWaveMode, points, tol: float = 1e-10):
+def e_coefficient(solver: MediumSolver, mode: PlaneWaveMode, points):
     """Electromagnetic field coefficient e_kappa at the requested points, (P, 3)."""
-    solver = as_solver(grid, materials, mode.omega, tol)
     eg = e_grid_solution(solver, mode)
     return e_evaluate(solver, mode, eg, points)
 
 
-def e_coefficient_via_green(grid, materials, mode: PlaneWaveMode, points, tol: float = 1e-10):
+def e_coefficient_via_green(solver: MediumSolver, mode: PlaneWaveMode, points):
     """e_kappa through the medium Green tensor (route-equivalence partner).
 
     e(r) = omega Phi(r) + sum_i dV G(r, z_i) beta_i omega Phi(z_i), with
     G(r, z_i) taken via reciprocity from the Green columns of source r,
     solved for all points at once.
     """
-    solver = as_solver(grid, materials, mode.omega, tol)
+    solver.check_frequency(mode.omega, "mode shell")
     w = mode.omega
     phi_v = w * phi_plane_wave(mode, solver.grid.centers)          # (N, 3)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -152,15 +151,14 @@ def e_coefficient_via_green(grid, materials, mode: PlaneWaveMode, points, tol: f
 # m coefficients
 # ----------------------------------------------------------------------
 
-def m_coefficient(grid, materials, mode: MedModeIndex, points, tol: float = 1e-10,
-                  route: str = "green"):
+def m_coefficient(solver: MediumSolver, mode: MedModeIndex, points, route: str = "green"):
     """Medium field coefficient m_mu at the requested points, (P, 3).
 
     route "green" evaluates -alpha_tilde nu^2 G(r, x) n_j from the medium
     Green tensor; route "direct" solves the m Fredholm equation with its
     own inhomogeneity.  The two agree to solver tolerance.
     """
-    solver = as_solver(grid, materials, mode.nu, tol)
+    solver.check_frequency(mode.nu, "medium mode")
     idx = solver.grid.index_of(mode.x_point)
     if idx is None:
         raise ValueError("medium mode position must be a voxel center of the grid")
@@ -208,14 +206,12 @@ def _check_off_shell(nup: float, w: float):
             "in the identities, not pointwise values")
 
 
-def v_component_e(grid, materials, mode: PlaneWaveMode, xp, nup: float,
-                  tol: float = 1e-10):
+def v_component_e(solver: MediumSolver, mode: PlaneWaveMode, xp, nup: float):
     """Medium component of the electromagnetic eigenfunction.
 
     v^e_kappa(x', nu') = -alpha_tilde(x', nu') e_kappa(x') / (nu'^2 - w^2),
     valid away from the shell nu' = w.
     """
-    solver = as_solver(grid, materials, mode.omega, tol)
     _check_off_shell(nup, mode.omega)
     idx = solver.grid.index_of(np.asarray(xp, dtype=float))
     if idx is None:
@@ -225,15 +221,13 @@ def v_component_e(grid, materials, mode: PlaneWaveMode, xp, nup: float,
     return -alpha * e_here / (nup**2 - mode.omega**2)
 
 
-def u_numerator_e(grid, materials, mode: PlaneWaveMode, probe: PlaneWaveMode,
-                  tol: float = 1e-10) -> complex:
+def u_numerator_e(solver: MediumSolver, mode: PlaneWaveMode, probe: PlaneWaveMode) -> complex:
     """Smooth numerator of u^e: N(kappa, kappa') = int_V w' Phi_kappa' . e^v_kappa.
 
     e^v = -(eps - 1) e_kappa; the delta(kappa - kappa') part of u^e is
     symbolic and not included.  Note the primed frequency and mode in the
     integrand.
     """
-    solver = as_solver(grid, materials, mode.omega, tol)
     eg = e_grid_solution(solver, mode)
     phi_probe = phi_plane_wave(probe, solver.grid.centers)
     ev = -(solver.eps - 1.0)[:, None] * eg
@@ -249,15 +243,14 @@ class VComponentM:
     smooth: tuple[complex, complex, complex] | None
 
 
-def v_component_m(grid, materials, mode: MedModeIndex, xp, nup: float,
-                  tol: float = 1e-10) -> VComponentM:
+def v_component_m(solver: MediumSolver, mode: MedModeIndex, xp, nup: float) -> VComponentM:
     """Medium component of the medium eigenfunction.
 
     v^m_mu(x', nu') = n_j delta(x - x') delta(nu - nu')
                       - alpha_tilde(x', nu') m_mu(x') / (nu'^2 - nu^2);
     the delta part is reported as a flag, the smooth part pointwise.
     """
-    solver = as_solver(grid, materials, mode.nu, tol)
+    solver.check_frequency(mode.nu, "medium mode")
     xp = np.asarray(xp, dtype=float)
     delta_present = bool(np.array_equal(xp, mode.x_point) and nup == mode.nu)
     if abs(nup**2 - mode.nu**2) < NEAR_SINGULAR_FLOOR * mode.nu**2:
@@ -266,25 +259,20 @@ def v_component_m(grid, materials, mode: MedModeIndex, xp, nup: float,
     if idx is None:
         raise ValueError("x' must be a voxel center")
     alpha = _alpha_at(solver, idx, nup)
-    m_here = m_coefficient(solver, None, mode, xp, tol)[0]
+    m_here = m_coefficient(solver, mode, xp)[0]
     smooth = -alpha * m_here / (nup**2 - mode.nu**2)
     return VComponentM(delta_present=delta_present, smooth=tuple(smooth))
 
 
-def u_numerator_m(grid, materials, mode: MedModeIndex, probe: PlaneWaveMode,
-                  tol: float = 1e-10) -> complex:
+def u_numerator_m(solver: MediumSolver, mode: MedModeIndex, probe: PlaneWaveMode) -> complex:
     """Smooth numerator of u^m: int w' Phi_kappa' . m^v_mu over all space.
 
     m^v = alpha_tilde(x, nu) delta(r - x) n_j - (eps - 1) m_mu, so the
     point term contributes alpha_tilde Phi_kappa'(x) . n_j and the rest a
     voxel sum over the body.
     """
-    solver = as_solver(grid, materials, mode.nu, tol)
-    idx = solver.grid.index_of(mode.x_point)
-    if idx is None:
-        raise ValueError("medium mode position must be a voxel center")
-    alpha = _alpha_at(solver, idx, mode.nu)
-    m_grid = m_coefficient(solver, None, mode, solver.grid.centers, tol)
+    m_grid = m_coefficient(solver, mode, solver.grid.centers)  # checks nu and x first
+    alpha = _alpha_at(solver, solver.grid.index_of(mode.x_point), mode.nu)
     phi_probe = phi_plane_wave(probe, solver.grid.centers)
     point_term = alpha * float(phi_plane_wave(probe, mode.x_point) @ mode.direction)
     volume_term = solver.grid.voxel_volume * np.sum(
@@ -308,18 +296,16 @@ class NoiseCurrentAmplitude:
     pairing: str = NOISE_CURRENT_PAIRING
 
 
-def noise_current_amplitude(grid, materials, x, nu: float,
-                            tol: float = 1e-10) -> NoiseCurrentAmplitude:
-    """Amplitude -i nu sqrt(Im eps(x, nu) / pi) of the noise current.
+def noise_current_amplitude(solver: MediumSolver, x) -> NoiseCurrentAmplitude:
+    """Amplitude -i nu sqrt(Im eps(x, nu) / pi) of the noise current at nu = solver.omega.
 
     Uses Im eps (not eps) under the root so the current route of the
     medium field reproduces the m-coefficient route exactly through
     alpha_tilde = sqrt(2 nu Im eps / pi); natural units absorb the
     sqrt(hbar / (pi eps0)) and 1/c^2 factors.
     """
-    solver = as_solver(grid, materials, nu, tol)
     idx = solver.grid.index_of(np.asarray(x, dtype=float))
     if idx is None:
         raise ValueError("x must be a voxel center")
     im_eps = solver.eps[idx].imag
-    return NoiseCurrentAmplitude(amplitude=-1j * nu * np.sqrt(max(im_eps, 0.0) / np.pi))
+    return NoiseCurrentAmplitude(amplitude=-1j * solver.omega * np.sqrt(max(im_eps, 0.0) / np.pi))

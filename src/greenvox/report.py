@@ -131,7 +131,6 @@ def run_validation(cfg: SceneConfig) -> RunReport:
     grid = cfg.grid
     probes = _validate_defaults(cfg, grid)
     omega = probes["omega"]
-    tol = cfg.solver_tol
     quad = make_shell_quadrature(omega, cfg.n_theta, cfg.n_phi)
     checks = report.checks
 
@@ -169,7 +168,7 @@ def run_validation(cfg: SceneConfig) -> RunReport:
     solver.grid_fields(np.stack([y0, x0, grid.centers[0], mu.x_point, emitter.r]))
 
     # Dyson permutation identity and reciprocity
-    dy = dyson_residual(solver, None, omega, x0, y0, tol)
+    dy = dyson_residual(solver, x0, y0)
     Gxy = solver.green(x0, y0)
     Gyx = solver.green(y0, x0)
     gnorm = float(np.linalg.norm(Gxy))
@@ -182,15 +181,15 @@ def run_validation(cfg: SceneConfig) -> RunReport:
         value=rec, threshold=THRESHOLDS["reciprocity"]))
 
     # route equivalence for e and m
-    e_direct = e_coefficient(solver, None, mode, pts, tol)
-    e_green = e_coefficient_via_green(solver, None, mode, pts, tol)
+    e_direct = e_coefficient(solver, mode, pts)
+    e_green = e_coefficient_via_green(solver, mode, pts)
     rel_e = float(np.linalg.norm(e_direct - e_green) / np.linalg.norm(e_direct))
     checks.append(CheckResult(
         name="route_equivalence_e", passed=rel_e <= THRESHOLDS["route_equivalence_e"],
         value=rel_e, threshold=THRESHOLDS["route_equivalence_e"]))
 
-    m_green_route = m_coefficient(solver, None, mu, pts, tol, route="green")
-    m_direct_route = m_coefficient(solver, None, mu, pts, tol, route="direct")
+    m_green_route = m_coefficient(solver, mu, pts, route="green")
+    m_direct_route = m_coefficient(solver, mu, pts, route="direct")
     scale_m = float(np.linalg.norm(m_green_route))
     rel_m = (float(np.linalg.norm(m_green_route - m_direct_route)) / scale_m
              if scale_m > 0 else 0.0)
@@ -199,7 +198,7 @@ def run_validation(cfg: SceneConfig) -> RunReport:
         value=rel_m, threshold=THRESHOLDS["route_equivalence_m"]))
 
     # LDOS identity, both forms, at the emitter
-    ident = ldos_identity_residual(solver, None, emitter.r, emitter.r, omega, quad, tol)
+    ident = ldos_identity_residual(solver, emitter.r, emitter.r, quad)
     checks.append(CheckResult(
         name="ldos_identity_absorption",
         passed=ident.relative_absorption <= THRESHOLDS["ldos_identity_absorption"],
@@ -230,12 +229,12 @@ def run_validation(cfg: SceneConfig) -> RunReport:
 
     # vacuum closure on the same grid with the coupling removed: with beta = 0
     # the operator is the identity whatever the solve policy
-    vac_solver = MediumSolver(grid, np.zeros(grid.n), omega, tol)
-    p_vac = purcell(vac_solver, None, emitter, tol)
+    vac_solver = MediumSolver(grid, np.zeros(grid.n), omega, cfg.solver_tol)
+    p_vac = purcell(vac_solver, None, emitter)
     checks.append(CheckResult(
         name="vacuum_purcell", passed=abs(p_vac - 1.0) <= THRESHOLDS["vacuum_purcell"],
         value=abs(p_vac - 1.0), threshold=THRESHOLDS["vacuum_purcell"]))
-    vac_rates = gamma_decomposed(vac_solver, None, emitter, quad, tol)
+    vac_rates = gamma_decomposed(vac_solver, emitter, quad)
     g0_exact = vacuum_decay_rate(emitter.omega, emitter.d)
     vac_gap = abs(vac_rates.gamma_e - g0_exact) / g0_exact
     checks.append(CheckResult(

@@ -39,6 +39,10 @@ one axis at a time over the lines that can be nonzero, and the inverse
 keeps only the body box after each axis.  MediumSolver picks the
 representation and the solve follows it.  With beta = 0 the operator is
 the identity and nothing is assembled or solved.
+
+One MediumSolver per frequency is the medium: it is the first argument
+of every function that evaluates the Green tensor, here and in ldos and
+modes, which work at solver.omega and take no materials or tolerance.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from .geometry import VoxelGrid, eps_on_grid
 from .green_free import g0_closed, g0_from_displacements, self_term_scalar
 
 
-#: solved sources a MediumSolver keeps, oldest dropped first (validate revisits five)
+#: solved sources a MediumSolver keeps, least recently used dropped first (validate revisits five)
 _FIELDS_KEPT = 8
 
 #: refinement steps on one set of LU factors before giving up on them (zcgesv's ITERMAX)
@@ -375,15 +379,17 @@ class MediumSolver:
         giving (P, N, 3, 3).  Every source not yet memoised is solved,
         a duplicate once, in one solve of 3P right-hand sides, so each
         refinement step reads the factors and the kernel once for all of
-        them.  The last eight sources are memoised, oldest dropped first,
-        so a revisited source is not re-solved.
+        them.  The eight sources used last are memoised, the least recently
+        used dropped first, so a revisited source is not re-solved and a
+        block never drops one of its own sources to make room (up to eight).
         """
         pts = np.asarray(sources, dtype=float)
         if pts.ndim not in (1, 2) or pts.shape[-1] != 3:
             raise ValueError(f"sources must be (3,) or (P, 3), got shape {pts.shape}")
         rows = pts.reshape(-1, 3)
         keys = [p.tobytes() for p in rows]
-        fields = {key: self._fields[key] for key in keys if key in self._fields}
+        fields = {key: self._fields.pop(key) for key in keys if key in self._fields}
+        self._fields.update(fields)  # a hit becomes the most recent
         new = {key: p for key, p in zip(keys, rows) if key not in fields}
         if new:
             rhs = np.hstack([self.source_columns(p) for p in new.values()])
@@ -408,48 +414,39 @@ class MediumSolver:
             "j,jab,jbm->am", self.beta, blocks, V)
         return out
 
-    def green(self, x, y, grid_values=None):
+    def check_frequency(self, omega: float, what: str):
+        """Raise ValueError unless omega is this solver's frequency (to 1e-12 relative)."""
+        if abs(omega - self.omega) > 1e-12 * self.omega:
+            raise ValueError(f"{what} frequency {omega!r} differs from the solver "
+                             f"frequency {self.omega!r}")
+
+    def green(self, x, y):
         """Medium Green tensor G(x, y) via solve-then-evaluate."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if np.array_equal(x, y):
             raise ValueError("coincident arguments: use im_green_at for Im G(x, x)")
-        if grid_values is None:
-            grid_values = self.grid_fields(y)
+        Xy = self.grid_fields(y)
         ix = self.grid.index_of(x)
         if ix is not None:
-            return np.asarray(grid_values).reshape(self.grid.n, 3, 3)[ix].copy()
-        return g0_closed(x, y, self.omega) + self.scattered_at(x, grid_values)
+            return Xy[ix].copy()
+        return g0_closed(x, y, self.omega) + self.scattered_at(x, Xy)
 
 
-def as_solver(grid, materials, omega: float, tol: float = 1e-10) -> MediumSolver:
-    """The solver passed in place of the grid (its own omega applies), else a new one."""
-    if isinstance(grid, MediumSolver):
-        return grid
-    return MediumSolver(grid, materials, omega, tol)
-
-
-def green_medium(grid: VoxelGrid, materials, omega: float, x, y, tol: float = 1e-10):
-    """Medium dyadic Green tensor G(x, y, omega) for a one-off evaluation."""
-    return MediumSolver(grid, materials, omega, tol).green(x, y)
-
-
-def dyson_residual(grid, materials, omega: float, x, y, tol: float = 1e-10) -> float:
+def dyson_residual(solver: MediumSolver, x, y) -> float:
     """Defect of the permutation identity int beta G0 G = int beta G G0 = G - G0.
 
     Exact in the discrete algebra, so the returned max Frobenius defect
     is bounded by solver tolerance, independent of voxel resolution.
     """
-    ms = as_solver(grid, materials, omega, tol)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    Xy, Xx = ms.grid_fields(np.stack([y, x]))
-    G = ms.green(x, y, Xy)
-    diff = G - g0_closed(x, y, ms.omega)
+    Xy, Xx = solver.grid_fields(np.stack([y, x]))
+    diff = solver.green(x, y) - g0_closed(x, y, solver.omega)
     # int beta G0(x,z) G(z,y): the evaluation route itself
-    i1 = ms.scattered_at(x, Xy)
+    i1 = solver.scattered_at(x, Xy)
     # int beta G(x,z) G0(z,y): G(x,z) = X(x)_z^T by reciprocity
-    g0_zy = g0_from_displacements(ms.grid.centers - y, ms.omega)
-    i2 = ms.grid.voxel_volume * np.einsum(
-        "j,jba,jbc->ac", ms.beta, Xx, g0_zy)
+    g0_zy = g0_from_displacements(solver.grid.centers - y, solver.omega)
+    i2 = solver.grid.voxel_volume * np.einsum(
+        "j,jba,jbc->ac", solver.beta, Xx, g0_zy)
     return float(max(np.linalg.norm(diff - i1), np.linalg.norm(diff - i2)))

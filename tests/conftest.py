@@ -63,5 +63,10 @@ def cube_solver(cube_grid, cube_materials):
 
 
 @pytest.fixture(scope="session")
+def vacuum_solver(cube_grid, vacuum_materials):
+    return MediumSolver(cube_grid, vacuum_materials, OMEGA, tol=1e-10)
+
+
+@pytest.fixture(scope="session")
 def sphere_solver(sphere_grid, drude_materials):
     return MediumSolver(sphere_grid, drude_materials, OMEGA, tol=1e-10)

@@ -75,7 +75,7 @@ def test_criterion_2_kramers_kronig():
 
 def test_criterion_3_dyson_and_reciprocity(cube_grid, cube_materials, cube_solver):
     with criterion(3, "discrete Dyson permutation identity + reciprocity", 10.0):
-        res = dyson_residual(cube_grid, cube_materials, OMEGA, X_OUT, Y_OUT, TOL)
+        res = dyson_residual(MediumSolver(cube_grid, cube_materials, OMEGA, TOL), X_OUT, Y_OUT)
         assert res <= 1e-8
         Gxy = cube_solver.green(X_OUT, Y_OUT)
         Gyx = cube_solver.green(Y_OUT, X_OUT)
@@ -87,12 +87,12 @@ def test_criterion_4_route_equivalence(cube_solver):
         kdir = np.array([0.48, 0.36, 0.8])
         mode = PlaneWaveMode(k=tuple(OMEGA * kdir), sigma=+1, zeta="c")
         pts = np.vstack([X_OUT, cube_solver.grid.centers[17]])
-        e_a = e_coefficient(cube_solver, None, mode, pts, TOL)
-        e_b = e_coefficient_via_green(cube_solver, None, mode, pts, TOL)
+        e_a = e_coefficient(cube_solver, mode, pts)
+        e_b = e_coefficient_via_green(cube_solver, mode, pts)
         assert np.linalg.norm(e_a - e_b) <= 1e-8
         mu = MedModeIndex(x=tuple(cube_solver.grid.centers[30]), nu=OMEGA, j=3)
-        m_a = m_coefficient(cube_solver, None, mu, pts, TOL, route="green")
-        m_b = m_coefficient(cube_solver, None, mu, pts, TOL, route="direct")
+        m_a = m_coefficient(cube_solver, mu, pts, route="green")
+        m_b = m_coefficient(cube_solver, mu, pts, route="direct")
         assert np.linalg.norm(m_a - m_b) <= 1e-8
 
 
@@ -103,14 +103,14 @@ def test_criterion_5_ldos_identity_drude_sphere(sphere_grid, sphere_solver):
         residuals = []
         for nt, nphi in ((2, 4), (4, 8), (8, 16)):
             quad = make_shell_quadrature(OMEGA, nt, nphi)
-            ident = ldos_identity_residual(sphere_solver, None, x, x, OMEGA, quad, TOL)
+            ident = ldos_identity_residual(sphere_solver, x, x, quad)
             residuals.append(ident.relative_absorption)
         # default quadrature meets the bound; refinement decreases the residual
         assert residuals[2] < 1e-2
         assert residuals[1] < residuals[0]
         assert residuals[2] <= residuals[1] * 1.05  # saturation at the self-term floor
         quad = make_shell_quadrature(OMEGA, 8, 16)
-        ident = ldos_identity_residual(sphere_solver, None, x, x, OMEGA, quad, TOL)
+        ident = ldos_identity_residual(sphere_solver, x, x, quad)
         assert ident.relative_m < 1e-2
         assert ident.forms_gap <= 1e-8 * ident.scale
 
@@ -120,10 +120,10 @@ def test_criterion_6_compensation(sphere_grid, sphere_solver):
         quad = make_shell_quadrature(OMEGA, 8, 16)
         inside = sphere_grid.centers[sphere_grid.index_of(np.zeros(3))]
         for r in (np.array([1.25, 0.0, 0.0]), inside):
-            rates = gamma_decomposed(sphere_solver, None,
+            rates = gamma_decomposed(sphere_solver,
                                      EmitterSpec(position=tuple(r), omega=OMEGA,
                                                  dipole=(0.3, -0.5, 0.8)),
-                                     quad, TOL)
+                                     quad)
             exact_rel = abs(rates.gamma_total - rates.gamma_via_im_green) \
                 / rates.gamma_via_im_green
             mu_rel = abs(rates.gamma_e + rates.gamma_m_mu_route
@@ -132,12 +132,12 @@ def test_criterion_6_compensation(sphere_grid, sphere_solver):
             assert mu_rel <= 2.0 * rates.contracted_residual + 1e-14
 
 
-def test_criterion_7_vacuum_closure(cube_grid, vacuum_materials):
+def test_criterion_7_vacuum_closure(cube_grid, vacuum_materials, vacuum_solver):
     with criterion(7, "vacuum closure: Purcell 1 exactly, gamma_e -> Gamma_0", 10.0):
         em = EmitterSpec(position=(0.9, 0.1, 0.3), omega=OMEGA, dipole=(0.2, 0.5, -0.8))
         assert abs(purcell(cube_grid, vacuum_materials, em, TOL) - 1.0) <= 1e-10
         quad = make_shell_quadrature(OMEGA, 8, 16)
-        rates = gamma_decomposed(cube_grid, vacuum_materials, em, quad, TOL)
+        rates = gamma_decomposed(vacuum_solver, em, quad)
         g0 = vacuum_decay_rate(OMEGA, em.d)
         assert abs(rates.gamma_e - g0) <= 1e-3 * g0
         assert abs(rates.gamma_m) <= 1e-12 * g0
@@ -154,11 +154,11 @@ def test_criterion_8_uncoupling_limit(cube_grid):
             solver = MediumSolver(cube_grid, mats, OMEGA, TOL)
             G = solver.green(X_OUT, Y_OUT)
             g_norm.append(np.linalg.norm(G - g0_closed(X_OUT, Y_OUT, OMEGA)))
-            e_vals = e_coefficient(solver, None, mode, cube_grid.centers, TOL)
+            e_vals = e_coefficient(solver, mode, cube_grid.centers)
             free = OMEGA * phi_plane_wave(mode, cube_grid.centers)
             e_norm.append(np.linalg.norm(e_vals - free))
             mu = MedModeIndex(x=tuple(cube_grid.centers[30]), nu=OMEGA, j=3)
-            m_val = m_coefficient(solver, None, mu, X_OUT, TOL)
+            m_val = m_coefficient(solver, mu, X_OUT)
             # the medium sector enters every observable quadratically; its
             # weight |m|^2 is the contrast-linear quantity (|m| itself
             # scales as sqrt(s))
@@ -171,8 +171,7 @@ def test_criterion_8_uncoupling_limit(cube_grid):
 def test_criterion_9_sommerfeld_for_medium_green(sphere_solver):
     with criterion(9, "Sommerfeld residual decay of the medium Green tensor", 60.0):
         src = np.array([1.1, 0.2, 0.1])
-        X = sphere_solver.grid_fields(src)
-        green_fn = lambda r, s, w: sphere_solver.green(r, src, X)
+        green_fn = lambda r, s, w: sphere_solver.green(r, src)
         direction = np.array([1.0, 0.3, 0.2])
         direction /= np.linalg.norm(direction)
         near = sommerfeld_residual(10.0 / OMEGA * direction, src, OMEGA,

@@ -1,0 +1,48 @@
+"""What perfbench relies on in the package, checked without importing perfbench's runner.
+
+perfbench records spans by replacing module globals and class attributes
+listed in perfbench/spans.py, and computes its sweep reference with
+ldos.purcell in the grid form.  Both break silently when a name moves,
+so the package's own suite checks them here.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from greenvox.ldos import DecayRates, EmitterSpec, ldos_identity_residual, purcell
+from conftest import OMEGA
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def patch_points():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PATCH_POINTS
+
+
+def test_every_patch_point_resolves():
+    """Each entry is bound where it is listed, looked up as the tracer does."""
+    missing = []
+    for module_name, attr, span in patch_points():
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            owner = getattr(owner, cls_name)
+        if not callable(vars(owner).get(attr)):
+            missing.append((module_name, attr, span))
+    assert missing == []
+
+
+def test_purcell_reference_call_matches_the_identity_route(sphere_grid, drude_materials,
+                                                           sphere_solver):
+    """purcell(grid, materials, emitter, tol), positionally, as the sweep reference calls it."""
+    emitter = EmitterSpec(position=(1.25, 0.07, 0.11), omega=OMEGA, dipole=(0.0, 0.0, 1.0))
+    reference = purcell(sphere_grid, drude_materials, emitter, 1e-10)
+    ident = ldos_identity_residual(sphere_solver, emitter.r, emitter.r)
+    assert reference == pytest.approx(DecayRates.from_identity(ident, emitter).purcell,
+                                      rel=1e-12)

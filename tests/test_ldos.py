@@ -25,14 +25,14 @@ def test_emitter_invariants():
         EmitterSpec(position=(0, 0, 0), omega=1.0, dipole=(0, 0, 0))
 
 
-def test_im_green_vacuum_coincidence(cube_grid, vacuum_materials):
-    img = im_green_at(cube_grid, vacuum_materials, R_OUT, OMEGA, TOL)
+def test_im_green_vacuum_coincidence(vacuum_solver):
+    img = im_green_at(vacuum_solver, R_OUT)
     assert np.array_equal(img, OMEGA / (6 * np.pi) * np.eye(3))
 
 
 def test_im_green_symmetric_and_psd(cube_solver):
     for x in (R_OUT, cube_solver.grid.centers[21]):
-        img = im_green_at(cube_solver, None, x, OMEGA, TOL)
+        img = im_green_at(cube_solver, x)
         assert np.linalg.norm(img - img.T) <= 1e-12 * np.linalg.norm(img)
         assert np.linalg.eigvalsh(img).min() >= -1e-10 * np.linalg.norm(img)
 
@@ -45,14 +45,13 @@ def test_im_green_psd_random_scenes():
         mats = {1: scaled_contrast(LORENTZ, rng.uniform(0.3, 1.5))}
         x = rng.uniform(-0.3, 0.3, 3)
         w = rng.uniform(0.6, 1.6)
-        img = im_green_at(grid, mats, x, w, TOL)
+        img = im_green_at(MediumSolver(grid, mats, w, TOL), x)
         assert np.linalg.eigvalsh(img).min() >= -1e-10 * np.linalg.norm(img)
 
 
-def test_ldos_identity_vacuum_is_quadrature_floor(cube_grid, vacuum_materials):
+def test_ldos_identity_vacuum_is_quadrature_floor(vacuum_solver):
     quad = make_shell_quadrature(OMEGA, 8, 16)
-    ident = ldos_identity_residual(cube_grid, vacuum_materials, R_OUT, R_OUT,
-                                   OMEGA, quad, TOL)
+    ident = ldos_identity_residual(vacuum_solver, R_OUT, R_OUT, quad)
     assert np.array_equal(ident.absorption_term, np.zeros((3, 3)))
     # kappa term reduces to the free spectral sum; coincidence is exact for
     # the polynomial integrand, so only roundoff remains
@@ -61,7 +60,7 @@ def test_ldos_identity_vacuum_is_quadrature_floor(cube_grid, vacuum_materials):
 
 def test_ldos_identity_cube(cube_solver):
     quad = make_shell_quadrature(OMEGA, 8, 16)
-    ident = ldos_identity_residual(cube_solver, None, R_OUT, R_OUT, OMEGA, quad, TOL)
+    ident = ldos_identity_residual(cube_solver, R_OUT, R_OUT, quad)
     assert ident.relative_absorption < 1e-2
     assert ident.relative_m < 1e-2
     assert ident.forms_gap <= 1e-8 * ident.scale
@@ -70,7 +69,7 @@ def test_ldos_identity_cube(cube_solver):
 def test_ldos_identity_separated_pair(cube_solver):
     quad = make_shell_quadrature(OMEGA, 8, 16)
     y = np.array([-0.3, 1.05, 0.2])
-    ident = ldos_identity_residual(cube_solver, None, R_OUT, y, OMEGA, quad, TOL)
+    ident = ldos_identity_residual(cube_solver, R_OUT, y, quad)
     assert ident.relative_absorption < 1e-2
     assert ident.forms_gap <= 1e-8 * ident.scale
 
@@ -79,8 +78,7 @@ def test_ldos_identity_refinement_decreases(cube_solver):
     res_abs, res_m = [], []
     for nt, nphi in ((2, 4), (4, 8), (8, 16)):
         quad = make_shell_quadrature(OMEGA, nt, nphi)
-        ident = ldos_identity_residual(cube_solver, None, R_OUT, R_OUT, OMEGA,
-                                       quad, TOL)
+        ident = ldos_identity_residual(cube_solver, R_OUT, R_OUT, quad)
         res_abs.append(ident.relative_absorption)
         res_m.append(ident.relative_m)
     floor = 1e-6  # self-term diagonal saturation
@@ -90,10 +88,10 @@ def test_ldos_identity_refinement_decreases(cube_solver):
         assert res[2] < res[1] / 4 or res[2] < floor or res[1] < floor
 
 
-def test_gamma_vacuum_closure(cube_grid, vacuum_materials):
+def test_gamma_vacuum_closure(vacuum_solver):
     quad = make_shell_quadrature(OMEGA, 8, 16)
     em = emitter_at(R_OUT)
-    rates = gamma_decomposed(cube_grid, vacuum_materials, em, quad, TOL)
+    rates = gamma_decomposed(vacuum_solver, em, quad)
     g0 = vacuum_decay_rate(OMEGA, DIPOLE)
     assert rates.gamma_via_im_green == pytest.approx(g0, rel=1e-14)
     assert rates.gamma_e == pytest.approx(g0, rel=1e-3)   # quadrature-exact here
@@ -104,7 +102,7 @@ def test_gamma_vacuum_closure(cube_grid, vacuum_materials):
 def test_gamma_compensation_bounds(cube_solver):
     quad = make_shell_quadrature(OMEGA, 8, 16)
     for r in (R_OUT, cube_solver.grid.centers[21]):
-        rates = gamma_decomposed(cube_solver, None, emitter_at(r), quad, TOL)
+        rates = gamma_decomposed(cube_solver, emitter_at(r), quad)
         exact_gap = abs(rates.gamma_total - rates.gamma_via_im_green)
         assert exact_gap <= 1e-12 * rates.gamma_via_im_green
         mu_gap = (abs(rates.gamma_e + rates.gamma_m_mu_route - rates.gamma_via_im_green)
@@ -117,9 +115,9 @@ def test_gamma_rotation_covariance(cube_grid, cube_materials):
     emitter and dipole along leaves every rate invariant."""
     Rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
     quad = make_shell_quadrature(OMEGA, 8, 16)
-    base = gamma_decomposed(cube_grid, cube_materials, emitter_at(R_OUT), quad, TOL)
-    rot = gamma_decomposed(cube_grid, cube_materials,
-                           emitter_at(Rz @ R_OUT, d=Rz @ DIPOLE), quad, TOL)
+    solver = MediumSolver(cube_grid, cube_materials, OMEGA, TOL)
+    base = gamma_decomposed(solver, emitter_at(R_OUT), quad)
+    rot = gamma_decomposed(solver, emitter_at(Rz @ R_OUT, d=Rz @ DIPOLE), quad)
     for name in ("gamma_e", "gamma_m", "gamma_total", "gamma_via_im_green", "purcell"):
         a, b = getattr(base, name), getattr(rot, name)
         assert abs(a - b) <= 1e-10 * max(abs(a), abs(b))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from greenvox import (FieldCoefficientSample, MedModeIndex,
+from greenvox import (FieldCoefficientSample, MedModeIndex, MediumSolver,
                       NearSingularError, PlaneWaveMode, coupling_alpha_tilde,
                       e_coefficient, e_coefficient_via_green, eval_eps, fd_curl_curl,
                       m_coefficient, noise_current_amplitude, phi_plane_wave,
@@ -24,9 +24,9 @@ def med_mode(grid, nu=OMEGA, j=3, which=0):
 # e coefficients
 # ----------------------------------------------------------------------
 
-def test_e_vacuum_is_free_mode(cube_grid, vacuum_materials):
+def test_e_vacuum_is_free_mode(cube_grid, vacuum_solver):
     pts = np.vstack([X_OUT, cube_grid.centers[5], [0.05, -0.3, 0.6]])
-    vals = e_coefficient(cube_grid, vacuum_materials, MODE, pts, TOL)
+    vals = e_coefficient(vacuum_solver, MODE, pts)
     expected = OMEGA * phi_plane_wave(MODE, pts)
     assert np.allclose(vals, expected, atol=1e-14)
     # transversality is exact in the uncoupled case
@@ -35,8 +35,8 @@ def test_e_vacuum_is_free_mode(cube_grid, vacuum_materials):
 
 def test_e_route_equivalence(cube_solver):
     pts = np.vstack([X_OUT, cube_solver.grid.centers[17]])
-    direct = e_coefficient(cube_solver, None, MODE, pts, TOL)
-    via_green = e_coefficient_via_green(cube_solver, None, MODE, pts, TOL)
+    direct = e_coefficient(cube_solver, MODE, pts)
+    via_green = e_coefficient_via_green(cube_solver, MODE, pts)
     assert np.linalg.norm(direct - via_green) <= 10 * TOL * np.linalg.norm(direct)
 
 
@@ -52,7 +52,7 @@ def test_e_exterior_helmholtz_residual(cube_solver):
 
 def test_e_absorbed_power_positive(cube_solver):
     """Im eps > 0 forces Im e inside V and positive absorbed power."""
-    eg = e_coefficient(cube_solver, None, MODE, cube_solver.grid.centers, TOL)
+    eg = e_coefficient(cube_solver, MODE, cube_solver.grid.centers)
     assert np.max(np.abs(eg.imag)) > 0.0
     power = np.sum(cube_solver.beta.imag * np.sum(np.abs(eg) ** 2, axis=1))
     assert power > 0.0
@@ -61,30 +61,30 @@ def test_e_absorbed_power_positive(cube_solver):
 def test_e_rejects_off_shell_solver(cube_solver):
     bad = PlaneWaveMode(k=(0, 0, 2.0 * OMEGA), sigma=+1, zeta="c")
     with pytest.raises(ValueError, match="shell frequency"):
-        e_coefficient(cube_solver, None, bad, X_OUT, TOL)
+        e_coefficient(cube_solver, bad, X_OUT)
 
 
 # ----------------------------------------------------------------------
 # m coefficients
 # ----------------------------------------------------------------------
 
-def test_m_uncoupled_vanishes(cube_grid, vacuum_materials):
+def test_m_uncoupled_vanishes(cube_grid, vacuum_solver):
     mu = med_mode(cube_grid)
-    vals = m_coefficient(cube_grid, vacuum_materials, mu, X_OUT, TOL)
+    vals = m_coefficient(vacuum_solver, mu, X_OUT)
     assert np.array_equal(vals, np.zeros((1, 3)))
 
 
 def test_m_route_equivalence(cube_solver):
     mu = med_mode(cube_solver.grid, which=30)
     pts = np.vstack([X_OUT, cube_solver.grid.centers[3]])
-    via_green = m_coefficient(cube_solver, None, mu, pts, TOL, route="green")
-    direct = m_coefficient(cube_solver, None, mu, pts, TOL, route="direct")
+    via_green = m_coefficient(cube_solver, mu, pts, route="green")
+    direct = m_coefficient(cube_solver, mu, pts, route="direct")
     assert np.linalg.norm(via_green - direct) <= 10 * TOL * np.linalg.norm(via_green)
 
 
 def test_m_exterior_differential_residual(cube_solver):
     mu = med_mode(cube_solver.grid, which=30)
-    field = lambda rr: m_coefficient(cube_solver, None, mu, rr, TOL).reshape(3, 1)
+    field = lambda rr: m_coefficient(cube_solver, mu, rr).reshape(3, 1)
     h = 1e-3 / OMEGA
     resid = fd_curl_curl(field, X_OUT, h) - OMEGA**2 * field(X_OUT)  # eps = 1 outside
     assert np.linalg.norm(resid) < 1e-3 * OMEGA**2 * np.linalg.norm(field(X_OUT))
@@ -93,7 +93,7 @@ def test_m_exterior_differential_residual(cube_solver):
 def test_m_requires_voxel_center(cube_solver):
     mu = MedModeIndex(x=(10.0, 0.0, 0.0), nu=OMEGA, j=1)
     with pytest.raises(ValueError, match="voxel center"):
-        m_coefficient(cube_solver, None, mu, X_OUT, TOL)
+        m_coefficient(cube_solver, mu, X_OUT)
 
 
 def test_m_norm_scales_as_sqrt_contrast(cube_grid):
@@ -104,7 +104,8 @@ def test_m_norm_scales_as_sqrt_contrast(cube_grid):
     for s in scales:
         mats = {1: scaled_contrast(LORENTZ, s)}
         mu = med_mode(cube_grid)
-        norms.append(np.linalg.norm(m_coefficient(cube_grid, mats, mu, X_OUT, TOL)))
+        solver = MediumSolver(cube_grid, mats, OMEGA, TOL)
+        norms.append(np.linalg.norm(m_coefficient(solver, mu, X_OUT)))
     assert abs(loglog_slope(scales, norms) - 0.5) <= 0.05
 
 
@@ -112,26 +113,26 @@ def test_m_norm_scales_as_sqrt_contrast(cube_grid):
 # eigenfunction components
 # ----------------------------------------------------------------------
 
-def test_v_e_vacuum_zero(cube_grid, vacuum_materials):
+def test_v_e_vacuum_zero(cube_grid, vacuum_solver):
     xp = cube_grid.centers[0]
-    v = v_component_e(cube_grid, vacuum_materials, MODE, xp, 1.7, TOL)
+    v = v_component_e(vacuum_solver, MODE, xp, 1.7)
     assert np.array_equal(v, np.zeros(3))
 
 
 def test_v_e_matches_closed_formula(cube_solver):
     xp = cube_solver.grid.centers[12]
-    e_here = e_coefficient(cube_solver, None, MODE, xp, TOL)[0]
+    e_here = e_coefficient(cube_solver, MODE, xp)[0]
     for nup in (0.4, 1.9, 3.2):
-        v = v_component_e(cube_solver, None, MODE, xp, nup, TOL)
+        v = v_component_e(cube_solver, MODE, xp, nup)
         alpha = coupling_alpha_tilde(LORENTZ, nup)
         assert np.allclose(v, -alpha * e_here / (nup**2 - OMEGA**2), rtol=1e-12)
 
 
 def test_v_e_high_frequency_decay(cube_solver):
     xp = cube_solver.grid.centers[12]
-    e_norm = np.linalg.norm(e_coefficient(cube_solver, None, MODE, xp, TOL)[0])
+    e_norm = np.linalg.norm(e_coefficient(cube_solver, MODE, xp)[0])
     for nup in (20.0, 60.0):
-        v = v_component_e(cube_solver, None, MODE, xp, nup, TOL)
+        v = v_component_e(cube_solver, MODE, xp, nup)
         alpha = coupling_alpha_tilde(LORENTZ, nup)
         assert np.linalg.norm(v) <= 1.01 * alpha * e_norm / (nup**2 - OMEGA**2)
 
@@ -139,13 +140,13 @@ def test_v_e_high_frequency_decay(cube_solver):
 def test_v_e_near_singular_floor(cube_solver):
     xp = cube_solver.grid.centers[12]
     with pytest.raises(NearSingularError):
-        v_component_e(cube_solver, None, MODE, xp, OMEGA * (1.0 + 1e-9), TOL)
+        v_component_e(cube_solver, MODE, xp, OMEGA * (1.0 + 1e-9))
 
 
 def test_v_e_frequency_integral_reproduces_ev(cube_solver):
     """PV + half-residue integral of alpha*v^e over nu' equals -(eps-1) e."""
     xp = cube_solver.grid.centers[12]
-    e_here = e_coefficient(cube_solver, None, MODE, xp, TOL)[0]
+    e_here = e_coefficient(cube_solver, MODE, xp)[0]
     nu_max = 1e3 * 3.0
     breaks = _model_breakpoints(LORENTZ, OMEGA, nu_max)
 
@@ -161,14 +162,14 @@ def test_v_e_frequency_integral_reproduces_ev(cube_solver):
     assert np.linalg.norm(total - expected) < 1e-6 * np.linalg.norm(expected)
     # and the pointwise sampler agrees with the integrand at a probe frequency
     probe = 2.31
-    v = v_component_e(cube_solver, None, MODE, xp, probe, TOL)
+    v = v_component_e(cube_solver, MODE, xp, probe)
     assert np.allclose(coupling_alpha_tilde(LORENTZ, probe) * v,
                        integrand(probe) * e_here, rtol=1e-12)
 
 
-def test_u_e_vacuum_zero(cube_grid, vacuum_materials):
+def test_u_e_vacuum_zero(vacuum_solver):
     probe = PlaneWaveMode(k=(0.0, 0.6, 0.8), sigma=-1, zeta="s")
-    assert u_numerator_e(cube_grid, vacuum_materials, MODE, probe, TOL) == 0.0
+    assert u_numerator_e(vacuum_solver, MODE, probe) == 0.0
 
 
 def test_u_e_born_linearity(cube_grid):
@@ -179,13 +180,13 @@ def test_u_e_born_linearity(cube_grid):
     vals = []
     for s in scales:
         mats = {1: scaled_contrast(LORENTZ, s)}
-        vals.append(abs(u_numerator_e(cube_grid, mats, MODE, probe, TOL)))
+        vals.append(abs(u_numerator_e(MediumSolver(cube_grid, mats, OMEGA, TOL), MODE, probe)))
     assert abs(loglog_slope(scales, vals) - 1.0) <= 0.05
 
 
 def test_u_e_reimplementation_oracle(cube_solver):
     probe = PlaneWaveMode(k=(0.0, 0.6 * OMEGA, 0.8 * OMEGA), sigma=-1, zeta="c")
-    got = u_numerator_e(cube_solver, None, MODE, probe, TOL)
+    got = u_numerator_e(cube_solver, MODE, probe)
     # independent route: reconstruct e on the grid by applying the integral
     # equation once to the solved values, then a plain python sum
     from greenvox.modes import e_grid_solution
@@ -204,9 +205,10 @@ def test_u_e_reimplementation_oracle(cube_solver):
 
 def test_v_m_uncoupled_pure_delta(cube_grid, vacuum_materials):
     mu = med_mode(cube_grid, nu=1.3)
-    same = v_component_m(cube_grid, vacuum_materials, mu, mu.x_point, 1.3, TOL)
+    solver = MediumSolver(cube_grid, vacuum_materials, mu.nu, TOL)
+    same = v_component_m(solver, mu, mu.x_point, 1.3)
     assert same.delta_present and same.smooth is None
-    other = v_component_m(cube_grid, vacuum_materials, mu, cube_grid.centers[5], 2.0, TOL)
+    other = v_component_m(solver, mu, cube_grid.centers[5], 2.0)
     assert not other.delta_present
     assert np.array_equal(np.asarray(other.smooth), np.zeros(3))
 
@@ -216,7 +218,7 @@ def test_m_v_frequency_integral_consistency(cube_solver):
     grid = cube_solver.grid
     mu = med_mode(grid, which=30)
     xp = grid.centers[12]
-    m_here = m_coefficient(cube_solver, None, mu, xp, TOL)[0]
+    m_here = m_coefficient(cube_solver, mu, xp)[0]
 
     breaks = _model_breakpoints(LORENTZ, mu.nu, 3e3)
 
@@ -232,16 +234,16 @@ def test_m_v_frequency_integral_consistency(cube_solver):
     assert np.linalg.norm(total - expected) < 1e-6 * np.linalg.norm(expected)
     # pointwise sampler agrees with the integrand away from the shell
     probe_nu = 2.31
-    vm = v_component_m(cube_solver, None, mu, xp, probe_nu, TOL)
+    vm = v_component_m(cube_solver, mu, xp, probe_nu)
     assert not vm.delta_present
     assert np.allclose(coupling_alpha_tilde(LORENTZ, probe_nu) * np.asarray(vm.smooth),
                        integrand(probe_nu) * m_here, rtol=1e-12)
 
 
-def test_u_m_uncoupled_zero(cube_grid, vacuum_materials):
+def test_u_m_uncoupled_zero(cube_grid, vacuum_solver):
     mu = med_mode(cube_grid)
     probe = PlaneWaveMode(k=(0.0, 0.6, 0.8), sigma=+1, zeta="c")
-    assert u_numerator_m(cube_grid, vacuum_materials, mu, probe, TOL) == 0.0
+    assert u_numerator_m(vacuum_solver, mu, probe) == 0.0
 
 
 def test_u_m_linear_in_coupling(cube_grid):
@@ -253,7 +255,7 @@ def test_u_m_linear_in_coupling(cube_grid):
     for s in couplings:
         mats = {1: scaled_contrast(LORENTZ, s**2)}  # alpha_tilde -> s alpha_tilde
         mu = med_mode(cube_grid)
-        vals.append(abs(u_numerator_m(cube_grid, mats, mu, probe, TOL)))
+        vals.append(abs(u_numerator_m(MediumSolver(cube_grid, mats, OMEGA, TOL), mu, probe)))
     assert abs(loglog_slope(couplings, vals) - 1.0) <= 0.05
 
 
@@ -262,15 +264,15 @@ def test_u_m_linear_in_coupling(cube_grid):
 # ----------------------------------------------------------------------
 
 def test_noise_amplitude_vacuum_zero(cube_grid, vacuum_materials):
-    nc = noise_current_amplitude(cube_grid, vacuum_materials, cube_grid.centers[0],
-                                 1.1, TOL)
+    nc = noise_current_amplitude(MediumSolver(cube_grid, vacuum_materials, 1.1, TOL),
+                                 cube_grid.centers[0])
     assert nc.amplitude == 0.0
 
 
 def test_noise_amplitude_scaling(cube_grid, cube_materials):
     x = cube_grid.centers[0]
     for nu in (0.5, 1.0, 2.5):
-        nc = noise_current_amplitude(cube_grid, cube_materials, x, nu, TOL)
+        nc = noise_current_amplitude(MediumSolver(cube_grid, cube_materials, nu, TOL), x)
         expected = nu**2 * eval_eps(LORENTZ, nu).imag / np.pi
         assert abs(nc.amplitude) ** 2 == pytest.approx(expected, rel=1e-12)
 
@@ -281,9 +283,9 @@ def test_noise_current_route_matches_m_route(cube_solver):
     nu = OMEGA
     for which, j in ((0, 1), (30, 3)):
         mu = MedModeIndex(x=tuple(grid.centers[which]), nu=nu, j=j)
-        m_vals = m_coefficient(cube_solver, None, mu, X_OUT, TOL)[0]
+        m_vals = m_coefficient(cube_solver, mu, X_OUT)[0]
         lhs = -np.sqrt(1.0 / (2 * nu)) * m_vals
-        nc = noise_current_amplitude(cube_solver, None, mu.x_point, nu, TOL)
+        nc = noise_current_amplitude(cube_solver, mu.x_point)
         G = cube_solver.green(X_OUT, mu.x_point)
         rhs = 1j * nu * (G @ mu.direction) * nc.amplitude
         assert np.allclose(lhs, rhs, rtol=1e-12)

@@ -187,16 +187,15 @@ geometry:
 
 def test_cli_greens_json(tmp_path, capsys):
     scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
-    # note the = form: argparse would otherwise read "-0.2,..." as an option
     rc = cli_main(["greens", "--scene", str(scene), "--omega", "1.0",
                    "--src=-0.2,0.95,0.4", "--eval", "1.1,0.25,-0.15"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     G = np.array(payload["green"]["re"]) + 1j * np.array(payload["green"]["im"])
-    from greenvox import green_medium
+    from greenvox import MediumSolver
     cfg = load_scene(scene)
-    expected = green_medium(cfg.build_grid(), cfg.materials, 1.0,
-                            np.array([1.1, 0.25, -0.15]), np.array([-0.2, 0.95, 0.4]))
+    expected = MediumSolver(cfg.build_grid(), cfg.materials, 1.0).green(
+        np.array([1.1, 0.25, -0.15]), np.array([-0.2, 0.95, 0.4]))
     assert np.allclose(G, expected, rtol=1e-12)
 
 
@@ -356,6 +355,33 @@ def test_cli_usage_errors_are_config_errors(tmp_path, capsys):
     assert "the following arguments are required: --eval" in capsys.readouterr().err
     assert cli_main(["greens", "--help"]) == 0
     assert "--src SRC" in capsys.readouterr().out
+
+
+def test_cli_triplets_take_negative_values(tmp_path, capsys):
+    """A triplet whose first number is negative is a separate argument's value, not an
+    option; a negative --omega still reaches its own check."""
+    scene = str(write(tmp_path, "cube.yaml", CUBE_SCENE))
+    write(tmp_path, "points.csv", "x,y,z\n1.2,0.3,-0.2\n")
+    assert cli_main(["ldos-check", "--scene", scene, "--omega", "1", "--quad", "2x4",
+                     "--point", "0.95,0.15,0.25", "--point2", "-0.3,1.4,0.2"]) == 0
+    assert json.loads(capsys.readouterr().out)["y"] == [-0.3, 1.4, 0.2]
+    assert cli_main(["greens", "--scene", scene, "--omega", "1",
+                     "--src", "-0.2,0.95,0.4", "--eval", "-1.1,0.25,-0.15"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["source"] == [-0.2, 0.95, 0.4] and payload["eval"] == [-1.1, 0.25, -0.15]
+    assert cli_main(["modes", "--scene", scene, "--omega", "1", "--kdir", "-0.48,0.36,0.8",
+                     "--eval", str(tmp_path / "points.csv")]) == 0
+    assert cli_main(["purcell", "--scene", scene, "--quad", "2x4", "--out-dir", str(tmp_path),
+                     "--emitter", "-0.95,0.15,0.25", "--dipole", "-1,0,0",
+                     "--omega-range", "1.0:1.0:1"]) == 0
+    manifest = json.loads((tmp_path / "purcell.json").read_text())
+    assert manifest["inputs"]["emitter"] == [-0.95, 0.15, 0.25]
+    assert manifest["inputs"]["dipole"] == [-1.0, 0.0, 0.0]
+    capsys.readouterr()
+    assert cli_main(["greens", "--scene", scene, "--omega", "-1",
+                     "--src", "0,0,0.9", "--eval", "1.2,0,0"]) == 4
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "--omega must be a positive finite frequency, got -1.0"]
 
 
 def test_cli_grid_error_exit_code(tmp_path, capsys):

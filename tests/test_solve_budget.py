@@ -63,7 +63,7 @@ def test_validate_uses_one_medium_and_one_vacuum_solver(budget, monkeypatch):
     original = ldos.ldos_identity_residual
 
     def counting(*args, **kwargs):
-        identities.append(args[2])
+        identities.append(args[1])
         return original(*args, **kwargs)
 
     for module in (ldos, report_module):
@@ -94,8 +94,18 @@ def test_ldos_check_for_a_separated_pair_solves_once(budget, tmp_path, capsys):
 
 def test_dyson_residual_solves_both_sources_at_once(budget):
     solver = scene_from_dict(CUBE).solver(1.0)
-    vie.dyson_residual(solver, None, 1.0, R_OUT, np.array([-0.2, 0.95, 0.4]), TOL)
+    vie.dyson_residual(solver, R_OUT, np.array([-0.2, 0.95, 0.4]))
     assert budget["solve_columns"] == [6]
+
+
+def test_dyson_residual_keeps_its_sources_in_a_full_memo(budget):
+    """y is the oldest of eight memoised sources: solving x must not drop it, since
+    dyson_residual evaluates G(x, y) from the memo."""
+    solver = scene_from_dict(CUBE).solver(1.0)
+    y = np.array([-0.2, 0.95, 0.4])
+    solver.grid_fields(y + np.arange(vie._FIELDS_KEPT)[:, None])
+    vie.dyson_residual(solver, R_OUT, y)
+    assert budget["solve_columns"] == [3 * vie._FIELDS_KEPT, 3]
 
 
 def test_sweep_solves_one_green_column_set_per_frequency(budget, monkeypatch):
@@ -134,7 +144,7 @@ def test_shell_e_fields_match_direct_solve_per_submode(cube_solver):
     for q, node in enumerate(quad.nodes):
         for s, (sigma, zeta) in enumerate(submodes):
             mode = PlaneWaveMode(k=tuple(cube_solver.omega * node), sigma=sigma, zeta=zeta)
-            direct = e_coefficient(cube_solver, None, mode, points, TOL)
+            direct = e_coefficient(cube_solver, mode, points)
             got = e_shell[:, :, 4 * q + s]
             for p in range(len(points)):
                 assert (np.linalg.norm(got[p] - direct[p])

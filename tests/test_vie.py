@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from greenvox import (Box, DenseCapError, MaskShape, MediumSolver, Sphere, SolverError,
-                      assemble, build_grid, dyson_residual, eval_eps, g0_closed,
-                      green_medium, scaled_contrast, solve_system)
+from greenvox import (Box, DenseCapError, EmitterSpec, MaskShape, MediumSolver, PlaneWaveMode,
+                      Sphere, SolverError, assemble, build_grid, dyson_residual, eval_eps,
+                      g0_closed, gamma_decomposed, im_green_at, ldos_identity_residual,
+                      purcell, purcell_sweep, scaled_contrast, solve_system)
 from greenvox.geometry import write_mask
-from greenvox.modes import MedModeIndex, m_coefficient
+from greenvox.modes import (MedModeIndex, e_coefficient, e_coefficient_via_green,
+                            m_coefficient, noise_current_amplitude, u_numerator_e,
+                            u_numerator_m, v_component_m)
 from greenvox.green_free import self_term, self_term_scalar
 
 from conftest import LORENTZ, OMEGA, loglog_slope
@@ -45,7 +48,7 @@ def test_single_voxel_closed_forms(cube_materials):
 
     # G(x,y) = G0(x,y) + dV G0(x,z1) beta (1 - beta M)^-1 G0(z1,y)
     z1 = grid.centers[0]
-    G = green_medium(grid, cube_materials, OMEGA, X_OUT, Y_OUT)
+    G = MediumSolver(grid, cube_materials, OMEGA).green(X_OUT, Y_OUT)
     expected = (g0_closed(X_OUT, Y_OUT, OMEGA)
                 + grid.voxel_volume * g0_closed(X_OUT, z1, OMEGA) @ (
                     beta / (1.0 - beta * M) * g0_closed(z1, Y_OUT, OMEGA)))
@@ -260,7 +263,7 @@ def test_fft_gmres_above_dense_cap_keeps_identities():
     Gyx = solver.green(y, x)
     gnorm = np.linalg.norm(Gxy)
     assert np.linalg.norm(Gxy - Gyx.T) <= tol * gnorm
-    assert dyson_residual(solver, None, OMEGA, x, y, tol) <= tol * gnorm
+    assert dyson_residual(solver, x, y) <= tol * gnorm
 
 
 def test_ill_conditioned_operator_refactors_in_complex128(cube_grid, cube_materials):
@@ -293,8 +296,8 @@ def test_loose_tolerance_still_solves_to_double_precision(sphere_grid, drude_mat
     # a one-column solve and a column of a three-column solve agree to double precision
     mu = MedModeIndex(x=tuple(sphere_grid.centers[sphere_grid.n // 2]), nu=OMEGA, j=3)
     pts = np.vstack([X_OUT, sphere_grid.centers[0]])
-    green_route = m_coefficient(solver, None, mu, pts, route="green")
-    direct_route = m_coefficient(solver, None, mu, pts, route="direct")
+    green_route = m_coefficient(solver, mu, pts, route="green")
+    direct_route = m_coefficient(solver, mu, pts, route="direct")
     assert np.linalg.norm(green_route - direct_route) <= 1e-14 * np.linalg.norm(green_route)
     assert solver.op.factored == [np.complex64]
 
@@ -314,8 +317,8 @@ def test_point_inside_a_voxel_sees_it_through_the_self_term(sphere_solver):
         assert np.linalg.norm(G - Gyx.T) <= 1e-12 * np.linalg.norm(G)
 
 
-def test_green_vacuum_reduces_to_free(cube_grid, vacuum_materials):
-    G = green_medium(cube_grid, vacuum_materials, OMEGA, X_OUT, Y_OUT)
+def test_green_vacuum_reduces_to_free(vacuum_solver):
+    G = vacuum_solver.green(X_OUT, Y_OUT)
     assert np.array_equal(G, g0_closed(X_OUT, Y_OUT, OMEGA))
 
 
@@ -337,12 +340,12 @@ def test_coincident_green_rejected(cube_solver):
         cube_solver.green(X_OUT, X_OUT)
 
 
-def test_dyson_identity_vacuum(cube_grid, vacuum_materials):
-    assert dyson_residual(cube_grid, vacuum_materials, OMEGA, X_OUT, Y_OUT) == 0.0
+def test_dyson_identity_vacuum(vacuum_solver):
+    assert dyson_residual(vacuum_solver, X_OUT, Y_OUT) == 0.0
 
 
 def test_dyson_identity_absorbing_cube(cube_grid, cube_materials):
-    res = dyson_residual(cube_grid, cube_materials, OMEGA, X_OUT, Y_OUT, tol=1e-10)
+    res = dyson_residual(MediumSolver(cube_grid, cube_materials, OMEGA, tol=1e-10), X_OUT, Y_OUT)
     assert res <= 1e-8
 
 
@@ -362,7 +365,7 @@ def test_dyson_identity_survives_self_term_surgery(cube_grid, cube_materials):
         gf.self_term_scalar = lambda vol, w: 0.0 + 0.0j  # test double
         Xy = solver.grid_fields(Y_OUT)
         Xx = solver.grid_fields(X_OUT)
-        G = solver.green(X_OUT, Y_OUT, Xy)
+        G = solver.green(X_OUT, Y_OUT)
         diff = G - g0_closed(X_OUT, Y_OUT, OMEGA)
         i1 = solver.scattered_at(X_OUT, Xy)
         from greenvox.green_free import g0_from_displacements
@@ -379,7 +382,7 @@ def test_uncoupling_limit_slope(cube_grid):
     norms = []
     for s in scales:
         mats = {1: scaled_contrast(LORENTZ, s)}
-        G = green_medium(cube_grid, mats, OMEGA, X_OUT, Y_OUT)
+        G = MediumSolver(cube_grid, mats, OMEGA).green(X_OUT, Y_OUT)
         norms.append(np.linalg.norm(G - g0_closed(X_OUT, Y_OUT, OMEGA)))
     slope = loglog_slope(scales, norms)
     assert abs(slope - 1.0) <= 0.1
@@ -445,12 +448,91 @@ def test_identities_on_randomized_scenes():
 
         Gxy = solver.green(x, y)
         assert np.linalg.norm(Gxy - solver.green(y, x).T) <= 1e-9 * np.linalg.norm(Gxy)
-        assert dyson_residual(grid, mats, w, x, y, 1e-10) <= 1e-8
+        assert dyson_residual(solver, x, y) <= 1e-8
 
         kdir = rng.normal(size=3)
         kdir[2] = abs(kdir[2])
         kdir /= np.linalg.norm(kdir)
         mode = PlaneWaveMode(k=tuple(w * kdir), sigma=+1, zeta="c")
-        e_a = e_coefficient(solver, None, mode, x, 1e-10)
-        e_b = e_coefficient_via_green(solver, None, mode, x, 1e-10)
+        e_a = e_coefficient(solver, mode, x)
+        e_b = e_coefficient_via_green(solver, mode, x)
         assert np.linalg.norm(e_a - e_b) <= 1e-8 * max(np.linalg.norm(e_a), 1e-30)
+
+
+# ----------------------------------------------------------------------
+# solver-first API: one medium argument, at the solver's frequency
+# ----------------------------------------------------------------------
+
+OTHER_OMEGA = 1.3  # a mode or emitter away from the fixtures' OMEGA
+EMITTER_OFF = EmitterSpec(position=(0.95, 0.15, 0.25), omega=OTHER_OMEGA, dipole=(0, 0, 1))
+MODE_OFF = PlaneWaveMode(k=(0.0, 0.0, OTHER_OMEGA), sigma=+1, zeta="c")
+PROBE = PlaneWaveMode(k=(0.0, 0.6, 0.8), sigma=-1, zeta="c")
+
+
+def mu_off(solver):
+    return MedModeIndex(x=tuple(solver.grid.centers[30]), nu=OTHER_OMEGA, j=3)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda s: gamma_decomposed(s, EMITTER_OFF), id="gamma_decomposed"),
+    pytest.param(lambda s: purcell(s, None, EMITTER_OFF), id="purcell"),
+    pytest.param(lambda s: e_coefficient_via_green(s, MODE_OFF, X_OUT),
+                 id="e_coefficient_via_green"),
+    pytest.param(lambda s: m_coefficient(s, mu_off(s), X_OUT, route="green"),
+                 id="m_coefficient-green"),
+    pytest.param(lambda s: m_coefficient(s, mu_off(s), X_OUT, route="direct"),
+                 id="m_coefficient-direct"),
+    pytest.param(lambda s: v_component_m(s, mu_off(s), s.grid.centers[5], 2.0),
+                 id="v_component_m"),
+    pytest.param(lambda s: u_numerator_m(s, mu_off(s), PROBE), id="u_numerator_m"),
+])
+def test_mode_or_emitter_off_the_solver_frequency_is_rejected(cube_solver, call):
+    """A solver at omega = 1 with a mode or emitter at 1.3 raises instead of answering
+    with the operator of the wrong frequency (gamma_decomposed gave Purcell 0.770)."""
+    with pytest.raises(ValueError, match="frequency"):
+        call(cube_solver)
+
+
+def test_sweep_records_a_solver_at_the_wrong_frequency_as_a_row_error(cube_solver):
+    rows = purcell_sweep(lambda w: cube_solver, (0.95, 0.15, 0.25), (0, 0, 1),
+                         [OMEGA, OTHER_OMEGA], 2, 4)
+    assert "purcell" in rows[0]
+    assert "frequency" in rows[1]["error"]
+
+
+def test_grid_forms_are_gone():
+    """vie defines and exports only solver-first functions: no grid-form wrapper is left."""
+    import inspect
+
+    import greenvox
+    import greenvox.vie as vie
+
+    def vie_functions(names, lookup):
+        return {name for name in names if inspect.isfunction(lookup(name))
+                and lookup(name).__module__ == vie.__name__ and not name.startswith("_")}
+
+    expected = {"assemble", "dyson_residual", "solve_system"}
+    assert vie_functions(vars(vie), vars(vie).get) == expected
+    assert vie_functions(greenvox.__all__, lambda name: getattr(greenvox, name)) == expected
+
+
+def test_old_call_shapes_raise_type_error(cube_solver):
+    """solver, None, ..., omega, tol: the grid form's call shape cannot come back silently."""
+    mode = PlaneWaveMode(k=(0.0, 0.0, OMEGA), sigma=+1, zeta="c")
+    emitter = EmitterSpec(position=tuple(X_OUT), omega=OMEGA, dipole=(0, 0, 1))
+    mu = MedModeIndex(x=tuple(cube_solver.grid.centers[30]), nu=OMEGA, j=3)
+    tol = 1e-10
+    old_shapes = [
+        lambda: im_green_at(cube_solver, None, X_OUT, OMEGA, tol),
+        lambda: dyson_residual(cube_solver, None, OMEGA, X_OUT, Y_OUT, tol),
+        lambda: ldos_identity_residual(cube_solver, None, X_OUT, X_OUT, OMEGA, None, tol),
+        lambda: gamma_decomposed(cube_solver, None, emitter, None, tol),
+        lambda: e_coefficient(cube_solver, None, mode, X_OUT, tol),
+        lambda: m_coefficient(cube_solver, None, mu, X_OUT, tol),
+        lambda: u_numerator_e(cube_solver, None, mode, mode, tol),
+        lambda: noise_current_amplitude(cube_solver, None, mu.x_point, OMEGA, tol),
+        lambda: cube_solver.green(X_OUT, Y_OUT, cube_solver.grid_fields(Y_OUT)),
+    ]
+    for call in old_shapes:
+        with pytest.raises(TypeError):
+            call()
