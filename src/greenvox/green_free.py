@@ -164,6 +164,11 @@ class PlaneWaveMode:
         e_plus, e_minus = transverse_frame(self.k_vector / self.omega)
         return e_plus if self.sigma == +1 else e_minus
 
+    @property
+    def submode(self) -> int:
+        """Index of (sigma, zeta) in plane_wave_table's (+,c), (+,s), (-,c), (-,s) axis."""
+        return 2 * (self.sigma == -1) + (self.zeta == "s")
+
 
 PHI_NORM = np.sqrt(2.0) * (2.0 * np.pi) ** (-1.5)
 
@@ -176,9 +181,8 @@ def phi_plane_wave(mode: PlaneWaveMode, points):
     mode's submode of plane_wave_table.
     """
     pts = _as_points(points)
-    submode = 2 * (mode.sigma == -1) + (mode.zeta == "s")
     table = plane_wave_table(mode.k_vector / mode.omega, mode.omega, pts.reshape(-1, 3))
-    return table[0, submode].reshape(pts.shape)
+    return table[0, mode.submode].reshape(pts.shape)
 
 
 def transverse_frames(nodes):

@@ -89,16 +89,17 @@ def im_green_at(solver: MediumSolver, x):
 # e-fields over a shell quadrature, by reciprocity
 # ----------------------------------------------------------------------
 
-def _e_fields_on_shell(solver: MediumSolver, quad: SphereQuadrature, points, green_columns):
-    """e for every (node, sigma, zeta) submode at each point, without a solve.
+def _e_fields_on_shell(solver: MediumSolver, nodes, points, green_columns):
+    """e for every (node, sigma, zeta) submode at each point, without a solve, (P, 3, 4Q).
 
-    green_columns[p] holds X_j = G(z_j, points[p]), (N, 3, 3); with
-    G(x, z_j) = X_j^T the Green route e(x) = w Phi(x) + dV sum_j beta_j
-    X_j^T w Phi(z_j) is one matrix product, on or off the grid: the
-    (4Q, 3N) plane-wave table times dV w beta_j X_j as a (3N, 3P) complex
-    matrix viewed as (3N, 6P) reals.  Returns (e_pts (P, 3, 4Q) complex,
-    mode_weights (4Q,)), submodes ordered (+,c), (+,s), (-,c), (-,s) per
-    node, matching plane_wave_table.
+    nodes are Q unit directions; green_columns[p] holds X_j = G(z_j,
+    points[p]), (N, 3, 3).  With G(x, z_j) = X_j^T the Green route
+    e(x) = w Phi(x) + dV sum_j beta_j X_j^T w Phi(z_j) is one matrix
+    product, on or off the grid: the (4Q, 3N) plane-wave table times
+    dV w beta_j X_j as a (3N, 3P) complex matrix viewed as (3N, 6P)
+    reals.  Column 4q + s is node q, submode s of plane_wave_table,
+    ordered (+,c), (+,s), (-,c), (-,s).  This is the one Green route of
+    e: the LDOS kappa term and modes.e_coefficient_via_green both use it.
     """
     grid = solver.grid
     w = solver.omega
@@ -108,11 +109,10 @@ def _e_fields_on_shell(solver: MediumSolver, quad: SphereQuadrature, points, gre
     coupled = np.ascontiguousarray(
         (grid.voxel_volume * w * solver.beta[:, None, None, None]
          * X.transpose(1, 2, 0, 3)).reshape(3 * grid.n, 3 * P))
-    phi_grid = plane_wave_table(quad.nodes, w, grid.centers).reshape(-1, 3 * grid.n)
+    phi_grid = plane_wave_table(nodes, w, grid.centers).reshape(-1, 3 * grid.n)
     scattered = (phi_grid @ coupled.view(float)).view(complex)       # (4Q, 3P)
-    phi_pts = w * plane_wave_table(quad.nodes, w, pts).reshape(-1, 3 * P)
-    e_pts = (phi_pts + scattered).T.reshape(P, 3, -1)
-    return e_pts, np.repeat(quad.weights, 4)
+    phi_pts = w * plane_wave_table(nodes, w, pts).reshape(-1, 3 * P)
+    return (phi_pts + scattered).T.reshape(P, 3, -1)
 
 
 # ----------------------------------------------------------------------
@@ -169,9 +169,10 @@ def ldos_identity_residual(solver: MediumSolver, x, y,
     lhs = im_green_at(solver, x) if coincident else solver.green(x, y).imag
 
     points, columns = ([x], [Xx]) if coincident else ([x, y], [Xx, Xy])
-    e_xy, mode_w = _e_fields_on_shell(solver, quad, points, columns)
+    e_xy = _e_fields_on_shell(solver, quad.nodes, points, columns)
     # (pi c^2 / 2 w^3) with the shell Jacobian w^2/c^3 gives pi/(2 w) at c = 1
-    kappa = (0.5 * np.pi / w) * np.einsum("m,am,bm->ab", mode_w, e_xy[0], e_xy[-1].conj())
+    kappa = (0.5 * np.pi / w) * np.einsum("m,am,bm->ab", np.repeat(quad.weights, 4),
+                                          e_xy[0], e_xy[-1].conj())
 
     # absorption form: w^2 sum dV Im(eps) G(x,z) G*(z,y); G(x,z_i) = Xx_i^T
     dV = solver.grid.voxel_volume

@@ -16,9 +16,14 @@ tensor,
     m_mu(r)    = -alpha_tilde(x, nu) nu^2 G(r, x) n_j.
 
 Both routes are implemented; they agree to solver tolerance as an exact
-discrete identity, which the tests exploit.  Every function takes the
-MediumSolver of the mode's frequency first, and a mode at another
-frequency raises ValueError.
+discrete identity, which the tests exploit.  The direct routes and the
+Green route of m solve on the grid and reach every other point through
+MediumSolver.evaluate, the evaluation formula the Green tensor uses.  The
+Green route of e needs no evaluation: it is the shell route of ldos
+(_e_fields_on_shell) on the mode's one direction, read from the memoised
+Green columns of each point.  Every function takes the MediumSolver of
+the mode's frequency first, and a mode at another frequency raises
+ValueError.
 
 The scattering eigenfunction components are exposed through their smooth
 parts only: v-components as pointwise values away from the on-shell
@@ -33,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .green_free import PlaneWaveMode, g0_from_displacements, phi_plane_wave
+from .ldos import _e_fields_on_shell
 from .permittivity import coupling_alpha_tilde
 from .vie import MediumSolver
 
@@ -110,41 +116,25 @@ def e_grid_solution(solver: MediumSolver, mode: PlaneWaveMode):
     return solver.solve(rhs.astype(complex)).reshape(solver.grid.n, 3)
 
 
-def e_evaluate(solver: MediumSolver, mode: PlaneWaveMode, e_grid, points):
-    """Evaluate e anywhere from its on-grid values (solved points returned as is)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty((len(pts), 3), dtype=complex)
-    for i, p in enumerate(pts):
-        idx = solver.grid.index_of(p)
-        if idx is not None:
-            out[i] = e_grid[idx]
-        else:
-            out[i] = (mode.omega * phi_plane_wave(mode, p)
-                      + solver.scattered_at(p, e_grid[:, :, None])[:, 0])
-    return out
-
-
 def e_coefficient(solver: MediumSolver, mode: PlaneWaveMode, points):
     """Electromagnetic field coefficient e_kappa at the requested points, (P, 3)."""
-    eg = e_grid_solution(solver, mode)
-    return e_evaluate(solver, mode, eg, points)
+    w = mode.omega
+    return solver.evaluate(points, e_grid_solution(solver, mode),
+                           lambda p: w * phi_plane_wave(mode, p))[:, :, 0]
 
 
 def e_coefficient_via_green(solver: MediumSolver, mode: PlaneWaveMode, points):
     """e_kappa through the medium Green tensor (route-equivalence partner).
 
-    e(r) = omega Phi(r) + sum_i dV G(r, z_i) beta_i omega Phi(z_i), with
-    G(r, z_i) taken via reciprocity from the Green columns of source r,
-    solved for all points at once.
+    The shell route of ldos on the mode's one direction, read at the
+    mode's submode: e(r) = omega Phi(r) + sum_i dV G(r, z_i) beta_i
+    omega Phi(z_i), with G(r, z_i) taken via reciprocity from the
+    (memoised) Green columns of source r, solved for all points at once.
     """
     solver.check_frequency(mode.omega, "mode shell")
-    w = mode.omega
-    phi_v = w * phi_plane_wave(mode, solver.grid.centers)          # (N, 3)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    X = solver.grid_fields(pts)                                    # X[p]_i = G(z_i, p)
-    # G(p, z_i) = X[p]_i^T
-    return (w * phi_plane_wave(mode, pts)
-            + solver.grid.voxel_volume * np.einsum("j,pjba,jb->pa", solver.beta, X, phi_v))
+    e = _e_fields_on_shell(solver, mode.k_vector / mode.omega, pts, solver.grid_fields(pts))
+    return e[:, :, mode.submode]
 
 
 # ----------------------------------------------------------------------
@@ -162,36 +152,20 @@ def m_coefficient(solver: MediumSolver, mode: MedModeIndex, points, route: str =
     idx = solver.grid.index_of(mode.x_point)
     if idx is None:
         raise ValueError("medium mode position must be a voxel center of the grid")
-    alpha = _alpha_at(solver, idx, mode.nu)
     nj = mode.direction
-    scale = -alpha * mode.nu**2
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.empty((len(pts), 3), dtype=complex)
+    scale = -_alpha_at(solver, idx, mode.nu) * mode.nu**2
+
+    def g0_from_x(p):
+        return g0_from_displacements(p - mode.x_point, solver.omega)
 
     if route == "green":
-        X = solver.grid_fields(mode.x_point)
-        for i, p in enumerate(pts):
-            ip = solver.grid.index_of(p)
-            if ip is not None:
-                out[i] = scale * (X[ip] @ nj)
-            else:
-                Gpx = (g0_from_displacements(p - mode.x_point, solver.omega)
-                       + solver.scattered_at(p, X))
-                out[i] = scale * (Gpx @ nj)
-        return out
-
+        G = solver.evaluate(points, solver.grid_fields(mode.x_point), g0_from_x)
+        return scale * (G @ nj)
     if route != "direct":
         raise ValueError(f"unknown m-coefficient route {route!r}")
     rhs = scale * (solver.source_columns(mode.x_point) @ nj)       # (3N,)
-    m_grid = solver.solve(rhs).reshape(solver.grid.n, 3)
-    for i, p in enumerate(pts):
-        ip = solver.grid.index_of(p)
-        if ip is not None:
-            out[i] = m_grid[ip]
-        else:
-            out[i] = (scale * (g0_from_displacements(p - mode.x_point, solver.omega) @ nj)
-                      + solver.scattered_at(p, m_grid[:, :, None])[:, 0])
-    return out
+    return solver.evaluate(points, solver.solve(rhs),
+                           lambda p: scale * (g0_from_x(p) @ nj))[:, :, 0]
 
 
 # ----------------------------------------------------------------------
@@ -210,14 +184,16 @@ def v_component_e(solver: MediumSolver, mode: PlaneWaveMode, xp, nup: float):
     """Medium component of the electromagnetic eigenfunction.
 
     v^e_kappa(x', nu') = -alpha_tilde(x', nu') e_kappa(x') / (nu'^2 - w^2),
-    valid away from the shell nu' = w.
+    valid away from the shell nu' = w.  e(x') comes through the Green
+    route from the memoised Green columns of x', so a sweep over nu' at
+    one x' solves once.
     """
     _check_off_shell(nup, mode.omega)
     idx = solver.grid.index_of(np.asarray(xp, dtype=float))
     if idx is None:
         raise ValueError("x' must be a voxel center")
     alpha = _alpha_at(solver, idx, nup)
-    e_here = e_evaluate(solver, mode, e_grid_solution(solver, mode), xp)[0]
+    e_here = e_coefficient_via_green(solver, mode, xp)[0]
     return -alpha * e_here / (nup**2 - mode.omega**2)
 
 
@@ -226,7 +202,8 @@ def u_numerator_e(solver: MediumSolver, mode: PlaneWaveMode, probe: PlaneWaveMod
 
     e^v = -(eps - 1) e_kappa; the delta(kappa - kappa') part of u^e is
     symbolic and not included.  Note the primed frequency and mode in the
-    integrand.
+    integrand.  It needs e on every voxel, so it solves the e system
+    directly, once per call.
     """
     eg = e_grid_solution(solver, mode)
     phi_probe = phi_plane_wave(probe, solver.grid.centers)

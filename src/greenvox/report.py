@@ -132,16 +132,21 @@ def run_validation(cfg: SceneConfig) -> RunReport:
     probes = _validate_defaults(cfg, grid)
     omega = probes["omega"]
     quad = make_shell_quadrature(omega, cfg.n_theta, cfg.n_phi)
-    checks = report.checks
+
+    def check(name, value, detail="", threshold=None, limit=None):
+        """Append one check; threshold from THRESHOLDS (by the name before any
+        "[qualifier]") unless given, passed when value <= limit (default threshold)."""
+        if threshold is None:
+            threshold = THRESHOLDS[name.split("[")[0]]
+        passed = value <= (threshold if limit is None else limit)
+        report.checks.append(CheckResult(name=name, passed=passed, value=value,
+                                         threshold=threshold, detail=detail))
 
     # causality of every declared material
     for rid, model in sorted(cfg.materials.items()):
         scale = abs(eval_eps(model, omega) - 1.0)
         res = kk_residual(model, omega)
-        rel = res / scale if scale > 0 else res
-        checks.append(CheckResult(
-            name=f"kramers_kronig[region {rid}]", passed=rel <= THRESHOLDS["kramers_kronig"],
-            value=rel, threshold=THRESHOLDS["kramers_kronig"]))
+        check(f"kramers_kronig[region {rid}]", res / scale if scale > 0 else res)
 
     # free-space spectral representation against the closed form
     x0 = np.asarray(probes["x"])
@@ -152,11 +157,8 @@ def run_validation(cfg: SceneConfig) -> RunReport:
     spec = im_g0_spectral(x0, y0, omega, quad)
     closed = g0_closed(x0, y0, omega).imag
     rel_pair = float(np.linalg.norm(spec - closed) / max(np.linalg.norm(closed), 1e-300))
-    val = max(rel, rel_pair)
-    checks.append(CheckResult(
-        name="free_space_spectral", passed=val <= THRESHOLDS["free_space_spectral"],
-        value=val, threshold=THRESHOLDS["free_space_spectral"],
-        detail="coincidence limit and separated pair vs closed form"))
+    check("free_space_spectral", max(rel, rel_pair),
+          detail="coincidence limit and separated pair vs closed form")
 
     solver = cfg.solver(omega)
     mode = PlaneWaveMode(k=tuple(omega * np.array([0.48, 0.36, 0.8])), sigma=+1, zeta="c")
@@ -172,74 +174,46 @@ def run_validation(cfg: SceneConfig) -> RunReport:
     Gxy = solver.green(x0, y0)
     Gyx = solver.green(y0, x0)
     gnorm = float(np.linalg.norm(Gxy))
-    checks.append(CheckResult(
-        name="dyson_identity", passed=dy / gnorm <= THRESHOLDS["dyson_identity"],
-        value=dy / gnorm, threshold=THRESHOLDS["dyson_identity"]))
-    rec = float(np.linalg.norm(Gxy - Gyx.T) / gnorm)
-    checks.append(CheckResult(
-        name="reciprocity", passed=rec <= THRESHOLDS["reciprocity"],
-        value=rec, threshold=THRESHOLDS["reciprocity"]))
+    check("dyson_identity", dy / gnorm)
+    check("reciprocity", float(np.linalg.norm(Gxy - Gyx.T) / gnorm))
 
     # route equivalence for e and m
     e_direct = e_coefficient(solver, mode, pts)
     e_green = e_coefficient_via_green(solver, mode, pts)
-    rel_e = float(np.linalg.norm(e_direct - e_green) / np.linalg.norm(e_direct))
-    checks.append(CheckResult(
-        name="route_equivalence_e", passed=rel_e <= THRESHOLDS["route_equivalence_e"],
-        value=rel_e, threshold=THRESHOLDS["route_equivalence_e"]))
+    check("route_equivalence_e",
+          float(np.linalg.norm(e_direct - e_green) / np.linalg.norm(e_direct)))
 
     m_green_route = m_coefficient(solver, mu, pts, route="green")
     m_direct_route = m_coefficient(solver, mu, pts, route="direct")
     scale_m = float(np.linalg.norm(m_green_route))
-    rel_m = (float(np.linalg.norm(m_green_route - m_direct_route)) / scale_m
-             if scale_m > 0 else 0.0)
-    checks.append(CheckResult(
-        name="route_equivalence_m", passed=rel_m <= THRESHOLDS["route_equivalence_m"],
-        value=rel_m, threshold=THRESHOLDS["route_equivalence_m"]))
+    check("route_equivalence_m",
+          float(np.linalg.norm(m_green_route - m_direct_route)) / scale_m
+          if scale_m > 0 else 0.0)
 
     # LDOS identity, both forms, at the emitter
     ident = ldos_identity_residual(solver, emitter.r, emitter.r, quad)
-    checks.append(CheckResult(
-        name="ldos_identity_absorption",
-        passed=ident.relative_absorption <= THRESHOLDS["ldos_identity_absorption"],
-        value=ident.relative_absorption,
-        threshold=THRESHOLDS["ldos_identity_absorption"]))
-    checks.append(CheckResult(
-        name="ldos_identity_m_form",
-        passed=ident.relative_m <= THRESHOLDS["ldos_identity_m_form"],
-        value=ident.relative_m, threshold=THRESHOLDS["ldos_identity_m_form"]))
-    forms = ident.forms_gap / ident.scale
-    checks.append(CheckResult(
-        name="ldos_forms_agreement", passed=forms <= THRESHOLDS["ldos_forms_agreement"],
-        value=forms, threshold=THRESHOLDS["ldos_forms_agreement"]))
+    check("ldos_identity_absorption", ident.relative_absorption)
+    check("ldos_identity_m_form", ident.relative_m)
+    check("ldos_forms_agreement", ident.forms_gap / ident.scale)
 
     # compensation: identity route is exact, mu route bounded by the residual
     rates = DecayRates.from_identity(ident, emitter)
-    exact_gap = abs(rates.gamma_total - rates.gamma_via_im_green) / rates.gamma_via_im_green
-    checks.append(CheckResult(
-        name="compensation_exact", passed=exact_gap <= THRESHOLDS["compensation_exact"],
-        value=exact_gap, threshold=THRESHOLDS["compensation_exact"]))
-    mu_gap = (abs(rates.gamma_e + rates.gamma_m_mu_route - rates.gamma_via_im_green)
-              / rates.gamma_via_im_green)
+    check("compensation_exact",
+          abs(rates.gamma_total - rates.gamma_via_im_green) / rates.gamma_via_im_green)
     bound = 2.0 * rates.contracted_residual
-    checks.append(CheckResult(
-        name="compensation_mu_route", passed=mu_gap <= max(bound, 1e-14),
-        value=mu_gap, threshold=bound,
-        detail="bound is 2x the dipole-contracted LDOS identity residual"))
+    check("compensation_mu_route",
+          abs(rates.gamma_e + rates.gamma_m_mu_route - rates.gamma_via_im_green)
+          / rates.gamma_via_im_green,
+          detail="bound is 2x the dipole-contracted LDOS identity residual",
+          threshold=bound, limit=max(bound, 1e-14))
 
     # vacuum closure on the same grid with the coupling removed: with beta = 0
     # the operator is the identity whatever the solve policy
     vac_solver = MediumSolver(grid, np.zeros(grid.n), omega, cfg.solver_tol)
-    p_vac = purcell(vac_solver, None, emitter)
-    checks.append(CheckResult(
-        name="vacuum_purcell", passed=abs(p_vac - 1.0) <= THRESHOLDS["vacuum_purcell"],
-        value=abs(p_vac - 1.0), threshold=THRESHOLDS["vacuum_purcell"]))
+    check("vacuum_purcell", abs(purcell(vac_solver, None, emitter) - 1.0))
     vac_rates = gamma_decomposed(vac_solver, emitter, quad)
     g0_exact = vacuum_decay_rate(emitter.omega, emitter.d)
-    vac_gap = abs(vac_rates.gamma_e - g0_exact) / g0_exact
-    checks.append(CheckResult(
-        name="vacuum_gamma_e", passed=vac_gap <= THRESHOLDS["vacuum_gamma_e"],
-        value=vac_gap, threshold=THRESHOLDS["vacuum_gamma_e"]))
+    check("vacuum_gamma_e", abs(vac_rates.gamma_e - g0_exact) / g0_exact)
 
     report.outputs = {
         "omega": omega,

@@ -14,10 +14,12 @@ volume-equivalent-sphere self term M(a) I on it, so the linear system is
 
 followed by the same equation used as an evaluation formula anywhere:
 G(x, y) = G0(x, y) + sum_j dV G0(x, z_j) beta_j X_j, where a point inside
-voxel j takes the self term M/dV in place of G0(x, z_j).  With a symmetric
-kernel and diagonal beta this discrete algebra reproduces reciprocity
-and the Dyson permutation identity exactly (to solver tolerance), which
-is what the identity tests lean on.
+voxel j takes the self term M/dV in place of G0(x, z_j).  The e and m
+field coefficients solve the same system with other inhomogeneities, so
+MediumSolver.evaluate is the one evaluation formula of all three.  With
+a symmetric kernel and diagonal beta this discrete algebra reproduces
+reciprocity and the Dyson permutation identity exactly (to solver
+tolerance), which is what the identity tests lean on.
 
 Every grid lies on a cubic lattice, so K_ij depends only on the offset
 z_i - z_j, and the kernel is built once, as the table of its 3x3 blocks
@@ -322,7 +324,9 @@ class MediumSolver:
     """One assembled operator (and factorization) shared across sources.
 
     All Green-tensor, field-coefficient and LDOS computations at a fixed
-    frequency go through this object, which assembles and factorizes once.
+    frequency go through this object, which assembles and factorizes once:
+    solve and grid_fields give on-grid values, and evaluate carries any
+    of them (Green columns, e or m) to arbitrary points.
     method is the one solve decision: "dense" stores the kernel (LU),
     "gmres" the lattice FFT operator (GMRES), "auto" the kernel up to
     dense_cap voxels.
@@ -414,6 +418,27 @@ class MediumSolver:
             "j,jab,jbm->am", self.beta, blocks, V)
         return out
 
+    def evaluate(self, points, grid_values, incident):
+        """F(r) = incident(r) + sum_j dV G0(r, z_j) beta_j F_j at P points, (P, 3, m).
+
+        grid_values (N, 3, m) are the solved on-grid values of a field
+        obeying F = F_inc + K beta F: the Green columns of one source, or
+        the e or m coefficient.  A voxel center returns its solved value
+        as is; incident(r), the (3,) or (3, m) value of F_inc at one
+        point, is called only at the other points.  This is the one
+        evaluation formula of every solved field.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        V = np.asarray(grid_values).reshape(self.grid.n, 3, -1)
+        out = np.empty((len(pts), 3, V.shape[2]), dtype=complex)
+        for i, p in enumerate(pts):
+            idx = self.grid.index_of(p)
+            if idx is not None:
+                out[i] = V[idx]
+            else:
+                out[i] = np.reshape(incident(p), (3, -1)) + self.scattered_at(p, V)
+        return out
+
     def check_frequency(self, omega: float, what: str):
         """Raise ValueError unless omega is this solver's frequency (to 1e-12 relative)."""
         if abs(omega - self.omega) > 1e-12 * self.omega:
@@ -426,11 +451,7 @@ class MediumSolver:
         y = np.asarray(y, dtype=float)
         if np.array_equal(x, y):
             raise ValueError("coincident arguments: use im_green_at for Im G(x, x)")
-        Xy = self.grid_fields(y)
-        ix = self.grid.index_of(x)
-        if ix is not None:
-            return Xy[ix].copy()
-        return g0_closed(x, y, self.omega) + self.scattered_at(x, Xy)
+        return self.evaluate(x, self.grid_fields(y), lambda p: g0_closed(p, y, self.omega))[0]
 
 
 def dyson_residual(solver: MediumSolver, x, y) -> float:

@@ -12,7 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from greenvox.ldos import DecayRates, EmitterSpec, ldos_identity_residual, purcell
+import greenvox.ldos as ldos
+from greenvox.green_free import PlaneWaveMode
+from greenvox.ldos import (DecayRates, EmitterSpec, gamma_decomposed, ldos_identity_residual,
+                           purcell)
+from greenvox.modes import e_coefficient_via_green
 from conftest import OMEGA
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -46,3 +50,18 @@ def test_purcell_reference_call_matches_the_identity_route(sphere_grid, drude_ma
     ident = ldos_identity_residual(sphere_solver, emitter.r, emitter.r)
     assert reference == pytest.approx(DecayRates.from_identity(ident, emitter).purcell,
                                       rel=1e-12)
+
+
+def test_both_green_routes_of_e_reach_the_traced_plane_wave_table(monkeypatch, cube_solver):
+    """The route-equivalence check and the LDOS kappa term share one Green route of e,
+    whose plane waves perfbench times through ldos.plane_wave_table."""
+    calls = []
+    table = ldos.plane_wave_table
+    monkeypatch.setattr(ldos, "plane_wave_table",
+                        lambda *args: calls.append(args) or table(*args))
+    mode = PlaneWaveMode(k=(0.0, 0.6 * OMEGA, 0.8 * OMEGA), sigma=-1, zeta="s")
+    e_coefficient_via_green(cube_solver, mode, (0.95, 0.15, 0.25))
+    assert len(calls) == 2  # the grid's plane waves and the point's
+    emitter = EmitterSpec(position=(0.95, 0.15, 0.25), omega=OMEGA, dipole=(0.0, 0.0, 1.0))
+    gamma_decomposed(cube_solver, emitter)
+    assert len(calls) == 4

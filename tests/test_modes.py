@@ -34,17 +34,25 @@ def test_e_vacuum_is_free_mode(cube_grid, vacuum_solver):
 
 
 def test_e_route_equivalence(cube_solver):
+    """Every (sigma, zeta) submode, off the grid and at a voxel center: the Green
+    route reads the shell column of the mode's own submode."""
     pts = np.vstack([X_OUT, cube_solver.grid.centers[17]])
-    direct = e_coefficient(cube_solver, MODE, pts)
-    via_green = e_coefficient_via_green(cube_solver, MODE, pts)
-    assert np.linalg.norm(direct - via_green) <= 10 * TOL * np.linalg.norm(direct)
+    for sigma in (+1, -1):
+        for zeta in ("c", "s"):
+            mode = PlaneWaveMode(k=MODE.k, sigma=sigma, zeta=zeta)
+            direct = e_coefficient(cube_solver, mode, pts)
+            via_green = e_coefficient_via_green(cube_solver, mode, pts)
+            for p in range(len(pts)):
+                assert (np.linalg.norm(direct[p] - via_green[p])
+                        <= 10 * TOL * np.linalg.norm(direct[p])), (sigma, zeta, p)
 
 
 def test_e_exterior_helmholtz_residual(cube_solver):
-    from greenvox.modes import e_evaluate, e_grid_solution
+    from greenvox.modes import e_grid_solution
 
     eg = e_grid_solution(cube_solver, MODE)
-    field = lambda rr: e_evaluate(cube_solver, MODE, eg, rr).reshape(3, 1)
+    field = lambda rr: cube_solver.evaluate(
+        rr, eg, lambda p: OMEGA * phi_plane_wave(MODE, p))[0]
     h = 1e-3 / OMEGA
     resid = fd_curl_curl(field, X_OUT, h) - OMEGA**2 * field(X_OUT)
     assert np.linalg.norm(resid) < 1e-3 * OMEGA**2 * np.linalg.norm(field(X_OUT))
@@ -126,6 +134,21 @@ def test_v_e_matches_closed_formula(cube_solver):
         v = v_component_e(cube_solver, MODE, xp, nup)
         alpha = coupling_alpha_tilde(LORENTZ, nup)
         assert np.allclose(v, -alpha * e_here / (nup**2 - OMEGA**2), rtol=1e-12)
+
+
+def test_v_e_sweep_over_nu_solves_once(cube_grid, cube_materials, monkeypatch):
+    """v^e at one x' reads e(x') from the memoised Green columns of x': three nu'
+    values cost one solve, not one each."""
+    import greenvox.vie as vie
+
+    calls = []
+    solve = vie.solve_system
+    monkeypatch.setattr(vie, "solve_system",
+                        lambda op, rhs, tol=1e-10: calls.append(1) or solve(op, rhs, tol))
+    solver = MediumSolver(cube_grid, cube_materials, OMEGA, TOL)
+    for nup in (0.4, 1.9, 3.2):
+        v_component_e(solver, MODE, cube_grid.centers[12], nup)
+    assert len(calls) == 1
 
 
 def test_v_e_high_frequency_decay(cube_solver):

@@ -315,6 +315,19 @@ def test_point_inside_a_voxel_sees_it_through_the_self_term(sphere_solver):
         assert np.linalg.norm(G - G_center) <= 10 * s * np.linalg.norm(G_center)
         Gyx = sphere_solver.green(Y_OUT, inside)
         assert np.linalg.norm(G - Gyx.T) <= 1e-12 * np.linalg.norm(G)
+    # e and m go through the same evaluation, so they are continuous there too;
+    # the m mode sits at another voxel, whose G0 is smooth near this one
+    mode = PlaneWaveMode(k=(0.48 * OMEGA, 0.36 * OMEGA, 0.8 * OMEGA), sigma=+1, zeta="c")
+    mu = MedModeIndex(x=tuple(grid.centers[grid.n // 2]), nu=OMEGA, j=3)
+    assert grid.n // 2 != 100
+    fields = {"e": lambda r: e_coefficient(sphere_solver, mode, r)[0],
+              "m green": lambda r: m_coefficient(sphere_solver, mu, r, route="green")[0],
+              "m direct": lambda r: m_coefficient(sphere_solver, mu, r, route="direct")[0]}
+    for name, field in fields.items():
+        F_center = field(center)
+        for s in (1e-8, 1e-4):
+            F = field(center + s * step)
+            assert np.linalg.norm(F - F_center) <= 10 * s * np.linalg.norm(F_center), (name, s)
 
 
 def test_green_vacuum_reduces_to_free(vacuum_solver):
