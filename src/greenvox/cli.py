@@ -143,9 +143,33 @@ def _load_scene_or_exit(args):
     return cfg
 
 
-def _check_omega(omega):
+def _argument_problem(args):
+    """The first command-line argument no scene can make valid, as one line, or None.
+
+    Checked before the scene is read or any thread pool starts.
+    """
+    if args.threads is not None and args.threads < 1:
+        return f"--threads must be a positive integer, got {args.threads}"
+    if args.out_dir and any(p.exists() and not p.is_dir()
+                            for p in (Path(args.out_dir), *Path(args.out_dir).parents)):
+        return f"--out-dir {args.out_dir} names an existing file"
+    omega = getattr(args, "omega", 1.0)
     if not (math.isfinite(omega) and omega > 0.0):
-        _exit_config(f"--omega must be a positive finite frequency, got {omega!r}")
+        return f"--omega must be a positive finite frequency, got {omega!r}"
+    for name in ("src", "eval", "point", "point2", "emitter", "dipole", "kdir"):
+        value = getattr(args, name, None)
+        if isinstance(value, tuple) and not all(map(math.isfinite, value)):
+            return f"--{name} must be three finite numbers, got {','.join(map(str, value))}"
+        if name in ("dipole", "kdir") and value == (0.0, 0.0, 0.0):
+            return f"--{name} must be a nonzero vector"
+    if args.command == "greens" and args.src == args.eval:
+        return "--src equals --eval, where G diverges; ldos-check --point gives Im G(x, x)"
+    if args.command == "purcell":
+        a, b, n = args.omega_range
+        if not (math.isfinite(a) and math.isfinite(b) and a <= b and n >= 1):
+            return (f"--omega-range needs a finite start, a finite stop at or above it "
+                    f"and at least one point, got {a}:{b}:{n}")
+    return None
 
 
 def _out_dir(args) -> Path:
@@ -168,10 +192,6 @@ def _cmd_greens(args) -> int:
     import numpy as np
 
     cfg = _load_scene_or_exit(args)
-    _check_omega(args.omega)
-    if args.src == args.eval:
-        _exit_config("--src equals --eval, where G diverges; "
-                     "ldos-check --point gives Im G(x, x)")
     G = cfg.solver(args.omega).green(np.asarray(args.eval), np.asarray(args.src))
     payload = {"config_hash": cfg.config_hash, "omega": args.omega,
                "source": list(args.src), "eval": list(args.eval),
@@ -190,8 +210,8 @@ def _read_points_csv(path):
                 if line and not line.lower().startswith(("x", "#"))]
     except (OSError, ValueError) as exc:
         _exit_config(f"--eval {path}: {exc}")
-    if not rows or any(len(row) != 3 for row in rows):
-        _exit_config(f"--eval {path}: expected rows of three numbers x,y,z")
+    if not rows or any(len(row) != 3 or not all(map(math.isfinite, row)) for row in rows):
+        _exit_config(f"--eval {path}: expected rows of three finite numbers x,y,z")
     return rows
 
 
@@ -202,12 +222,8 @@ def _cmd_modes(args) -> int:
     from .modes import e_coefficient
 
     cfg = _load_scene_or_exit(args)
-    _check_omega(args.omega)
     kdir = np.asarray(args.kdir, dtype=float)
-    norm = np.linalg.norm(kdir)
-    if not (np.isfinite(norm) and norm > 0.0):
-        _exit_config(f"--kdir must be a nonzero finite direction, got {args.kdir}")
-    kdir = kdir / norm
+    kdir = kdir / np.linalg.norm(kdir)
     mode = PlaneWaveMode(k=tuple(args.omega * kdir),
                          sigma=+1 if args.sigma == "+" else -1, zeta=args.zeta)
     points = _read_points_csv(args.eval)
@@ -231,8 +247,6 @@ def _cmd_purcell(args) -> int:
     cfg = _load_scene_or_exit(args)
     cfg.grid  # a body that cannot be voxelized is a config error, not a failed row
     a, b, n = args.omega_range
-    if n < 1:
-        _exit_config("omega range needs at least one point")
     omegas = [a + (b - a) * i / max(n - 1, 1) for i in range(n)]
     rows = purcell_sweep(cfg.solver, args.emitter, args.dipole, omegas,
                          cfg.n_theta, cfg.n_phi)
@@ -286,7 +300,6 @@ def _cmd_ldos_check(args) -> int:
     from .ldos import ldos_identity_residual, make_shell_quadrature
 
     cfg = _load_scene_or_exit(args)
-    _check_omega(args.omega)
     x = np.asarray(args.point)
     y = np.asarray(args.point2) if args.point2 else x
     quad = make_shell_quadrature(args.omega, cfg.n_theta, cfg.n_phi)
@@ -331,6 +344,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # --help (0) or a usage error (EXIT_CONFIG)
         return exc.code
+    problem = _argument_problem(args)
+    if problem:
+        print(problem, file=sys.stderr)
+        return EXIT_CONFIG
     _apply_thread_policy(args.threads)
     handlers = {"greens": _cmd_greens, "modes": _cmd_modes, "purcell": _cmd_purcell,
                 "ldos-check": _cmd_ldos_check, "validate": _cmd_validate}

@@ -158,12 +158,28 @@ class VoxelGrid:
         h = 0.5 * self.voxel_edge
         return self.centers.min(axis=0) - h, self.centers.max(axis=0) + h
 
+    @cached_property
+    def lattice_flat(self) -> np.ndarray:
+        """Flat (C-order) index of every voxel's site in the lattice_shape box, (N,)."""
+        flat = np.ravel_multi_index(self.lattice_index.T, self.lattice_shape)
+        flat.flags.writeable = False
+        return flat
+
+    @cached_property
+    def _voxel_at_site(self) -> dict:
+        """Flat lattice site -> voxel index: a dict, so a sparse body's large box costs O(N)."""
+        return dict(zip(self.lattice_flat.tolist(), range(self.n)))
+
     def index_of(self, point, rtol: float = 1e-9):
         """Index of the voxel whose center lies within rtol edges of point per axis, else None."""
         rel = (np.asarray(point, dtype=float) - self.lattice_origin) / self.voxel_edge
         site = np.rint(rel)
-        hit = np.flatnonzero(np.all(self.lattice_index == site, axis=1))
-        return int(hit[0]) if len(hit) and np.all(np.abs(rel - site) <= rtol) else None
+        if not np.all(np.abs(rel - site) <= rtol):
+            return None
+        (i, j, k), (nx, ny, nz) = site.tolist(), self.lattice_shape
+        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):  # no wrap-around
+            return None
+        return self._voxel_at_site.get(int((i * ny + j) * nz + k))
 
 
 def _lattice_centers(lo, hi, h: float):

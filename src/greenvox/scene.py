@@ -208,7 +208,11 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
             vals = {k: _number(f"{pctx}.{k}", p.get(k, None), errors) for k in
                     ("omega0", "omegap", "gamma")}
             if None not in vals.values():
-                poles.append(vals)
+                try:  # the signs LorentzPole demands hold in any positive unit
+                    LorentzPole(**vals)
+                    poles.append(vals)
+                except ValueError as exc:
+                    errors.append(f"{pctx}: {exc}")
         parsed_materials.append((rid, poles))
 
     # geometry -----------------------------------------------------------
@@ -275,6 +279,7 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
         errors.append("runs: expected a mapping")
         runs = {}
     _check_unknown("runs", runs, _KNOWN_RUNS, errors)
+    parsed_runs = _parse_runs(runs, errors)
 
     if errors:
         raise SceneError(errors)
@@ -299,7 +304,10 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
         LorentzPole(**{k: _to_internal(units, v, "frequency") for k, v in p.items()})
         for p in poles)) for rid, poles in parsed_materials}
 
-    runs_internal = _convert_runs(runs, units)
+    runs_internal = {name: {key: value if _RUN_FIELD_KINDS[key] is None
+                            else _to_internal(units, value, _RUN_FIELD_KINDS[key])
+                            for key, value in block.items()}
+                     for name, block in parsed_runs.items()}
 
     cfg = SceneConfig(units=units, materials=materials, shapes=shapes_internal,
                       voxel_edge=voxel_edge and _to_internal(units, voxel_edge, "length"),
@@ -341,27 +349,26 @@ _RUN_FIELD_KINDS = {
 }
 
 
-def _convert_runs(runs: dict, units: UnitSystem) -> dict:
+def _parse_runs(runs: dict, errors) -> dict:
+    """Run blocks with every recognized field parsed (frequencies positive), in scene units."""
     out = {}
-    errors = []
     for block_name, block in runs.items():
         if not isinstance(block, dict):
             errors.append(f"runs.{block_name}: expected a mapping")
             continue
-        conv = {}
+        parsed = {}
         for key, value in block.items():
             kind = _RUN_FIELD_KINDS.get(key, "unknown")
             if kind == "unknown":
                 errors.append(f"runs.{block_name}.{key}: unknown field")
             elif kind is None:
-                conv[key] = value
+                parsed[key] = value
             else:
-                parsed = _value(f"runs.{block_name}.{key}", value, kind, errors)
-                if parsed is not None:
-                    conv[key] = _to_internal(units, parsed, kind)
-        out[block_name] = conv
-    if errors:
-        raise SceneError(errors)
+                value = _value(f"runs.{block_name}.{key}", value, kind, errors,
+                               positive=kind == "frequency")
+                if value is not None:
+                    parsed[key] = value
+        out[block_name] = parsed
     return out
 
 

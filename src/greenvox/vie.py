@@ -34,13 +34,22 @@ refactored once in complex128.
 The matrix-free kernel is the FFT of the table embedded in a circulant
 of twice the lattice extent per axis, so K p is a 3x3 block product
 between two FFTs (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16,
-1198 (1991)), and is solved by restarted GMRES.  The FFTs are pruned
-(Markel, IEEE Trans. Audio Electroacoust. 19, 305 (1971)): p lives in
-the body box, one eighth of the circulant, so the forward transform runs
-one axis at a time over the lines that can be nonzero, and the inverse
-keeps only the body box after each axis.  MediumSolver picks the
-representation and the solve follows it.  With beta = 0 the operator is
-the identity and nothing is assembled or solved.
+1198 (1991)).  The FFTs are pruned (Markel, IEEE Trans. Audio
+Electroacoust. 19, 305 (1971)): p lives in the body box, one eighth of
+the circulant, so the forward transform runs one axis at a time over the
+lines that can be nonzero, and the inverse keeps only the body box after
+each axis.  The table is C-contiguous, so its spectrum is too, and the
+block product is nine in-place products summed into one contiguous
+output that the inverse FFTs read.  The lattice operator is solved by
+restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
+(1986)), left-preconditioned by the diagonal of I - K diag(beta), from
+x0 = rhs: 80 Krylov vectors per cycle, orthogonalized by two passes of
+classical Gram-Schmidt, at most 400 cycles, until the true residual
+formed after a cycle is at most tol/10 of the right-hand side, or a
+breakdown.  That residual is the one recorded, so no further operator
+application checks it.  MediumSolver picks the representation and the
+solve follows it.  With beta = 0 the operator is the identity and
+nothing is assembled or solved.
 
 One MediumSolver per frequency is the medium: it is the first argument
 of every function that evaluates the Green tensor, here and in ldos and
@@ -49,13 +58,13 @@ modes, which work at solver.omega and take no materials or tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
-from scipy.sparse.linalg import LinearOperator, gmres
+from scipy.linalg import lu_factor, lu_solve, solve_triangular
 
 from .geometry import VoxelGrid, eps_on_grid
 from .green_free import g0_closed, g0_from_displacements, self_term_scalar
@@ -66,6 +75,10 @@ _FIELDS_KEPT = 8
 
 #: refinement steps on one set of LU factors before giving up on them (zcgesv's ITERMAX)
 _REFINE_STEPS = 30
+
+#: GMRES Krylov vectors per restart cycle, and restart cycles per column
+_RESTART = 80
+_CYCLES = 400
 
 
 class SolverError(RuntimeError):
@@ -87,7 +100,7 @@ def _kernel_table(grid: VoxelGrid, omega: float, axes):
     offsets[origin] = 1.0  # placeholder, overwritten below
     blocks = grid.voxel_volume * g0_from_displacements(grid.voxel_edge * offsets, omega)
     blocks[origin] = self_term_scalar(grid.voxel_volume, omega) * np.eye(3)
-    return np.moveaxis(blocks, (-2, -1), (0, 1))
+    return np.ascontiguousarray(np.moveaxis(blocks, (-2, -1), (0, 1)))
 
 
 @dataclass
@@ -134,9 +147,11 @@ class InteractionOperator:
         The convolution runs pruned FFTs: q is scattered into the body
         box and transformed one axis at a time, zero-padded to 2 n_a, so
         each axis transforms only the lines that can be nonzero; the
-        spectrum is multiplied by the table's 3x3 blocks and inverted one
-        axis at a time, keeping the first n_a sites of each axis, which
-        is where the body lies.
+        spectrum is multiplied by the table's 3x3 blocks, nine in-place
+        products summed into one output, and inverted one axis at a
+        time, keeping the first n_a sites of each axis, which is where
+        the body lies.  The spectrum and the product are C-contiguous, so
+        m columns cost about m single columns.
         """
         if self.kernel is not None:
             return self.kernel @ q
@@ -146,7 +161,12 @@ class InteractionOperator:
         box.reshape(3, m, -1)[:, :, index] = q.reshape(n, 3, m).transpose(1, 2, 0)
         for axis, length in enumerate(shape, start=2):
             box = np.fft.fft(box, n=2 * length, axis=axis)
-        box = np.einsum("abxyz,bmxyz->amxyz", table, box)
+        out, term = np.empty_like(box), np.empty_like(box[0])
+        for a in range(3):
+            np.multiply(table[a, 0], box[0], out=out[a])
+            for b in (1, 2):
+                out[a] += np.multiply(table[a, b], box[b], out=term)
+        box = out
         for axis in (4, 3, 2):  # the contiguous axis first, on the largest array
             box = np.fft.ifft(box, axis=axis)[(slice(None),) * axis + (slice(shape[axis - 2]),)]
         return box.reshape(3, m, -1)[:, :, index].transpose(2, 0, 1).reshape(3 * n, m)
@@ -218,8 +238,7 @@ def assemble(grid: VoxelGrid, materials, omega: float, *, dense: bool = True,
                               [np.fft.ifftshift(np.arange(-n, n)) for n in grid.lattice_shape])
         for axis, n in enumerate(grid.lattice_shape):
             np.moveaxis(table, 2 + axis, 0)[n] = 0.0
-        lattice = (np.ravel_multi_index(grid.lattice_index.T, grid.lattice_shape),
-                   np.fft.fftn(table, axes=(-3, -2, -1)))
+        lattice = (grid.lattice_flat, np.fft.fftn(table, axes=(-3, -2, -1)))
         return InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=None,
                                    lattice=lattice)
     # the table spans only the per-axis offsets that voxel pairs produce;
@@ -271,8 +290,9 @@ def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):
     the answer is accurate to complex128 whatever tol is; if 30
     refinement steps do not reach that bound the operator is refactorized
     once in complex128 and the solve refined again.  The lattice operator
-    is solved by restarted GMRES with a diagonal preconditioner, column
-    by column.  The vacuum operator returns a copy of rhs.
+    is solved by restarted GMRES with a diagonal preconditioner to tol/10,
+    column by column, and fails unless the true residual GMRES returns is
+    within tol.  The vacuum operator returns a copy of rhs.
     """
     if not tol > 0.0:
         raise ValueError("solver tolerance must be positive")
@@ -297,27 +317,77 @@ def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):
             raise SolverError(f"dense solve stalled at residual {achieved:.3e} (target {tol:.1e})")
         return x.reshape(rhs.shape)
 
-    def matvec(v):
-        nonlocal applications
-        applications += 1
-        return op.apply(v)
-
-    lin = LinearOperator((op.n3, op.n3), matvec=matvec, dtype=complex)
     pre_diag = np.repeat(1.0 - self_term_scalar(op.grid.voxel_volume, op.omega) * op.beta, 3)
-    precond = LinearOperator((op.n3, op.n3), matvec=lambda v: v / pre_diag, dtype=complex)
     x = np.empty_like(b)
     for j in range(b.shape[1]):
-        applications = 0
-        xj, info = gmres(lin, b[:, j], x0=b[:, j], rtol=tol * 0.1, atol=0.0,
-                         restart=80, maxiter=400, M=precond)
-        achieved = np.linalg.norm(b[:, j] - matvec(xj)) / np.linalg.norm(b[:, j])
+        x[:, j], resid, applications = _gmres(op, b[:, j], pre_diag, 0.1 * tol)
+        achieved = resid / np.linalg.norm(b[:, j]) if resid else 0.0
         op.iterations.append((applications, float(achieved)))
-        if info != 0 or not np.isfinite(achieved) or achieved > tol:
+        if not np.isfinite(achieved) or achieved > tol:
             raise SolverError(
                 f"GMRES failed to converge on column {j}: achieved residual "
-                f"{achieved:.3e} (target {tol:.1e}, info={info})")
-        x[:, j] = xj
+                f"{achieved:.3e} (target {tol:.1e}) after {applications} operator applications")
     return x.reshape(rhs.shape)
+
+
+def _gmres(op: InteractionOperator, b, pre_diag, rtol: float):
+    """Restarted GMRES on op x = b, left-preconditioned by diag(pre_diag), from x0 = b.
+
+    Each cycle runs Arnoldi on M^-1 op with two passes of classical
+    Gram-Schmidt and Givens rotations, and stops early when the rotated
+    residual has fallen by the factor the true residual still needs, or
+    at a breakdown.  After each cycle the true residual ||b - op x|| is
+    formed; the loop ends when it is <= rtol ||b||, after _CYCLES cycles,
+    or after a breakdown short of that.  Returns (x, ||b - op x||,
+    operator applications).
+    """
+    eps, target = np.finfo(float).eps, rtol * np.linalg.norm(b)
+    basis = np.empty((_RESTART + 1, len(b)), dtype=complex)
+    R = np.zeros((_RESTART, _RESTART), dtype=complex)  # columns 0..k rewritten each cycle
+    x = b.copy()
+    r = b - op.apply(x)
+    rnorm, applications = np.linalg.norm(r), 1
+    for _ in range(_CYCLES):
+        if not rnorm > target:  # converged, or non-finite
+            break
+        w = r / pre_diag
+        g = [np.linalg.norm(w)]  # M^-1 r in the rotated Krylov basis
+        inner_target = g[0] * target / rnorm
+        basis[0] = w / g[0]
+        rotations = []
+        for k in range(_RESTART):
+            w = op.apply(basis[k])
+            w /= pre_diag
+            applications += 1
+            w0, h = np.linalg.norm(w), np.zeros(k + 2, dtype=complex)
+            for _ in range(2):
+                c = (basis[:k + 1] @ w.conj()).conj()
+                w -= c @ basis[:k + 1]
+                h[:k + 1] += c
+            h[k + 1] = wnorm = np.linalg.norm(w)
+            breakdown = wnorm <= eps * w0
+            if not breakdown:
+                basis[k + 1] = w / wnorm
+            h = h.tolist()
+            for i, (cos, sin) in enumerate(rotations):
+                h[i], h[i + 1] = (cos * h[i] + sin * h[i + 1],
+                                  cos * h[i + 1] - sin.conjugate() * h[i])
+            a, e = h[k], h[k + 1]
+            rho = math.hypot(abs(a), abs(e))
+            cos, sin = (abs(a) / rho, a / abs(a) * e.conjugate() / rho) if a else (0.0, 1.0)
+            rotations.append((cos, sin))
+            h[k] = cos * a + sin * e
+            g.append(-sin.conjugate() * g[k])
+            g[k] *= cos
+            R[:k + 1, k] = h[:k + 1]
+            if abs(g[k + 1]) <= inner_target or breakdown:
+                break
+        x += solve_triangular(R[:k + 1, :k + 1], g[:k + 1]) @ basis[:k + 1]
+        r = b - op.apply(x)
+        rnorm, applications = np.linalg.norm(r), applications + 1
+        if breakdown:
+            break
+    return x, rnorm, applications
 
 
 class MediumSolver:

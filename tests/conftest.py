@@ -7,6 +7,12 @@ center voxel at the origin; the cube tiles exactly into 4^3 voxels.
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# property tests draw the same few examples on every run, whatever the machine's speed
+settings.register_profile("greenvox", derandomize=True, deadline=None, max_examples=12,
+                          database=None)
+settings.load_profile("greenvox")
 
 from greenvox import (Box, LorentzPole, MediumSolver, PermittivityModel, Sphere,
                       build_grid)

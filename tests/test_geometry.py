@@ -133,6 +133,29 @@ def test_index_of_exact_center():
     assert grid.index_of(grid.centers[3] + 0.05) is None
 
 
+def test_index_of_is_a_lookup_that_never_wraps():
+    """Every center maps to its own voxel; a site outside the lattice box on any
+    side is no voxel, even where its flat index would alias a real one."""
+    sphere = build_grid(Sphere(center=(0, 0, 0), radius=1.0), 0.17)
+    assert sphere.n == 840
+    assert [sphere.index_of(c) for c in sphere.centers] == list(range(sphere.n))
+    box = build_grid(Box(min_corner=(0, 0, 0), max_corner=(0.6, 0.6, 0.6)), 0.2)
+    for grid in (sphere, box):
+        lo, hi = grid.lattice_index.min(axis=0), grid.lattice_index.max(axis=0)
+        for axis in range(3):
+            step = np.eye(3)[axis] * grid.voxel_edge
+            for extreme, sign in ((lo, -1), (hi, +1)):
+                i = np.flatnonzero(grid.lattice_index[:, axis] == extreme[axis])[0]
+                assert grid.index_of(grid.centers[i] + sign * step) is None
+    # a site one below the box in z would wrap onto the last z site of the previous row
+    assert box.index_of(box.centers[box.index_of([0.3, 0.3, 0.1])] - [0, 0, 0.2]) is None
+    c, h = sphere.centers[100], sphere.voxel_edge
+    assert sphere.index_of(c + 0.4 * h) is None
+    assert sphere.index_of(c + 0.4 * h, rtol=0.5 - 1e-9) == 100
+    assert sphere.index_of(c + [0.6 * h, 0, 0], rtol=0.5 - 1e-9) == sphere.index_of(c + [h, 0, 0])
+    assert sphere.index_of([np.nan, 0.0, 0.0]) is None
+
+
 def test_voxel_grid_rejects_off_lattice_centers():
     """Overlapping voxels define no discretization: every center sits on one lattice."""
     with pytest.raises(GridError, match="lattice"):

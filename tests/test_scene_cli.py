@@ -345,6 +345,79 @@ def test_cli_bad_input_is_a_config_error(argv, message, tmp_path, capsys, monkey
     assert len(err) == 1 and message in err[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["greens", "--omega", "1", "--src", "nan,0,3", "--eval", "1.2,0,0"],
+    ["greens", "--omega", "1", "--src", "0,0,3", "--eval", "1.2,inf,0"],
+    ["ldos-check", "--omega", "1", "--point", "inf,0,0"],
+    ["ldos-check", "--omega", "1", "--point", "1.2,0,0", "--point2", "0,nan,1.3"],
+    ["purcell", "--emitter", "0.95,nan,0.25", "--dipole", "0,0,1", "--omega-range", "0.9:1.1:3"],
+    ["purcell", "--emitter", "0.95,0.15,0.25", "--dipole", "0,0,0", "--omega-range", "0.9:1.1:3"],
+    ["purcell", "--emitter", "0.95,0.15,0.25", "--dipole", "0,0,1", "--omega-range", "1.1:0.9:3"],
+    ["purcell", "--emitter", "0.95,0.15,0.25", "--dipole", "0,0,1", "--omega-range", "nan:1.1:3"],
+    ["purcell", "--emitter", "0.95,0.15,0.25", "--dipole", "0,0,1", "--omega-range", "0.9:inf:3"],
+    ["validate", "--threads", "0"],
+    ["validate", "--threads", "-2"],
+    ["validate", "--out-dir", "taken.txt"],
+    ["validate", "--out-dir", "taken.txt/sub"],
+], ids=["nan src", "inf eval", "inf point", "nan point2", "nan emitter", "zero dipole",
+        "unsorted range", "nan range start", "inf range stop", "zero threads",
+        "negative threads", "out-dir is a file", "out-dir below a file"])
+def test_cli_bad_arguments_exit_4_before_any_solve(argv, tmp_path, capsys, monkeypatch):
+    """Arguments no scene can make valid exit 4 with one stderr line, no traceback,
+    and nothing is solved or written; the thread variables stay unset."""
+    import greenvox.vie as vie
+
+    monkeypatch.chdir(tmp_path)
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setattr(vie, "solve_system", lambda *a, **k: pytest.fail("solved"))
+    scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
+    write(tmp_path, "taken.txt", "")
+    rc = cli_main([argv[0], "--scene", str(scene), *argv[1:]])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cube.yaml", "taken.txt"]
+
+
+@pytest.mark.parametrize("pole, field", [
+    ("{omega0: 0.0, omegap: 1.5, gamma: 0}", "gamma"),
+    ("{omega0: 0.0, omegap: 1.5, gamma: -0.3}", "gamma"),
+    ("{omega0: -1.0, omegap: 1.5, gamma: 0.3}", "omega0"),
+])
+def test_pole_signs_are_scene_errors(pole, field, tmp_path, capsys):
+    """A pole without strict absorption is a schema error, listed with the others,
+    and the CLI exits 4 instead of raising ValueError from the permittivity model."""
+    text = CUBE_SCENE.replace("{omega0: 1.5, omegap: 1.0, gamma: 0.4}", pole)
+    text = text.replace("voxel_edge: 0.2", "voxel_edge: -0.2")
+    with pytest.raises(SceneError) as err:
+        load_scene(write(tmp_path, "pole.yaml", text))
+    assert any(e.startswith("materials[0].poles[0]:") and field in e for e in err.value.errors)
+    assert any("geometry.voxel_edge" in e for e in err.value.errors)
+    scene = write(tmp_path, "pole_only.yaml", CUBE_SCENE.replace(
+        "{omega0: 1.5, omegap: 1.0, gamma: 0.4}", pole))
+    rc = cli_main(["validate", "--scene", str(scene)])
+    captured = capsys.readouterr().err
+    assert rc == 4 and "Traceback" not in captured and field in captured
+
+
+@pytest.mark.parametrize("omega", ["0", "-1.0", "0.0"])
+def test_nonpositive_validate_omega_is_a_scene_error(omega, tmp_path, capsys):
+    """runs.validate.omega <= 0 is collected as a schema error; the CLI exits 4
+    instead of a ZeroDivisionError in the probe defaults."""
+    text = CUBE_SCENE.replace("validate: {omega: 1.0}", f"validate: {{omega: {omega}}}")
+    with pytest.raises(SceneError) as err:
+        load_scene(write(tmp_path, "w.yaml", text.replace("gamma: 0.4", "gamma: 0")))
+    assert any(e.startswith("runs.validate.omega: must be strictly positive")
+               for e in err.value.errors)
+    assert any(e.startswith("materials[0].poles[0]:") for e in err.value.errors)
+    rc = cli_main(["validate", "--scene", str(write(tmp_path, "v.yaml", text))])
+    captured = capsys.readouterr().err
+    assert rc == 4 and "Traceback" not in captured and "runs.validate.omega" in captured
+
+
 def test_cli_usage_errors_are_config_errors(tmp_path, capsys):
     """argparse would exit 2, the validation-failure code: usage errors exit 4, --help 0."""
     scene = write(tmp_path, "cube.yaml", CUBE_SCENE)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from greenvox import (Box, DenseCapError, EmitterSpec, MaskShape, MediumSolver, PlaneWaveMode,
-                      Sphere, SolverError, assemble, build_grid, dyson_residual, eval_eps,
+from greenvox import (Box, DenseCapError, EmitterSpec, LorentzPole, MaskShape, MediumSolver,
+                      PermittivityModel, PlaneWaveMode, Sphere, SolverError, VoxelGrid,
+                      assemble, build_grid, dyson_residual, eval_eps,
                       g0_closed, gamma_decomposed, im_green_at, ldos_identity_residual,
                       purcell, purcell_sweep, scaled_contrast, solve_system)
 from greenvox.geometry import write_mask
@@ -11,7 +13,7 @@ from greenvox.modes import (MedModeIndex, e_coefficient, e_coefficient_via_green
                             u_numerator_m, v_component_m)
 from greenvox.green_free import self_term, self_term_scalar
 
-from conftest import LORENTZ, OMEGA, loglog_slope
+from conftest import DRUDE, LORENTZ, OMEGA, loglog_slope
 
 X_OUT = np.array([1.1, 0.25, -0.15])
 Y_OUT = np.array([-0.2, 0.95, 0.4])
@@ -70,6 +72,33 @@ def test_iterative_matches_dense():
     assert iterative.op.kernel is None  # matvec-only representation
 
 
+@st.composite
+def lattice_bodies(draw):
+    """Region ids on a lattice box of at most 4 x 4 x 4 sites: 0 is a hole, and one
+    to three materials fill the rest, at least one voxel of them."""
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    materials = draw(st.integers(1, 3))
+    ids = draw(st.lists(st.integers(0, materials), min_size=int(np.prod(shape)),
+                        max_size=int(np.prod(shape))).filter(any))
+    return np.reshape(ids, shape)
+
+
+@given(ids=lattice_bodies())
+def test_fft_gmres_matches_dense_lu_on_random_bodies(ids):
+    """On any small lattice body, holes and material mix included, the FFT-GMRES
+    Green columns are the dense-LU columns to 10 tol."""
+    tol, edge = 1e-10, 0.15
+    site = np.argwhere(ids)
+    grid = VoxelGrid((site + 0.5) * edge, edge, ids[tuple(site.T)])
+    mats = {1: LORENTZ, 2: DRUDE, 3: PermittivityModel(
+        poles=(LorentzPole(omega0=2.0, omegap=2.0, gamma=0.5),), region_id=3)}
+    y = np.array([-0.3, 0.25, 0.9])
+    dense = MediumSolver(grid, mats, OMEGA, tol, method="dense").grid_fields(y)
+    lattice = MediumSolver(grid, mats, OMEGA, tol, method="gmres")
+    assert lattice.op.kernel is None
+    assert np.linalg.norm(lattice.grid_fields(y) - dense) <= 10 * tol * np.linalg.norm(dense)
+
+
 def lattice_grids(tmp_path):
     """A sphere, a two-box union with n_x != n_y != n_z, a mask with holes, two
     4^3 boxes ten edges apart on the diagonal, a slab one voxel thick and a single
@@ -125,12 +154,14 @@ def test_kernel_matches_pairwise_reference(tmp_path, monkeypatch):
 
 
 def test_fft_product_matches_dense_kernel(tmp_path):
-    """The lattice convolution reproduces K q on every kind of lattice grid."""
+    """The lattice convolution reproduces K q on every kind of lattice grid, from a
+    C-contiguous spectrum, and m columns at once are m single columns."""
     rng = np.random.default_rng(5)
     for name, grid in lattice_grids(tmp_path).items():
         dense = assemble(grid, {1: LORENTZ}, OMEGA)
         fft = assemble(grid, {1: LORENTZ}, OMEGA, dense=False)
         assert fft.kernel is None
+        assert fft.lattice[1].flags.c_contiguous, name
         if name == "two boxes":
             assert len(set(fft.lattice[1].shape[2:])) == 3  # n_x, n_y, n_z all differ
         p = rng.normal(size=(dense.n3, 2)) + 1j * rng.normal(size=(dense.n3, 2))
@@ -138,6 +169,9 @@ def test_fft_product_matches_dense_kernel(tmp_path):
         expected = dense.kernel @ q
         got = fft.kernel_product(q)
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected), name
+        q3 = np.hstack([q, q[:, :1] * 1j])
+        single = np.hstack([fft.kernel_product(q3[:, [j]]) for j in range(3)])
+        assert np.max(np.abs(fft.kernel_product(q3) - single)) <= 1e-15 * np.max(np.abs(single))
         for v in (p, p[:, 0]):
             assert fft.apply(v).shape == v.shape
             assert np.linalg.norm(fft.apply(v) - dense.apply(v)) <= 1e-13 * np.linalg.norm(v)
@@ -148,7 +182,7 @@ def test_solve_follows_the_representation(cube_grid, cube_materials, monkeypatch
     operator is never factorized."""
     import greenvox.vie as vie_mod
 
-    calls = {"lu_factor": 0, "gmres": 0}
+    calls = {"lu_factor": 0, "_gmres": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -163,10 +197,10 @@ def test_solve_follows_the_representation(cube_grid, cube_materials, monkeypatch
     dense = MediumSolver(cube_grid, cube_materials, OMEGA, method="dense")
     for _ in range(3):
         dense.solve(rhs)
-    assert calls == {"lu_factor": 1, "gmres": 0}
+    assert calls == {"lu_factor": 1, "_gmres": 0}
     lattice = MediumSolver(cube_grid, cube_materials, OMEGA, method="gmres")
     lattice.solve(rhs)
-    assert calls == {"lu_factor": 1, "gmres": 2}  # one GMRES run per column
+    assert calls == {"lu_factor": 1, "_gmres": 2}  # one GMRES run per column
     with pytest.raises(SolverError, match="matrix-free"):
         lattice.op.lu()
     with pytest.raises(ValueError, match="unknown solve method"):
@@ -406,19 +440,20 @@ def test_dense_cap_guard(cube_grid, cube_materials):
         assemble(cube_grid, cube_materials, OMEGA, dense_cap=10)
 
 
-def test_gmres_nonconvergence_reports_residual(cube_grid, cube_materials):
+def test_gmres_nonconvergence_reports_residual(cube_grid, cube_materials, monkeypatch):
+    """A GMRES budget of one Krylov vector in one cycle cannot reach tol: the
+    SolverError names the achieved residual, which is recorded too."""
+    import greenvox.vie as vie_mod
+
     solver = MediumSolver(cube_grid, cube_materials, OMEGA, tol=1e-10, method="gmres")
     rng = np.random.default_rng(3)
     rhs = rng.normal(size=solver.op.n3)
-    import greenvox.vie as vie_mod
-    import scipy.sparse.linalg as spla
-    orig = vie_mod.gmres
-    try:
-        vie_mod.gmres = lambda *a, **k: spla.gmres(*a, **{**k, "maxiter": 1, "restart": 1})
-        with pytest.raises(SolverError, match="residual"):
-            solver.solve(rhs)
-    finally:
-        vie_mod.gmres = orig
+    monkeypatch.setattr(vie_mod, "_RESTART", 1)
+    monkeypatch.setattr(vie_mod, "_CYCLES", 1)
+    with pytest.raises(SolverError, match=r"achieved residual \d\.\d{3}e-\d\d"):
+        solver.solve(rhs)
+    (applications, achieved), = solver.op.iterations
+    assert applications == 3 and achieved > 1e-10
 
 
 def test_solver_rejects_bad_inputs(cube_solver):
