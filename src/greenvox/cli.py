@@ -86,7 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pin the BLAS/OpenMP thread pool to this many threads")
         p.add_argument("--tol", type=float, default=None, help="solver tolerance override")
         p.add_argument("--quad", type=_parse_quad, default=None,
-                       help="shell quadrature order THETAxPHI override")
+                       help="shell quadrature order THETAxPHI override (validate's "
+                            "free-space spectral check; the LDOS shell integral is exact)")
 
     g = sub.add_parser("greens", help="medium Green tensor at one point pair")
     common(g)
@@ -166,9 +167,9 @@ def _argument_problem(args):
         return "--src equals --eval, where G diverges; ldos-check --point gives Im G(x, x)"
     if args.command == "purcell":
         a, b, n = args.omega_range
-        if not (math.isfinite(a) and math.isfinite(b) and a <= b and n >= 1):
-            return (f"--omega-range needs a finite start, a finite stop at or above it "
-                    f"and at least one point, got {a}:{b}:{n}")
+        if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a <= b and n >= 1):
+            return (f"--omega-range needs a positive finite start, a finite stop at or "
+                    f"above it and at least one point, got {a}:{b}:{n}")
     return None
 
 
@@ -248,8 +249,7 @@ def _cmd_purcell(args) -> int:
     cfg.grid  # a body that cannot be voxelized is a config error, not a failed row
     a, b, n = args.omega_range
     omegas = [a + (b - a) * i / max(n - 1, 1) for i in range(n)]
-    rows = purcell_sweep(cfg.solver, args.emitter, args.dipole, omegas,
-                         cfg.n_theta, cfg.n_phi)
+    rows = purcell_sweep(cfg.solver, args.emitter, args.dipole, omegas)
     lines = [f"# config_hash={cfg.config_hash}",
              "omega,purcell,gamma_e,gamma_m,identity_residual,error"]
     for r in rows:
@@ -297,13 +297,12 @@ def _cmd_purcell(args) -> int:
 def _cmd_ldos_check(args) -> int:
     import numpy as np
 
-    from .ldos import ldos_identity_residual, make_shell_quadrature
+    from .ldos import ldos_identity_residual
 
     cfg = _load_scene_or_exit(args)
     x = np.asarray(args.point)
     y = np.asarray(args.point2) if args.point2 else x
-    quad = make_shell_quadrature(args.omega, cfg.n_theta, cfg.n_phi)
-    ident = ldos_identity_residual(cfg.solver(args.omega), x, y, quad)
+    ident = ldos_identity_residual(cfg.solver(args.omega), x, y)
     payload = {
         "config_hash": cfg.config_hash,
         "omega": args.omega,

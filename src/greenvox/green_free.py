@@ -23,6 +23,7 @@ Im G0(x, x) = omega/(6 pi) I.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,38 @@ def g0_from_displacements(disp, omega: float):
     RR = Rhat[..., :, None] * Rhat[..., None, :]
     out = (ca[..., None, None] * RR + cb[..., None, None] * I3) * g[..., None, None]
     return out[0] if scalar_input else out
+
+
+#: Taylor coefficients of j0(x) - j1(x)/x and j2(x)/x^2 in powers of -x^2/2, up to
+#: (x^2/2)^10/10!, which is below 1e-19 of the value for x < 1
+_IM_G0_SERIES = np.array([
+    [(2 * k + 2) / (math.factorial(k) * math.prod(range(2 * k + 3, 0, -2))),
+     1.0 / (math.factorial(k) * math.prod(range(2 * k + 5, 0, -2)))] for k in range(11)])
+
+
+def im_g0_from_displacements(disp, omega: float):
+    """Im G0 for an array of displacements r - r', zero rows included, (..., 3, 3) real.
+
+    Im G0 is smooth everywhere: (omega/4 pi) [(j0(x) - j1(x)/x) I
+    + (j2(x)/x^2) (omega d)(omega d)^T] with x = omega |d|, so a zero
+    displacement gives the coincidence value omega/(6 pi) I.  Below
+    x = 1 the spherical Bessel combinations come from their Taylor
+    series, where the closed form would cancel.
+    """
+    if not omega > 0.0:
+        raise ValueError("dyadic Green tensor requires omega > 0")
+    d = np.asarray(disp, dtype=float)
+    x = omega * np.linalg.norm(d, axis=-1)
+    small = x < 1.0
+    xs = np.where(small, 1.0, x)
+    s, c = np.sin(xs), np.cos(xs)
+    a = (s * (1.0 - 1.0 / xs**2) + c / xs) / xs
+    b = ((3.0 / xs**2 - 1.0) * s / xs - 3.0 * c / xs**2) / xs**2
+    powers = (-0.5 * np.where(small, x, 0.0)**2)[..., None] ** np.arange(11)
+    a_series, b_series = np.moveaxis(powers @ _IM_G0_SERIES, -1, 0)
+    a, b = np.where(small, a_series, a), np.where(small, b_series, b)
+    dd = omega**2 * d[..., :, None] * d[..., None, :]
+    return (omega / (4.0 * np.pi)) * (a[..., None, None] * I3 + b[..., None, None] * dd)
 
 
 def g0_closed(r, rp, omega: float):

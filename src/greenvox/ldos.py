@@ -6,10 +6,11 @@ the local density of states.  It satisfies the identity (natural units)
     Im G(x, y) = (pi/(2 w)) sum_shell w_q sum_{sigma,zeta} e(x) (x) e*(y)
                + w^2 int_V d^3z Im[eps](z) G(x, z) G*(z, y)
 
-where the first term is the electromagnetic-continuum shell integral
-(radial delta collapsed, Jacobian w^2) and the second the absorption
-integral; replacing the absorption term by the medium-continuum sum of
-m-coefficient dyadics gives an algebraically identical second form.
+where the first term kappa is the electromagnetic-continuum shell
+integral (radial delta collapsed, Jacobian w^2) and the second the
+absorption integral; replacing the absorption term by the
+medium-continuum sum of m-coefficient dyadics gives an algebraically
+identical second form.
 
 A two-level emitter with dipole d and transition frequency w decays at
 
@@ -21,9 +22,18 @@ and the e-continuum part of Gamma_m cancels Gamma_e exactly, leaving
 Gamma = 2 w^2 d . Im G . d; the Purcell factor is Gamma / Gamma_0 with
 Gamma_0 = w^3 |d|^2 / (3 pi), so vacuum gives exactly 1.
 
-The shell e coefficients need no solve: by reciprocity G(x, z_j) = X_j^T
-for the Green columns X already solved at x, and the Green route of e
-contracts them with every shell plane wave at once.
+kappa and Gamma_e are the exact shell integral, with no quadrature: the
+Green route writes e(x) = w sum_a c_a Phi(p_a) over the points
+{x, z_1 .. z_N}, and the shell integral of Phi(a) Phi(b)^T is
+(2/(pi w)) Im G0(a, b), so kappa = sum_{a,b} c_a Im G0(p_a, p_b) c_b^H
+(_shell_integral), one kernel product for the voxel pairs.  A
+SphereQuadrature passed as quad= takes the quadrature route instead, the
+reference that the closed form is tested against: the shell e
+coefficients of every node from the Green columns X already solved at x
+(G(x, z_j) = X_j^T by reciprocity), contracted with every shell plane
+wave at once.  The same sum with the kernel's own values in place of
+Im G0 closes the identity to solver tolerance (the discrete optical
+theorem), which validate checks as ldos_identity_discrete.
 
 Every function takes the MediumSolver of its frequency first (purcell
 also a grid); an emitter at another frequency raises ValueError.
@@ -35,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .green_free import plane_wave_table
+from .green_free import im_g0_from_displacements, plane_wave_table, self_term_scalar
 from .quadrature import SphereQuadrature, make_shell_quadrature  # noqa: F401 (re-export)
 from .vie import MediumSolver, SolverError
 
@@ -116,6 +126,53 @@ def _e_fields_on_shell(solver: MediumSolver, nodes, points, green_columns):
 
 
 # ----------------------------------------------------------------------
+# the shell integral in closed form
+# ----------------------------------------------------------------------
+
+def _shell_integral(solver: MediumSolver, x, y, Xx, Xy):
+    """kappa(x, y) in closed form, and the same sum with the kernel's own values, two (3, 3).
+
+    With U_j = beta_j X_j (rows of a (3N, 3) array, X the Green columns
+    of x or y) the points {x, z_1 .. z_N} carry c_x = I, c_j = dV U_j^T:
+
+        kappa = Im G0(x, y) + dV sum_j Im G0(x, z_j) conj(U^y_j)
+              + dV sum_j U^x_j^T Im G0(z_j, y)
+              + dV^2 sum_ij U^x_i^T Im G0(z_i, z_j) conj(U^y_j).
+
+    dV Im G0(z_i, z_j) is Im K_ij off the diagonal; on it, where K holds
+    Im M, it is dV w/(6 pi).  K is complex symmetric, so
+    u^T Im(K) conj(v) = [(K u)^T conj(v) - conj(conj(u)^T K v)] / 2i
+    takes one kernel product of U^x, and of U^y when y differs.  The
+    product is a fresh one: K U read off the solve as X - b would make
+    the identity hold by construction.  The discrete partner keeps the
+    kernel's own values, Im M on the diagonal and g0_blocks_at (M/dV in
+    the voxel holding a point) for Im G0(x, z_j); it closes the LDOS
+    identity to solver tolerance.  The vacuum operator gives Im G0(x, y)
+    for both, with no product.
+    """
+    w, dV, op = solver.omega, solver.grid.voxel_volume, solver.op
+    lead = im_g0_from_displacements(x - y, w)
+    if op.is_identity:
+        return lead, lead
+    coincident = np.array_equal(x, y)
+    Ux = op.beta_rep[:, None] * Xx.reshape(op.n3, 3)
+    Uy = Ux if coincident else op.beta_rep[:, None] * Xy.reshape(op.n3, 3)
+    KU = op.kernel_product(Ux if coincident else np.hstack([Ux, Uy]))
+    im_k = dV * (KU[:, :3].T @ Uy.conj() - (Ux.conj().T @ KU[:, -3:]).conj()) / 2j
+
+    def edges(im_g0_at):  # im_g0_at(p): (N, 3, 3) blocks of Im G0(z_j, p)
+        at_x = im_g0_at(x).reshape(op.n3, 3)
+        at_y = at_x if coincident else im_g0_at(y).reshape(op.n3, 3)
+        return dV * (at_x.T @ Uy.conj() + Ux.T @ at_y)
+
+    exact = edges(lambda p: im_g0_from_displacements(solver.grid.centers - p, w))
+    diagonal = dV * w / (6.0 * np.pi) - self_term_scalar(dV, w).imag
+    kappa = lead + exact + im_k + dV * diagonal * (Ux.T @ Uy.conj())
+    discrete = edges(lambda p: solver.g0_blocks_at(p).imag)
+    return kappa, lead + discrete + im_k
+
+
+# ----------------------------------------------------------------------
 # LDOS identity
 # ----------------------------------------------------------------------
 
@@ -124,12 +181,13 @@ class LdosIdentityResult:
     """Both forms of the LDOS identity at one point pair."""
 
     im_green: np.ndarray          # LHS
-    kappa_term: np.ndarray        # shell sum of e dyadics
+    kappa_term: np.ndarray        # shell integral of e dyadics
     absorption_term: np.ndarray   # volume integral of Im eps G G*
     m_term: np.ndarray            # medium-continuum sum of m dyadics
     residual_absorption: float    # ||LHS - kappa - absorption||_F
     residual_m: float             # ||LHS - kappa - m||_F
     forms_gap: float              # ||absorption - m||_F
+    residual_discrete: float | None = None  # as residual_absorption, kernel's own kappa
 
     @property
     def scale(self) -> float:
@@ -143,6 +201,10 @@ class LdosIdentityResult:
     def relative_m(self) -> float:
         return self.residual_m / self.scale
 
+    @property
+    def relative_discrete(self) -> float | None:
+        return None if self.residual_discrete is None else self.residual_discrete / self.scale
+
     def contracted(self, dipole) -> float:
         """|d . (LHS - kappa - absorption) . d| / |d|^2."""
         d = np.asarray(dipole, dtype=float)
@@ -154,12 +216,16 @@ def ldos_identity_residual(solver: MediumSolver, x, y,
                            quad: SphereQuadrature | None = None) -> LdosIdentityResult:
     """Residuals of the Green-tensor LDOS identity at the pair (x, y), at solver.omega.
 
-    The kappa term is quadrature-limited; the absorption and m forms are
-    algebraically identical (they agree to solver tolerance) because the
-    on-shell medium sum collapses to the absorption integral through
+    kappa is the exact shell integral (_shell_integral), so the residual
+    is the discretization's own: the self term's Im M/dV against the
+    coincidence value w/(6 pi).  residual_discrete takes kappa with the
+    kernel's own values and closes to solver tolerance.  With quad,
+    kappa is that quadrature of the shell e-fields instead, the reference
+    route, and residual_discrete is None.  The absorption and m forms
+    are algebraically identical (they agree to solver tolerance) because
+    the on-shell medium sum collapses to the absorption integral through
     alpha_tilde^2 = 2 w Im eps / pi.
     """
-    quad = quad or make_shell_quadrature(solver.omega)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     w = solver.omega
@@ -168,16 +234,21 @@ def ldos_identity_residual(solver: MediumSolver, x, y,
     Xx, Xy = solver.grid_fields(np.stack([x, y]))  # one solve, of 3 columns if coincident
     lhs = im_green_at(solver, x) if coincident else solver.green(x, y).imag
 
-    points, columns = ([x], [Xx]) if coincident else ([x, y], [Xx, Xy])
-    e_xy = _e_fields_on_shell(solver, quad.nodes, points, columns)
-    # (pi c^2 / 2 w^3) with the shell Jacobian w^2/c^3 gives pi/(2 w) at c = 1
-    kappa = (0.5 * np.pi / w) * np.einsum("m,am,bm->ab", np.repeat(quad.weights, 4),
-                                          e_xy[0], e_xy[-1].conj())
-
     # absorption form: w^2 sum dV Im(eps) G(x,z) G*(z,y); G(x,z_i) = Xx_i^T
     dV = solver.grid.voxel_volume
     absorb = w**2 * dV * np.einsum(
         "j,jba,jbc->ac", solver.eps.imag, Xx, Xy.conj())
+
+    residual_discrete = None
+    if quad is None:
+        kappa, kappa_discrete = _shell_integral(solver, x, y, Xx, Xy)
+        residual_discrete = float(np.linalg.norm(lhs - kappa_discrete - absorb))
+    else:
+        points, columns = ([x], [Xx]) if coincident else ([x, y], [Xx, Xy])
+        e_xy = _e_fields_on_shell(solver, quad.nodes, points, columns)
+        # (pi c^2 / 2 w^3) with the shell Jacobian w^2/c^3 gives pi/(2 w) at c = 1
+        kappa = (0.5 * np.pi / w) * np.einsum("m,am,bm->ab", np.repeat(quad.weights, 4),
+                                              e_xy[0], e_xy[-1].conj())
 
     # medium-continuum form from the m dyadics, alpha^2 = 2 w Im eps / pi
     alpha2 = np.clip(2.0 * w / np.pi * solver.eps.imag, 0.0, None)
@@ -189,7 +260,8 @@ def ldos_identity_residual(solver: MediumSolver, x, y,
     return LdosIdentityResult(
         im_green=lhs, kappa_term=kappa, absorption_term=absorb, m_term=m_term,
         residual_absorption=res_a, residual_m=res_m,
-        forms_gap=float(np.linalg.norm(absorb - m_term)))
+        forms_gap=float(np.linalg.norm(absorb - m_term)),
+        residual_discrete=residual_discrete)
 
 
 # ----------------------------------------------------------------------
@@ -200,7 +272,7 @@ def ldos_identity_residual(solver: MediumSolver, x, y,
 class DecayRates:
     """Decomposed spontaneous decay rates of one emitter (natural units)."""
 
-    gamma_e: float            # electromagnetic-continuum shell integral
+    gamma_e: float            # electromagnetic-continuum shell integral (exact unless quad)
     gamma_m: float            # identity route: 2 w^2 d.ImG.d - gamma_e
     gamma_m_mu_route: float   # independent medium-continuum voxel sum
     gamma_total: float        # gamma_e + gamma_m
@@ -235,6 +307,7 @@ def gamma_decomposed(solver: MediumSolver, emitter: EmitterSpec,
                      quad: SphereQuadrature | None = None) -> DecayRates:
     """Decay-rate decomposition Gamma_e + Gamma_m with its compensation data.
 
+    Gamma_e is the exact shell integral, or its quadrature with quad.
     gamma_m follows the identity route (Im G minus the e-continuum term),
     which makes gamma_total equal gamma_via_im_green by construction; the
     mu route recomputes Gamma_m as the on-shell voxel sum of m dyadics,
@@ -262,15 +335,16 @@ def purcell(grid, materials, emitter: EmitterSpec, tol: float = 1e-10) -> float:
     return gamma / vacuum_decay_rate(emitter.omega, d)
 
 
-def purcell_sweep(solver_at, emitter_position, dipole, omegas,
-                  n_theta: int = 8, n_phi: int = 16):
+def purcell_sweep(solver_at, emitter_position, dipole, omegas):
     """Purcell/decay table over frequencies; per-row failures are recorded.
 
     solver_at(omega) returns the MediumSolver of one frequency, such as
     SceneConfig.solver.  Returns one dict per frequency with keys omega,
     purcell, gamma_e, gamma_m, identity_residual (relative), or an error
     message for rows whose solver could not be built, whose solve failed
-    or which ran out of memory.  Rows are independent.
+    or which ran out of memory.  Rows are independent; each takes one
+    3-column solve and one kernel product (Gamma_e is the exact shell
+    integral).
     """
     omegas = list(omegas)
     if any(b < a for a, b in zip(omegas[:-1], omegas[1:])):
@@ -280,9 +354,11 @@ def purcell_sweep(solver_at, emitter_position, dipole, omegas,
         try:
             emitter = EmitterSpec(position=tuple(emitter_position), omega=float(w),
                                   dipole=tuple(dipole))
-            quad = make_shell_quadrature(float(w), n_theta, n_phi)
+            # the previous row's solver is released only once this one is built, so
+            # the allocator reuses its pages instead of returning them to the
+            # system and faulting fresh ones in (about 10% of a 257-voxel sweep)
             solver = solver_at(float(w))
-            rates = gamma_decomposed(solver, emitter, quad)
+            rates = gamma_decomposed(solver, emitter)
             rows.append({
                 "omega": float(w),
                 "purcell": rates.purcell,

@@ -110,10 +110,17 @@ def _alpha_at(solver: MediumSolver, index: int, nu: float) -> float:
 # ----------------------------------------------------------------------
 
 def e_grid_solution(solver: MediumSolver, mode: PlaneWaveMode):
-    """On-grid e values from the direct Fredholm solve, (N, 3)."""
+    """On-grid e values from the direct Fredholm solve, (N, 3), read-only.
+
+    Memoised per mode on the solver, so every function that needs the e
+    of one mode on the grid solves for it once.
+    """
     solver.check_frequency(mode.omega, "mode shell")
-    rhs = (mode.omega * phi_plane_wave(mode, solver.grid.centers)).reshape(solver.op.n3)
-    return solver.solve(rhs.astype(complex)).reshape(solver.grid.n, 3)
+
+    def rhs():
+        return (mode.omega * phi_plane_wave(mode, solver.grid.centers)).reshape(solver.op.n3)
+
+    return solver.solved(mode, rhs).reshape(solver.grid.n, 3)
 
 
 def e_coefficient(solver: MediumSolver, mode: PlaneWaveMode, points):
@@ -202,8 +209,8 @@ def u_numerator_e(solver: MediumSolver, mode: PlaneWaveMode, probe: PlaneWaveMod
 
     e^v = -(eps - 1) e_kappa; the delta(kappa - kappa') part of u^e is
     symbolic and not included.  Note the primed frequency and mode in the
-    integrand.  It needs e on every voxel, so it solves the e system
-    directly, once per call.
+    integrand.  It needs e on every voxel, from the direct solve, which
+    the solver memoises per mode: probes against one mode solve once.
     """
     eg = e_grid_solution(solver, mode)
     phi_probe = phi_plane_wave(probe, solver.grid.centers)

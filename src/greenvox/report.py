@@ -2,11 +2,12 @@
 
 The validate run exercises, on the user's scene, every identity the
 engine is built on: the causality residual of each material, the
-spectral representation of the free Green tensor, the Dyson permutation
-and reciprocity identities, the route equivalence of both field
-coefficients, the LDOS identity in both forms, the decay-rate
-compensation and the vacuum Purcell closure.  One pass/fail line per
-check, thresholds fixed here.
+spectral representation of the free Green tensor (the one check that
+uses the scene's shell quadrature), the Dyson permutation and
+reciprocity identities, the route equivalence of both field
+coefficients, the LDOS identity in both forms and in its discrete form,
+the decay-rate compensation and the vacuum Purcell closure.  One
+pass/fail line per check, thresholds fixed here.
 
 Reports serialize to canonical JSON (sorted keys, repr floats) so a
 repeated run at a fixed thread policy is byte identical; wall-clock
@@ -44,6 +45,7 @@ THRESHOLDS = {
     "ldos_identity_absorption": 1e-2,
     "ldos_identity_m_form": 1e-2,
     "ldos_forms_agreement": 1e-8,
+    "ldos_identity_discrete": 1e-12,  # dense LU; the lattice path uses 10x the solver tol
     "compensation_exact": 1e-12,
     "compensation_mu_route": None,  # bound: 2x contracted identity residual
     "vacuum_purcell": 1e-10,
@@ -190,11 +192,15 @@ def run_validation(cfg: SceneConfig) -> RunReport:
           float(np.linalg.norm(m_green_route - m_direct_route)) / scale_m
           if scale_m > 0 else 0.0)
 
-    # LDOS identity, both forms, at the emitter
-    ident = ldos_identity_residual(solver, emitter.r, emitter.r, quad)
+    # LDOS identity at the emitter, both forms with the exact shell integral, and
+    # with the kernel's own values, where only the solve's error is left
+    ident = ldos_identity_residual(solver, emitter.r, emitter.r)
     check("ldos_identity_absorption", ident.relative_absorption)
     check("ldos_identity_m_form", ident.relative_m)
     check("ldos_forms_agreement", ident.forms_gap / ident.scale)
+    check("ldos_identity_discrete", ident.relative_discrete,
+          detail="kappa with the kernel's own Im G0 values: the discrete optical theorem",
+          threshold=None if solver.op.kernel is not None else max(1e-12, 10.0 * solver.tol))
 
     # compensation: identity route is exact, mu route bounded by the residual
     rates = DecayRates.from_identity(ident, emitter)
@@ -211,7 +217,7 @@ def run_validation(cfg: SceneConfig) -> RunReport:
     # the operator is the identity whatever the solve policy
     vac_solver = MediumSolver(grid, np.zeros(grid.n), omega, cfg.solver_tol)
     check("vacuum_purcell", abs(purcell(vac_solver, None, emitter) - 1.0))
-    vac_rates = gamma_decomposed(vac_solver, emitter, quad)
+    vac_rates = gamma_decomposed(vac_solver, emitter)
     g0_exact = vacuum_decay_rate(emitter.omega, emitter.d)
     check("vacuum_gamma_e", abs(vac_rates.gamma_e - g0_exact) / g0_exact)
 

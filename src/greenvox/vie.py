@@ -70,7 +70,8 @@ from .geometry import VoxelGrid, eps_on_grid
 from .green_free import g0_closed, g0_from_displacements, self_term_scalar
 
 
-#: solved sources a MediumSolver keeps, least recently used dropped first (validate revisits five)
+#: solved sources (and solved plane-wave modes) a MediumSolver keeps, least recently used
+#: dropped first (validate revisits five sources)
 _FIELDS_KEPT = 8
 
 #: refinement steps on one set of LU factors before giving up on them (zcgesv's ITERMAX)
@@ -395,8 +396,9 @@ class MediumSolver:
 
     All Green-tensor, field-coefficient and LDOS computations at a fixed
     frequency go through this object, which assembles and factorizes once:
-    solve and grid_fields give on-grid values, and evaluate carries any
-    of them (Green columns, e or m) to arbitrary points.
+    solve, solved (memoised by a key) and grid_fields give on-grid
+    values, and evaluate carries any of them (Green columns, e or m) to
+    arbitrary points.
     method is the one solve decision: "dense" stores the kernel (LU),
     "gmres" the lattice FFT operator (GMRES), "auto" the kernel up to
     dense_cap voxels.
@@ -418,9 +420,32 @@ class MediumSolver:
         dense = method == "dense" or (method == "auto" and grid.n <= dense_cap)
         self.op = assemble(grid, self.beta, omega, dense=dense, dense_cap=dense_cap)
         self._fields = {}
+        self._solved = {}
 
     def solve(self, rhs):
         return solve_system(self.op, rhs, self.tol)
+
+    @staticmethod
+    def _keep(memo, key, value):
+        """Store value as the most recent entry, dropping the least recent beyond _FIELDS_KEPT."""
+        memo.pop(key, None)
+        if len(memo) == _FIELDS_KEPT:
+            del memo[next(iter(memo))]
+        memo[key] = value
+
+    def solved(self, key, rhs):
+        """solve(rhs()) for the right-hand side named by the hashable key, read-only.
+
+        Memoised like grid_fields (the eight keys used last), so a field
+        revisited by key, such as the e coefficient of one plane-wave
+        mode, is solved once.
+        """
+        x = self._solved.get(key)
+        if x is None:
+            x = self.solve(rhs())
+            x.flags.writeable = False
+        self._keep(self._solved, key, x)
+        return x
 
     # -- geometry-aware kernel pieces -----------------------------------
     def g0_blocks_at(self, point):
@@ -471,9 +496,8 @@ class MediumSolver:
             X = np.ascontiguousarray(X.transpose(2, 0, 1, 3))
             X.flags.writeable = False
             for key, Xp in zip(new, X):
-                if len(self._fields) == _FIELDS_KEPT:
-                    del self._fields[next(iter(self._fields))]
-                self._fields[key] = fields[key] = Xp
+                self._keep(self._fields, key, Xp)
+                fields[key] = Xp
         if pts.ndim == 1:
             return fields[keys[0]]
         out = np.stack([fields[key] for key in keys])

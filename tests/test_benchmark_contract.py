@@ -15,7 +15,7 @@ import pytest
 import greenvox.ldos as ldos
 from greenvox.green_free import PlaneWaveMode
 from greenvox.ldos import (DecayRates, EmitterSpec, gamma_decomposed, ldos_identity_residual,
-                           purcell)
+                           make_shell_quadrature, purcell)
 from greenvox.modes import e_coefficient_via_green
 from conftest import OMEGA
 
@@ -53,8 +53,9 @@ def test_purcell_reference_call_matches_the_identity_route(sphere_grid, drude_ma
 
 
 def test_both_green_routes_of_e_reach_the_traced_plane_wave_table(monkeypatch, cube_solver):
-    """The route-equivalence check and the LDOS kappa term share one Green route of e,
-    whose plane waves perfbench times through ldos.plane_wave_table."""
+    """The route-equivalence check and the quadrature route of the LDOS kappa term share
+    one Green route of e, whose plane waves perfbench times through
+    ldos.plane_wave_table; the default, exact kappa builds no plane wave at all."""
     calls = []
     table = ldos.plane_wave_table
     monkeypatch.setattr(ldos, "plane_wave_table",
@@ -64,4 +65,6 @@ def test_both_green_routes_of_e_reach_the_traced_plane_wave_table(monkeypatch, c
     assert len(calls) == 2  # the grid's plane waves and the point's
     emitter = EmitterSpec(position=(0.95, 0.15, 0.25), omega=OMEGA, dipole=(0.0, 0.0, 1.0))
     gamma_decomposed(cube_solver, emitter)
+    assert len(calls) == 2
+    gamma_decomposed(cube_solver, emitter, make_shell_quadrature(OMEGA, 2, 4))
     assert len(calls) == 4

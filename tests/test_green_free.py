@@ -366,3 +366,26 @@ def test_plane_wave_table_matches_single_mode_path():
             mode = PlaneWaveMode(k=tuple(w * kh), sigma=sigma, zeta=zeta)
             assert np.allclose(table[q, m], phi_plane_wave(mode, pts),
                                rtol=1e-14, atol=1e-15)
+
+
+def test_im_g0_is_smooth_through_coincidence():
+    """Im G0 from the spherical Bessel form: the closed form's imaginary part where that
+    does not cancel, omega/(6 pi) I at zero displacement, and continuous across the
+    switch from the Taylor series (omega R < 1) to the closed form."""
+    from greenvox.green_free import g0_from_displacements, im_g0_from_displacements
+
+    w = 1.3
+    rng = np.random.default_rng(4)
+    unit = rng.normal(size=(50, 3))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    # the closed form itself cancels to about 1e-13 at omega R = 0.5
+    for R, bound in ((0.5 / w, 1e-13), (1.0 / w, 1e-14), (2.0, 1e-14), (9.0, 1e-14)):
+        d = R * unit
+        ref = g0_from_displacements(d, w).imag
+        assert np.max(np.abs(im_g0_from_displacements(d, w) - ref)) <= bound * w
+    assert np.allclose(im_g0_from_displacements(np.zeros((2, 3)), w),
+                       w / (6 * np.pi) * np.eye(3), rtol=1e-15, atol=0)
+    below, above = (im_g0_from_displacements(unit[0] * (1 + s) / w, w) for s in (-1e-15, 1e-15))
+    assert np.max(np.abs(below - above)) <= 1e-15 * w
+    tiny = im_g0_from_displacements(1e-9 * unit, w)
+    assert np.max(np.abs(tiny - w / (6 * np.pi) * np.eye(3))) <= 1e-16

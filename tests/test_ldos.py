@@ -74,6 +74,40 @@ def test_ldos_identity_separated_pair(cube_solver):
     assert ident.forms_gap <= 1e-8 * ident.scale
 
 
+@pytest.mark.parametrize("body", ["cube", "sphere"])
+@pytest.mark.parametrize("method", ["dense", "gmres"])
+def test_closed_form_kappa_matches_the_shell_quadrature(body, method, cube_grid, cube_materials,
+                                                        sphere_grid, drude_materials):
+    """kappa as the exact shell integral equals the 16x32 quadrature of the shell
+    e-fields to 1e-12, and the kernel's own kappa closes the identity to the solve."""
+    grid, mats = (cube_grid, cube_materials) if body == "cube" else (sphere_grid, drude_materials)
+    reach = 1.25 if body == "sphere" else 0.95
+    outside = np.array([reach, 0.07, 0.11])
+    center = grid.centers[grid.n // 3]
+    off = center + grid.voxel_edge * np.array([0.3, -0.2, 0.15])  # inside the voxel
+    cases = [("outside", outside, outside), ("center", center, center), ("off-center", off, off),
+             ("pair", np.array([reach, 0.1, 0.2]), np.array([-0.3, reach + 0.1, 0.1]))]
+    solver = MediumSolver(grid, mats, OMEGA, TOL, method=method)
+    solver.grid_fields(np.stack([p for _, x, y in cases for p in (x, y)]))  # one block solve
+    quad = make_shell_quadrature(OMEGA, 16, 32)
+    for name, x, y in cases:
+        closed = ldos_identity_residual(solver, x, y)
+        reference = ldos_identity_residual(solver, x, y, quad)
+        gap = np.linalg.norm(closed.kappa_term - reference.kappa_term)
+        assert gap <= 1e-12 * np.linalg.norm(reference.kappa_term), name
+        assert reference.relative_discrete is None
+        assert closed.relative_discrete <= (1e-12 if method == "dense" else 10 * TOL), name
+
+
+def test_closed_form_kappa_in_vacuum_is_im_g0(vacuum_solver):
+    x, y = R_OUT, np.array([-0.3, 1.05, 0.2])
+    coincident = ldos_identity_residual(vacuum_solver, x, x)
+    assert np.array_equal(coincident.kappa_term, coincident.im_green)
+    assert coincident.residual_absorption == 0.0 and coincident.residual_discrete == 0.0
+    pair = ldos_identity_residual(vacuum_solver, x, y)
+    assert np.linalg.norm(pair.kappa_term - pair.im_green) <= 1e-15 * pair.scale
+
+
 def test_ldos_identity_refinement_decreases(cube_solver):
     res_abs, res_m = [], []
     for nt, nphi in ((2, 4), (4, 8), (8, 16)):
@@ -145,7 +179,7 @@ def test_purcell_far_emitter(cube_solver):
 def test_purcell_sweep_vacuum_and_cardinality(cube_grid, vacuum_materials):
     omegas = [0.6, 0.8, 1.0, 1.2]
     rows = purcell_sweep(lambda w: MediumSolver(cube_grid, vacuum_materials, w, TOL),
-                         tuple(R_OUT), tuple(DIPOLE), omegas, 4, 8)
+                         tuple(R_OUT), tuple(DIPOLE), omegas)
     assert len(rows) == len(omegas)
     for row in rows:
         assert row["purcell"] == pytest.approx(1.0, abs=1e-10)
@@ -154,7 +188,7 @@ def test_purcell_sweep_vacuum_and_cardinality(cube_grid, vacuum_materials):
 
 def test_purcell_sweep_records_row_failures(cube_grid, cube_materials):
     rows = purcell_sweep(lambda w: MediumSolver(cube_grid, cube_materials, w, TOL),
-                         tuple(R_OUT), tuple(DIPOLE), [-0.5, 1.0], 2, 4)
+                         tuple(R_OUT), tuple(DIPOLE), [-0.5, 1.0])
     assert "error" in rows[0] and "positive" in rows[0]["error"]
     assert "purcell" in rows[1]
 
@@ -162,15 +196,14 @@ def test_purcell_sweep_records_row_failures(cube_grid, cube_materials):
 def test_purcell_sweep_requires_sorted(cube_grid, cube_materials):
     with pytest.raises(ValueError, match="sorted"):
         purcell_sweep(lambda w: MediumSolver(cube_grid, cube_materials, w, TOL),
-                      tuple(R_OUT), tuple(DIPOLE), [1.0, 0.5], 2, 4)
+                      tuple(R_OUT), tuple(DIPOLE), [1.0, 0.5])
 
 
 def test_drude_sphere_resonance_position_stable():
     """Sweep peak sits at the discrete dipole resonance of the voxelized
     Drude sphere (red-shifted from the continuum Re eps = -2 frequency
-    0.866 by the coarse voxelization) and is internally consistent: exact
-    under shell-quadrature doubling (the Purcell route goes through Im G
-    only) and within one omega-grid spacing under voxel refinement."""
+    0.866 by the coarse voxelization) and is internally consistent: within
+    one omega-grid spacing under voxel refinement."""
     from greenvox import LorentzPole
 
     mats = {1: PermittivityModel(poles=(LorentzPole(0.0, 1.5, 0.02),), region_id=1)}
@@ -182,21 +215,14 @@ def test_drude_sphere_resonance_position_stable():
     grid_at = functools.cache(
         lambda h: build_grid(Sphere(center=(0, 0, 0), radius=1.0, region_id=1), h))
 
-    @functools.cache
-    def solver_at(h, w):
-        # the medium solve does not depend on the shell quadrature, so the two
-        # sweeps at one h share their solvers
-        return MediumSolver(grid_at(h), mats, w, TOL)
-
-    def peak(h, nt, nphi):
-        rows = purcell_sweep(functools.partial(solver_at, h), emitter, dipole, omegas,
-                             nt, nphi)
+    def peak(h):
+        rows = purcell_sweep(lambda w: MediumSolver(grid_at(h), mats, w, TOL),
+                             emitter, dipole, omegas)
         ps = [r["purcell"] for r in rows]
         assert max(ps) > 1.0
         return omegas[int(np.argmax(ps))]
 
-    coarse = peak(0.2497, 4, 8)
-    assert peak(0.2497, 8, 16) == coarse           # quadrature refinement
-    fine = peak(0.19, 4, 8)                        # voxel refinement
+    coarse = peak(0.2497)
+    fine = peak(0.19)                              # voxel refinement
     assert abs(fine - coarse) <= spacing + 1e-12
     assert abs(coarse - w_quasistatic) <= 4 * spacing

@@ -151,6 +151,23 @@ def test_v_e_sweep_over_nu_solves_once(cube_grid, cube_materials, monkeypatch):
     assert len(calls) == 1
 
 
+def test_u_e_probes_against_one_mode_solve_once(cube_grid, cube_materials, monkeypatch):
+    """The on-grid e of a mode is memoised on the solver: three probes cost one solve."""
+    import greenvox.vie as vie
+
+    calls = []
+    solve = vie.solve_system
+    monkeypatch.setattr(vie, "solve_system",
+                        lambda op, rhs, tol=1e-10: calls.append(1) or solve(op, rhs, tol))
+    solver = MediumSolver(cube_grid, cube_materials, OMEGA, TOL)
+    values = [u_numerator_e(solver, MODE, PlaneWaveMode(k=k, sigma=-1, zeta="c"))
+              for k in ((0.0, 0.6, 0.8), (0.6, 0.0, 0.8), (0.0, 0.0, 1.3))]
+    assert len(calls) == 1
+    fresh = MediumSolver(cube_grid, cube_materials, OMEGA, TOL)
+    assert values[2] == u_numerator_e(fresh, MODE, PlaneWaveMode(k=(0.0, 0.0, 1.3),
+                                                                 sigma=-1, zeta="c"))
+
+
 def test_v_e_high_frequency_decay(cube_solver):
     xp = cube_solver.grid.centers[12]
     e_norm = np.linalg.norm(e_coefficient(cube_solver, MODE, xp)[0])

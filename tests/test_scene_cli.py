@@ -270,7 +270,7 @@ def test_cli_validate_passes_and_is_deterministic(tmp_path, capsys):
     for expected in ("kramers_kronig[region 1]", "free_space_spectral",
                      "dyson_identity", "reciprocity", "route_equivalence_e",
                      "route_equivalence_m", "ldos_identity_absorption",
-                     "ldos_identity_m_form", "ldos_forms_agreement",
+                     "ldos_identity_m_form", "ldos_forms_agreement", "ldos_identity_discrete",
                      "compensation_exact", "compensation_mu_route",
                      "vacuum_purcell", "vacuum_gamma_e"):
         assert expected in names
@@ -308,7 +308,8 @@ def test_cli_overrides_are_validated_and_hashed(tmp_path, capsys):
     assert plain["config_hash"] == load_scene(scene).config_hash
     assert q816 == plain  # the override restates the scene's default
     assert q48["config_hash"] != plain["config_hash"]
-    assert q48["relative_residual_absorption_form"] != plain["relative_residual_absorption_form"]
+    # the LDOS shell integral is exact, so the quadrature order moves only the hash
+    assert dict(q48, config_hash=None) == dict(plain, config_hash=None)
     assert q48 == from_file
     _, tol8 = ldos_check(scene, "--tol", "1e-8")
     assert tol8["config_hash"] not in (plain["config_hash"], q48["config_hash"])
@@ -468,21 +469,52 @@ def test_cli_grid_error_exit_code(tmp_path, capsys):
     assert err.strip().splitlines() == ["grid error: voxel edge exceeds the shape diameter"]
 
 
-def test_cli_solver_failure_exit_code(tmp_path, capsys):
-    # a nonpositive frequency in the sweep fails its row, itemized, exit 3
+def test_cli_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
+    """A sweep row whose solver raises SolverError is itemized and the run exits 3;
+    a nonpositive sweep frequency is a configuration error, exit 4 before any solve."""
+    import greenvox.vie as vie
+    from greenvox.scene import SceneConfig
+
+    solver = SceneConfig.solver
+
+    def failing_at_0_9(cfg, omega):
+        if omega == 0.9:
+            raise vie.SolverError("GMRES failed to converge on column 0")
+        return solver(cfg, omega)
+
+    monkeypatch.setattr(SceneConfig, "solver", failing_at_0_9)
     scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
-    rc = cli_main(["purcell", "--scene", str(scene), "--emitter", "0.95,0.15,0.25",
-                   "--dipole", "0,0,1", "--omega-range=-0.5:1.0:2",
-                   "--out-dir", str(tmp_path), "--quad", "2x4"])
-    capsys.readouterr()
+    argv = ["purcell", "--scene", str(scene), "--emitter", "0.95,0.15,0.25",
+            "--dipole", "0,0,1", "--out-dir", str(tmp_path)]
+    rc = cli_main([*argv, "--omega-range", "0.8:1.0:3"])
+    assert "1 of 3 sweep rows failed" in capsys.readouterr().err
     assert rc == 3
-    rows = (tmp_path / "purcell.csv").read_text().strip().splitlines()
-    assert any("positive" in r for r in rows)
+    rows = (tmp_path / "purcell.csv").read_text().strip().splitlines()[2:]
+    assert ["converge" in r for r in rows] == [False, True, False]
+
+    monkeypatch.setattr(vie, "solve_system", lambda *a, **k: pytest.fail("solved"))
+    for start in ("-0.5", "0"):
+        rc = cli_main([*argv, f"--omega-range={start}:1.0:2", "--out-dir", str(tmp_path / start)])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert rc == 4 and len(err) == 1 and "positive" in err[0]
+        assert not (tmp_path / start).exists()
 
 
 BIG_CUBE_SCENE = CUBE_SCENE.replace(
     "min_corner: [-0.4, -0.4, -0.4], max_corner: [0.4, 0.4, 0.4]",
     "min_corner: [-0.8, -0.8, -0.8], max_corner: [0.8, 0.8, 0.8]") + "solver: {dense_cap: 100}\n"
+
+
+def test_validate_discrete_ldos_identity_on_both_paths(tmp_path):
+    """The kernel's own kappa closes the LDOS identity to 1e-12 on dense LU and to
+    10x the solver tolerance under FFT-GMRES (512 voxels against dense_cap 100)."""
+    from greenvox.report import run_validation
+
+    for text, threshold in ((CUBE_SCENE, 1e-12), (BIG_CUBE_SCENE, 1e-9)):
+        report = run_validation(load_scene(write(tmp_path, "scene.yaml", text)))
+        check, = [c for c in report.checks if c.name == "ldos_identity_discrete"]
+        assert report.passed and check.passed
+        assert check.threshold == threshold and check.value <= threshold
 
 
 def test_cli_greens_above_dense_cap_solves_matrix_free(tmp_path, capsys):

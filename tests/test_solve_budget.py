@@ -118,8 +118,7 @@ def test_sweep_solves_one_green_column_set_per_frequency(budget, monkeypatch):
 
     monkeypatch.setattr(scene_module, "build_grid", counting)
     omegas = [0.8, 1.0, 1.2]
-    rows = purcell_sweep(scene_from_dict(CUBE).solver, R_OUT, (0.0, 0.0, 1.0), omegas,
-                         n_theta=4, n_phi=8)
+    rows = purcell_sweep(scene_from_dict(CUBE).solver, R_OUT, (0.0, 0.0, 1.0), omegas)
     assert all("error" not in r for r in rows)
     assert len(grids) == 1  # the scene's grid serves every frequency
     assert budget["assemble"] == budget["lu_factor"] == len(omegas)
@@ -130,6 +129,35 @@ def test_sweep_solves_one_green_column_set_per_frequency(budget, monkeypatch):
     for op in budget["operators"]:
         assert op.factored == [np.complex64]
         assert len(op.refinements) == 1 and op.refinements[0] <= 3
+
+
+def test_a_sweep_row_is_one_solve_and_one_kernel_product(budget, monkeypatch):
+    """Gamma_e is the exact shell integral: a purcell_sweep row builds no shell
+    quadrature and no plane-wave table, solves 3 columns once and applies the kernel
+    once beyond the solve's own operator applications."""
+    import greenvox.quadrature as quadrature
+
+    calls = {"plane_wave_table": 0, "make_shell_quadrature": 0, "apply": 0,
+             "kernel_product": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner in (ldos, quadrature):
+        counting(owner, "make_shell_quadrature")
+    counting(ldos, "plane_wave_table")
+    counting(vie.InteractionOperator, "apply")
+    counting(vie.InteractionOperator, "kernel_product")
+    rows = purcell_sweep(scene_from_dict(CUBE).solver, R_OUT, (0.0, 0.0, 1.0), [1.0])
+    assert "error" not in rows[0]
+    assert calls["plane_wave_table"] == calls["make_shell_quadrature"] == 0
+    assert budget["solve_columns"] == [3]
+    assert calls["kernel_product"] - calls["apply"] == 1
 
 
 def test_shell_e_fields_match_direct_solve_per_submode(cube_solver):

@@ -543,7 +543,7 @@ def test_mode_or_emitter_off_the_solver_frequency_is_rejected(cube_solver, call)
 
 def test_sweep_records_a_solver_at_the_wrong_frequency_as_a_row_error(cube_solver):
     rows = purcell_sweep(lambda w: cube_solver, (0.95, 0.15, 0.25), (0, 0, 1),
-                         [OMEGA, OTHER_OMEGA], 2, 4)
+                         [OMEGA, OTHER_OMEGA])
     assert "purcell" in rows[0]
     assert "frequency" in rows[1]["error"]
 
