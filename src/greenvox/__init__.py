@@ -32,8 +32,8 @@ _EXPORTS = {
                      "coupling_alpha_tilde", "eval_eps", "kk_residual", "scaled_contrast"),
     "quadrature": ("SphereQuadrature", "make_shell_quadrature"),
     "scene": ("SceneConfig", "SceneError", "load_scene", "scene_to_dict"),
-    "vie": ("DenseCapError", "InteractionOperator", "MediumSolver", "SolverError",
-            "assemble", "dyson_residual", "solve_system"),
+    "vie": ("InteractionOperator", "MediumSolver", "SolverError", "assemble",
+            "dyson_residual", "solve_system"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = ("cli", "report", *_EXPORTS)

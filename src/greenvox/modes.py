@@ -97,12 +97,8 @@ class FieldCoefficientSample:
 
 
 def _alpha_at(solver: MediumSolver, index: int, nu: float) -> float:
-    if solver.materials is not None:
-        model = solver.materials[int(solver.grid.material_ids[index])]
-        return float(coupling_alpha_tilde(model, nu))
-    # without material models the solver only knows eps at its own frequency
-    solver.check_frequency(nu, "coupling (no material models)")
-    return float(np.sqrt(max(2.0 * nu / np.pi * solver.eps[index].imag, 0.0)))
+    model = solver.materials[int(solver.grid.material_ids[index])]
+    return float(coupling_alpha_tilde(model, nu))
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .ldos import (DecayRates, EmitterSpec, gamma_decomposed, ldos_identity_resi
                    make_shell_quadrature, purcell, vacuum_decay_rate)
 from .modes import MedModeIndex, e_coefficient, e_coefficient_via_green, m_coefficient
 from .green_free import PlaneWaveMode
-from .permittivity import eval_eps, kk_residual
+from .permittivity import VACUUM, eval_eps, kk_residual
 from .scene import SceneConfig
 from .vie import MediumSolver, dyson_residual
 
@@ -213,9 +213,9 @@ def run_validation(cfg: SceneConfig) -> RunReport:
           detail="bound is 2x the dipole-contracted LDOS identity residual",
           threshold=bound, limit=max(bound, 1e-14))
 
-    # vacuum closure on the same grid with the coupling removed: with beta = 0
+    # vacuum closure on the same grid with every region emptied: with beta = 0
     # the operator is the identity whatever the solve policy
-    vac_solver = MediumSolver(grid, np.zeros(grid.n), omega, cfg.solver_tol)
+    vac_solver = MediumSolver(grid, dict.fromkeys(cfg.materials, VACUUM), omega, cfg.solver_tol)
     check("vacuum_purcell", abs(purcell(vac_solver, None, emitter) - 1.0))
     vac_rates = gamma_decomposed(vac_solver, emitter)
     g0_exact = vacuum_decay_rate(emitter.omega, emitter.d)

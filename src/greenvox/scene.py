@@ -1,7 +1,9 @@
 """Scene files: parsing, validation, unit conversion, canonical form.
 
 A scene is a single YAML document describing units, materials, geometry
-and solver/quadrature controls, plus optional per-subcommand run blocks:
+and solver/quadrature controls, plus optional per-subcommand run blocks,
+of which only runs.validate takes fields (omega and the probes x, y,
+emitter, dipole); the other commands read their command-line flags:
 
     schema_version: 1
     units: {system: natural, reference_length: 1.0}
@@ -304,8 +306,7 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
         LorentzPole(**{k: _to_internal(units, v, "frequency") for k, v in p.items()})
         for p in poles)) for rid, poles in parsed_materials}
 
-    runs_internal = {name: {key: value if _RUN_FIELD_KINDS[key] is None
-                            else _to_internal(units, value, _RUN_FIELD_KINDS[key])
+    runs_internal = {name: {key: _to_internal(units, value, _RUN_FIELD_KINDS[key])
                             for key, value in block.items()}
                      for name, block in parsed_runs.items()}
 
@@ -329,28 +330,19 @@ def _default_reference_length(parsed_shapes) -> float:
     return float(np.linalg.norm(np.max(his, axis=0) - np.min(los, axis=0)))
 
 
-#: unit kinds of the recognized run-block fields
+#: unit kinds of the runs.validate fields; the other run blocks take no
+#: fields, since their commands read everything from flags
 _RUN_FIELD_KINDS = {
     "omega": "frequency",
-    "omega_min": "frequency",
-    "omega_max": "frequency",
-    "n_omega": None,
-    "source": "length[3]",
-    "eval": "length[3]",
     "x": "length[3]",
     "y": "length[3]",
     "emitter": "length[3]",
     "dipole": "dipole[3]",
-    "kdir": None,
-    "sigma": None,
-    "zeta": None,
-    "eval_points": None,
-    "tol": None,
 }
 
 
 def _parse_runs(runs: dict, errors) -> dict:
-    """Run blocks with every recognized field parsed (frequencies positive), in scene units."""
+    """Run blocks with every field parsed (frequencies positive), in scene units."""
     out = {}
     for block_name, block in runs.items():
         if not isinstance(block, dict):
@@ -358,14 +350,15 @@ def _parse_runs(runs: dict, errors) -> dict:
             continue
         parsed = {}
         for key, value in block.items():
-            kind = _RUN_FIELD_KINDS.get(key, "unknown")
-            if kind == "unknown":
-                errors.append(f"runs.{block_name}.{key}: unknown field")
-            elif kind is None:
-                parsed[key] = value
+            ctx = f"runs.{block_name}.{key}"
+            if block_name != "validate":
+                errors.append(f"{ctx}: unknown field (only runs.validate takes fields; "
+                              f"{block_name} reads its command-line flags)")
+            elif key not in _RUN_FIELD_KINDS:
+                errors.append(f"{ctx}: unknown field")
             else:
-                value = _value(f"runs.{block_name}.{key}", value, kind, errors,
-                               positive=kind == "frequency")
+                kind = _RUN_FIELD_KINDS[key]
+                value = _value(ctx, value, kind, errors, positive=kind == "frequency")
                 if value is not None:
                     parsed[key] = value
         out[block_name] = parsed

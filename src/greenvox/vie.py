@@ -86,10 +86,6 @@ class SolverError(RuntimeError):
     pass
 
 
-class DenseCapError(MemoryError):
-    pass
-
-
 def _kernel_table(grid: VoxelGrid, omega: float, axes):
     """Kernel blocks over the offsets axes[0] x axes[1] x axes[2], (3, 3, *lengths).
 
@@ -110,9 +106,9 @@ class InteractionOperator:
 
     kernel holds the dense 3N x 3N matrix of dV*G0 blocks (self term on
     the diagonal) or None for the matrix-free representation, which
-    keeps lattice = (flat index of every voxel in its n_x x n_y x n_z
-    body box, FFT of the kernel table over the circulant lattice) and
-    forms K p as a circulant convolution.  A vacuum operator (beta = 0)
+    keeps lattice, the FFT of the kernel table over the circulant
+    lattice, and forms K p as a circulant convolution over the body box
+    (grid.lattice_flat places each voxel in it).  A vacuum operator (beta = 0)
     is the identity and keeps neither.  factored lists the dtype of
     every LU factorization, in order, refinements the refinement
     steps every dense solve took, and iterations the (operator
@@ -124,7 +120,7 @@ class InteractionOperator:
     omega: float
     beta: np.ndarray
     kernel: np.ndarray | None
-    lattice: tuple | None = field(default=None, repr=False)
+    lattice: np.ndarray | None = field(default=None, repr=False)
     _lu: tuple | None = field(default=None, repr=False)
     factored: list = field(default_factory=list, repr=False)
     refinements: list = field(default_factory=list, repr=False)
@@ -156,7 +152,7 @@ class InteractionOperator:
         """
         if self.kernel is not None:
             return self.kernel @ q
-        index, table = self.lattice
+        index, table = self.grid.lattice_flat, self.lattice
         n, m, shape = self.grid.n, q.shape[1], self.grid.lattice_shape
         box = np.zeros((3, m, *shape), dtype=complex)
         box.reshape(3, m, -1)[:, :, index] = q.reshape(n, 3, m).transpose(1, 2, 0)
@@ -205,33 +201,22 @@ class InteractionOperator:
         return self._lu
 
 
-def assemble(grid: VoxelGrid, materials, omega: float, *, dense: bool = True,
-             dense_cap: int = 1000) -> InteractionOperator:
-    """Build the discrete Fredholm operator for the grid at frequency omega.
+def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> InteractionOperator:
+    """Build the discrete Fredholm operator for the per-voxel beta at frequency omega.
 
-    materials is either a mapping region_id -> PermittivityModel or a
-    precomputed per-voxel beta array.  Both representations come from
-    one kernel table builder over lattice offsets: dense=True gathers the
-    3N x 3N kernel block by offset from a table over the per-axis offsets
-    that voxel pairs produce, dense=False keeps the FFT of the table over
-    the circulant lattice for the matrix-free operator.  A vacuum
-    (beta = 0) operator builds neither.
+    Both representations come from one kernel table builder over lattice
+    offsets: dense=True gathers the 3N x 3N kernel block by offset from a
+    table over the per-axis offsets that voxel pairs produce, dense=False
+    keeps the FFT of the table over the circulant lattice for the
+    matrix-free operator.  A vacuum (beta = 0) operator builds neither.
     """
     if grid.n == 0:
         raise SolverError("empty grid")
     if not omega > 0.0:
         raise ValueError("assemble requires omega > 0")
-    if isinstance(materials, Mapping):
-        _, beta = eps_on_grid(grid, materials, omega)
-    else:
-        beta = np.asarray(materials, dtype=complex).reshape(grid.n)
-
+    beta = np.asarray(beta, dtype=complex).reshape(grid.n)
     if not np.any(beta):
         return InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=None)
-    if dense and grid.n > dense_cap:
-        raise DenseCapError(
-            f"dense kernel for N={grid.n} voxels exceeds the configured cap "
-            f"({dense_cap}); assemble with dense=False for the iterative path")
     if not dense:
         # circulant of 2n sites per axis: index i holds offset i below n and
         # i - 2n above it, and zero at i = n, an offset no voxel pair reaches
@@ -239,9 +224,8 @@ def assemble(grid: VoxelGrid, materials, omega: float, *, dense: bool = True,
                               [np.fft.ifftshift(np.arange(-n, n)) for n in grid.lattice_shape])
         for axis, n in enumerate(grid.lattice_shape):
             np.moveaxis(table, 2 + axis, 0)[n] = 0.0
-        lattice = (grid.lattice_flat, np.fft.fftn(table, axes=(-3, -2, -1)))
         return InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=None,
-                                   lattice=lattice)
+                                   lattice=np.fft.fftn(table, axes=(-3, -2, -1)))
     # the table spans only the per-axis offsets that voxel pairs produce;
     # block (i, j) is its entry at the offset z_i - z_j
     axes, offset = grid.pair_offsets
@@ -399,26 +383,24 @@ class MediumSolver:
     solve, solved (memoised by a key) and grid_fields give on-grid
     values, and evaluate carries any of them (Green columns, e or m) to
     arbitrary points.
-    method is the one solve decision: "dense" stores the kernel (LU),
+    materials maps every region id of the grid to its PermittivityModel,
+    which also gives eps at frequencies other than omega.  method is the
+    one solve decision: "dense" stores the kernel (LU) at any size,
     "gmres" the lattice FFT operator (GMRES), "auto" the kernel up to
     dense_cap voxels.
     """
 
-    def __init__(self, grid: VoxelGrid, materials, omega: float, tol: float = 1e-10,
+    def __init__(self, grid: VoxelGrid, materials: Mapping, omega: float, tol: float = 1e-10,
                  method: str = "auto", dense_cap: int = 1000):
         if method not in ("auto", "dense", "gmres"):
             raise ValueError(f"unknown solve method {method!r}")
         self.grid = grid
-        self.materials = materials if isinstance(materials, Mapping) else None
+        self.materials = materials
         self.omega = float(omega)
         self.tol = float(tol)
-        if isinstance(materials, Mapping):
-            self.eps, self.beta = eps_on_grid(grid, materials, omega)
-        else:
-            self.beta = np.asarray(materials, dtype=complex).reshape(grid.n)
-            self.eps = 1.0 + self.beta / omega**2
+        self.eps, self.beta = eps_on_grid(grid, materials, omega)
         dense = method == "dense" or (method == "auto" and grid.n <= dense_cap)
-        self.op = assemble(grid, self.beta, omega, dense=dense, dense_cap=dense_cap)
+        self.op = assemble(grid, self.beta, omega, dense=dense)
         self._fields = {}
         self._solved = {}
 

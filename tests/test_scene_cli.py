@@ -404,6 +404,25 @@ def test_pole_signs_are_scene_errors(pole, field, tmp_path, capsys):
     assert rc == 4 and "Traceback" not in captured and field in captured
 
 
+@pytest.mark.parametrize("field, text", [
+    ("runs.purcell.omega_min", CUBE_SCENE + "  purcell: {omega_min: 0.9}\n"),
+    ("runs.validate.tol", CUBE_SCENE.replace("{omega: 1.0}", "{omega: 1.0, tol: 1.0e-6}")),
+], ids=["purcell", "validate"])
+def test_a_run_field_no_command_reads_is_a_scene_error(field, text, tmp_path, capsys):
+    """Only runs.validate takes fields, and only the five it reads: any other run
+    field exits 4 with one stderr line naming it, where it was silently ignored."""
+    scene = write(tmp_path, "dead.yaml", text)
+    with pytest.raises(SceneError) as err:
+        load_scene(scene)
+    assert len(err.value.errors) == 1 and err.value.errors[0].startswith(field)
+    rc = cli_main(["validate", "--scene", str(scene)])
+    captured = capsys.readouterr().err
+    assert rc == 4 and "Traceback" not in captured
+    assert len([line for line in captured.splitlines() if field in line]) == 1
+    # an empty block of another command stays valid
+    assert load_scene(write(tmp_path, "empty.yaml", CUBE_SCENE + "  purcell: {}\n")).runs
+
+
 @pytest.mark.parametrize("omega", ["0", "-1.0", "0.0"])
 def test_nonpositive_validate_omega_is_a_scene_error(omega, tmp_path, capsys):
     """runs.validate.omega <= 0 is collected as a schema error; the CLI exits 4
@@ -573,7 +592,7 @@ def test_cli_memory_error_exit_code(tmp_path, capsys, monkeypatch):
     import greenvox.vie as vie
 
     def out_of_memory(*args, **kwargs):
-        raise vie.DenseCapError("dense kernel exceeds the configured cap")
+        raise MemoryError("dense kernel exceeds the configured cap")
 
     monkeypatch.setattr(vie, "assemble", out_of_memory)
     scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
@@ -590,10 +609,10 @@ def test_cli_purcell_records_memory_error_per_row(tmp_path, capsys, monkeypatch)
 
     assemble = vie.assemble
 
-    def out_of_memory_at_0_9(grid, materials, omega, **kwargs):
+    def out_of_memory_at_0_9(grid, beta, omega, **kwargs):
         if omega == 0.9:
-            raise vie.DenseCapError("dense kernel exceeds the configured cap")
-        return assemble(grid, materials, omega, **kwargs)
+            raise MemoryError("dense kernel exceeds the configured cap")
+        return assemble(grid, beta, omega, **kwargs)
 
     monkeypatch.setattr(vie, "assemble", out_of_memory_at_0_9)
     scene = write(tmp_path, "cube.yaml", CUBE_SCENE)

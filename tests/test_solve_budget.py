@@ -205,7 +205,7 @@ def test_gmres_records_the_true_residual_of_every_column(budget):
     solver = vie.MediumSolver(cfg.grid, cfg.materials, 1.0, TOL, method="gmres")
     b = solver.source_columns(np.array([0.1, -0.2, 1.3]))
     x = solver.solve(b)
-    lattice, dense = budget["operators"][0], vie.assemble(cfg.grid, cfg.materials, 1.0)
+    lattice, dense = budget["operators"][0], vie.assemble(cfg.grid, solver.beta, 1.0)
     assert lattice.kernel is None and dense.kernel is not None
     assert sum(applications for applications, _ in lattice.iterations) <= 51
     for j, (_, achieved) in enumerate(lattice.iterations):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from greenvox import (Box, DenseCapError, EmitterSpec, LorentzPole, MaskShape, MediumSolver,
+from greenvox import (Box, EmitterSpec, LorentzPole, MaskShape, MediumSolver,
                       PermittivityModel, PlaneWaveMode, Sphere, SolverError, VoxelGrid,
                       assemble, build_grid, dyson_residual, eval_eps,
                       g0_closed, gamma_decomposed, im_green_at, ldos_identity_residual,
@@ -24,8 +24,8 @@ def single_voxel_grid(edge=0.2):
     return build_grid(Box(min_corner=(-h, -h, -h), max_corner=(h, h, h)), edge)
 
 
-def test_vacuum_operator_is_identity(cube_grid, vacuum_materials):
-    op = assemble(cube_grid, vacuum_materials, OMEGA)
+def test_vacuum_operator_is_identity(cube_grid):
+    op = assemble(cube_grid, np.zeros(cube_grid.n), OMEGA)
     rng = np.random.default_rng(0)
     p = rng.normal(size=op.n3) + 1j * rng.normal(size=op.n3)
     assert np.array_equal(op.apply(p), p)
@@ -33,7 +33,7 @@ def test_vacuum_operator_is_identity(cube_grid, vacuum_materials):
 
 
 def test_kernel_blockwise_symmetric(cube_grid, cube_materials):
-    op = assemble(cube_grid, cube_materials, OMEGA)
+    op = MediumSolver(cube_grid, cube_materials, OMEGA).op
     K = op.kernel
     assert np.max(np.abs(K - K.T)) < 1e-15 * np.max(np.abs(K))
 
@@ -42,7 +42,7 @@ def test_single_voxel_closed_forms(cube_materials):
     grid = single_voxel_grid()
     beta = complex(OMEGA**2 * (eval_eps(LORENTZ, OMEGA) - 1.0))
     M = self_term_scalar(grid.voxel_volume, OMEGA)
-    op = assemble(grid, cube_materials, OMEGA)
+    op = assemble(grid, [beta], OMEGA)
     rng = np.random.default_rng(1)
     rhs = rng.normal(size=3) + 1j * rng.normal(size=3)
     x = solve_system(op, rhs)
@@ -136,6 +136,11 @@ def pairwise_kernel(grid, omega):
     return K.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
 
 
+def lorentz_beta(grid):
+    """beta of the Lorentz material at OMEGA in every voxel of the grid."""
+    return np.full(grid.n, OMEGA**2 * (eval_eps(LORENTZ, OMEGA) - 1.0))
+
+
 def test_kernel_matches_pairwise_reference(tmp_path, monkeypatch):
     """The kernel gathered from the lattice table is the pairwise kernel, exactly
     symmetric, and the table holds no more blocks than there are voxel pairs."""
@@ -146,7 +151,7 @@ def test_kernel_matches_pairwise_reference(tmp_path, monkeypatch):
     monkeypatch.setattr(vie_mod, "_kernel_table",
                         lambda *args: tables.append(build(*args)) or tables[-1])
     for name, grid in lattice_grids(tmp_path).items():
-        K = assemble(grid, {1: LORENTZ}, OMEGA).kernel
+        K = assemble(grid, lorentz_beta(grid), OMEGA).kernel
         ref = pairwise_kernel(grid, OMEGA)
         assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref)), name
         assert np.array_equal(K, K.T), name
@@ -158,12 +163,12 @@ def test_fft_product_matches_dense_kernel(tmp_path):
     C-contiguous spectrum, and m columns at once are m single columns."""
     rng = np.random.default_rng(5)
     for name, grid in lattice_grids(tmp_path).items():
-        dense = assemble(grid, {1: LORENTZ}, OMEGA)
-        fft = assemble(grid, {1: LORENTZ}, OMEGA, dense=False)
+        dense = assemble(grid, lorentz_beta(grid), OMEGA)
+        fft = assemble(grid, lorentz_beta(grid), OMEGA, dense=False)
         assert fft.kernel is None
-        assert fft.lattice[1].flags.c_contiguous, name
+        assert fft.lattice.flags.c_contiguous, name
         if name == "two boxes":
-            assert len(set(fft.lattice[1].shape[2:])) == 3  # n_x, n_y, n_z all differ
+            assert len(set(fft.lattice.shape[2:])) == 3  # n_x, n_y, n_z all differ
         p = rng.normal(size=(dense.n3, 2)) + 1j * rng.normal(size=(dense.n3, 2))
         q = dense.beta_rep[:, None] * p
         expected = dense.kernel @ q
@@ -175,6 +180,14 @@ def test_fft_product_matches_dense_kernel(tmp_path):
         for v in (p, p[:, 0]):
             assert fft.apply(v).shape == v.shape
             assert np.linalg.norm(fft.apply(v) - dense.apply(v)) <= 1e-13 * np.linalg.norm(v)
+
+
+def test_dense_method_stores_the_kernel_above_dense_cap(cube_grid, cube_materials):
+    """dense_cap steers only method="auto": "dense" stores the kernel at any size."""
+    assert cube_grid.n > 10
+    assert MediumSolver(cube_grid, cube_materials, OMEGA, method="dense",
+                        dense_cap=10).op.kernel is not None
+    assert MediumSolver(cube_grid, cube_materials, OMEGA, dense_cap=10).op.kernel is None
 
 
 def test_solve_follows_the_representation(cube_grid, cube_materials, monkeypatch):
@@ -303,18 +316,18 @@ def test_fft_gmres_above_dense_cap_keeps_identities():
 def test_ill_conditioned_operator_refactors_in_complex128(cube_grid, cube_materials):
     """An eigenvalue of K diag(beta) within 1e-7 of 1 defeats refinement on complex64
     factors: the solve refactors once in complex128 and still meets tol."""
-    op = assemble(cube_grid, cube_materials, OMEGA)
+    op = MediumSolver(cube_grid, cube_materials, OMEGA).op
     mu = np.linalg.eigvals(op.kernel * op.beta_rep)
     beta = op.beta * (1.0 - 1e-7) / mu[np.argmin(np.abs(mu))]
     tol = 1e-6
-    solver = MediumSolver(cube_grid, beta, OMEGA, tol)
+    scaled = assemble(cube_grid, beta, OMEGA)
     rng = np.random.default_rng(7)
-    rhs = rng.normal(size=(solver.op.n3, 2)) + 1j * rng.normal(size=(solver.op.n3, 2))
-    x = solver.solve(rhs)
-    assert solver.op.factored == [np.complex64, np.complex128]
-    assert np.linalg.norm(solver.op.apply(x) - rhs) <= tol * np.linalg.norm(rhs)
-    solver.solve(rhs)  # the complex128 factors are kept
-    assert solver.op.factored == [np.complex64, np.complex128]
+    rhs = rng.normal(size=(scaled.n3, 2)) + 1j * rng.normal(size=(scaled.n3, 2))
+    x = solve_system(scaled, rhs, tol)
+    assert scaled.factored == [np.complex64, np.complex128]
+    assert np.linalg.norm(scaled.apply(x) - rhs) <= tol * np.linalg.norm(rhs)
+    solve_system(scaled, rhs, tol)  # the complex128 factors are kept
+    assert scaled.factored == [np.complex64, np.complex128]
 
 
 def test_loose_tolerance_still_solves_to_double_precision(sphere_grid, drude_materials):
@@ -433,11 +446,6 @@ def test_uncoupling_limit_slope(cube_grid):
         norms.append(np.linalg.norm(G - g0_closed(X_OUT, Y_OUT, OMEGA)))
     slope = loglog_slope(scales, norms)
     assert abs(slope - 1.0) <= 0.1
-
-
-def test_dense_cap_guard(cube_grid, cube_materials):
-    with pytest.raises(DenseCapError):
-        assemble(cube_grid, cube_materials, OMEGA, dense_cap=10)
 
 
 def test_gmres_nonconvergence_reports_residual(cube_grid, cube_materials, monkeypatch):
