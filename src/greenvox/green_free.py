@@ -124,11 +124,13 @@ def g0_longitudinal(r, rp, omega: float):
 def self_term_scalar(voxel_volume: float, omega: float) -> complex:
     """Integral of the full G0 distribution over the volume-equivalent sphere.
 
-    M(a) = (2/(3 omega^2)) [(1 - i omega a) exp(i omega a) - 1] with
-    a = (3 V / 4 pi)^(1/3); includes the delta term.  Small-radius
-    expansion M = a^2/3 + 2i omega a^3 / 9 + O(a^4); the bracket loses
-    all precision to cancellation for omega a << 1, so that regime uses
-    its Taylor series directly.
+    M(a) = (2/(3 omega^2)) [(1 - i omega a) exp(i omega a) - 1] - 1/(3 omega^2)
+    with a = (3 V / 4 pi)^(1/3): the principal-volume integral, then the
+    delta term -(1/(3 omega^2)) I, the source dyadic I/3 of a sphere
+    (Yaghjian, Proc. IEEE 68, 248 (1980)).  Small-radius expansion
+    M = -1/(3 omega^2) + a^2/3 + 2i omega a^3 / 9 + O(a^4); the bracket
+    loses all precision to cancellation for omega a << 1, so that regime
+    uses its Taylor series directly.
     """
     if not voxel_volume > 0.0:
         raise ValueError("voxel volume must be positive")
@@ -141,7 +143,7 @@ def self_term_scalar(voxel_volume: float, omega: float) -> complex:
                           x**3 / 3.0 - x**5 / 30.0 + x**7 / 840.0)
     else:
         bracket = complex(np.cos(x) - 1.0 + x * np.sin(x), np.sin(x) - x * np.cos(x))
-    return (2.0 / (3.0 * omega**2)) * bracket
+    return (2.0 / (3.0 * omega**2)) * bracket - 1.0 / (3.0 * omega**2)
 
 
 def self_term(voxel_volume: float, omega: float):

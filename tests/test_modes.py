@@ -290,7 +290,7 @@ def test_u_m_linear_in_coupling(cube_grid):
     # sigma=-1 polarization overlaps n_j of the mode, keeping the
     # alpha_tilde-linear point term alive
     probe = PlaneWaveMode(k=(0.0, 0.6, 0.8), sigma=-1, zeta="c")
-    couplings = [0.5, 0.25, 0.125]
+    couplings = [0.25, 0.125, 0.0625]
     vals = []
     for s in couplings:
         mats = {1: scaled_contrast(LORENTZ, s**2)}  # alpha_tilde -> s alpha_tilde

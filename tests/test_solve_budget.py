@@ -179,7 +179,7 @@ def test_shell_e_fields_match_direct_solve_per_submode(cube_solver):
 
 
 def test_lattice_green_columns_take_at_most_60_matvecs(budget):
-    """The 8^3 Lorentz cube solves its three Green columns by FFT-GMRES in 54
+    """The 8^3 Lorentz cube solves its three Green columns by FFT-GMRES in 45
     operator applications (the final residual check included), each within tol."""
     cube = dict(CUBE, geometry={"voxel_edge": 0.2, "shapes": [
         {"kind": "box", "min_corner": [-0.8] * 3, "max_corner": [0.8] * 3, "region_id": 1}]})
