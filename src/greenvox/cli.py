@@ -20,6 +20,8 @@ import sys
 import time
 from pathlib import Path
 
+from .constants import NUMBER_RANGE
+
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
@@ -154,9 +156,12 @@ def _argument_problem(args):
     if args.out_dir and any(p.exists() and not p.is_dir()
                             for p in (Path(args.out_dir), *Path(args.out_dir).parents)):
         return f"--out-dir {args.out_dir} names an existing file"
+    lo, hi = NUMBER_RANGE
     omega = getattr(args, "omega", 1.0)
-    if not (math.isfinite(omega) and omega > 0.0):
-        return f"--omega must be a positive finite frequency, got {omega!r}"
+    if not lo <= omega <= hi:
+        return f"--omega must be a positive finite frequency in [{lo:g}, {hi:g}], got {omega!r}"
+    if args.command == "modes" and args.kdir[2] < 0.0:
+        return "--kdir must have a nonnegative z component (modes are labelled by k_z >= 0)"
     for name in ("src", "eval", "point", "point2", "emitter", "dipole", "kdir"):
         value = getattr(args, name, None)
         if isinstance(value, tuple) and not all(map(math.isfinite, value)):
@@ -167,9 +172,9 @@ def _argument_problem(args):
         return "--src equals --eval, where G diverges; ldos-check --point gives Im G(x, x)"
     if args.command == "purcell":
         a, b, n = args.omega_range
-        if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a <= b and n >= 1):
-            return (f"--omega-range needs a positive finite start, a finite stop at or "
-                    f"above it and at least one point, got {a}:{b}:{n}")
+        if not (lo <= a <= b <= hi and n >= 1):
+            return (f"--omega-range needs a positive start and a stop at or above it, both "
+                    f"in [{lo:g}, {hi:g}], and at least one point, got {a}:{b}:{n}")
     return None
 
 

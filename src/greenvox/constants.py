@@ -14,6 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: magnitudes accepted for a scene number, and for a positive one (a frequency,
+#: a length, a tolerance), and for a command-line frequency: beyond them
+#: omega^2, 1/omega^2 and the kernel's 1/(omega^2 R^3) leave the float64 range
+NUMBER_RANGE = (1e-30, 1e30)
+
 # CODATA 2018
 C_SI = 2.99792458e8          # speed of light, m/s
 EPS0_SI = 8.8541878128e-12   # vacuum permittivity, F/m

@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .constants import UnitSystem
+from .constants import NUMBER_RANGE, UnitSystem
 from .geometry import Box, GridError, MaskShape, Sphere, VoxelGrid, build_grid
 from .permittivity import LorentzPole, PermittivityModel
 
@@ -112,12 +112,12 @@ def _number(ctx, raw, errors, positive=False):
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         errors.append(f"{ctx}: expected a number, got {raw!r}")
         return None
-    v = float(raw)
-    if not np.isfinite(v):
-        errors.append(f"{ctx}: must be finite, got {v}")
+    v, (lo, hi) = float(raw), NUMBER_RANGE
+    if not abs(v) <= hi:
+        errors.append(f"{ctx}: must be finite and at most {hi:g} in magnitude, got {v}")
         return None
-    if positive and not v > 0.0:
-        errors.append(f"{ctx}: must be strictly positive, got {v}")
+    if positive and not v >= lo:
+        errors.append(f"{ctx}: must be strictly positive, at least {lo:g}, got {v}")
         return None
     return v
 
@@ -141,6 +141,16 @@ def _to_internal(units: UnitSystem, value, kind):
     if kind.endswith("[3]"):
         return tuple(units.to_internal(v, kind[:-3]) for v in value)
     return units.to_internal(value, kind)
+
+
+def _block(ctx, raw, kind, errors):
+    """raw when it is a kind (dict or list), empty when it is null; else an error."""
+    if raw is None:
+        return kind()
+    if not isinstance(raw, kind):
+        errors.append(f"{ctx}: expected a {'mapping' if kind is dict else 'list'}")
+        return kind()
+    return raw
 
 
 def _check_unknown(ctx, block, known, errors):
@@ -174,7 +184,7 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
         errors.append(f"unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})")
 
     # units -------------------------------------------------------------
-    ublock = raw.get("units", {}) or {}
+    ublock = _block("units", raw.get("units"), dict, errors)
     _check_unknown("units", ublock, {"system", "reference_length"}, errors)
     system = ublock.get("system", "natural")
     if system not in ("SI", "natural"):
@@ -185,12 +195,8 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
         ref_len = _number("units.reference_length", ref_len, errors, positive=True)
 
     # materials ----------------------------------------------------------
-    materials_raw = raw.get("materials", [])
-    if not isinstance(materials_raw, list):
-        errors.append("materials: expected a list")
-        materials_raw = []
     parsed_materials = []
-    for i, m in enumerate(materials_raw):
+    for i, m in enumerate(_block("materials", raw.get("materials"), list, errors)):
         ctx = f"materials[{i}]"
         if not isinstance(m, dict):
             errors.append(f"{ctx}: expected a mapping")
@@ -201,7 +207,7 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
             errors.append(f"{ctx}.region_id: expected a positive integer")
             continue
         poles = []
-        for j, p in enumerate(m.get("poles", []) or []):
+        for j, p in enumerate(_block(f"{ctx}.poles", m.get("poles"), list, errors)):
             pctx = f"{ctx}.poles[{j}]"
             if not isinstance(p, dict):
                 errors.append(f"{pctx}: expected a mapping")
@@ -218,7 +224,7 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
         parsed_materials.append((rid, poles))
 
     # geometry -----------------------------------------------------------
-    gblock = raw.get("geometry", {}) or {}
+    gblock = _block("geometry", raw.get("geometry"), dict, errors)
     _check_unknown("geometry", gblock, {"voxel_edge", "shapes"}, errors)
     voxel_edge = gblock.get("voxel_edge")
     if voxel_edge is not None:
@@ -235,7 +241,7 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
             errors.append(f"{ctx}: expected a mapping")
             continue
         kind = s.get("kind")
-        if kind in _SHAPE_FIELDS:
+        if isinstance(kind, str) and kind in _SHAPE_FIELDS:
             fields = _SHAPE_FIELDS[kind][1]
             _check_unknown(ctx, s, {"kind", "region_id", *fields}, errors)
             params = {name: _value(f"{ctx}.{name}", s.get(name), unit, errors, positive=True)
@@ -261,7 +267,7 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
             errors.append(f"{ctx}.kind: expected sphere, box or mask, got {kind!r}")
 
     # solver / quadrature --------------------------------------------------
-    sblock = {**_DEFAULTS["solver"], **(raw.get("solver", {}) or {})}
+    sblock = {**_DEFAULTS["solver"], **_block("solver", raw.get("solver"), dict, errors)}
     _check_unknown("solver", sblock, {"tol", "dense_cap"}, errors)
     tol = _number("solver.tol", sblock["tol"], errors, positive=True)
     dense_cap = sblock["dense_cap"]
@@ -269,17 +275,15 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
         errors.append("solver.dense_cap: expected a positive integer")
         dense_cap = _DEFAULTS["solver"]["dense_cap"]
 
-    qblock = {**_DEFAULTS["quadrature"], **(raw.get("quadrature", {}) or {})}
+    qblock = {**_DEFAULTS["quadrature"],
+              **_block("quadrature", raw.get("quadrature"), dict, errors)}
     _check_unknown("quadrature", qblock, {"n_theta", "n_phi"}, errors)
     n_theta, n_phi = qblock["n_theta"], qblock["n_phi"]
     for name, v in (("n_theta", n_theta), ("n_phi", n_phi)):
         if not isinstance(v, int) or v < 2:
             errors.append(f"quadrature.{name}: expected an integer >= 2")
 
-    runs = raw.get("runs", {}) or {}
-    if not isinstance(runs, dict):
-        errors.append("runs: expected a mapping")
-        runs = {}
+    runs = _block("runs", raw.get("runs"), dict, errors)
     _check_unknown("runs", runs, _KNOWN_RUNS, errors)
     parsed_runs = _parse_runs(runs, errors)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from greenvox import SceneError, load_scene, purcell, scene_to_dict
 from greenvox.cli import main as cli_main
@@ -360,9 +361,15 @@ def test_cli_bad_input_is_a_config_error(argv, message, tmp_path, capsys, monkey
     ["validate", "--threads", "-2"],
     ["validate", "--out-dir", "taken.txt"],
     ["validate", "--out-dir", "taken.txt/sub"],
+    ["modes", "--omega", "1", "--kdir", "0,0.6,-0.8", "--eval", "points.csv"],
+    ["greens", "--omega", "1e300", "--src", "0,0,3", "--eval", "1.2,0,0"],
+    ["ldos-check", "--omega", "1e-300", "--point", "1.2,0,0"],
+    ["purcell", "--emitter", "0.95,0.15,0.25", "--dipole", "0,0,1",
+     "--omega-range", "1e300:1e300:1"],
 ], ids=["nan src", "inf eval", "inf point", "nan point2", "nan emitter", "zero dipole",
         "unsorted range", "nan range start", "inf range stop", "zero threads",
-        "negative threads", "out-dir is a file", "out-dir below a file"])
+        "negative threads", "out-dir is a file", "out-dir below a file", "downward kdir",
+        "huge omega", "tiny omega", "huge range"])
 def test_cli_bad_arguments_exit_4_before_any_solve(argv, tmp_path, capsys, monkeypatch):
     """Arguments no scene can make valid exit 4 with one stderr line, no traceback,
     and nothing is solved or written; the thread variables stay unset."""
@@ -381,6 +388,32 @@ def test_cli_bad_arguments_exit_4_before_any_solve(argv, tmp_path, capsys, monke
     assert "Traceback" not in err and len(err.strip().splitlines()) == 1, err
     assert "OPENBLAS_NUM_THREADS" not in os.environ
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cube.yaml", "taken.txt"]
+
+
+@pytest.mark.parametrize("path, value, field", [
+    (("units",), "x", "units: expected a mapping"),
+    (("geometry",), float("nan"), "geometry: expected a mapping"),
+    (("solver",), True, "solver: expected a mapping"),
+    (("quadrature",), [1, 2], "quadrature: expected a mapping"),
+    (("materials", 0, "poles"), 0.25, "materials[0].poles: expected a list"),
+    (("geometry", "shapes", 0, "kind"), [], "geometry.shapes[0].kind"),
+    (("materials", 0, "poles", 0, "omegap"), 1e300, "materials[0].poles[0].omegap"),
+    (("runs", "validate", "omega"), 1e-300, "runs.validate.omega"),
+], ids=["units", "geometry", "solver", "quadrature", "poles", "shape kind",
+        "huge omegap", "tiny validate omega"])
+def test_malformed_scene_values_are_scene_errors(path, value, field, tmp_path, capsys):
+    """Each of these escaped the schema as a traceback (a block that is not a
+    mapping, poles that are not a list, an unhashable shape kind, a frequency whose
+    square leaves the float range): now exit 4, naming the field."""
+    scene = yaml.safe_load(CUBE_SCENE)
+    node = scene
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    rc = cli_main(["validate", "--scene", str(write(tmp_path, "bad.yaml",
+                                                     yaml.safe_dump(scene)))])
+    captured = capsys.readouterr().err
+    assert rc == 4 and "Traceback" not in captured and field in captured, captured
 
 
 @pytest.mark.parametrize("pole, field", [
@@ -474,7 +507,7 @@ def test_cli_triplets_take_negative_values(tmp_path, capsys):
     assert cli_main(["greens", "--scene", scene, "--omega", "-1",
                      "--src", "0,0,0.9", "--eval", "1.2,0,0"]) == 4
     assert capsys.readouterr().err.strip().splitlines() == [
-        "--omega must be a positive finite frequency, got -1.0"]
+        "--omega must be a positive finite frequency in [1e-30, 1e+30], got -1.0"]
 
 
 def test_cli_grid_error_exit_code(tmp_path, capsys):

@@ -86,17 +86,22 @@ def lattice_bodies(draw):
 @given(ids=lattice_bodies())
 def test_fft_gmres_matches_dense_lu_on_random_bodies(ids):
     """On any small lattice body, holes and material mix included, the FFT-GMRES
-    Green columns are the dense-LU columns to 10 tol."""
+    Green columns are the dense-LU columns to 10 tol, and so is the Purcell factor
+    of an emitter at their source."""
     tol, edge = 1e-10, 0.15
     site = np.argwhere(ids)
     grid = VoxelGrid((site + 0.5) * edge, edge, ids[tuple(site.T)])
     mats = {1: LORENTZ, 2: DRUDE, 3: PermittivityModel(
         poles=(LorentzPole(omega0=2.0, omegap=2.0, gamma=0.5),), region_id=3)}
     y = np.array([-0.3, 0.25, 0.9])
-    dense = MediumSolver(grid, mats, OMEGA, tol, method="dense").grid_fields(y)
+    emitter = EmitterSpec(position=tuple(y), omega=OMEGA, dipole=(0.6, -0.48, 0.64))
+    dense = MediumSolver(grid, mats, OMEGA, tol, method="dense")
     lattice = MediumSolver(grid, mats, OMEGA, tol, method="gmres")
     assert lattice.op.kernel is None
-    assert np.linalg.norm(lattice.grid_fields(y) - dense) <= 10 * tol * np.linalg.norm(dense)
+    X = dense.grid_fields(y)
+    assert np.linalg.norm(lattice.grid_fields(y) - X) <= 10 * tol * np.linalg.norm(X)
+    reference = purcell(dense, None, emitter)
+    assert abs(purcell(lattice, None, emitter) - reference) <= 10 * tol * reference
 
 
 def lattice_grids(tmp_path):
