@@ -47,9 +47,11 @@ x0 = rhs: 80 Krylov vectors per cycle, orthogonalized by two passes of
 classical Gram-Schmidt, at most 400 cycles, until the true residual
 formed after a cycle is at most tol/10 of the right-hand side, or a
 breakdown.  That residual is the one recorded, so no further operator
-application checks it.  MediumSolver picks the representation and the
-solve follows it.  With beta = 0 the operator is the identity and
-nothing is assembled or solved.
+application checks it.  MediumSolver, built from the mapping of region
+id to permittivity model, is the one place that picks the representation
+(method and dense_cap); assemble builds the one it is asked for from the
+per-voxel beta, and the solve follows it.  With beta = 0 the operator is
+the identity and nothing is assembled or solved.
 
 One MediumSolver per frequency is the medium: it is the first argument
 of every function that evaluates the Green tensor, here and in ldos and

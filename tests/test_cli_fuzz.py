@@ -78,7 +78,8 @@ ARG_VALUES = ["nan", "-1", "0", "1", "inf", "-inf", "1e300", "abc", "", "1,2", "
 
 
 def _set(tree, path, value):
-    """tree with the value at path, creating dicts on the way; None when a list is short."""
+    """Put value at path in tree, creating dicts on the way; skip a path through a
+    short list or a scalar."""
     *head, last = path
     node = tree
     for key in head:
@@ -95,6 +96,7 @@ def _set(tree, path, value):
 
 
 def _delete(tree, path):
+    """Remove the key at path from its mapping, if the path exists."""
     node = tree
     for key in path[:-1]:
         try:
