@@ -19,6 +19,10 @@ from dataclasses import dataclass
 #: omega^2, 1/omega^2 and the kernel's 1/(omega^2 R^3) leave the float64 range
 NUMBER_RANGE = (1e-30, 1e30)
 
+#: lattice sites build_grid may scan for the voxels of geometric shapes: the
+#: centers of 2**24 sites take 384 MiB, and a finer lattice is a grid error
+MAX_LATTICE_SITES = 2**24
+
 # CODATA 2018
 C_SI = 2.99792458e8          # speed of light, m/s
 EPS0_SI = 8.8541878128e-12   # vacuum permittivity, F/m

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .constants import MAX_LATTICE_SITES
 from .permittivity import PermittivityModel, eval_eps
 
 
@@ -115,6 +116,7 @@ class VoxelGrid:
         self.voxel_edge = float(voxel_edge)
         self.material_ids = material_ids
         self.lattice_index = ijk
+        self._parity_bases = {}
 
     @property
     def n(self) -> int:
@@ -166,6 +168,36 @@ class VoxelGrid:
         return flat
 
     @cached_property
+    def mirrors(self) -> dict:
+        """axis -> voxel permutation of the lattice mirror i_a -> n_a - 1 - i_a, (N,) int,
+        for every axis whose mirror maps the voxel sites onto themselves.
+
+        The image of voxel i is voxel mirrors[axis][i]; found by a sorted
+        search of the flat site indices, so a sparse body's large box costs
+        O(N log N).
+        """
+        order = np.argsort(self.lattice_flat)
+        sites = self.lattice_flat[order]
+        out = {}
+        for axis, n in enumerate(self.lattice_shape):
+            image = self.lattice_index.copy()
+            image[:, axis] = n - 1 - image[:, axis]
+            flat = np.ravel_multi_index(image.T, self.lattice_shape)
+            pos = np.minimum(np.searchsorted(sites, flat), self.n - 1)
+            if np.array_equal(sites[pos], flat):
+                out[axis] = order[pos]
+                out[axis].flags.writeable = False
+        return out
+
+    def parity_basis(self, axes) -> "ParityBasis":
+        """The ParityBasis of the group generated by the mirrors of axes (a subset of
+        mirrors), built on first use and kept per axes."""
+        axes = tuple(sorted(axes))
+        if axes not in self._parity_bases:
+            self._parity_bases[axes] = ParityBasis(self, axes)
+        return self._parity_bases[axes]
+
+    @cached_property
     def _voxel_at_site(self) -> dict:
         """Flat lattice site -> voxel index: a dict, so a sparse body's large box costs O(N)."""
         return dict(zip(self.lattice_flat.tolist(), range(self.n)))
@@ -182,11 +214,107 @@ class VoxelGrid:
         return self._voxel_at_site.get(int((i * ny + j) * nz + k))
 
 
+class ParityBasis:
+    """Parity sectors of vector fields on a grid under a group of commuting lattice mirrors.
+
+    The group has G = 2^len(axes) elements; element g is a bitmask whose
+    bit k flips axes[k].  It acts on a field p by (R_g p)_i = S_g p_{g(i)},
+    S_g the diagonal of -1 on the flipped axes, so a kernel with
+    K(g z, g z') = S_g K(z, z') S_g commutes with it.  Characters are
+    bitmasks too, h(g) = (-1)^popcount(h & g), and sector chi holds the
+    fields with R_g p = chi(g) p.  Each orbit is represented by its voxel
+    in the lower half of every mirror axis (the center plane included),
+    and a field of sector chi is fixed by its values there: component a
+    obeys p_{g(rep), a} = h(g) p_{rep, a} with the source character
+    h = chi ^ e_a, e_a the bit of axis a (0 off the axes).  The component
+    belongs to the sector when h is 1 on the orbit's stabilizer (the
+    mirrors whose plane holds rep), else it is 0 there, so an orbit of |O|
+    voxels lends each component to |O| of the G sectors and the sector
+    sizes sum to 3N.
+
+    reps (n_orbits,): the representatives, in voxel order; stabilizer
+    (n_orbits,): the stabilizer's size; sectors: (index, source, spans)
+    for every nonempty sector, index the flat positions 3 orbit + a of
+    its coordinates, ordered by their source character, and spans the
+    (h, start, stop) runs of one source.  fold and unfold carry fields
+    between voxels and orbit coordinates.  For the trivial group every
+    voxel is its own orbit, the one sector is the identity, and fold
+    returns its argument as a view.
+    """
+
+    def __init__(self, grid: "VoxelGrid", axes):
+        self.axes = tuple(axes)
+        domain, plane = np.arange(grid.n), np.zeros(grid.n, dtype=int)
+        self._stages = []  # per mirror: positions of the kept half and of its images
+        for k, axis in enumerate(self.axes):
+            image, coord = grid.mirrors[axis], grid.lattice_index[:, axis]
+            plane |= (image == np.arange(grid.n)) << k
+            position = np.empty(grid.n, dtype=int)
+            position[domain] = np.arange(len(domain))
+            kept = domain[2 * coord[domain] <= grid.lattice_shape[axis] - 1]
+            self._stages.append((position[kept], position[image[kept]], len(domain)))
+            domain = kept
+        self.reps, plane = domain, plane[domain]
+        self.stabilizer = 1 << ((plane[:, None] >> np.arange(len(self.axes))) & 1).sum(axis=1)
+        e = np.zeros(3, dtype=int)
+        e[list(self.axes)] = 1 << np.arange(len(self.axes))
+        self.sectors = []
+        for chi in range(self.order):
+            source = np.tile(chi ^ e, len(domain))
+            index = np.flatnonzero((source & np.repeat(plane, 3)) == 0)
+            index = index[np.argsort(source[index], kind="stable")]
+            if len(index):
+                source = source[index]
+                starts = [*np.flatnonzero(np.diff(source, prepend=-1)).tolist(), len(index)]
+                spans = tuple((int(source[i]), i, j) for i, j in zip(starts[:-1], starts[1:]))
+                self.sectors.append((index, source, spans))
+        for array in (self.reps, self.stabilizer, *(a for sector in self.sectors
+                                                    for a in sector[:2])):
+            array.flags.writeable = False
+
+    @property
+    def order(self) -> int:
+        return 1 << len(self.axes)
+
+    def fold(self, field, dtype=None):
+        """sum_g h(g) field[..., g(rep), :] for every character h, (G, ..., n_orbits, 3).
+
+        field (..., N, 3) holds a 3-vector per voxel.  One butterfly per
+        mirror halves the voxels and doubles the characters (a fast
+        Walsh-Hadamard transform), so the cost is about one pass over
+        field per mirror, written in dtype (default field's).  With no
+        mirror it returns field[None], a view.
+        """
+        field = field[None]
+        for kept, images, _ in self._stages:
+            low, high = np.take(field, kept, axis=-2), np.take(field, images, axis=-2)
+            out = np.empty((2, *low.shape), dtype=dtype or field.dtype)
+            np.add(low, high, out=out[0])
+            np.subtract(low, high, out=out[1])
+            field = out.reshape(-1, *low.shape[1:])
+        return field
+
+    def unfold(self, coords):
+        """sum_h h(g) coords[h, ..., orbit, :] at voxel g(rep), (..., N, 3): fold's adjoint."""
+        for kept, images, n in reversed(self._stages):
+            half = len(coords) // 2
+            out = np.empty((half, *coords.shape[1:-2], n, 3), dtype=coords.dtype)
+            out[..., kept, :] = coords[:half] + coords[half:]
+            out[..., images, :] = coords[:half] - coords[half:]  # equal on a mirror plane
+            coords = out
+        return coords[0]
+
+
+def _lattice_counts(lo, hi, h: float):
+    """Cells per axis of the lattice of edge h covering [lo, hi], (3,) float."""
+    return np.maximum(1.0, np.ceil((np.asarray(hi, float) - np.asarray(lo, float)) / h - 1e-9))
+
+
 def _lattice_centers(lo, hi, h: float):
     """Symmetric lattice of cell centers covering [lo, hi], (z,y,x) ordering."""
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
-    counts = np.maximum(1, np.ceil((hi - lo) / h - 1e-9).astype(int))
+    counts = _lattice_counts(lo, hi, h).astype(int)
     axes = [lo[i] + 0.5 * (hi[i] - lo[i]) - 0.5 * counts[i] * h + (np.arange(counts[i]) + 0.5) * h
             for i in range(3)]
     Z, Y, X = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")
@@ -222,7 +350,12 @@ def build_grid(shapes, voxel_edge: float | None = None) -> VoxelGrid:
         raise GridError("voxel edge exceeds the shape diameter")
 
     los, his = zip(*(s.bounding_box() for s in shapes))
-    pts = _lattice_centers(np.min(los, axis=0), np.max(his, axis=0), voxel_edge)
+    lo, hi = np.min(los, axis=0), np.max(his, axis=0)
+    sites = float(np.prod(_lattice_counts(lo, hi, voxel_edge)))
+    if sites > MAX_LATTICE_SITES:
+        raise GridError(f"the lattice spanning the shapes has {int(sites)} sites, more than "
+                        f"the {MAX_LATTICE_SITES} a grid may have: raise the voxel edge")
+    pts = _lattice_centers(lo, hi, voxel_edge)
     ids = np.zeros(len(pts), dtype=int)
     for s in shapes:
         inside = s.contains(pts)

@@ -88,8 +88,17 @@ class SceneConfig:
 
     @cached_property
     def grid(self) -> VoxelGrid:
-        """The voxel grid, built once and shared by the solvers of every frequency."""
-        return build_grid(self.shapes, self.voxel_edge)
+        """The voxel grid, built once and shared by the solvers of every frequency.
+
+        Raises GridError when a voxel carries a region id no material
+        declares, which only a mask can do.
+        """
+        grid = build_grid(self.shapes, self.voxel_edge)
+        missing = sorted(set(np.unique(grid.material_ids).tolist()) - set(self.materials))
+        if missing:
+            raise GridError(f"mask region id {', '.join(map(str, missing))} "
+                            "has no material definition")
+        return grid
 
     def build_grid(self) -> VoxelGrid:
         return self.grid

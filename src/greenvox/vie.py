@@ -30,7 +30,17 @@ and each solve is refined in complex128, with the residual from the
 complex128 kernel, until every column has a backward error of one
 float64 epsilon (the method of LAPACK zcgesv; Buttari et al., ACM TOMS
 34(4), 17 (2008)); an operator too ill-conditioned for that is
-refactored once in complex128.
+refactored once in complex128.  The factorization is per parity sector:
+the lattice mirrors i -> n_a - 1 - i that map the voxels and beta exactly
+onto themselves (geometry.ParityBasis) commute with A, since G0(sr, sr')
+= S G0(r, r') S, so A is block diagonal in their parity basis, with up to
+eight blocks of about 3N/8 (symmetry-adapted block diagonalization;
+Bossavit, Comput. Methods Appl. Mech. Eng. 56, 167 (1986)).  Each block
+is read from the kernel rows of the orbit representatives and factored
+in place; a body with no mirror is the one-sector case, whose block is A.
+Each refinement step projects the residual onto the sectors, solves them
+and projects back; the residual itself is always formed on the full
+kernel.
 The matrix-free kernel is the FFT of the table embedded in a circulant
 of twice the lattice extent per axis, so K p is a 3x3 block product
 between two FFTs (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16,
@@ -179,28 +189,92 @@ class InteractionOperator:
         out = flat - self.kernel_product(self.beta_rep[:, None] * flat)
         return out.reshape(p.shape)
 
-    def lu(self, double: bool = False):
-        """((lu, piv), ||A||_inf) for A = I - K diag(beta) (stored kernel only).
+    @cached_property
+    def parity(self):
+        """ParityBasis of the grid's axis mirrors that also map beta exactly onto itself."""
+        return self.grid.parity_basis(axis for axis, image in self.grid.mirrors.items()
+                                      if np.array_equal(self.beta[image], self.beta))
 
-        A is formed and factored once, in complex64; double=True asks for
-        complex128 factors, which then replace the complex64 ones.
+    @property
+    def sectors(self) -> tuple:
+        """Size of every parity block the dense operator is factored in; () in vacuum."""
+        return () if self.is_identity else tuple(len(index) for index, _, _ in self.parity.sectors)
+
+    def lu(self, double: bool = False):
+        """(one (lu, piv) per parity sector, ||A||_inf) for A = I - K diag(beta), stored kernel only.
+
+        A commutes with the mirrors of self.parity, so it is block diagonal
+        in the parity basis.  The block of a sector couples its
+        coordinates s = (orbit, a), t = (orbit', b):
+
+            C[s, t] = delta_st - sum_g h_t(g) K[rep_s, g(rep'_t)] beta_t / stabilizer_t,
+
+        h_t the source character of t.  The sums over g for every h are one
+        fold of the kernel rows of the representatives (K is symmetric, so
+        these are also its columns), and a block gathers its entries from
+        them.  Each block is built C-ordered in complex64
+        (complex128 with double=True, whose factors replace the complex64
+        ones), and its transpose, the same memory in Fortran order, is
+        factored in place, so a solve takes trans=1.  ||A||_inf is the
+        largest absolute row sum of the representatives' rows, which the
+        mirrors map onto every other row.  With no mirror the rows and
+        the one block are K and A = I - K diag(beta) themselves.
         """
         dtype = np.dtype(np.complex128 if double else np.complex64)
-        if self._lu is None or (double and self._lu[0][0].dtype != dtype):
+        if self._lu is None or (double and self._lu[0][0][0].dtype != dtype):
             if self.kernel is None:
                 raise SolverError("LU requested from a matrix-free operator")
-            A = np.empty(self.kernel.shape, dtype=dtype)
-            np.multiply(self.kernel, -self.beta_rep, out=A, casting="same_kind")
-            A[np.diag_indices_from(A)] += 1.0
-            norm = np.linalg.norm(A, np.inf)
-            try:
-                self._lu = (lu_factor(A, overwrite_a=True, check_finite=False), norm)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - needs Im eps <= 0
-                raise SolverError(
-                    "operator is singular: the model must be strictly absorbing (Im eps > 0)"
-                ) from exc
+            basis, n3 = self.parity, self.n3
+            rep_rows = _whole((3 * basis.reps[:, None] + np.arange(3)).ravel(), n3)
+            rows = self.kernel[rep_rows]
+            norm = _row_sum_norm(rows, np.arange(n3)[rep_rows], self.beta_rep)
+            folded = basis.fold(rows.reshape(len(rows), -1, 3), dtype)
+            folded = folded.reshape(basis.order, len(rows), len(rows))
+            weights = np.repeat(self.beta[basis.reps] / basis.stabilizer, 3)
+            factors = []
+            for index, _, spans in basis.sectors:
+                block = np.empty((len(index), len(index)), dtype=dtype)
+                rows_index = _whole(index, len(rows))
+                for h, start, stop in spans:
+                    columns = index[start:stop]
+                    np.multiply(_gather(folded[h], rows_index, _whole(columns, len(rows))),
+                                -weights[columns], out=block[:, start:stop],
+                                casting="same_kind")
+                block.reshape(-1)[::len(block) + 1] += 1.0
+                try:
+                    factors.append(lu_factor(block.T, overwrite_a=True, check_finite=False))
+                except np.linalg.LinAlgError as exc:  # pragma: no cover - needs Im eps <= 0
+                    raise SolverError(
+                        "operator is singular: the model must be strictly absorbing (Im eps > 0)"
+                    ) from exc
+            self._lu = (factors, norm)
             self.factored.append(dtype)
         return self._lu
+
+
+def _whole(index, n: int):
+    """slice(None) for the index 0, 1, ..., n - 1, so that a take is a view; else index."""
+    return slice(None) if len(index) == n and np.array_equal(index, np.arange(n)) else index
+
+
+def _gather(matrix, rows, columns):
+    """matrix[rows][:, columns] in one take; rows and columns are index arrays or slices."""
+    if isinstance(rows, slice) or isinstance(columns, slice):
+        return matrix[rows, columns]
+    return matrix[rows[:, None], columns]
+
+
+def _row_sum_norm(rows, diagonal, beta_rep, chunk: int = 256) -> float:
+    """max_r sum_j |delta_{diagonal_r, j} - rows[r, j] beta_j|, 256 rows at a time."""
+    norm, beta_abs = 0.0, np.abs(beta_rep)
+    for start in range(0, len(rows), chunk):
+        part = rows[start:start + chunk]
+        sums = np.abs(part) @ beta_abs
+        on_diagonal = part[np.arange(len(part)), diagonal[start:start + chunk]]
+        on_diagonal = on_diagonal * beta_rep[diagonal[start:start + chunk]]
+        sums += np.abs(1.0 - on_diagonal) - np.abs(on_diagonal)
+        norm = max(norm, float(sums.max()))
+    return norm
 
 
 def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> InteractionOperator:
@@ -241,8 +315,26 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
                                kernel=kernel.reshape(3 * grid.n, 3 * grid.n))
 
 
+def _sector_solve(basis, factors, r):
+    """A^-1 r for (3N, m) r through the sector factors of op.lu().
+
+    r is projected onto every sector at the orbit representatives,
+    (1/G) sum_g h(g) r_{g(rep)} with h each coordinate's source character
+    (basis.fold), each sector is solved on its factors, and unfold carries
+    the solutions back to every orbit member.
+    """
+    m = r.shape[1]
+    coeff = basis.fold(r.T.reshape(m, -1, 3)).reshape(basis.order, m, -1) / basis.order
+    solved = np.zeros_like(coeff)
+    for (index, source, _), lu_piv in zip(basis.sectors, factors):
+        solved[source, :, index] = lu_solve(
+            lu_piv, coeff[source, :, index].astype(lu_piv[0].dtype), trans=1,
+            check_finite=False)
+    return basis.unfold(solved.reshape(basis.order, m, -1, 3)).reshape(m, -1).T
+
+
 def _refined_lu_solve(op: InteractionOperator, b, factors):
-    """Solve on LU factors, refining in complex128 to a backward error of eps.
+    """Solve on the sector LU factors, refining in complex128 to a backward error of eps.
 
     Every column must reach ||r||_inf <= ||x||_inf ||A||_inf eps, with
     r = b - op x from the complex128 kernel and eps the float64 machine
@@ -253,15 +345,14 @@ def _refined_lu_solve(op: InteractionOperator, b, factors):
     factors see no overflow or underflow.  Returns (x, r, corrections,
     bound met).
     """
-    lu_piv, norm = factors
+    sector_factors, norm = factors
     bound = norm * np.finfo(float).eps
     x = np.zeros_like(b)
     resid = b
     for step in range(_REFINE_STEPS + 1):
         scale = np.max(np.abs(resid), axis=0)
         scale[scale == 0.0] = 1.0
-        x += scale * lu_solve(lu_piv, (resid / scale).astype(lu_piv[0].dtype),
-                              check_finite=False)
+        x += scale * _sector_solve(op.parity, sector_factors, resid / scale)
         resid = b - op.apply(x)
         if np.all(np.max(np.abs(resid), axis=0) <= bound * np.max(np.abs(x), axis=0)):
             return x, resid, step, True
@@ -405,6 +496,7 @@ class MediumSolver:
         self.op = assemble(grid, self.beta, omega, dense=dense)
         self._fields = {}
         self._solved = {}
+        self._blocks = (None, None)
 
     def solve(self, rhs):
         return solve_system(self.op, rhs, self.tol)
@@ -438,9 +530,14 @@ class MediumSolver:
         A point inside the body sees its own voxel through the self term,
         at the center or off it, so the evaluation formula is finite
         everywhere and continuous at a voxel center (G0 to the center
-        would diverge as the point nears it).
+        would diverge as the point nears it).  Read-only, and kept for the
+        last point asked, so the source columns of x, its evaluation row
+        and the discrete shell integral at x share one evaluation.
         """
         point = np.asarray(point, dtype=float)
+        key = point.tobytes()
+        if self._blocks[0] == key:
+            return self._blocks[1]
         idx = self.grid.index_of(point, rtol=0.5 - 1e-9)
         disp = point[None, :] - self.grid.centers
         if idx is not None:
@@ -449,6 +546,8 @@ class MediumSolver:
         if idx is not None:
             blocks[idx] = (self_term_scalar(self.grid.voxel_volume, self.omega)
                            / self.grid.voxel_volume) * np.eye(3)
+        blocks.flags.writeable = False
+        self._blocks = (key, blocks)
         return blocks
 
     def source_columns(self, y):

@@ -2,7 +2,8 @@
 arguments, exits 0, 2, 3 or 4 and prints no traceback.
 
 A valid 64-voxel scene is mutated (wrong types, signs, NaN and infinities,
-missing keys, dangling region ids, run fields no command reads) and so is
+missing keys, dangling region ids, run fields no command reads, a voxel edge
+too fine to voxelize) and so is
 each command's argv (bad numbers, vectors and ranges, dropped flags).  No
 mutation can enlarge the body past 64 voxels or ask for a large quadrature,
 so every example stays small.
@@ -56,6 +57,10 @@ FREQUENCY_PATHS = [
     ("materials", 0, "poles", 0, "gamma"), ("runs", "validate", "omega"),
 ]
 FREQUENCY_VALUES = [1e300, -1e300, 1e-300, 1e30, 1e-30]
+
+#: a voxel edge whose lattice over any body the mutations reach (at least 0.4 x 0.4 x
+#: 0.25) has more sites than build_grid scans, so the grid is refused before it is built
+FINE_VOXEL_EDGE = 1e-3
 
 #: values no mutation target can turn into a body above 64 voxels or a large quadrature
 SCENE_VALUES = [None, "x", "", -1, 0, 2, 0.25, float("nan"), float("inf"),
@@ -111,6 +116,7 @@ scene_mutations = st.lists(st.one_of(
     st.tuples(st.just("set"), st.sampled_from(SCENE_PATHS), st.sampled_from(SCENE_VALUES)),
     st.tuples(st.just("set"), st.sampled_from(FREQUENCY_PATHS),
               st.sampled_from(FREQUENCY_VALUES)),
+    st.tuples(st.just("set"), st.just(("geometry", "voxel_edge")), st.just(FINE_VOXEL_EDGE)),
     st.tuples(st.just("delete"), st.sampled_from(SCENE_PATHS), st.none())), max_size=3)
 
 argv_mutations = st.lists(st.tuples(

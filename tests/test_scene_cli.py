@@ -521,6 +521,51 @@ def test_cli_grid_error_exit_code(tmp_path, capsys):
     assert err.strip().splitlines() == ["grid error: voxel edge exceeds the shape diameter"]
 
 
+def test_cli_lattice_too_fine_exit_code(tmp_path, capsys, monkeypatch):
+    """A voxel edge of 0.001 on the 0.8 cube asks for 800^3 lattice sites: exit 4 with
+    the site count on one line, before the lattice is allocated."""
+    import greenvox.geometry as geometry
+
+    monkeypatch.setattr(geometry, "_lattice_centers",
+                        lambda *a: pytest.fail("lattice allocated"))
+    scene = write(tmp_path, "fine.yaml", CUBE_SCENE.replace("voxel_edge: 0.2",
+                                                             "voxel_edge: 0.001"))
+    rc = cli_main(["validate", "--scene", str(scene)])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.strip().splitlines() == [
+        "grid error: the lattice spanning the shapes has 512000000 sites, more than the "
+        "16777216 a grid may have: raise the voxel edge"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["greens", "--omega", "1.0", "--src", "0,0,0.9", "--eval", "1.2,0,0"],
+    ["validate"],
+])
+def test_cli_mask_region_without_material_exit_code(argv, tmp_path, capsys, monkeypatch):
+    """A mask voxel whose region id no material declares exits 4 with one line naming
+    the id, before anything is assembled."""
+    import greenvox.vie as vie
+    from greenvox.geometry import write_mask
+
+    monkeypatch.setattr(vie, "assemble", lambda *a, **k: pytest.fail("assembled"))
+    ids = np.ones((2, 2, 2), dtype=int)
+    ids[1, 0, 1] = 2
+    write_mask(tmp_path / "body.msk", ids.shape, 0.25, (0.0, 0.0, 0.0), ids)
+    scene = write(tmp_path, "mask.yaml", """
+materials:
+  - region_id: 1
+    poles: [{omega0: 1.5, omegap: 1.0, gamma: 0.4}]
+geometry:
+  shapes:
+    - {kind: mask, path: body.msk}
+""")
+    rc = cli_main([argv[0], "--scene", str(scene), *argv[1:]])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.strip().splitlines() == ["grid error: mask region id 2 has no material definition"]
+
+
 def test_cli_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     """A sweep row whose solver raises SolverError is itemized and the run exits 3;
     a nonpositive sweep frequency is a configuration error, exit 4 before any solve."""

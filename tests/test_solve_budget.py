@@ -71,8 +71,11 @@ def test_validate_uses_one_medium_and_one_vacuum_solver(budget, monkeypatch):
     report = run_validation(scene_from_dict(CUBE))
     assert report.passed
     assert budget["assemble"] == 2
-    assert budget["lu_factor"] == 1  # the vacuum operator is the identity
-    assert [op.factored for op in budget["operators"]] == [[np.complex64], []]
+    # one complex64 factorization of the medium operator, one LAPACK call per parity
+    # sector; the vacuum operator is the identity
+    medium, vacuum = budget["operators"]
+    assert [medium.factored, vacuum.factored] == [[np.complex64], []]
+    assert budget["lu_factor"] == len(medium.sectors) == 8
     # one block of the five Green sources (15 columns), the two direct-route solves
     # (1 column each) and the vacuum identity (3 columns); the total also catches a
     # shell e-field solve (512 columns) coming back
@@ -121,7 +124,8 @@ def test_sweep_solves_one_green_column_set_per_frequency(budget, monkeypatch):
     rows = purcell_sweep(scene_from_dict(CUBE).solver, R_OUT, (0.0, 0.0, 1.0), omegas)
     assert all("error" not in r for r in rows)
     assert len(grids) == 1  # the scene's grid serves every frequency
-    assert budget["assemble"] == budget["lu_factor"] == len(omegas)
+    assert budget["assemble"] == len(omegas)
+    assert budget["lu_factor"] == sum(len(op.sectors) for op in budget["operators"])
     assert len(budget["solve_columns"]) == len(omegas)
     assert max(budget["solve_columns"]) <= 3
     # one complex64 factorization per frequency, never refactored in complex128,
@@ -158,6 +162,29 @@ def test_a_sweep_row_is_one_solve_and_one_kernel_product(budget, monkeypatch):
     assert calls["plane_wave_table"] == calls["make_shell_quadrature"] == 0
     assert budget["solve_columns"] == [3]
     assert calls["kernel_product"] - calls["apply"] == 1
+
+
+def test_a_sweep_row_evaluates_g0_twice(monkeypatch):
+    """Per frequency, G0 is evaluated once for the kernel table and once at the
+    emitter: its source columns, its evaluation row and the discrete shell integral
+    share the blocks, and the rows do not depend on the sharing."""
+    omegas = [0.8, 1.0, 1.2]
+    fresh = vie.MediumSolver.g0_blocks_at
+
+    def unshared(solver, point):
+        solver._blocks = (None, None)
+        return fresh(solver, point)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(vie.MediumSolver, "g0_blocks_at", unshared)
+        reference = purcell_sweep(scene_from_dict(CUBE).solver, R_OUT, (0.0, 0.0, 1.0), omegas)
+    calls = []
+    g0 = vie.g0_from_displacements
+    monkeypatch.setattr(vie, "g0_from_displacements",
+                        lambda *args: calls.append(args) or g0(*args))
+    rows = purcell_sweep(scene_from_dict(CUBE).solver, R_OUT, (0.0, 0.0, 1.0), omegas)
+    assert rows == reference
+    assert len(calls) == 2 * len(omegas)
 
 
 def test_shell_e_fields_match_direct_solve_per_submode(cube_solver):

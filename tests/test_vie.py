@@ -72,6 +72,49 @@ def test_iterative_matches_dense():
     assert iterative.op.kernel is None  # matvec-only representation
 
 
+def sector_scenes():
+    """(grid, materials, parity sectors): the cube and the sphere keep all three
+    mirrors; two touching boxes of different materials split at x = 0 lose the x
+    mirror; a Drude sphere with a Lorentz box off its center keeps none."""
+    tilted = PermittivityModel(poles=(LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4),),
+                               region_id=2)
+    halves = [Box(min_corner=(-0.4, -0.3, -0.2), max_corner=(0.0, 0.3, 0.2), region_id=1),
+              Box(min_corner=(0.0, -0.3, -0.2), max_corner=(0.4, 0.3, 0.2), region_id=2)]
+    lopsided = [Sphere(center=(0, 0, 0), radius=1.0, region_id=1),
+                Box(min_corner=(0.3, 0.1, -0.2), max_corner=(0.8, 0.6, 0.3), region_id=2)]
+    return {
+        "cube": (build_grid(Box(min_corner=(-0.4,) * 3, max_corner=(0.4,) * 3), 0.2),
+                 {1: LORENTZ}, 8),
+        "sphere": (build_grid(Sphere(center=(0, 0, 0), radius=1.0), 0.2497), {1: DRUDE}, 8),
+        "two materials": (build_grid(halves, 0.1), {1: DRUDE, 2: tilted}, 4),
+        "asymmetric": (build_grid(lopsided, 0.2497), {1: DRUDE, 2: tilted}, 1),
+    }
+
+
+@pytest.mark.parametrize("name", ["cube", "sphere", "two materials", "asymmetric"])
+def test_parity_sectors_solve_the_materialized_operator(name):
+    """The dense operator is factored in one block per parity sector of the mirrors
+    that keep the voxels and beta; the refined solve is the complex128 solve of
+    A = I - K diag(beta) to 1e-13."""
+    grid, materials, count = sector_scenes()[name]
+    solver = MediumSolver(grid, materials, OMEGA, method="dense")
+    op = solver.op
+    assert len(op.sectors) == count and sum(op.sectors) == op.n3
+    rng = np.random.default_rng(5)
+    rhs = rng.normal(size=(op.n3, 2)) + 1j * rng.normal(size=(op.n3, 2))
+    reference = np.linalg.solve(np.eye(op.n3) - op.kernel * op.beta_rep, rhs)
+    assert np.linalg.norm(solver.solve(rhs) - reference) <= 1e-13 * np.linalg.norm(reference)
+    assert op.factored == [np.complex64]
+
+
+def test_sectors_of_the_sphere():
+    """The 257-voxel sphere splits into eight blocks; the vacuum operator has none."""
+    grid, materials, _ = sector_scenes()["sphere"]
+    assert MediumSolver(grid, materials, OMEGA).op.sectors == (111, 104, 104, 91,
+                                                               104, 91, 91, 75)
+    assert assemble(grid, np.zeros(grid.n), OMEGA).sectors == ()
+
+
 @st.composite
 def lattice_bodies(draw):
     """Region ids on a lattice box of at most 4 x 4 x 4 sites: 0 is a hole, and one
@@ -215,10 +258,13 @@ def test_solve_follows_the_representation(cube_grid, cube_materials, monkeypatch
     dense = MediumSolver(cube_grid, cube_materials, OMEGA, method="dense")
     for _ in range(3):
         dense.solve(rhs)
-    assert calls == {"lu_factor": 1, "_gmres": 0}
+    # one factorization, one LAPACK call per parity sector
+    assert dense.op.factored == [np.complex64]
+    sectors = len(dense.op.sectors)
+    assert calls == {"lu_factor": sectors, "_gmres": 0}
     lattice = MediumSolver(cube_grid, cube_materials, OMEGA, method="gmres")
     lattice.solve(rhs)
-    assert calls == {"lu_factor": 1, "_gmres": 2}  # one GMRES run per column
+    assert calls == {"lu_factor": sectors, "_gmres": 2}  # one GMRES run per column
     with pytest.raises(SolverError, match="matrix-free"):
         lattice.op.lu()
     with pytest.raises(ValueError, match="unknown solve method"):
