@@ -232,29 +232,30 @@ class ParityBasis:
     voxels lends each component to |O| of the G sectors and the sector
     sizes sum to 3N.
 
-    reps (n_orbits,): the representatives, in voxel order; stabilizer
-    (n_orbits,): the stabilizer's size; sectors: (index, source, spans)
-    for every nonempty sector, index the flat positions 3 orbit + a of
-    its coordinates, ordered by their source character, and spans the
-    (h, start, stop) runs of one source.  fold and unfold carry fields
-    between voxels and orbit coordinates.  For the trivial group every
-    voxel is its own orbit, the one sector is the identity, and fold
-    returns its argument as a view.
+    reps (n_orbits,): the representatives, in voxel order; members
+    (G, n_orbits): the voxel g(rep) of every group element and orbit, an
+    orbit on a mirror plane listing its voxels more than once; stabilizer
+    (n_orbits,): the stabilizer's size; sectors: (index, position) for
+    every nonempty sector, index the flat positions 3 orbit + a of its
+    coordinates, ordered by their source character h, and position their
+    flat positions 3 n_orbits h + index in the (G, 3 n_orbits) coordinates
+    of fold.  fold and unfold carry fields between voxels and orbit
+    coordinates.  For the trivial group every voxel is its own orbit and
+    the one sector holds every coordinate in voxel order.
     """
 
     def __init__(self, grid: "VoxelGrid", axes):
-        self.axes = tuple(axes)
+        self.axes, self.n = tuple(axes), grid.n
         domain, plane = np.arange(grid.n), np.zeros(grid.n, dtype=int)
-        self._stages = []  # per mirror: positions of the kept half and of its images
         for k, axis in enumerate(self.axes):
-            image, coord = grid.mirrors[axis], grid.lattice_index[:, axis]
-            plane |= (image == np.arange(grid.n)) << k
-            position = np.empty(grid.n, dtype=int)
-            position[domain] = np.arange(len(domain))
-            kept = domain[2 * coord[domain] <= grid.lattice_shape[axis] - 1]
-            self._stages.append((position[kept], position[image[kept]], len(domain)))
-            domain = kept
+            coord = grid.lattice_index[:, axis]
+            plane |= (grid.mirrors[axis] == np.arange(grid.n)) << k
+            domain = domain[2 * coord[domain] <= grid.lattice_shape[axis] - 1]
         self.reps, plane = domain, plane[domain]
+        members = [self.reps]
+        for axis in self.axes:  # element g + 2^k is g followed by the mirror of axes[k]
+            members += [grid.mirrors[axis][m] for m in members]
+        self.members = np.stack(members)
         self.stabilizer = 1 << ((plane[:, None] >> np.arange(len(self.axes))) & 1).sum(axis=1)
         e = np.zeros(3, dtype=int)
         e[list(self.axes)] = 1 << np.arange(len(self.axes))
@@ -264,45 +265,66 @@ class ParityBasis:
             index = np.flatnonzero((source & np.repeat(plane, 3)) == 0)
             index = index[np.argsort(source[index], kind="stable")]
             if len(index):
-                source = source[index]
-                starts = [*np.flatnonzero(np.diff(source, prepend=-1)).tolist(), len(index)]
-                spans = tuple((int(source[i]), i, j) for i, j in zip(starts[:-1], starts[1:]))
-                self.sectors.append((index, source, spans))
-        for array in (self.reps, self.stabilizer, *(a for sector in self.sectors
-                                                    for a in sector[:2])):
+                self.sectors.append((index, 3 * len(domain) * source[index] + index))
+        for array in (self.reps, self.members, self.stabilizer,
+                      *(a for sector in self.sectors for a in sector)):
             array.flags.writeable = False
 
     @property
     def order(self) -> int:
         return 1 << len(self.axes)
 
-    def fold(self, field, dtype=None):
-        """sum_g h(g) field[..., g(rep), :] for every character h, (G, ..., n_orbits, 3).
+    @cached_property
+    def characters(self):
+        """h(g) = (-1)^popcount(h & g), (G, G) float, row h: one Kronecker factor per bit."""
+        table = np.ones((1, 1))
+        for _ in self.axes:
+            table = np.kron([[1.0, 1.0], [1.0, -1.0]], table)
+        return table
 
-        field (..., N, 3) holds a 3-vector per voxel.  One butterfly per
-        mirror halves the voxels and doubles the characters (a fast
-        Walsh-Hadamard transform), so the cost is about one pass over
-        field per mirror, written in dtype (default field's).  With no
-        mirror it returns field[None], a view.
+    @cached_property
+    def block_positions(self):
+        """Flat positions, in a (G, 3 n_orbits, 3 n_orbits) array B, of every sector's
+        block B[source_t, index_s, index_t], the blocks concatenated row-major;
+        slice(None) for the trivial group, whose one block is B itself."""
+        if self.order == 1:
+            return slice(None)
+        n = 3 * len(self.reps)
+        return np.concatenate([(position // n * n * n + index[:, None] * n + index).ravel()
+                               for index, position in self.sectors])
+
+    def transform(self, x):
+        """x[h] <- sum_g h(g) x[g] for every character h along axis 0 of a C-contiguous
+        (G, ...) array, in place; returns x.
+
+        The Walsh-Hadamard transform as real products with the character
+        table, 4096 real columns at a time, so each temporary stays in cache.
         """
-        field = field[None]
-        for kept, images, _ in self._stages:
-            low, high = np.take(field, kept, axis=-2), np.take(field, images, axis=-2)
-            out = np.empty((2, *low.shape), dtype=dtype or field.dtype)
-            np.add(low, high, out=out[0])
-            np.subtract(low, high, out=out[1])
-            field = out.reshape(-1, *low.shape[1:])
-        return field
+        if self.order > 1:
+            flat = x.reshape(self.order, -1)
+            flat = flat.view(flat.real.dtype)  # a complex array as (re, im) pairs
+            for start in range(0, flat.shape[1], 4096):
+                part = flat[:, start:start + 4096]
+                part[...] = self.characters @ part
+        return x
+
+    def fold(self, field):
+        """sum_g h(g) field[g(rep)] for every character h, (G, n_orbits, ...).
+
+        field (N, ...) holds a value per voxel, read at every orbit's members.
+        """
+        return self.transform(field[self.members])
 
     def unfold(self, coords):
-        """sum_h h(g) coords[h, ..., orbit, :] at voxel g(rep), (..., N, 3): fold's adjoint."""
-        for kept, images, n in reversed(self._stages):
-            half = len(coords) // 2
-            out = np.empty((half, *coords.shape[1:-2], n, 3), dtype=coords.dtype)
-            out[..., kept, :] = coords[:half] + coords[half:]
-            out[..., images, :] = coords[:half] - coords[half:]  # equal on a mirror plane
-            coords = out
-        return coords[0]
+        """sum_h h(g) coords[h, orbit] at voxel g(rep), (N, ...): fold's adjoint.
+
+        coords (G, n_orbits, ...), C-contiguous, is overwritten; it must
+        vanish at the coordinates no sector holds, so that a voxel listed
+        twice among the members receives one value.
+        """
+        field = np.empty((self.n, *coords.shape[2:]), dtype=coords.dtype)
+        field[self.members] = self.transform(coords)
+        return field
 
 
 def _lattice_counts(lo, hi, h: float):

@@ -51,7 +51,10 @@ def scalar_green(r, rp, omega: float) -> complex:
 def g0_from_displacements(disp, omega: float):
     """Off-source dyadic G0 for an array of displacements r - r'.
 
-    disp: (..., 3) with no zero rows; returns (..., 3, 3) complex.
+    disp: (..., 3) with no zero rows; returns (..., 3, 3) complex.  The
+    imaginary part of the closed form cancels like eps/(omega R)^3 as
+    omega R -> 0, so rows with omega R < 1 take it from the series of
+    im_g0_from_displacements.
     """
     if not omega > 0.0:
         raise ValueError("dyadic Green tensor requires omega > 0")
@@ -68,6 +71,9 @@ def g0_from_displacements(disp, omega: float):
     cb = 1.0 + 1.0j / kR - 1.0 / kR**2
     RR = Rhat[..., :, None] * Rhat[..., None, :]
     out = (ca[..., None, None] * RR + cb[..., None, None] * I3) * g[..., None, None]
+    small = kR < 1.0
+    if np.any(small):
+        out.imag[small] = im_g0_from_displacements(d[small], omega)
     return out[0] if scalar_input else out
 
 
@@ -96,10 +102,11 @@ def im_g0_from_displacements(disp, omega: float):
     s, c = np.sin(xs), np.cos(xs)
     a = (s * (1.0 - 1.0 / xs**2) + c / xs) / xs
     b = ((3.0 / xs**2 - 1.0) * s / xs - 3.0 * c / xs**2) / xs**2
-    powers = (-0.5 * np.where(small, x, 0.0)**2)[..., None] ** np.arange(11)
+    u = -0.5 * np.where(small, x, 0.0).ravel() ** 2
+    powers = np.vander(u, len(_IM_G0_SERIES), increasing=True).reshape(*x.shape, -1)
     a_series, b_series = np.moveaxis(powers @ _IM_G0_SERIES, -1, 0)
     a, b = np.where(small, a_series, a), np.where(small, b_series, b)
-    dd = omega**2 * d[..., :, None] * d[..., None, :]
+    dd = omega**2 * (d[..., :, None] * d[..., None, :])  # exactly symmetric
     return (omega / (4.0 * np.pi)) * (a[..., None, None] * I3 + b[..., None, None] * dd)
 
 

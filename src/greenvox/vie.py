@@ -23,24 +23,22 @@ tolerance), which is what the identity tests lean on.
 
 Every grid lies on a cubic lattice, so K_ij depends only on the offset
 z_i - z_j, and the kernel is built once, as the table of its 3x3 blocks
-over the lattice offsets.  The dense kernel gathers its blocks from a
-table over the offsets that voxel pairs produce and is solved by
-mixed-precision LU: A = I - K diag(beta) is factored once in complex64,
-and each solve is refined in complex128, with the residual from the
-complex128 kernel, until every column has a backward error of one
-float64 epsilon (the method of LAPACK zcgesv; Buttari et al., ACM TOMS
-34(4), 17 (2008)); an operator too ill-conditioned for that is
-refactored once in complex128.  The factorization is per parity sector:
+over the lattice offsets.  The dense kernel is stored per parity sector:
 the lattice mirrors i -> n_a - 1 - i that map the voxels and beta exactly
-onto themselves (geometry.ParityBasis) commute with A, since G0(sr, sr')
-= S G0(r, r') S, so A is block diagonal in their parity basis, with up to
-eight blocks of about 3N/8 (symmetry-adapted block diagonalization;
-Bossavit, Comput. Methods Appl. Mech. Eng. 56, 167 (1986)).  Each block
-is read from the kernel rows of the orbit representatives and factored
-in place; a body with no mirror is the one-sector case, whose block is A.
-Each refinement step projects the residual onto the sectors, solves them
-and projects back; the residual itself is always formed on the full
-kernel.
+onto themselves (geometry.ParityBasis) commute with K, since G0(sr, sr')
+= S G0(r, r') S, so K and A = I - K diag(beta) are block diagonal in
+their parity basis, with up to eight blocks of about 3N/8
+(symmetry-adapted block diagonalization; Bossavit, Comput. Methods Appl.
+Mech. Eng. 56, 167 (1986)).  The blocks are folded from the kernel rows
+of the orbit representatives alone and take 16 sum_s d_s^2 bytes; a body
+with no mirror has one block, K.  Every product K q, the solver's own
+residuals included, is one block product per sector.  A is solved by
+mixed-precision LU: each block is factored once in complex64 (complex128
+when A leaves the complex64 range), and each solve is refined in
+complex128 until every column has a backward error of one float64
+epsilon (the method of LAPACK zcgesv; Buttari et al., ACM TOMS 34(4), 17
+(2008)); an operator too ill-conditioned for that is refactored once in
+complex128.
 The matrix-free kernel is the FFT of the table embedded in a circulant
 of twice the lattice extent per axis, so K p is a 3x3 block product
 between two FFTs (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16,
@@ -72,7 +70,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping
 
 import numpy as np
@@ -116,22 +114,27 @@ def _kernel_table(grid: VoxelGrid, omega: float, axes):
 class InteractionOperator:
     """Discretized Fredholm operator p -> p - K diag(beta) p.
 
-    kernel holds the dense 3N x 3N matrix of dV*G0 blocks (self term on
-    the diagonal) or None for the matrix-free representation, which
-    keeps lattice, the FFT of the kernel table over the circulant
-    lattice, and forms K p as a circulant convolution over the body box
-    (grid.lattice_flat places each voxel in it).  A vacuum operator (beta = 0)
-    is the identity and keeps neither.  factored lists the dtype of
-    every LU factorization, in order, refinements the refinement
-    steps every dense solve took, and iterations the (operator
-    applications, achieved relative residual) of every column GMRES
-    solved.
+    kernel holds the dense kernel as one symmetric block per parity
+    sector of self.parity, blocks[s][i, j] = sum_g h_j(g) K[rep_i, g(rep_j)]
+    with h_j the source character of coordinate j, in one contiguous
+    complex128 buffer of sum_s d_s^2 entries (blocks views it per
+    sector); K takes sector coordinates c to blocks[s] (c / stabilizer),
+    and norm is ||A||_inf of A = I - K diag(beta).  kernel is None for
+    the matrix-free representation, which keeps lattice, the FFT of the
+    kernel table over the circulant lattice, and forms K p as a
+    circulant convolution over the body box (grid.lattice_flat places
+    each voxel in it).  A vacuum operator (beta = 0) is the identity and
+    keeps neither.  factored lists the dtype of every LU factorization,
+    in order, refinements the refinement steps every dense solve took,
+    and iterations the (operator applications, achieved relative
+    residual) of every column GMRES solved.
     """
 
     grid: VoxelGrid
     omega: float
     beta: np.ndarray
     kernel: np.ndarray | None
+    norm: float = field(default=0.0, repr=False)
     lattice: np.ndarray | None = field(default=None, repr=False)
     _lu: tuple | None = field(default=None, repr=False)
     factored: list = field(default_factory=list, repr=False)
@@ -150,8 +153,40 @@ class InteractionOperator:
     def is_identity(self) -> bool:
         return not np.any(self.beta)
 
+    @cached_property
+    def parity(self):
+        """ParityBasis of the grid's axis mirrors that also map beta exactly onto itself."""
+        return self.grid.parity_basis(axis for axis, image in self.grid.mirrors.items()
+                                      if np.array_equal(self.beta[image], self.beta))
+
+    @property
+    def sectors(self) -> tuple:
+        """Size of every parity block the dense operator is stored and factored in; () in vacuum."""
+        return () if self.is_identity else tuple(len(index) for index, _ in self.parity.sectors)
+
+    @cached_property
+    def blocks(self) -> list:
+        """The (d_s, d_s) symmetric block of every sector, views of the stored kernel."""
+        ends = np.cumsum([d * d for d in self.sectors]).tolist()
+        return [self.kernel[end - d * d:end].reshape(d, d) for d, end in zip(self.sectors, ends)]
+
+    def sectorwise(self, q, maps):
+        """sum_s of maps[s] applied in sector s to the projection of q, for a (3N, m) q.
+
+        The coordinates of q in a sector s, (1/G) sum_g h(g) q_{g(rep)} at
+        its orbit coordinates (ParityBasis.fold), form a (d_s, m) array;
+        maps[s] takes it to the (d_s, m) coordinates of its image, and
+        unfold carries those back to every orbit member.
+        """
+        basis, m = self.parity, q.shape[1]
+        coeff = basis.fold(q.reshape(self.grid.n, 3 * m)).reshape(-1, m) / basis.order
+        image = np.zeros(coeff.shape, dtype=complex)
+        for (_, position), apply in zip(basis.sectors, maps):
+            image[position] = apply(coeff[position])
+        return basis.unfold(image.reshape(basis.order, len(basis.reps), -1)).reshape(self.n3, m)
+
     def kernel_product(self, q):
-        """K q for a (3N, m) array: the stored matrix or the lattice convolution.
+        """K q for a (3N, m) array: one product per sector block, or the lattice convolution.
 
         The convolution runs pruned FFTs: q is scattered into the body
         box and transformed one axis at a time, zero-padded to 2 n_a, so
@@ -163,7 +198,10 @@ class InteractionOperator:
         m columns cost about m single columns.
         """
         if self.kernel is not None:
-            return self.kernel @ q
+            weights = 1.0 / np.repeat(self.parity.stabilizer, 3)
+            return self.sectorwise(q, [partial(_weighted_product, block, weights[index, None])
+                                       for (index, _), block in zip(self.parity.sectors,
+                                                                    self.blocks)])
         index, table = self.grid.lattice_flat, self.lattice
         n, m, shape = self.grid.n, q.shape[1], self.grid.lattice_shape
         box = np.zeros((3, m, *shape), dtype=complex)
@@ -189,110 +227,76 @@ class InteractionOperator:
         out = flat - self.kernel_product(self.beta_rep[:, None] * flat)
         return out.reshape(p.shape)
 
-    @cached_property
-    def parity(self):
-        """ParityBasis of the grid's axis mirrors that also map beta exactly onto itself."""
-        return self.grid.parity_basis(axis for axis, image in self.grid.mirrors.items()
-                                      if np.array_equal(self.beta[image], self.beta))
-
-    @property
-    def sectors(self) -> tuple:
-        """Size of every parity block the dense operator is factored in; () in vacuum."""
-        return () if self.is_identity else tuple(len(index) for index, _, _ in self.parity.sectors)
-
     def lu(self, double: bool = False):
         """(one (lu, piv) per parity sector, ||A||_inf) for A = I - K diag(beta), stored kernel only.
 
-        A commutes with the mirrors of self.parity, so it is block diagonal
-        in the parity basis.  The block of a sector couples its
-        coordinates s = (orbit, a), t = (orbit', b):
-
-            C[s, t] = delta_st - sum_g h_t(g) K[rep_s, g(rep'_t)] beta_t / stabilizer_t,
-
-        h_t the source character of t.  The sums over g for every h are one
-        fold of the kernel rows of the representatives (K is symmetric, so
-        these are also its columns), and a block gathers its entries from
-        them.  Each block is built C-ordered in complex64
-        (complex128 with double=True, whose factors replace the complex64
-        ones), and its transpose, the same memory in Fortran order, is
-        factored in place, so a solve takes trans=1.  ||A||_inf is the
-        largest absolute row sum of the representatives' rows, which the
-        mirrors map onto every other row.  With no mirror the rows and
-        the one block are K and A = I - K diag(beta) themselves.
+        A commutes with the mirrors of self.parity, so its block in a
+        sector is I - blocks[s] diag(beta_t / stabilizer_t), beta_t and
+        stabilizer_t those of each coordinate's orbit.  Each block is built C-ordered
+        in complex64 (complex128 with double=True, whose factors replace
+        the complex64 ones), and its transpose, the same memory in Fortran
+        order, is factored in place, so a solve takes trans=1.  When a
+        block leaves the complex64 range (a floating-point overflow while
+        it is built), no complex64 factors are made: every block is built
+        in complex128 at once.
         """
         dtype = np.dtype(np.complex128 if double else np.complex64)
         if self._lu is None or (double and self._lu[0][0][0].dtype != dtype):
             if self.kernel is None:
                 raise SolverError("LU requested from a matrix-free operator")
-            basis, n3 = self.parity, self.n3
-            rep_rows = _whole((3 * basis.reps[:, None] + np.arange(3)).ravel(), n3)
-            rows = self.kernel[rep_rows]
-            norm = _row_sum_norm(rows, np.arange(n3)[rep_rows], self.beta_rep)
-            folded = basis.fold(rows.reshape(len(rows), -1, 3), dtype)
-            folded = folded.reshape(basis.order, len(rows), len(rows))
-            weights = np.repeat(self.beta[basis.reps] / basis.stabilizer, 3)
-            factors = []
-            for index, _, spans in basis.sectors:
-                block = np.empty((len(index), len(index)), dtype=dtype)
-                rows_index = _whole(index, len(rows))
-                for h, start, stop in spans:
-                    columns = index[start:stop]
-                    np.multiply(_gather(folded[h], rows_index, _whole(columns, len(rows))),
-                                -weights[columns], out=block[:, start:stop],
-                                casting="same_kind")
-                block.reshape(-1)[::len(block) + 1] += 1.0
-                try:
-                    factors.append(lu_factor(block.T, overwrite_a=True, check_finite=False))
-                except np.linalg.LinAlgError as exc:  # pragma: no cover - needs Im eps <= 0
-                    raise SolverError(
-                        "operator is singular: the model must be strictly absorbing (Im eps > 0)"
-                    ) from exc
-            self._lu = (factors, norm)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    blocks = self._a_blocks(dtype)
+            except FloatingPointError:  # past the complex64 range
+                dtype = np.dtype(np.complex128)
+                blocks = self._a_blocks(dtype)
+            try:
+                factors = [lu_factor(block.T, overwrite_a=True, check_finite=False)
+                           for block in blocks]
+            except np.linalg.LinAlgError as exc:  # pragma: no cover - needs Im eps <= 0
+                raise SolverError(
+                    "operator is singular: the model must be strictly absorbing (Im eps > 0)"
+                ) from exc
+            self._lu = (factors, self.norm)
             self.factored.append(dtype)
         return self._lu
 
-
-def _whole(index, n: int):
-    """slice(None) for the index 0, 1, ..., n - 1, so that a take is a view; else index."""
-    return slice(None) if len(index) == n and np.array_equal(index, np.arange(n)) else index
-
-
-def _gather(matrix, rows, columns):
-    """matrix[rows][:, columns] in one take; rows and columns are index arrays or slices."""
-    if isinstance(rows, slice) or isinstance(columns, slice):
-        return matrix[rows, columns]
-    return matrix[rows[:, None], columns]
-
-
-def _row_sum_norm(rows, diagonal, beta_rep, chunk: int = 256) -> float:
-    """max_r sum_j |delta_{diagonal_r, j} - rows[r, j] beta_j|, 256 rows at a time."""
-    norm, beta_abs = 0.0, np.abs(beta_rep)
-    for start in range(0, len(rows), chunk):
-        part = rows[start:start + chunk]
-        sums = np.abs(part) @ beta_abs
-        on_diagonal = part[np.arange(len(part)), diagonal[start:start + chunk]]
-        on_diagonal = on_diagonal * beta_rep[diagonal[start:start + chunk]]
-        sums += np.abs(1.0 - on_diagonal) - np.abs(on_diagonal)
-        norm = max(norm, float(sums.max()))
-    return norm
+    def _a_blocks(self, dtype):
+        """The block of A in every sector in dtype, C-ordered."""
+        basis = self.parity
+        beta = -np.repeat(self.beta[basis.reps] / basis.stabilizer, 3)
+        blocks = []
+        for (index, _), kernel in zip(basis.sectors, self.blocks):
+            block = np.empty(kernel.shape, dtype=dtype)
+            np.multiply(kernel, beta[index], out=block, casting="same_kind")
+            block.reshape(-1)[::len(block) + 1] += 1.0
+            blocks.append(block)
+        return blocks
 
 
 def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> InteractionOperator:
     """Build the discrete Fredholm operator for the per-voxel beta at frequency omega.
 
     Both representations come from one kernel table builder over lattice
-    offsets: dense=True gathers the 3N x 3N kernel block by offset from a
-    table over the per-axis offsets that voxel pairs produce, dense=False
-    keeps the FFT of the table over the circulant lattice for the
-    matrix-free operator.  A vacuum (beta = 0) operator builds neither.
+    offsets: dense=False keeps the FFT of the table over the circulant
+    lattice for the matrix-free operator; dense=True reads the kernel
+    rows of the orbit representatives from a table over the per-axis
+    offsets that voxel pairs produce, in orbit-member order,
+    rows[g, i, j] = K[rep_i, g(rep_j)], and folds them by the
+    Walsh-Hadamard transform over g into every sector's block (K is
+    symmetric, so these rows are also its columns).  ||A||_inf is the
+    largest absolute row sum of those rows, which the mirrors map onto
+    every other row, a member listed k times counting 1/k each time.  A
+    vacuum (beta = 0) operator builds neither.
     """
     if grid.n == 0:
         raise SolverError("empty grid")
     if not omega > 0.0:
         raise ValueError("assemble requires omega > 0")
     beta = np.asarray(beta, dtype=complex).reshape(grid.n)
-    if not np.any(beta):
-        return InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=None)
+    op = InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=None)
+    if op.is_identity:
+        return op
     if not dense:
         # circulant of 2n sites per axis: index i holds offset i below n and
         # i - 2n above it, and zero at i = n, an offset no voxel pair reaches
@@ -300,74 +304,75 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
                               [np.fft.ifftshift(np.arange(-n, n)) for n in grid.lattice_shape])
         for axis, n in enumerate(grid.lattice_shape):
             np.moveaxis(table, 2 + axis, 0)[n] = 0.0
-        return InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=None,
-                                   lattice=np.fft.fftn(table, axes=(-3, -2, -1)))
-    # the table spans only the per-axis offsets that voxel pairs produce;
-    # block (i, j) is its entry at the offset z_i - z_j
+        op.lattice = np.fft.fftn(table, axes=(-3, -2, -1))
+        return op
+    basis = op.parity
     axes, offset = grid.pair_offsets
-    offset = offset.astype(np.intp)  # once, not in each of the nine gathers
     flat = _kernel_table(grid, omega, axes).reshape(3, 3, -1)
-    kernel = np.empty((grid.n, 3, grid.n, 3), dtype=complex)
+    pairs = offset[basis.reps[None, :, None], basis.members[:, None, :]].astype(np.intp)
+    order, reps = basis.members.shape
+    rows = np.empty((order, reps, 3, reps, 3), dtype=complex)
     for a in range(3):
         for b in range(3):
-            kernel[:, a, :, b] = flat[a, b][offset]
-    return InteractionOperator(grid=grid, omega=omega, beta=beta,
-                               kernel=kernel.reshape(3 * grid.n, 3 * grid.n))
-
-
-def _sector_solve(basis, factors, r):
-    """A^-1 r for (3N, m) r through the sector factors of op.lu().
-
-    r is projected onto every sector at the orbit representatives,
-    (1/G) sum_g h(g) r_{g(rep)} with h each coordinate's source character
-    (basis.fold), each sector is solved on its factors, and unfold carries
-    the solutions back to every orbit member.
-    """
-    m = r.shape[1]
-    coeff = basis.fold(r.T.reshape(m, -1, 3)).reshape(basis.order, m, -1) / basis.order
-    solved = np.zeros_like(coeff)
-    for (index, source, _), lu_piv in zip(basis.sectors, factors):
-        solved[source, :, index] = lu_solve(
-            lu_piv, coeff[source, :, index].astype(lu_piv[0].dtype), trans=1,
-            check_finite=False)
-    return basis.unfold(solved.reshape(basis.order, m, -1, 3)).reshape(m, -1).T
+            rows[:, :, a, :, b] = flat[a, b][pairs]
+    rows = rows.reshape(order, 3 * reps, 3 * reps)
+    beta_rows = np.repeat(beta[basis.reps], 3)
+    counted = np.abs(beta_rows) / np.repeat(basis.stabilizer, 3)
+    diagonal = self_term_scalar(grid.voxel_volume, omega) * beta_rows
+    sums = np.concatenate([(np.abs(rows[:, start:start + 256]) @ counted).sum(axis=0)
+                           for start in range(0, 3 * reps, 256)])  # 256 rows at a time
+    op.norm = float(np.max(sums + np.abs(1.0 - diagonal) - np.abs(diagonal)))
+    op.kernel = basis.transform(rows).reshape(-1)[basis.block_positions]
+    return op
 
 
 def _refined_lu_solve(op: InteractionOperator, b, factors):
     """Solve on the sector LU factors, refining in complex128 to a backward error of eps.
 
     Every column must reach ||r||_inf <= ||x||_inf ||A||_inf eps, with
-    r = b - op x from the complex128 kernel and eps the float64 machine
-    epsilon, whatever tolerance the caller asked for.  This is zcgesv's
-    test without its sqrt(3N) slack, which let a solve stop one step
-    early with 1e-13 relative errors in its small components.
-    Corrections are solved on columns scaled to unit max, so complex64
+    r = b - op x in complex128 and eps the float64 machine epsilon,
+    whatever tolerance the caller asked for.  This is zcgesv's test
+    without its sqrt(3N) slack, which let a solve stop one step early
+    with 1e-13 relative errors in its small components.  Corrections are
+    solved sector by sector on columns scaled to unit max, so complex64
     factors see no overflow or underflow.  Returns (x, r, corrections,
     bound met).
     """
     sector_factors, norm = factors
+    solves = [partial(_lu_solve, lu_piv) for lu_piv in sector_factors]
     bound = norm * np.finfo(float).eps
     x = np.zeros_like(b)
     resid = b
     for step in range(_REFINE_STEPS + 1):
         scale = np.max(np.abs(resid), axis=0)
         scale[scale == 0.0] = 1.0
-        x += scale * _sector_solve(op.parity, sector_factors, resid / scale)
+        x += scale * op.sectorwise(resid / scale, solves)
         resid = b - op.apply(x)
         if np.all(np.max(np.abs(resid), axis=0) <= bound * np.max(np.abs(x), axis=0)):
             return x, resid, step, True
     return x, resid, step, False
 
 
+def _weighted_product(block, weights, coords):
+    """block @ (weights * coords): a sector's kernel product."""
+    return block @ (weights * coords)
+
+
+def _lu_solve(lu_piv, coords):
+    """A_s^-1 coords on the factors of the transposed block, in their dtype."""
+    return lu_solve(lu_piv, coords.astype(lu_piv[0].dtype), trans=1, check_finite=False)
+
+
 def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):
     """Solve (I - K diag(beta)) x = rhs to ||op x - rhs|| <= tol ||rhs||.
 
     rhs: (3N,) or (3N, m).  The representation decides the method.  A
-    stored kernel is factorized once in complex64 and every solve is
-    refined in complex128 to a backward error of one float64 epsilon, so
-    the answer is accurate to complex128 whatever tol is; if 30
-    refinement steps do not reach that bound the operator is refactorized
-    once in complex128 and the solve refined again.  The lattice operator
+    stored kernel is factorized once in complex64 (in complex128 when A
+    leaves the complex64 range) and every solve is refined in complex128
+    to a backward error of one float64 epsilon, so the answer is accurate
+    to complex128 whatever tol is; if 30 refinement steps on complex64
+    factors do not reach that bound the operator is refactorized once in
+    complex128 and the solve refined again.  The lattice operator
     is solved by restarted GMRES with a diagonal preconditioner to tol/10,
     column by column, and fails unless the true residual GMRES returns is
     within tol.  The vacuum operator returns a copy of rhs.
@@ -386,7 +391,7 @@ def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):
 
     if op.kernel is not None:
         x, resid, steps, met = _refined_lu_solve(op, b, op.lu())
-        if not met:  # too ill-conditioned for complex64 factors
+        if not met and op.factored[-1] == np.complex64:  # too ill-conditioned for them
             x, resid, more, met = _refined_lu_solve(op, b, op.lu(double=True))
             steps += more
         op.refinements.append(steps)

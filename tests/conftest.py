@@ -15,7 +15,8 @@ settings.register_profile("greenvox", derandomize=True, deadline=None, max_examp
 settings.load_profile("greenvox")
 
 from greenvox import (Box, LorentzPole, MediumSolver, PermittivityModel, Sphere,
-                      build_grid)
+                      build_grid, g0_closed)
+from greenvox.green_free import self_term
 
 OMEGA = 1.0
 
@@ -33,6 +34,18 @@ VACUUM = PermittivityModel(poles=(), region_id=1)
 
 def loglog_slope(xs, ys) -> float:
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+
+
+def pairwise_kernel(grid, omega):
+    """K_ij = dV G0(z_i, z_j) from the center differences, the self term on the diagonal."""
+    n = grid.n
+    K = np.empty((n, n, 3, 3), dtype=complex)
+    for i in range(n):
+        others = np.arange(n) != i
+        K[i, others] = grid.voxel_volume * g0_closed(grid.centers[i], grid.centers[others],
+                                                     omega)
+        K[i, i] = self_term(grid.voxel_volume, omega)
+    return K.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
 
 
 @pytest.fixture(scope="session")

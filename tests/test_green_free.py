@@ -393,3 +393,20 @@ def test_im_g0_is_smooth_through_coincidence():
     assert np.max(np.abs(below - above)) <= 1e-15 * w
     tiny = im_g0_from_displacements(1e-9 * unit, w)
     assert np.max(np.abs(tiny - w / (6 * np.pi) * np.eye(3))) <= 1e-16
+
+
+def test_g0_imaginary_part_is_the_series_at_small_omega_r():
+    """Below omega R = 1 the closed form's Im G0 cancels (2e-10 relative at
+    omega R = 1.3e-3); g0_from_displacements takes it from the series there."""
+    from greenvox.green_free import g0_from_displacements, im_g0_from_displacements
+
+    w = 1.3
+    rng = np.random.default_rng(9)
+    unit = rng.normal(size=(40, 3))
+    unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+    d = np.geomspace(1e-3, 1.0, len(unit))[:, None] / w * unit
+    expected = im_g0_from_displacements(d, w)
+    got = g0_from_displacements(d, w).imag
+    assert np.max(np.abs(got - expected) / np.abs(expected).max(axis=(1, 2))[:, None, None]) <= 1e-15
+    single = g0_from_displacements(d[0], w)
+    assert single.shape == (3, 3) and np.array_equal(single.imag, expected[0])

@@ -766,3 +766,33 @@ runs:
     out = capsys.readouterr().out
     assert rc == 0, out
     assert "[FAIL]" not in out
+
+
+def test_operator_past_the_complex64_range_is_factored_in_complex128(tmp_path):
+    """omegap = 1e25 puts beta K near 1e48, past complex64: the blocks go straight to
+    complex128 factors, the CLI prints no numpy warning, and G is the complex128
+    dense answer to the solver tolerance."""
+    import greenvox
+    from greenvox import MediumSolver, g0_closed
+    from conftest import pairwise_kernel
+
+    scene = write(tmp_path, "cube.yaml", CUBE_SCENE.replace("omegap: 1.0,", "omegap: 1.0e25,"))
+    env = dict(os.environ, PYTHONPATH=str(Path(greenvox.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "greenvox.cli", "greens", "--scene", str(scene),
+         "--omega", "1", "--src", "0,0,2", "--eval", "0,0,3", "--threads", "1"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
+    green = json.loads(proc.stdout)["green"]
+    G = np.array(green["re"]) + 1j * np.array(green["im"])
+
+    cfg = load_scene(scene)
+    solver = MediumSolver(cfg.build_grid(), cfg.materials, 1.0, cfg.solver_tol, method="dense")
+    x, y = np.array([0.0, 0.0, 3.0]), np.array([0.0, 0.0, 2.0])
+    assert np.linalg.norm(solver.green(x, y) - G) <= cfg.solver_tol * np.linalg.norm(G)
+    assert solver.op.factored == [np.complex128]
+    A = np.eye(solver.op.n3) - pairwise_kernel(solver.grid, 1.0) * solver.op.beta_rep
+    X = np.linalg.solve(A, solver.source_columns(y)).reshape(solver.grid.n, 3, 3)
+    reference = g0_closed(x, y, 1.0) + solver.scattered_at(x, X)
+    assert np.linalg.norm(G - reference) <= cfg.solver_tol * np.linalg.norm(reference)

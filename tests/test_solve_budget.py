@@ -6,6 +6,7 @@ adds solves shows up here before it shows up in wall time.
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from greenvox.ldos import _e_fields_on_shell
 from greenvox.report import run_validation
 from greenvox.scene import scene_from_dict
 
+from conftest import pairwise_kernel
+
 TOL = 1e-10
 R_OUT = np.array([0.95, 0.15, 0.25])
 
@@ -32,6 +35,11 @@ CUBE = {
     "quadrature": {"n_theta": 4, "n_phi": 8},
     "runs": {"validate": {"omega": 1.0}},
 }
+
+SPHERE = dict(CUBE, materials=[{"region_id": 1,
+                                "poles": [{"omega0": 0.0, "omegap": 1.5, "gamma": 0.3}]}],
+              geometry={"voxel_edge": 0.2497, "shapes": [
+                  {"kind": "sphere", "center": [0.0, 0.0, 0.0], "radius": 1.0, "region_id": 1}]})
 
 
 @pytest.fixture
@@ -135,6 +143,43 @@ def test_sweep_solves_one_green_column_set_per_frequency(budget, monkeypatch):
         assert len(op.refinements) == 1 and op.refinements[0] <= 3
 
 
+def test_a_symmetric_sweep_stores_only_the_sector_blocks(budget, monkeypatch):
+    """17 frequencies on the 257-voxel Drude sphere: every operator stores its eight
+    sector blocks, 16 sum d_s^2 bytes, 7.9 times fewer than a 3N x 3N complex128
+    kernel, and no assembly or kernel product holds that much memory at once."""
+    peaks = {"assemble": [], "kernel_product": []}
+
+    def peaked(name, fn):
+        def wrapper(*args, **kwargs):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            result = fn(*args, **kwargs)
+            peaks[name].append(tracemalloc.get_traced_memory()[1] - start)
+            return result
+        return wrapper
+
+    monkeypatch.setattr(vie, "assemble", peaked("assemble", vie.assemble))
+    monkeypatch.setattr(vie.InteractionOperator, "kernel_product",
+                        peaked("kernel_product", vie.InteractionOperator.kernel_product))
+    omegas = np.linspace(0.7, 1.1, 17)
+    tracemalloc.start()
+    try:
+        rows = purcell_sweep(scene_from_dict(SPHERE).solver, (0.82, -1.12, 0.84),
+                             (0.0, 0.6, 0.8), omegas)
+    finally:
+        tracemalloc.stop()
+    assert all("error" not in r for r in rows)
+    assert budget["assemble"] == len(peaks["assemble"]) == 17
+    assert budget["lu_factor"] == 17 * 8
+    assert budget["solve_columns"] == [3] * 17
+    full = 16 * (3 * 257) ** 2
+    for op in budget["operators"]:
+        assert op.grid.n == 257 and len(op.sectors) == 8
+        assert op.kernel.nbytes == 16 * sum(d * d for d in op.sectors) < full / 7.8
+    assert len(peaks["kernel_product"]) >= 17 * 2  # a refinement residual and a shell product
+    assert max(peaks["assemble"] + peaks["kernel_product"]) < full
+
+
 def test_a_sweep_row_is_one_solve_and_one_kernel_product(budget, monkeypatch):
     """Gamma_e is the exact shell integral: a purcell_sweep row builds no shell
     quadrature and no plane-wave table, solves 3 columns once and applies the kernel
@@ -224,18 +269,20 @@ def test_lattice_green_columns_take_at_most_60_matvecs(budget):
 
 def test_gmres_records_the_true_residual_of_every_column(budget):
     """The residual GMRES reports is ||b - A x|| / ||b|| of the x it returns, recomputed
-    here with the dense kernel, so the final check needs no extra operator application:
-    the 8^3 Lorentz cube's three Green columns take at most 51 applications."""
+    here with the pairwise kernel, so the final check needs no extra operator
+    application: the 8^3 Lorentz cube's three Green columns take at most 51
+    applications."""
     cube = dict(CUBE, geometry={"voxel_edge": 0.2, "shapes": [
         {"kind": "box", "min_corner": [-0.8] * 3, "max_corner": [0.8] * 3, "region_id": 1}]})
     cfg = scene_from_dict(cube)
     solver = vie.MediumSolver(cfg.grid, cfg.materials, 1.0, TOL, method="gmres")
     b = solver.source_columns(np.array([0.1, -0.2, 1.3]))
     x = solver.solve(b)
-    lattice, dense = budget["operators"][0], vie.assemble(cfg.grid, solver.beta, 1.0)
-    assert lattice.kernel is None and dense.kernel is not None
+    lattice, K = budget["operators"][0], pairwise_kernel(cfg.grid, 1.0)
+    assert lattice.kernel is None
     assert sum(applications for applications, _ in lattice.iterations) <= 51
     for j, (_, achieved) in enumerate(lattice.iterations):
-        recomputed = np.linalg.norm(b[:, j] - dense.apply(x[:, j])) / np.linalg.norm(b[:, j])
+        applied = x[:, j] - K @ (lattice.beta_rep * x[:, j])
+        recomputed = np.linalg.norm(b[:, j] - applied) / np.linalg.norm(b[:, j])
         assert achieved <= TOL
         assert abs(achieved - recomputed) <= 1e-5 * recomputed, j

@@ -13,7 +13,7 @@ from greenvox.modes import (MedModeIndex, e_coefficient, e_coefficient_via_green
                             u_numerator_m, v_component_m)
 from greenvox.green_free import self_term, self_term_scalar
 
-from conftest import DRUDE, LORENTZ, OMEGA, loglog_slope
+from conftest import DRUDE, LORENTZ, OMEGA, loglog_slope, pairwise_kernel
 
 X_OUT = np.array([1.1, 0.25, -0.15])
 Y_OUT = np.array([-0.2, 0.95, 0.4])
@@ -33,9 +33,13 @@ def test_vacuum_operator_is_identity(cube_grid):
 
 
 def test_kernel_blockwise_symmetric(cube_grid, cube_materials):
+    """The kernel the sector blocks apply, materialized column by column, is the
+    symmetric pairwise kernel."""
     op = MediumSolver(cube_grid, cube_materials, OMEGA).op
-    K = op.kernel
+    K = op.kernel_product(np.eye(op.n3, dtype=complex))
     assert np.max(np.abs(K - K.T)) < 1e-15 * np.max(np.abs(K))
+    reference = pairwise_kernel(cube_grid, OMEGA)
+    assert np.max(np.abs(K - reference)) <= 1e-13 * np.max(np.abs(reference))
 
 
 def test_single_voxel_closed_forms(cube_materials):
@@ -102,9 +106,29 @@ def test_parity_sectors_solve_the_materialized_operator(name):
     assert len(op.sectors) == count and sum(op.sectors) == op.n3
     rng = np.random.default_rng(5)
     rhs = rng.normal(size=(op.n3, 2)) + 1j * rng.normal(size=(op.n3, 2))
-    reference = np.linalg.solve(np.eye(op.n3) - op.kernel * op.beta_rep, rhs)
+    reference = np.linalg.solve(np.eye(op.n3) - pairwise_kernel(grid, OMEGA) * op.beta_rep, rhs)
     assert np.linalg.norm(solver.solve(rhs) - reference) <= 1e-13 * np.linalg.norm(reference)
     assert op.factored == [np.complex64]
+
+
+@pytest.mark.parametrize("name", ["cube", "sphere", "two materials", "asymmetric"])
+def test_dense_kernel_stores_the_sector_blocks(name):
+    """The dense kernel is the block of K in every parity sector, sum_s d_s^2
+    complex128 entries in one buffer; its sector products are K q, and the norm
+    read from the representatives' rows is ||I - K diag(beta)||_inf."""
+    grid, materials, _ = sector_scenes()[name]
+    op = MediumSolver(grid, materials, OMEGA, method="dense").op
+    assert op.kernel.dtype == np.complex128 and op.kernel.flags.c_contiguous
+    assert op.kernel.nbytes == 16 * sum(d * d for d in op.sectors)
+    assert all(np.shares_memory(block, op.kernel) for block in op.blocks)
+    K = pairwise_kernel(grid, OMEGA)
+    norm = np.abs(np.eye(op.n3) - K * op.beta_rep).sum(axis=1).max()
+    assert abs(op.norm - norm) <= 1e-13 * norm
+    rng = np.random.default_rng(6)
+    for m in (1, 3):
+        q = rng.normal(size=(op.n3, m)) + 1j * rng.normal(size=(op.n3, m))
+        expected = K @ q
+        assert np.linalg.norm(op.kernel_product(q) - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def test_sectors_of_the_sphere():
@@ -172,26 +196,15 @@ def lattice_grids(tmp_path):
     }
 
 
-def pairwise_kernel(grid, omega):
-    """K_ij = dV G0(z_i, z_j) from the center differences, the self term on the diagonal."""
-    n = grid.n
-    K = np.empty((n, n, 3, 3), dtype=complex)
-    for i in range(n):
-        others = np.arange(n) != i
-        K[i, others] = grid.voxel_volume * g0_closed(grid.centers[i], grid.centers[others],
-                                                     omega)
-        K[i, i] = self_term(grid.voxel_volume, omega)
-    return K.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
-
-
 def lorentz_beta(grid):
     """beta of the Lorentz material at OMEGA in every voxel of the grid."""
     return np.full(grid.n, OMEGA**2 * (eval_eps(LORENTZ, OMEGA) - 1.0))
 
 
 def test_kernel_matches_pairwise_reference(tmp_path, monkeypatch):
-    """The kernel gathered from the lattice table is the pairwise kernel, exactly
-    symmetric, and the table holds no more blocks than there are voxel pairs."""
+    """The kernel the sector blocks gathered from the lattice table apply is the
+    pairwise kernel, each stored block is exactly symmetric, and the table holds
+    no more blocks than there are voxel pairs."""
     import greenvox.vie as vie_mod
 
     tables = []
@@ -199,10 +212,11 @@ def test_kernel_matches_pairwise_reference(tmp_path, monkeypatch):
     monkeypatch.setattr(vie_mod, "_kernel_table",
                         lambda *args: tables.append(build(*args)) or tables[-1])
     for name, grid in lattice_grids(tmp_path).items():
-        K = assemble(grid, lorentz_beta(grid), OMEGA).kernel
+        op = assemble(grid, lorentz_beta(grid), OMEGA)
+        K = op.kernel_product(np.eye(op.n3, dtype=complex))
         ref = pairwise_kernel(grid, OMEGA)
         assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref)), name
-        assert np.array_equal(K, K.T), name
+        assert all(np.array_equal(block, block.T) for block in op.blocks), name
         assert np.prod(tables[-1].shape[2:]) <= grid.n**2, name
 
 
@@ -219,7 +233,7 @@ def test_fft_product_matches_dense_kernel(tmp_path):
             assert len(set(fft.lattice.shape[2:])) == 3  # n_x, n_y, n_z all differ
         p = rng.normal(size=(dense.n3, 2)) + 1j * rng.normal(size=(dense.n3, 2))
         q = dense.beta_rep[:, None] * p
-        expected = dense.kernel @ q
+        expected = pairwise_kernel(grid, OMEGA) @ q
         got = fft.kernel_product(q)
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected), name
         q3 = np.hstack([q, q[:, :1] * 1j])
@@ -368,7 +382,7 @@ def test_ill_conditioned_operator_refactors_in_complex128(cube_grid, cube_materi
     """An eigenvalue of K diag(beta) within 1e-7 of 1 defeats refinement on complex64
     factors: the solve refactors once in complex128 and still meets tol."""
     op = MediumSolver(cube_grid, cube_materials, OMEGA).op
-    mu = np.linalg.eigvals(op.kernel * op.beta_rep)
+    mu = np.linalg.eigvals(pairwise_kernel(cube_grid, OMEGA) * op.beta_rep)
     beta = op.beta * (1.0 - 1e-7) / mu[np.argmin(np.abs(mu))]
     tol = 1e-6
     scaled = assemble(cube_grid, beta, OMEGA)
@@ -460,32 +474,25 @@ def test_dyson_identity_absorbing_cube(cube_grid, cube_materials):
     assert res <= 1e-8
 
 
-def test_dyson_identity_survives_self_term_surgery(cube_grid, cube_materials):
+def test_dyson_identity_survives_self_term_surgery(cube_grid, cube_materials, monkeypatch):
     """The permutation identity is algebraic in the discrete operator: zeroing
     the self-term diagonal changes the answer but not the identity."""
-    solver = MediumSolver(cube_grid, cube_materials, OMEGA, tol=1e-10)
-    K = solver.op.kernel.copy()
-    for i in range(cube_grid.n):
-        K[3 * i:3 * i + 3, 3 * i:3 * i + 3] = 0.0
-    solver.op.kernel = K
-    solver.op._lu = None
+    import greenvox.vie as vie_mod
 
-    import greenvox.green_free as gf
-    M_backup = gf.self_term_scalar
-    try:
-        gf.self_term_scalar = lambda vol, w: 0.0 + 0.0j  # test double
-        Xy = solver.grid_fields(Y_OUT)
-        Xx = solver.grid_fields(X_OUT)
-        G = solver.green(X_OUT, Y_OUT)
-        diff = G - g0_closed(X_OUT, Y_OUT, OMEGA)
-        i1 = solver.scattered_at(X_OUT, Xy)
-        from greenvox.green_free import g0_from_displacements
-        g0_zy = g0_from_displacements(cube_grid.centers - Y_OUT, OMEGA)
-        i2 = cube_grid.voxel_volume * np.einsum("j,jba,jbc->ac", solver.beta, Xx, g0_zy)
-        assert np.linalg.norm(diff - i1) <= 1e-8
-        assert np.linalg.norm(diff - i2) <= 1e-8
-    finally:
-        gf.self_term_scalar = M_backup
+    reference = MediumSolver(cube_grid, cube_materials, OMEGA, tol=1e-10).green(X_OUT, Y_OUT)
+    monkeypatch.setattr(vie_mod, "self_term_scalar", lambda vol, w: 0.0 + 0.0j)  # test double
+    solver = MediumSolver(cube_grid, cube_materials, OMEGA, tol=1e-10)
+    Xy = solver.grid_fields(Y_OUT)
+    Xx = solver.grid_fields(X_OUT)
+    G = solver.green(X_OUT, Y_OUT)
+    assert np.linalg.norm(G - reference) > 1e-3 * np.linalg.norm(reference)
+    diff = G - g0_closed(X_OUT, Y_OUT, OMEGA)
+    i1 = solver.scattered_at(X_OUT, Xy)
+    from greenvox.green_free import g0_from_displacements
+    g0_zy = g0_from_displacements(cube_grid.centers - Y_OUT, OMEGA)
+    i2 = cube_grid.voxel_volume * np.einsum("j,jba,jbc->ac", solver.beta, Xx, g0_zy)
+    assert np.linalg.norm(diff - i1) <= 1e-8
+    assert np.linalg.norm(diff - i2) <= 1e-8
 
 
 def test_uncoupling_limit_slope(cube_grid):
