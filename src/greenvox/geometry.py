@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import MAX_LATTICE_SITES
+from .constants import MAX_LATTICE_SITES, NUMBER_RANGE
 from .permittivity import PermittivityModel, eval_eps
 
 
@@ -77,13 +77,6 @@ class Box:
 class MaskShape:
     path: str
 
-    def bounding_box(self):
-        centers, edge, _ = read_mask(self.path)
-        return centers.min(axis=0) - 0.5 * edge, centers.max(axis=0) + 0.5 * edge
-
-
-Shape = Sphere | Box | MaskShape
-
 
 class VoxelGrid:
     """Immutable cubical voxelization: centers, edge length, material ids.
@@ -126,27 +119,6 @@ class VoxelGrid:
     def lattice_shape(self) -> tuple[int, int, int]:
         """Lattice sites per axis spanned by the voxels, (nx, ny, nz)."""
         return tuple(int(m) for m in self.lattice_index.max(axis=0) + 1)
-
-    @cached_property
-    def pair_offsets(self):
-        """(axes, index): the offsets in lattice steps that voxel pairs produce
-        along each axis, and the flat index of the offset z_i - z_j in the
-        grid axes[0] x axes[1] x axes[2] for every pair, int32 (N, N).
-
-        Computed on first use and kept, so a frequency sweep builds it once.
-        """
-        axes, pair_index = [], []
-        for coord in self.lattice_index.T:
-            sites = np.unique(coord)
-            offsets = np.unique(sites[:, None] - sites[None, :])
-            position = np.zeros(2 * sites[-1] + 1, dtype=int)
-            position[offsets + sites[-1]] = np.arange(len(offsets))
-            axes.append(offsets)
-            pair_index.append(position[coord[:, None] - coord[None, :] + sites[-1]])
-        index = np.ravel_multi_index(pair_index, [len(ax) for ax in axes]).astype(np.int32)
-        for array in (*axes, index):
-            array.flags.writeable = False
-        return tuple(axes), index
 
     @property
     def voxel_volume(self) -> float:
@@ -241,11 +213,13 @@ class ParityBasis:
     flat positions 3 n_orbits h + index in the (G, 3 n_orbits) coordinates
     of fold.  fold and unfold carry fields between voxels and orbit
     coordinates.  For the trivial group every voxel is its own orbit and
-    the one sector holds every coordinate in voxel order.
+    the one sector holds every coordinate in voxel order.  kernel_offsets
+    indexes the kernel table at the representatives' rows alone, lazily.
     """
 
     def __init__(self, grid: "VoxelGrid", axes):
         self.axes, self.n = tuple(axes), grid.n
+        self._lattice_index = grid.lattice_index
         domain, plane = np.arange(grid.n), np.zeros(grid.n, dtype=int)
         for k, axis in enumerate(self.axes):
             coord = grid.lattice_index[:, axis]
@@ -283,15 +257,24 @@ class ParityBasis:
         return table
 
     @cached_property
-    def block_positions(self):
-        """Flat positions, in a (G, 3 n_orbits, 3 n_orbits) array B, of every sector's
-        block B[source_t, index_s, index_t], the blocks concatenated row-major;
-        slice(None) for the trivial group, whose one block is B itself."""
-        if self.order == 1:
-            return slice(None)
-        n = 3 * len(self.reps)
-        return np.concatenate([(position // n * n * n + index[:, None] * n + index).ravel()
-                               for index, position in self.sectors])
+    def kernel_offsets(self):
+        """(axes, index): the table's offsets in lattice steps, |o_x| and the signed o_y, o_z
+        of voxel pairs, and the flat position in it of every rep_i - g(rep_j), int32 (G,
+        n_orbits, n_orbits), read at its negative where o_x < 0 (G0(-r) = G0(r))."""
+        axes, index, flip = [], 0, None
+        for coord in self._lattice_index.T:
+            offset = coord[self.reps][None, :, None] - coord[self.members][:, None, :]
+            flip = offset < 0 if flip is None else flip
+            np.negative(offset, out=offset, where=flip)
+            pairs = np.unique(np.subtract.outer(*[np.unique(coord)] * 2))  # -m, ..., m
+            axes.append(pairs[pairs >= 0] if not axes else pairs)
+            position = np.zeros(2 * pairs[-1] + 1, dtype=int)
+            position[axes[-1] + pairs[-1]] = np.arange(len(axes[-1]))
+            index = index * len(axes[-1]) + position[offset + pairs[-1]]
+        index = index.astype(np.int32)
+        for array in (*axes, index):
+            array.flags.writeable = False
+        return tuple(axes), index
 
     def transform(self, x):
         """x[h] <- sum_g h(g) x[g] for every character h along axis 0 of a C-contiguous
@@ -402,19 +385,24 @@ def eps_on_grid(grid: VoxelGrid, materials, omega: float):
 
 
 def read_mask(path):
-    """Parse a mask file; returns (centers (N,3), voxel_edge, region_ids (N,))."""
-    text = Path(path).read_text().split()
+    """Parse a mask file into (centers (N,3), edge, region_ids (N,)); GridError if malformed."""
+    text, (lo, hi) = Path(path).read_text().split(), NUMBER_RANGE
     if len(text) < 7:
         raise GridError(f"mask file {path}: truncated header")
-    nx, ny, nz = (int(v) for v in text[:3])
-    edge = float(text[3])
-    origin = np.array([float(v) for v in text[4:7]])
-    vals = np.array([int(v) for v in text[7:]], dtype=int)
+    try:
+        nx, ny, nz = (int(v) for v in text[:3])
+        edge, *origin = (float(v) for v in text[3:7])
+        vals = np.array([int(v) for v in text[7:]], dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise GridError(f"mask file {path}: {exc}") from None
+    if min(nx, ny, nz) < 1 or not (lo <= edge <= hi and all(abs(v) <= hi for v in origin)):
+        raise GridError(f"mask file {path}: needs positive dimensions, an edge in [{lo:g}, "
+                        f"{hi:g}] and an origin within {hi:g}, got {' '.join(text[:7])}")
     if len(vals) != nx * ny * nz:
         raise GridError(f"mask file {path}: expected {nx * ny * nz} ids, found {len(vals)}")
     ids = vals.reshape(nz, ny, nx)
     iz, iy, ix = np.meshgrid(np.arange(nz), np.arange(ny), np.arange(nx), indexing="ij")
-    centers = origin + (np.stack([ix, iy, iz], axis=-1).reshape(-1, 3) + 0.5) * edge
+    centers = np.array(origin) + (np.stack([ix, iy, iz], axis=-1).reshape(-1, 3) + 0.5) * edge
     flat = ids.reshape(-1)
     keep = flat != 0
     if not keep.any():

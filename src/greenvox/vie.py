@@ -23,22 +23,23 @@ tolerance), which is what the identity tests lean on.
 
 Every grid lies on a cubic lattice, so K_ij depends only on the offset
 z_i - z_j, and the kernel is built once, as the table of its 3x3 blocks
-over the lattice offsets.  The dense kernel is stored per parity sector:
-the lattice mirrors i -> n_a - 1 - i that map the voxels and beta exactly
-onto themselves (geometry.ParityBasis) commute with K, since G0(sr, sr')
-= S G0(r, r') S, so K and A = I - K diag(beta) are block diagonal in
+over the lattice offsets, evaluated at |offsets| and reflected: an axis
+mirror S gives G0(S r) = S G0(r) S.  The same symmetry stores the dense
+kernel per parity sector: the lattice mirrors i -> n_a - 1 - i that map
+the voxels and beta exactly onto themselves (geometry.ParityBasis)
+commute with K, so K and A = I - K diag(beta) are block diagonal in
 their parity basis, with up to eight blocks of about 3N/8
 (symmetry-adapted block diagonalization; Bossavit, Comput. Methods Appl.
 Mech. Eng. 56, 167 (1986)).  The blocks are folded from the kernel rows
-of the orbit representatives alone and take 16 sum_s d_s^2 bytes; a body
-with no mirror has one block, K.  Every product K q, the solver's own
-residuals included, is one block product per sector.  A is solved by
-mixed-precision LU: each block is factored once in complex64 (complex128
-when A leaves the complex64 range), and each solve is refined in
-complex128 until every column has a backward error of one float64
-epsilon (the method of LAPACK zcgesv; Buttari et al., ACM TOMS 34(4), 17
-(2008)); an operator too ill-conditioned for that is refactored once in
-complex128.
+of the orbit representatives alone, a few MiB at a time, into 16 sum_s
+d_s^2 bytes; a body with no mirror has one block, K.  Every product K q,
+the solver's own residuals included, is one block product per sector.
+A is solved by mixed-precision LU: each block is factored once in
+complex64 (complex128 when A leaves the complex64 range), and each
+solve is refined in complex128 until every column has a backward error
+of one float64 epsilon (the method of LAPACK zcgesv; Buttari et al.,
+ACM TOMS 34(4), 17 (2008)); an operator too ill-conditioned for that is
+refactored once in complex128.
 The matrix-free kernel is the FFT of the table embedded in a circulant
 of twice the lattice extent per axis, so K p is a 3x3 block product
 between two FFTs (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16,
@@ -74,7 +75,7 @@ from functools import cached_property, partial
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_triangular
+from scipy.linalg import get_lapack_funcs, lu_factor, solve_triangular
 
 from .geometry import VoxelGrid, eps_on_grid
 from .green_free import g0_closed, g0_from_displacements, self_term_scalar
@@ -86,6 +87,9 @@ _FIELDS_KEPT = 8
 
 #: refinement steps on one set of LU factors before giving up on them (zcgesv's ITERMAX)
 _REFINE_STEPS = 30
+
+#: bytes of kernel rows assemble folds at a time (the 257-voxel sphere's 3.4 MB in one)
+_ROWS_CHUNK_BYTES = 7 << 19
 
 #: GMRES Krylov vectors per restart cycle, and restart cycles per column
 _RESTART = 80
@@ -100,14 +104,19 @@ def _kernel_table(grid: VoxelGrid, omega: float, axes):
     """Kernel blocks over the offsets axes[0] x axes[1] x axes[2], (3, 3, *lengths).
 
     Offsets are in lattice steps: dV*G0 at a nonzero offset, the self
-    term at 0, which every axis holds.
+    term at 0, which every axis holds.  G0 is evaluated at |o| only:
+    G0(o) = S G0(|o|) S with S the mirror of the axes where o < 0, so
+    block (a, b) is the one at |o| times sign(o_a) sign(o_b), exactly.
     """
-    offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).astype(float)
-    origin = tuple(int(np.flatnonzero(ax == 0)[0]) for ax in axes)
-    offsets[origin] = 1.0  # placeholder, overwritten below
+    distinct = [np.unique(np.abs(ax)) for ax in axes]
+    offsets = np.stack(np.meshgrid(*distinct, indexing="ij"), axis=-1).astype(float)
+    offsets[0, 0, 0] = 1.0  # placeholder at the zero offset, overwritten below
     blocks = grid.voxel_volume * g0_from_displacements(grid.voxel_edge * offsets, omega)
-    blocks[origin] = self_term_scalar(grid.voxel_volume, omega) * np.eye(3)
-    return np.ascontiguousarray(np.moveaxis(blocks, (-2, -1), (0, 1)))
+    blocks[0, 0, 0] = self_term_scalar(grid.voxel_volume, omega) * np.eye(3)
+    at = np.ix_(*(np.searchsorted(d, np.abs(ax)) for d, ax in zip(distinct, axes)))
+    table = np.ascontiguousarray(np.moveaxis(blocks[at], (-2, -1), (0, 1)))
+    sign = np.stack(np.meshgrid(*(np.where(ax < 0, -1.0, 1.0) for ax in axes), indexing="ij"))
+    return table * (sign[:, None] * sign[None, :])
 
 
 @dataclass
@@ -250,13 +259,7 @@ class InteractionOperator:
             except FloatingPointError:  # past the complex64 range
                 dtype = np.dtype(np.complex128)
                 blocks = self._a_blocks(dtype)
-            try:
-                factors = [lu_factor(block.T, overwrite_a=True, check_finite=False)
-                           for block in blocks]
-            except np.linalg.LinAlgError as exc:  # pragma: no cover - needs Im eps <= 0
-                raise SolverError(
-                    "operator is singular: the model must be strictly absorbing (Im eps > 0)"
-                ) from exc
+            factors = [lu_factor(b.T, overwrite_a=True, check_finite=False) for b in blocks]
             self._lu = (factors, self.norm)
             self.factored.append(dtype)
         return self._lu
@@ -280,14 +283,13 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
     Both representations come from one kernel table builder over lattice
     offsets: dense=False keeps the FFT of the table over the circulant
     lattice for the matrix-free operator; dense=True reads the kernel
-    rows of the orbit representatives from a table over the per-axis
-    offsets that voxel pairs produce, in orbit-member order,
-    rows[g, i, j] = K[rep_i, g(rep_j)], and folds them by the
-    Walsh-Hadamard transform over g into every sector's block (K is
-    symmetric, so these rows are also its columns).  ||A||_inf is the
-    largest absolute row sum of those rows, which the mirrors map onto
-    every other row, a member listed k times counting 1/k each time.  A
-    vacuum (beta = 0) operator builds neither.
+    rows of the orbit representatives, rows[g, i, j] = K[rep_i, g(rep_j)],
+    from a half-space table at ParityBasis.kernel_offsets, and folds them
+    by the Walsh-Hadamard transform over g into every sector's block (K
+    is symmetric, so these rows are also its columns), _ROWS_CHUNK_BYTES
+    at a time.  ||A||_inf is the largest absolute row sum of those rows,
+    which the mirrors map onto every other row, a member listed k times
+    counting 1/k each time.  A vacuum (beta = 0) operator builds neither.
     """
     if grid.n == 0:
         raise SolverError("empty grid")
@@ -307,22 +309,28 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
         op.lattice = np.fft.fftn(table, axes=(-3, -2, -1))
         return op
     basis = op.parity
-    axes, offset = grid.pair_offsets
-    flat = _kernel_table(grid, omega, axes).reshape(3, 3, -1)
-    pairs = offset[basis.reps[None, :, None], basis.members[:, None, :]].astype(np.intp)
+    axes, offset = basis.kernel_offsets
+    table = np.ascontiguousarray(np.moveaxis(_kernel_table(grid, omega, axes), 1, -1))
     order, reps = basis.members.shape
-    rows = np.empty((order, reps, 3, reps, 3), dtype=complex)
-    for a in range(3):
-        for b in range(3):
-            rows[:, :, a, :, b] = flat[a, b][pairs]
-    rows = rows.reshape(order, 3 * reps, 3 * reps)
     beta_rows = np.repeat(beta[basis.reps], 3)
     counted = np.abs(beta_rows) / np.repeat(basis.stabilizer, 3)
+    sums = np.empty(3 * reps)
+    op.kernel = np.empty(sum(d * d for d in op.sectors), dtype=complex)
+    step = max(1, _ROWS_CHUNK_BYTES // (order * 9 * reps * 16))
+    for start in range(0, reps, step):
+        pairs = offset[:, start:start + step]
+        rows = np.empty((order, pairs.shape[1], 3, reps, 3), dtype=complex)
+        for g, a in np.ndindex(order, 3):
+            rows[g, :, a] = np.take(table[a].reshape(-1, 3), pairs[g], axis=0)
+        rows = rows.reshape(order, 3 * pairs.shape[1], 3 * reps)
+        sums[3 * start:3 * start + rows.shape[1]] = sum(np.abs(part) @ counted for part in rows)
+        basis.transform(rows)  # block s is rows[source_t, index_u, index_t]
+        for (index, position), block in zip(basis.sectors, op.blocks):
+            mine = np.flatnonzero((index >= 3 * start) & (index < 3 * start + rows.shape[1]))
+            block[mine] = rows[position // (3 * reps), index[mine, None] - 3 * start, index]
+        del rows  # before the next chunk's rows are allocated
     diagonal = self_term_scalar(grid.voxel_volume, omega) * beta_rows
-    sums = np.concatenate([(np.abs(rows[:, start:start + 256]) @ counted).sum(axis=0)
-                           for start in range(0, 3 * reps, 256)])  # 256 rows at a time
     op.norm = float(np.max(sums + np.abs(1.0 - diagonal) - np.abs(diagonal)))
-    op.kernel = basis.transform(rows).reshape(-1)[basis.block_positions]
     return op
 
 
@@ -339,7 +347,8 @@ def _refined_lu_solve(op: InteractionOperator, b, factors):
     bound met).
     """
     sector_factors, norm = factors
-    solves = [partial(_lu_solve, lu_piv) for lu_piv in sector_factors]
+    getrs, = get_lapack_funcs(("getrs",), (sector_factors[0][0],))
+    solves = [partial(_lu_solve, getrs, *lu_piv) for lu_piv in sector_factors]
     bound = norm * np.finfo(float).eps
     x = np.zeros_like(b)
     resid = b
@@ -358,9 +367,12 @@ def _weighted_product(block, weights, coords):
     return block @ (weights * coords)
 
 
-def _lu_solve(lu_piv, coords):
-    """A_s^-1 coords on the factors of the transposed block, in their dtype."""
-    return lu_solve(lu_piv, coords.astype(lu_piv[0].dtype), trans=1, check_finite=False)
+def _lu_solve(getrs, lu, piv, coords):
+    """A_s^-1 coords on the factors of the transposed block, in their dtype, by LAPACK getrs."""
+    x, info = getrs(lu, piv, np.asarray(coords, lu.dtype, order="F"), trans=1, overwrite_b=True)
+    if info != 0:
+        raise SolverError(f"LAPACK getrs failed with info = {info}")
+    return x
 
 
 def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):

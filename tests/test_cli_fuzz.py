@@ -4,7 +4,10 @@ arguments, exits 0, 2, 3 or 4 and prints no traceback.
 A valid 64-voxel scene is mutated (wrong types, signs, NaN and infinities,
 missing keys, dangling region ids, run fields no command reads, a voxel edge
 too fine to voxelize) and so is
-each command's argv (bad numbers, vectors and ranges, dropped flags).  No
+each command's argv (bad numbers, vectors and ranges, dropped flags).  The
+same scene with its body read from a 4 x 4 x 4 mask file gets a mutated mask
+file (a truncated header, tokens that are not numbers or not integers, huge
+or non-finite edges and origins, ids of the wrong count, sign or size).  No
 mutation can enlarge the body past 64 voxels or ask for a large quadrature,
 so every example stays small.
 """
@@ -159,3 +162,57 @@ def test_cli_exit_codes_hold_under_malformed_input(command, scene_ops, argv_ops)
             code = cli_main(argv)
     assert code in (0, 2, 3, 4), (argv, scene, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, scene, err.getvalue())
+
+
+#: the 4 x 4 x 4 mask of the scene's cube, as tokens: nx ny nz edge origin, then 64 ids
+MASK = ["4", "4", "4", "0.2", "-0.4", "-0.4", "-0.4"] + ["1"] * 64
+
+#: tokens a mask mutation writes: non-numbers, non-integers, non-finite, huge, tiny,
+#: zero, negative and out-of-int64 values
+MASK_VALUES = ["abc", "", "1.5", "2.5", "nan", "inf", "-inf", "1e300", "-1e300", "1e30",
+               "1e-30", "1e-300", "0", "-1", "2", "4", "99999999999999999999999",
+               "-99999999999999999999999", "9223372036854775807"]
+
+mask_mutations = st.lists(st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 6), st.none()),
+    st.tuples(st.just("set"), st.sampled_from([0, 1, 2, 3, 4, 5, 6, 7, 40, 70]),
+              st.sampled_from(MASK_VALUES)),
+    st.tuples(st.just("drop"), st.sampled_from([1, 63, 64]), st.none()),
+    st.tuples(st.just("append"), st.sampled_from(MASK_VALUES), st.none())), min_size=1,
+    max_size=3)
+
+
+def _mutated_mask(mutations):
+    """The mask's tokens after the mutations; no id is added unless the count is wrong."""
+    tokens = list(MASK)
+    for op, where, value in mutations:
+        if op == "truncate":
+            tokens = tokens[:where]
+        elif op == "set" and where < len(tokens):
+            tokens[where] = value
+        elif op == "drop":
+            tokens = tokens[:max(7, len(tokens) - where)]
+        elif op == "append":
+            tokens.append(where)
+    return " ".join(tokens) + "\n"
+
+
+@settings(max_examples=40)
+@given(command=st.sampled_from(sorted(ARGV)), mask_ops=mask_mutations)
+def test_cli_exit_codes_hold_under_malformed_mask_files(command, mask_ops):
+    scene = copy.deepcopy(SCENE)
+    scene["geometry"] = {"shapes": [{"kind": "mask", "path": "body.msk"}]}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "scene.yaml").write_text(yaml.safe_dump(scene))
+        (tmp / "body.msk").write_text(_mutated_mask(mask_ops))
+        points = tmp / "points.csv"
+        points.write_text("x,y,z\n1.2,0.1,-0.1\n")
+        argv = [command, "--scene", str(tmp / "scene.yaml"), "--out-dir", str(tmp / "out"),
+                *_mutated_argv(command, [], points)]
+        err = io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+    assert code in (0, 2, 3, 4), (argv, _mutated_mask(mask_ops), err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, _mutated_mask(mask_ops), err.getvalue())

@@ -566,6 +566,31 @@ geometry:
     assert err.strip().splitlines() == ["grid error: mask region id 2 has no material definition"]
 
 
+@pytest.mark.parametrize("mask, message", [
+    ("2 2 1 0.25 0 0 0\n1 1 1 1.5\n", "invalid literal for int() with base 10: '1.5'"),
+    ("2.5 2 1 0.25 0 0 0\n1 1 1 1\n", "invalid literal for int() with base 10: '2.5'"),
+    ("2 2 1 0.25 0 0 0\n1 1 1 99999999999999999999999\n", "too large"),
+    ("2 2 1 0.25 1e300 0 0\n1 1 1 1\n", "origin within 1e+30"),
+], ids=["non-integer id", "non-integer dimension", "id past int64", "origin past 1e30"])
+def test_cli_malformed_mask_numbers_exit_code(mask, message, tmp_path, capsys):
+    """A mask file whose numbers cannot make a grid is a grid error, exit 4, with one
+    line naming the file: not a ValueError or OverflowError traceback, exit 1."""
+    (tmp_path / "body.msk").write_text(mask)
+    scene = write(tmp_path, "mask.yaml", """
+materials:
+  - region_id: 1
+    poles: [{omega0: 1.5, omegap: 1.0, gamma: 0.4}]
+geometry:
+  shapes:
+    - {kind: mask, path: body.msk}
+""")
+    rc = cli_main(["greens", "--scene", str(scene), "--omega", "1", "--src", "0,0,2",
+                   "--eval", "0,0,3", "--out-dir", str(tmp_path / "out")])
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert rc == 4
+    assert line.startswith("grid error: mask file") and message in line
+
+
 def test_cli_solver_failure_exit_code(tmp_path, capsys, monkeypatch):
     """A sweep row whose solver raises SolverError is itemized and the run exits 3;
     a nonpositive sweep frequency is a configuration error, exit 4 before any solve."""

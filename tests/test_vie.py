@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -218,6 +220,57 @@ def test_kernel_matches_pairwise_reference(tmp_path, monkeypatch):
         assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref)), name
         assert all(np.array_equal(block, block.T) for block in op.blocks), name
         assert np.prod(tables[-1].shape[2:]) <= grid.n**2, name
+
+
+def test_reflected_table_is_g0_at_every_signed_offset(tmp_path):
+    """The table is evaluated at the |offsets| and reflected to the signed ones; on the
+    signed per-axis offsets of the voxel pairs, on the circulant axes and on the dense
+    path's half space it equals G0 evaluated at every offset directly, entry for entry
+    (an exact zero may differ in sign: -x is exact, but (-0) * y + 0 is not -(0 * y + 0))."""
+    import greenvox.vie as vie_mod
+    from greenvox.green_free import g0_from_displacements
+
+    for name, grid in lattice_grids(tmp_path).items():
+        signed = [np.unique(sites[:, None] - sites)
+                  for sites in map(np.unique, grid.lattice_index.T)]
+        circulant = [np.fft.ifftshift(np.arange(-n, n)) for n in grid.lattice_shape]
+        half_space = grid.parity_basis(grid.mirrors).kernel_offsets[0]
+        for axes in (signed, circulant, half_space):
+            offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).astype(float)
+            origin = tuple(int(np.flatnonzero(ax == 0)[0]) for ax in axes)
+            offsets[origin] = 1.0
+            direct = grid.voxel_volume * g0_from_displacements(grid.voxel_edge * offsets, OMEGA)
+            direct[origin] = self_term(grid.voxel_volume, OMEGA)
+            table = vie_mod._kernel_table(grid, OMEGA, axes)
+            assert np.array_equal(table, np.moveaxis(direct, (-2, -1), (0, 1))), name
+
+
+def test_first_dense_assembly_holds_little_beside_the_blocks():
+    """The first assemble on a cold 840-voxel Drude sphere, its ParityBasis index
+    included, peaks below 1.5 times the sector blocks it stores (the kernel rows are
+    gathered and folded a few MiB at a time), and leaves no N x N array on the grid."""
+    warm = build_grid(Sphere(center=(0, 0, 0), radius=1.0), 0.5)
+    assemble(warm, np.ones(warm.n), OMEGA)  # imports and one-time caches, outside the count
+    grid = build_grid(Sphere(center=(0, 0, 0), radius=1.0), 0.17)
+    beta = np.full(grid.n, OMEGA**2 * (eval_eps(DRUDE, OMEGA) - 1.0))
+    tracemalloc.start()
+    try:
+        op = assemble(grid, beta, OMEGA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.n == 840 and op.sectors == (315,) * 8
+    assert peak < 1.5 * op.kernel.nbytes
+
+    def arrays(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, (tuple, list, dict)):
+            for item in value.values() if isinstance(value, dict) else value:
+                yield from arrays(item)
+
+    kept = [a for obj in (grid, *grid._parity_bases.values()) for a in arrays(vars(obj))]
+    assert kept and max(a.size for a in kept) < grid.n**2
 
 
 def test_fft_product_matches_dense_kernel(tmp_path):
