@@ -26,14 +26,10 @@ kappa and Gamma_e are the exact shell integral, with no quadrature: the
 Green route writes e(x) = w sum_a c_a Phi(p_a) over the points
 {x, z_1 .. z_N}, and the shell integral of Phi(a) Phi(b)^T is
 (2/(pi w)) Im G0(a, b), so kappa = sum_{a,b} c_a Im G0(p_a, p_b) c_b^H
-(_shell_integral), one kernel product for the voxel pairs.  A
-SphereQuadrature passed as quad= takes the quadrature route instead, the
-reference that the closed form is tested against: the shell e
-coefficients of every node from the Green columns X already solved at x
-(G(x, z_j) = X_j^T by reciprocity), contracted with every shell plane
-wave at once.  The same sum with the kernel's own values in place of
-Im G0 closes the identity to solver tolerance (the discrete optical
-theorem), which validate checks as ldos_identity_discrete.
+(_shell_integral), one kernel product for the voxel pairs.  The same sum
+with the kernel's own values in place of Im G0 closes the identity to
+solver tolerance (the discrete optical theorem), which validate checks
+as ldos_identity_discrete.
 
 Every function takes the MediumSolver of its frequency first (purcell
 also a grid); an emitter at another frequency raises ValueError.
@@ -46,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .green_free import im_g0_from_displacements, plane_wave_table, self_term_scalar
-from .quadrature import SphereQuadrature, make_shell_quadrature  # noqa: F401 (re-export)
 from .vie import MediumSolver, SolverError
 
 
@@ -96,7 +91,7 @@ def im_green_at(solver: MediumSolver, x):
 
 
 # ----------------------------------------------------------------------
-# e-fields over a shell quadrature, by reciprocity
+# e-fields of shell plane waves, by reciprocity
 # ----------------------------------------------------------------------
 
 def _e_fields_on_shell(solver: MediumSolver, nodes, points, green_columns):
@@ -109,7 +104,7 @@ def _e_fields_on_shell(solver: MediumSolver, nodes, points, green_columns):
     dV w beta_j X_j as a (3N, 3P) complex matrix viewed as (3N, 6P)
     reals.  Column 4q + s is node q, submode s of plane_wave_table,
     ordered (+,c), (+,s), (-,c), (-,s).  This is the one Green route of
-    e: the LDOS kappa term and modes.e_coefficient_via_green both use it.
+    e, which modes.e_coefficient_via_green uses.
     """
     grid = solver.grid
     w = solver.omega
@@ -187,7 +182,7 @@ class LdosIdentityResult:
     residual_absorption: float    # ||LHS - kappa - absorption||_F
     residual_m: float             # ||LHS - kappa - m||_F
     forms_gap: float              # ||absorption - m||_F
-    residual_discrete: float | None = None  # as residual_absorption, kernel's own kappa
+    residual_discrete: float      # as residual_absorption, kernel's own kappa
 
     @property
     def scale(self) -> float:
@@ -202,8 +197,8 @@ class LdosIdentityResult:
         return self.residual_m / self.scale
 
     @property
-    def relative_discrete(self) -> float | None:
-        return None if self.residual_discrete is None else self.residual_discrete / self.scale
+    def relative_discrete(self) -> float:
+        return self.residual_discrete / self.scale
 
     def contracted(self, dipole) -> float:
         """|d . (LHS - kappa - absorption) . d| / |d|^2."""
@@ -212,19 +207,16 @@ class LdosIdentityResult:
         return float(abs(d @ defect @ d)) / float(d @ d)
 
 
-def ldos_identity_residual(solver: MediumSolver, x, y,
-                           quad: SphereQuadrature | None = None) -> LdosIdentityResult:
+def ldos_identity_residual(solver: MediumSolver, x, y) -> LdosIdentityResult:
     """Residuals of the Green-tensor LDOS identity at the pair (x, y), at solver.omega.
 
     kappa is the exact shell integral (_shell_integral), so the residual
     is the discretization's own: the self term's Im M/dV against the
     coincidence value w/(6 pi).  residual_discrete takes kappa with the
-    kernel's own values and closes to solver tolerance.  With quad,
-    kappa is that quadrature of the shell e-fields instead, the reference
-    route, and residual_discrete is None.  The absorption and m forms
-    are algebraically identical (they agree to solver tolerance) because
-    the on-shell medium sum collapses to the absorption integral through
-    alpha_tilde^2 = 2 w Im eps / pi.
+    kernel's own values and closes to solver tolerance.  The absorption
+    and m forms are algebraically identical (they agree to solver
+    tolerance) because the on-shell medium sum collapses to the
+    absorption integral through alpha_tilde^2 = 2 w Im eps / pi.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -239,16 +231,7 @@ def ldos_identity_residual(solver: MediumSolver, x, y,
     absorb = w**2 * dV * np.einsum(
         "j,jba,jbc->ac", solver.eps.imag, Xx, Xy.conj())
 
-    residual_discrete = None
-    if quad is None:
-        kappa, kappa_discrete = _shell_integral(solver, x, y, Xx, Xy)
-        residual_discrete = float(np.linalg.norm(lhs - kappa_discrete - absorb))
-    else:
-        points, columns = ([x], [Xx]) if coincident else ([x, y], [Xx, Xy])
-        e_xy = _e_fields_on_shell(solver, quad.nodes, points, columns)
-        # (pi c^2 / 2 w^3) with the shell Jacobian w^2/c^3 gives pi/(2 w) at c = 1
-        kappa = (0.5 * np.pi / w) * np.einsum("m,am,bm->ab", np.repeat(quad.weights, 4),
-                                              e_xy[0], e_xy[-1].conj())
+    kappa, kappa_discrete = _shell_integral(solver, x, y, Xx, Xy)
 
     # medium-continuum form from the m dyadics, alpha^2 = 2 w Im eps / pi
     alpha2 = np.clip(2.0 * w / np.pi * solver.eps.imag, 0.0, None)
@@ -261,7 +244,7 @@ def ldos_identity_residual(solver: MediumSolver, x, y,
         im_green=lhs, kappa_term=kappa, absorption_term=absorb, m_term=m_term,
         residual_absorption=res_a, residual_m=res_m,
         forms_gap=float(np.linalg.norm(absorb - m_term)),
-        residual_discrete=residual_discrete)
+        residual_discrete=float(np.linalg.norm(lhs - kappa_discrete - absorb)))
 
 
 # ----------------------------------------------------------------------
@@ -272,7 +255,7 @@ def ldos_identity_residual(solver: MediumSolver, x, y,
 class DecayRates:
     """Decomposed spontaneous decay rates of one emitter (natural units)."""
 
-    gamma_e: float            # electromagnetic-continuum shell integral (exact unless quad)
+    gamma_e: float            # electromagnetic-continuum shell integral, exact
     gamma_m: float            # identity route: 2 w^2 d.ImG.d - gamma_e
     gamma_m_mu_route: float   # independent medium-continuum voxel sum
     gamma_total: float        # gamma_e + gamma_m
@@ -303,19 +286,18 @@ class DecayRates:
         )
 
 
-def gamma_decomposed(solver: MediumSolver, emitter: EmitterSpec,
-                     quad: SphereQuadrature | None = None) -> DecayRates:
+def gamma_decomposed(solver: MediumSolver, emitter: EmitterSpec) -> DecayRates:
     """Decay-rate decomposition Gamma_e + Gamma_m with its compensation data.
 
-    Gamma_e is the exact shell integral, or its quadrature with quad.
-    gamma_m follows the identity route (Im G minus the e-continuum term),
-    which makes gamma_total equal gamma_via_im_green by construction; the
-    mu route recomputes Gamma_m as the on-shell voxel sum of m dyadics,
-    so |gamma_e + gamma_m_mu_route - gamma_via_im_green| is bounded by
-    the contracted LDOS identity residual.
+    Gamma_e is the exact shell integral.  gamma_m follows the identity
+    route (Im G minus the e-continuum term), which makes gamma_total equal
+    gamma_via_im_green by construction; the mu route recomputes Gamma_m as
+    the on-shell voxel sum of m dyadics, so |gamma_e + gamma_m_mu_route -
+    gamma_via_im_green| is bounded by the contracted LDOS identity
+    residual.
     """
     solver.check_frequency(emitter.omega, "emitter")
-    ident = ldos_identity_residual(solver, emitter.r, emitter.r, quad)
+    ident = ldos_identity_residual(solver, emitter.r, emitter.r)
     return DecayRates.from_identity(ident, emitter)
 
 

@@ -19,11 +19,10 @@ Both routes are implemented; they agree to solver tolerance as an exact
 discrete identity, which the tests exploit.  The direct routes and the
 Green route of m solve on the grid and reach every other point through
 MediumSolver.evaluate, the evaluation formula the Green tensor uses.  The
-Green route of e needs no evaluation: it is the shell route of ldos
-(_e_fields_on_shell) on the mode's one direction, read from the memoised
-Green columns of each point.  Every function takes the MediumSolver of
-the mode's frequency first, and a mode at another frequency raises
-ValueError.
+Green route of e needs no evaluation: it is ldos._e_fields_on_shell on
+the mode's one direction, read from the memoised Green columns of each
+point.  Every function takes the MediumSolver of the mode's frequency
+first, and a mode at another frequency raises ValueError.
 
 The scattering eigenfunction components are exposed through their smooth
 parts only: v-components as pointwise values away from the on-shell

@@ -27,10 +27,11 @@ from . import __version__
 from .geometry import VoxelGrid
 from .green_free import g0_closed, im_g0_spectral
 from .ldos import (DecayRates, EmitterSpec, gamma_decomposed, ldos_identity_residual,
-                   make_shell_quadrature, purcell, vacuum_decay_rate)
+                   purcell, vacuum_decay_rate)
 from .modes import MedModeIndex, e_coefficient, e_coefficient_via_green, m_coefficient
 from .green_free import PlaneWaveMode
 from .permittivity import VACUUM, eval_eps, kk_residual
+from .quadrature import make_shell_quadrature
 from .scene import SceneConfig
 from .vie import MediumSolver, dyson_residual
 

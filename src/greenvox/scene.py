@@ -355,7 +355,11 @@ _RUN_FIELD_KINDS = {
 
 
 def _parse_runs(runs: dict, errors) -> dict:
-    """Run blocks with every field parsed (frequencies positive), in scene units."""
+    """Run blocks with every field parsed, in scene units.
+
+    Frequencies are positive, the dipole is nonzero and x differs from y,
+    since EmitterSpec and G(x, y) would raise on them after the solve.
+    """
     out = {}
     for block_name, block in runs.items():
         if not isinstance(block, dict):
@@ -374,6 +378,10 @@ def _parse_runs(runs: dict, errors) -> dict:
                 value = _value(ctx, value, kind, errors, positive=kind == "frequency")
                 if value is not None:
                     parsed[key] = value
+        if "dipole" in parsed and not np.linalg.norm(parsed["dipole"]) > 0.0:
+            errors.append(f"runs.{block_name}.dipole: must be a nonzero vector")
+        if "x" in parsed and parsed.get("y") == parsed["x"]:
+            errors.append(f"runs.{block_name}.y: equals runs.{block_name}.x, where G diverges")
         out[block_name] = parsed
     return out
 

@@ -113,8 +113,8 @@ def _kernel_table(grid: VoxelGrid, omega: float, axes):
     offsets[0, 0, 0] = 1.0  # placeholder at the zero offset, overwritten below
     blocks = grid.voxel_volume * g0_from_displacements(grid.voxel_edge * offsets, omega)
     blocks[0, 0, 0] = self_term_scalar(grid.voxel_volume, omega) * np.eye(3)
-    at = np.ix_(*(np.searchsorted(d, np.abs(ax)) for d, ax in zip(distinct, axes)))
-    table = np.ascontiguousarray(np.moveaxis(blocks[at], (-2, -1), (0, 1)))
+    i0, i1, i2 = (np.searchsorted(d, np.abs(ax)) for d, ax in zip(distinct, axes))
+    table = np.moveaxis(blocks, (-2, -1), (0, 1)).take(i0, 2).take(i1, 3).take(i2, 4)
     sign = np.stack(np.meshgrid(*(np.where(ax < 0, -1.0, 1.0) for ax in axes), indexing="ij"))
     return table * (sign[:, None] * sign[None, :])
 
@@ -657,11 +657,12 @@ def dyson_residual(solver: MediumSolver, x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     Xy, Xx = solver.grid_fields(np.stack([y, x]))
+    # int beta G(x,z) G0(z,y): G(x,z) = X(x)_z^T by reciprocity, and G0(z,y) the
+    # blocks the solve for y used, with M/dV in the voxel that holds y (taken
+    # first, so the blocks at x stay memoised after the call)
+    i2 = solver.grid.voxel_volume * np.einsum(
+        "j,jba,jbc->ac", solver.beta, Xx, solver.g0_blocks_at(y))
     diff = solver.green(x, y) - g0_closed(x, y, solver.omega)
     # int beta G0(x,z) G(z,y): the evaluation route itself
     i1 = solver.scattered_at(x, Xy)
-    # int beta G(x,z) G0(z,y): G(x,z) = X(x)_z^T by reciprocity
-    g0_zy = g0_from_displacements(solver.grid.centers - y, solver.omega)
-    i2 = solver.grid.voxel_volume * np.einsum(
-        "j,jba,jbc->ac", solver.beta, Xx, g0_zy)
     return float(max(np.linalg.norm(diff - i1), np.linalg.norm(diff - i2)))

@@ -22,6 +22,7 @@ from greenvox.report import run_validation
 from greenvox.scene import scene_from_dict
 
 from conftest import LORENTZ, OMEGA, loglog_slope
+from shell_quadrature import kappa_by_quadrature, relative_residuals
 
 TOL = 1e-10
 X_OUT = np.array([1.1, 0.25, -0.15])
@@ -100,30 +101,28 @@ def test_criterion_5_ldos_identity_drude_sphere(sphere_grid, sphere_solver):
     with criterion(5, "LDOS identity on the 257-voxel Drude sphere (ka=1)", 300.0):
         assert sphere_grid.n == 257
         x = np.array([1.25, 0.0, 0.0])
+        ident = ldos_identity_residual(sphere_solver, x, x)
         residuals = []
         for nt, nphi in ((2, 4), (4, 8), (8, 16)):
-            quad = make_shell_quadrature(OMEGA, nt, nphi)
-            ident = ldos_identity_residual(sphere_solver, x, x, quad)
-            residuals.append(ident.relative_absorption)
+            kappa = kappa_by_quadrature(sphere_solver, x, x,
+                                        make_shell_quadrature(OMEGA, nt, nphi))
+            residuals.append(relative_residuals(ident, kappa)[0])
         # default quadrature meets the bound; refinement decreases the residual
         assert residuals[2] < 1e-2
         assert residuals[1] < residuals[0]
         assert residuals[2] <= residuals[1] * 1.05  # saturation at the self-term floor
-        quad = make_shell_quadrature(OMEGA, 8, 16)
-        ident = ldos_identity_residual(sphere_solver, x, x, quad)
+        assert ident.relative_absorption < 1e-2
         assert ident.relative_m < 1e-2
         assert ident.forms_gap <= 1e-8 * ident.scale
 
 
 def test_criterion_6_compensation(sphere_grid, sphere_solver):
     with criterion(6, "decay-rate compensation, emitters outside and inside", 300.0):
-        quad = make_shell_quadrature(OMEGA, 8, 16)
         inside = sphere_grid.centers[sphere_grid.index_of(np.zeros(3))]
         for r in (np.array([1.25, 0.0, 0.0]), inside):
             rates = gamma_decomposed(sphere_solver,
                                      EmitterSpec(position=tuple(r), omega=OMEGA,
-                                                 dipole=(0.3, -0.5, 0.8)),
-                                     quad)
+                                                 dipole=(0.3, -0.5, 0.8)))
             exact_rel = abs(rates.gamma_total - rates.gamma_via_im_green) \
                 / rates.gamma_via_im_green
             mu_rel = abs(rates.gamma_e + rates.gamma_m_mu_route
@@ -136,8 +135,7 @@ def test_criterion_7_vacuum_closure(cube_grid, vacuum_materials, vacuum_solver):
     with criterion(7, "vacuum closure: Purcell 1 exactly, gamma_e -> Gamma_0", 10.0):
         em = EmitterSpec(position=(0.9, 0.1, 0.3), omega=OMEGA, dipole=(0.2, 0.5, -0.8))
         assert abs(purcell(cube_grid, vacuum_materials, em, TOL) - 1.0) <= 1e-10
-        quad = make_shell_quadrature(OMEGA, 8, 16)
-        rates = gamma_decomposed(vacuum_solver, em, quad)
+        rates = gamma_decomposed(vacuum_solver, em)
         g0 = vacuum_decay_rate(OMEGA, em.d)
         assert abs(rates.gamma_e - g0) <= 1e-3 * g0
         assert abs(rates.gamma_m) <= 1e-12 * g0

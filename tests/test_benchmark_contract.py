@@ -15,9 +15,11 @@ import pytest
 import greenvox.ldos as ldos
 from greenvox.green_free import PlaneWaveMode
 from greenvox.ldos import (DecayRates, EmitterSpec, gamma_decomposed, ldos_identity_residual,
-                           make_shell_quadrature, purcell)
+                           purcell)
 from greenvox.modes import e_coefficient_via_green
+from greenvox.quadrature import make_shell_quadrature
 from conftest import OMEGA
+from shell_quadrature import kappa_by_quadrature
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -53,9 +55,9 @@ def test_purcell_reference_call_matches_the_identity_route(sphere_grid, drude_ma
 
 
 def test_both_green_routes_of_e_reach_the_traced_plane_wave_table(monkeypatch, cube_solver):
-    """The route-equivalence check and the quadrature route of the LDOS kappa term share
-    one Green route of e, whose plane waves perfbench times through
-    ldos.plane_wave_table; the default, exact kappa builds no plane wave at all."""
+    """The route-equivalence check and the tests' quadrature reference of the LDOS kappa
+    term share one Green route of e, whose plane waves perfbench times through
+    ldos.plane_wave_table; the engine's exact kappa builds no plane wave at all."""
     calls = []
     table = ldos.plane_wave_table
     monkeypatch.setattr(ldos, "plane_wave_table",
@@ -66,5 +68,5 @@ def test_both_green_routes_of_e_reach_the_traced_plane_wave_table(monkeypatch, c
     emitter = EmitterSpec(position=(0.95, 0.15, 0.25), omega=OMEGA, dipole=(0.0, 0.0, 1.0))
     gamma_decomposed(cube_solver, emitter)
     assert len(calls) == 2
-    gamma_decomposed(cube_solver, emitter, make_shell_quadrature(OMEGA, 2, 4))
+    kappa_by_quadrature(cube_solver, emitter.r, emitter.r, make_shell_quadrature(OMEGA, 2, 4))
     assert len(calls) == 4

@@ -456,6 +456,34 @@ def test_a_run_field_no_command_reads_is_a_scene_error(field, text, tmp_path, ca
     assert load_scene(write(tmp_path, "empty.yaml", CUBE_SCENE + "  purcell: {}\n")).runs
 
 
+@pytest.mark.parametrize("field, probes", [
+    ("runs.validate.y", "x: [1.2, 0.1, 0.0], y: [1.2, 0.1, 0.0]"),
+    ("runs.validate.dipole", "dipole: [0, 0, 0]"),
+], ids=["x equals y", "zero dipole"])
+def test_validate_probes_the_run_cannot_use_are_scene_errors(field, probes, tmp_path, capsys):
+    """x equal to y and a zero dipole raised ValueError inside the run, exit 1 with
+    a traceback: now each exits 4 with one stderr line naming the field."""
+    text = CUBE_SCENE.replace("{omega: 1.0}", f"{{omega: 1.0, {probes}}}")
+    scene = write(tmp_path, "probes.yaml", text)
+    with pytest.raises(SceneError) as err:
+        load_scene(scene)
+    assert len(err.value.errors) == 1 and err.value.errors[0].startswith(field)
+    rc = cli_main(["validate", "--scene", str(scene)])
+    captured = capsys.readouterr().err
+    assert rc == 4 and "Traceback" not in captured
+    assert len([line for line in captured.splitlines() if field in line]) == 1
+
+
+@pytest.mark.parametrize("y", ["[0.13, 0.05, 0.12]", "[0.1, 0.1, 0.1]"],
+                         ids=["off-center", "voxel center"])
+def test_validate_passes_with_y_inside_the_body(y, tmp_path, capsys):
+    """A y probe inside the body closes the Dyson identity like one outside."""
+    text = CUBE_SCENE.replace("{omega: 1.0}", f"{{omega: 1.0, y: {y}}}")
+    rc = cli_main(["validate", "--scene", str(write(tmp_path, "inside.yaml", text)),
+                   "--out-dir", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().out
+
+
 @pytest.mark.parametrize("omega", ["0", "-1.0", "0.0"])
 def test_nonpositive_validate_omega_is_a_scene_error(omega, tmp_path, capsys):
     """runs.validate.omega <= 0 is collected as a schema error; the CLI exits 4

@@ -197,8 +197,7 @@ def test_a_sweep_row_is_one_solve_and_one_kernel_product(budget, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    for owner in (ldos, quadrature):
-        counting(owner, "make_shell_quadrature")
+    counting(quadrature, "make_shell_quadrature")
     counting(ldos, "plane_wave_table")
     counting(vie.InteractionOperator, "apply")
     counting(vie.InteractionOperator, "kernel_product")

@@ -527,6 +527,20 @@ def test_dyson_identity_absorbing_cube(cube_grid, cube_materials):
     assert res <= 1e-8
 
 
+@pytest.mark.parametrize("method", ["dense", "gmres"])
+def test_dyson_identity_with_the_source_inside_the_body(cube_grid, cube_materials, method):
+    """The second route sums G(x, z) against the blocks the solve for y used,
+    M/dV in the voxel holding y, so the identity closes for y at a voxel
+    center or off it as it does outside (it read 2.5 off-center and raised
+    at a center when it evaluated G0 at every voxel)."""
+    solver = MediumSolver(cube_grid, cube_materials, OMEGA, tol=1e-10, method=method)
+    center = cube_grid.centers[21]
+    off = center + cube_grid.voxel_edge * np.array([0.15, -0.25, 0.1])
+    for y in (Y_OUT, center, off):
+        gnorm = np.linalg.norm(solver.green(X_OUT, y))
+        assert dyson_residual(solver, X_OUT, y) <= 1e-8 * gnorm, y
+
+
 def test_dyson_identity_survives_self_term_surgery(cube_grid, cube_materials, monkeypatch):
     """The permutation identity is algebraic in the discrete operator: zeroing
     the self-term diagonal changes the answer but not the identity."""
