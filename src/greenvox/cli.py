@@ -5,8 +5,9 @@ Subcommands: greens, modes, purcell, ldos-check, validate.  Exit codes:
 included), 4 configuration error (a grid error or a command-line usage
 error included).  --threads pins the BLAS/OpenMP thread pool: the
 package loads numpy lazily, so the thread variables are set before any
-numerical library starts; with a fixed thread policy repeated runs are
-byte-identical.
+numerical library starts, and an OpenBLAS already loaded by the caller
+is set through its own setter; with a fixed thread policy repeated runs
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -29,11 +30,33 @@ EXIT_CONFIG = 4
 
 
 def _apply_thread_policy(threads):
+    """Pin BLAS/OpenMP to threads: the environment for pools that have not started,
+    and the setter of every OpenBLAS already mapped into the process (numpy or scipy
+    imported before main, as in a caller that runs the CLI in-process)."""
     if threads is None:
         return
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS"):
         os.environ[var] = str(threads)
+    try:
+        with open("/proc/self/maps") as maps:  # where there is no /proc, nothing is pinned
+            libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return
+    import ctypes
+
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:  # a mapping whose file is gone
+            continue
+        for name in ("openblas_set_num_threads", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "scipy_openblas_set_num_threads64_"):
+            setter = getattr(handle, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(threads)
+                break
 
 
 def _parse_triplet(text, name):

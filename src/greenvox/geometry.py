@@ -17,9 +17,11 @@ material of the scene.  Voxel centers sit at origin + (index + 1/2) * edge.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,26 +141,55 @@ class VoxelGrid:
         flat.flags.writeable = False
         return flat
 
+    def _voxels_at(self, image):
+        """The voxel at each lattice index of image (N, 3), (N,) int, or None unless
+        every index is a voxel site: a sorted search of the flat site indices, so a
+        sparse body's large box costs O(N log N)."""
+        if np.any(image >= self.lattice_shape):
+            return None
+        order = np.argsort(self.lattice_flat)
+        sites = self.lattice_flat[order]
+        flat = np.ravel_multi_index(image.T, self.lattice_shape)
+        pos = np.minimum(np.searchsorted(sites, flat), self.n - 1)
+        if not np.array_equal(sites[pos], flat):
+            return None
+        found = order[pos]
+        found.flags.writeable = False
+        return found
+
     @cached_property
     def mirrors(self) -> dict:
         """axis -> voxel permutation of the lattice mirror i_a -> n_a - 1 - i_a, (N,) int,
         for every axis whose mirror maps the voxel sites onto themselves.
 
-        The image of voxel i is voxel mirrors[axis][i]; found by a sorted
-        search of the flat site indices, so a sparse body's large box costs
-        O(N log N).
+        The image of voxel i is voxel mirrors[axis][i].
         """
-        order = np.argsort(self.lattice_flat)
-        sites = self.lattice_flat[order]
         out = {}
         for axis, n in enumerate(self.lattice_shape):
             image = self.lattice_index.copy()
             image[:, axis] = n - 1 - image[:, axis]
-            flat = np.ravel_multi_index(image.T, self.lattice_shape)
-            pos = np.minimum(np.searchsorted(sites, flat), self.n - 1)
-            if np.array_equal(sites[pos], flat):
-                out[axis] = order[pos]
-                out[axis].flags.writeable = False
+            found = self._voxels_at(image)
+            if found is not None:
+                out[axis] = found
+        return out
+
+    @cached_property
+    def permutations(self) -> dict:
+        """sigma -> voxel permutation (N,) int of the lattice axis permutation that
+        carries axis a to axis sigma[a], for every one but the identity that maps the
+        voxel sites onto themselves (which needs equal extents on the axes it moves).
+
+        The image of voxel i is voxel permutations[sigma][i], whose lattice index
+        has i's index along axis a at axis sigma[a].  It conjugates the mirror of
+        axis a into that of sigma[a], so it maps the set of mirrors onto itself.
+        """
+        out = {}
+        for sigma in list(itertools.permutations(range(3)))[1:]:  # the identity first
+            image = np.empty_like(self.lattice_index)
+            image[:, sigma] = self.lattice_index
+            found = self._voxels_at(image)
+            if found is not None:
+                out[sigma] = found
         return out
 
     def parity_basis(self, axes) -> "ParityBasis":
@@ -186,6 +217,23 @@ class VoxelGrid:
         return self._voxel_at_site.get(int((i * ny + j) * nz + k))
 
 
+class SectorClass(NamedTuple):
+    """Parity sectors that axis permutations map onto each other, stored as one block.
+
+    sectors: the characters chi of the members, the representative first;
+    index (d,): the representative's coordinates, as in ParityBasis.sectors;
+    positions (d, k): the fold position of every member's coordinate that
+    the permutation carries coordinate i of the representative onto, column
+    0 the representative's own; weights (d, 1): 1 / the stabilizer's size
+    of each coordinate's orbit.
+    """
+
+    sectors: tuple
+    index: np.ndarray
+    positions: np.ndarray
+    weights: np.ndarray
+
+
 class ParityBasis:
     """Parity sectors of vector fields on a grid under a group of commuting lattice mirrors.
 
@@ -207,14 +255,15 @@ class ParityBasis:
     reps (n_orbits,): the representatives, in voxel order; members
     (G, n_orbits): the voxel g(rep) of every group element and orbit, an
     orbit on a mirror plane listing its voxels more than once; stabilizer
-    (n_orbits,): the stabilizer's size; sectors: (index, position) for
-    every nonempty sector, index the flat positions 3 orbit + a of its
+    (n_orbits,): the stabilizer's size; sectors: chi -> (index, position)
+    for every nonempty sector, index the flat positions 3 orbit + a of its
     coordinates, ordered by their source character h, and position their
     flat positions 3 n_orbits h + index in the (G, 3 n_orbits) coordinates
     of fold.  fold and unfold carry fields between voxels and orbit
     coordinates.  For the trivial group every voxel is its own orbit and
     the one sector holds every coordinate in voxel order.  kernel_offsets
     indexes the kernel table at the representatives' rows alone, lazily.
+    classes groups the sectors that axis permutations map onto each other.
     """
 
     def __init__(self, grid: "VoxelGrid", axes):
@@ -233,16 +282,17 @@ class ParityBasis:
         self.stabilizer = 1 << ((plane[:, None] >> np.arange(len(self.axes))) & 1).sum(axis=1)
         e = np.zeros(3, dtype=int)
         e[list(self.axes)] = 1 << np.arange(len(self.axes))
-        self.sectors = []
+        self.sectors = {}
         for chi in range(self.order):
             source = np.tile(chi ^ e, len(domain))
             index = np.flatnonzero((source & np.repeat(plane, 3)) == 0)
             index = index[np.argsort(source[index], kind="stable")]
             if len(index):
-                self.sectors.append((index, 3 * len(domain) * source[index] + index))
+                self.sectors[chi] = (index, 3 * len(domain) * source[index] + index)
         for array in (self.reps, self.members, self.stabilizer,
-                      *(a for sector in self.sectors for a in sector)):
+                      *(a for sector in self.sectors.values() for a in sector)):
             array.flags.writeable = False
+        self._classes = {}
 
     @property
     def order(self) -> int:
@@ -275,6 +325,48 @@ class ParityBasis:
         for array in (*axes, index):
             array.flags.writeable = False
         return tuple(axes), index
+
+    def classes(self, permutations) -> list:
+        """The SectorClass of every class of sectors under a group of axis permutations.
+
+        permutations maps sigma to its voxel permutation (VoxelGrid.permutations)
+        for every element but the identity of a group of axis permutations that
+        map the voxels and beta onto themselves.  T, carrying component a
+        of voxel i to component sigma[a] of its image, commutes with K and
+        conjugates mirror g into sigma(g), so it carries sector chi onto
+        sector sigma(chi).  It maps every representative onto a
+        representative (the lower half of an axis lands in the lower half of
+        its image, which has the same extent), so coordinate (orbit, a) with
+        source character h goes to (orbit of the image, sigma[a]) with
+        sigma(h), with no sign, and the block of sigma(chi) is the block of
+        chi with its coordinates renamed.  Built on first use, kept per group.
+        """
+        key = tuple(sorted(permutations))
+        if key not in self._classes:
+            width, weights = 3 * len(self.reps), 1.0 / np.repeat(self.stabilizer, 3)
+            images = []  # (character map, coordinate map) of every permutation
+            for sigma, voxels in permutations.items():
+                chars = np.zeros(self.order, dtype=int)
+                for k, axis in enumerate(self.axes):  # bit k flips axes[k]
+                    chars |= ((np.arange(self.order) >> k) & 1) << self.axes.index(sigma[axis])
+                orbit = np.searchsorted(self.reps, voxels[self.reps])
+                images.append((chars, (3 * orbit[:, None] + np.asarray(sigma)).reshape(-1)))
+            classes, placed = [], set()
+            for chi, (index, position) in self.sectors.items():
+                if chi in placed:
+                    continue
+                members = {chi: position}
+                for chars, coords in images:
+                    members.setdefault(int(chars[chi]),
+                                       width * chars[position // width] + coords[index])
+                placed.update(members)
+                positions = np.stack(list(members.values()), axis=1)
+                cls = SectorClass(tuple(members), index, positions, weights[index, None])
+                for array in cls[1:]:
+                    array.flags.writeable = False
+                classes.append(cls)
+            self._classes[key] = classes
+        return self._classes[key]
 
     def transform(self, x):
         """x[h] <- sum_g h(g) x[g] for every character h along axis 0 of a C-contiguous

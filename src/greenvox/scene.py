@@ -169,12 +169,16 @@ def _check_unknown(ctx, block, known, errors):
 
 
 def load_scene(path) -> SceneConfig:
-    """Load and validate a scene file; raises SceneError listing all defects."""
+    """Load and validate a scene file; raises SceneError listing all defects.
+
+    The file is parsed by libyaml when PyYAML was built with it (the same
+    safe loader, several times faster), else by the pure-Python parser.
+    """
     path = Path(path)
     if not path.exists():
         raise SceneError([f"scene file {path} does not exist"])
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -30,10 +30,17 @@ the voxels and beta exactly onto themselves (geometry.ParityBasis)
 commute with K, so K and A = I - K diag(beta) are block diagonal in
 their parity basis, with up to eight blocks of about 3N/8
 (symmetry-adapted block diagonalization; Bossavit, Comput. Methods Appl.
-Mech. Eng. 56, 167 (1986)).  The blocks are folded from the kernel rows
-of the orbit representatives alone, a few MiB at a time, into 16 sum_s
-d_s^2 bytes; a body with no mirror has one block, K.  Every product K q,
-the solver's own residuals included, is one block product per sector.
+Mech. Eng. 56, 167 (1986)).  The lattice axis permutations that map the
+voxels and beta onto themselves (VoxelGrid.permutations) commute with K
+too and carry parity sectors onto each other with their coordinates
+renamed (induced representations; Fassler & Stiefel, Group Theoretical
+Methods and Their Applications, Birkhauser (1992)): on a cube-symmetric
+body sectors 1, 2, 4 and sectors 3, 5, 6 are copies.  So one block is
+stored and factored per class of sectors, folded from the kernel rows of
+the orbit representatives alone, a few MiB at a time, into 16 sum_c
+d_c^2 bytes; a body with no mirror and no permutation has one block, K.
+Every product K q, the solver's own residuals included, and every LU
+solve is one call per class, on the coordinates of all its sectors.
 A is solved by mixed-precision LU: each block is factored once in
 complex64 (complex128 when A leaves the complex64 range), and each
 solve is refined in complex128 until every column has a backward error
@@ -123,12 +130,14 @@ def _kernel_table(grid: VoxelGrid, omega: float, axes):
 class InteractionOperator:
     """Discretized Fredholm operator p -> p - K diag(beta) p.
 
-    kernel holds the dense kernel as one symmetric block per parity
-    sector of self.parity, blocks[s][i, j] = sum_g h_j(g) K[rep_i, g(rep_j)]
-    with h_j the source character of coordinate j, in one contiguous
-    complex128 buffer of sum_s d_s^2 entries (blocks views it per
-    sector); K takes sector coordinates c to blocks[s] (c / stabilizer),
-    and norm is ||A||_inf of A = I - K diag(beta).  kernel is None for
+    kernel holds the dense kernel as one symmetric block per class of
+    parity sectors (self.classes), the block of the class's first sector
+    s, blocks[c][i, j] = sum_g h_j(g) K[rep_i, g(rep_j)] with h_j the
+    source character of coordinate j, in one contiguous complex128 buffer
+    of sum_c d_c^2 entries (blocks views it per class); K takes the
+    coordinates x of every sector of the class, in the order of s's, to
+    blocks[c] (x / stabilizer), and norm is ||A||_inf of
+    A = I - K diag(beta).  kernel is None for
     the matrix-free representation, which keeps lattice, the FFT of the
     kernel table over the circulant lattice, and forms K p as a
     circulant convolution over the body box (grid.lattice_flat places
@@ -170,32 +179,44 @@ class InteractionOperator:
 
     @property
     def sectors(self) -> tuple:
-        """Size of every parity block the dense operator is stored and factored in; () in vacuum."""
-        return () if self.is_identity else tuple(len(index) for index, _ in self.parity.sectors)
+        """Size of every parity sector of the dense operator; () in vacuum."""
+        return () if self.is_identity else tuple(
+            len(index) for index, _ in self.parity.sectors.values())
+
+    @cached_property
+    def classes(self) -> list:
+        """The SectorClass of every stored block: the parity sectors that the grid's axis
+        permutations which also map beta exactly onto itself carry onto each other."""
+        return self.parity.classes({sigma: image for sigma, image in self.grid.permutations.items()
+                                    if np.array_equal(self.beta[image], self.beta)})
 
     @cached_property
     def blocks(self) -> list:
-        """The (d_s, d_s) symmetric block of every sector, views of the stored kernel."""
-        ends = np.cumsum([d * d for d in self.sectors]).tolist()
-        return [self.kernel[end - d * d:end].reshape(d, d) for d, end in zip(self.sectors, ends)]
+        """The (d, d) symmetric block of every sector class, views of the stored kernel."""
+        sizes = [len(cls.index) for cls in self.classes]
+        ends = np.cumsum([d * d for d in sizes]).tolist()
+        return [self.kernel[end - d * d:end].reshape(d, d) for d, end in zip(sizes, ends)]
 
     def sectorwise(self, q, maps):
-        """sum_s of maps[s] applied in sector s to the projection of q, for a (3N, m) q.
+        """sum_s of maps[c] applied in every sector s of class c to the projection of q,
+        for a (3N, m) q.
 
         The coordinates of q in a sector s, (1/G) sum_g h(g) q_{g(rep)} at
-        its orbit coordinates (ParityBasis.fold), form a (d_s, m) array;
-        maps[s] takes it to the (d_s, m) coordinates of its image, and
-        unfold carries those back to every orbit member.
+        its orbit coordinates (ParityBasis.fold), form a (d, m) array; a
+        class gathers those of its k members in its representative's order
+        as one (d, k m) array, maps[c] takes it to the coordinates of its
+        image, and unfold carries those back to every orbit member.
         """
         basis, m = self.parity, q.shape[1]
         coeff = basis.fold(q.reshape(self.grid.n, 3 * m)).reshape(-1, m) / basis.order
         image = np.zeros(coeff.shape, dtype=complex)
-        for (_, position), apply in zip(basis.sectors, maps):
-            image[position] = apply(coeff[position])
+        for cls, apply in zip(self.classes, maps):
+            d, k = cls.positions.shape
+            image[cls.positions] = apply(coeff[cls.positions].reshape(d, k * m)).reshape(d, k, m)
         return basis.unfold(image.reshape(basis.order, len(basis.reps), -1)).reshape(self.n3, m)
 
     def kernel_product(self, q):
-        """K q for a (3N, m) array: one product per sector block, or the lattice convolution.
+        """K q for a (3N, m) array: one product per stored block, or the lattice convolution.
 
         The convolution runs pruned FFTs: q is scattered into the body
         box and transformed one axis at a time, zero-padded to 2 n_a, so
@@ -207,10 +228,8 @@ class InteractionOperator:
         m columns cost about m single columns.
         """
         if self.kernel is not None:
-            weights = 1.0 / np.repeat(self.parity.stabilizer, 3)
-            return self.sectorwise(q, [partial(_weighted_product, block, weights[index, None])
-                                       for (index, _), block in zip(self.parity.sectors,
-                                                                    self.blocks)])
+            return self.sectorwise(q, [partial(_weighted_product, block, cls.weights)
+                                       for cls, block in zip(self.classes, self.blocks)])
         index, table = self.grid.lattice_flat, self.lattice
         n, m, shape = self.grid.n, q.shape[1], self.grid.lattice_shape
         box = np.zeros((3, m, *shape), dtype=complex)
@@ -237,11 +256,12 @@ class InteractionOperator:
         return out.reshape(p.shape)
 
     def lu(self, double: bool = False):
-        """(one (lu, piv) per parity sector, ||A||_inf) for A = I - K diag(beta), stored kernel only.
+        """(one (lu, piv) per sector class, ||A||_inf) for A = I - K diag(beta), stored kernel only.
 
-        A commutes with the mirrors of self.parity, so its block in a
-        sector is I - blocks[s] diag(beta_t / stabilizer_t), beta_t and
-        stabilizer_t those of each coordinate's orbit.  Each block is built C-ordered
+        A commutes with the mirrors of self.parity and the permutations of
+        self.classes, so its block in every sector of a class is
+        I - blocks[c] diag(beta_t / stabilizer_t), beta_t and stabilizer_t
+        those of each coordinate's orbit.  Each block is built C-ordered
         in complex64 (complex128 with double=True, whose factors replace
         the complex64 ones), and its transpose, the same memory in Fortran
         order, is factored in place, so a solve takes trans=1.  When a
@@ -265,13 +285,13 @@ class InteractionOperator:
         return self._lu
 
     def _a_blocks(self, dtype):
-        """The block of A in every sector in dtype, C-ordered."""
+        """The block of A in every sector class in dtype, C-ordered."""
         basis = self.parity
         beta = -np.repeat(self.beta[basis.reps] / basis.stabilizer, 3)
         blocks = []
-        for (index, _), kernel in zip(basis.sectors, self.blocks):
+        for cls, kernel in zip(self.classes, self.blocks):
             block = np.empty(kernel.shape, dtype=dtype)
-            np.multiply(kernel, beta[index], out=block, casting="same_kind")
+            np.multiply(kernel, beta[cls.index], out=block, casting="same_kind")
             block.reshape(-1)[::len(block) + 1] += 1.0
             blocks.append(block)
         return blocks
@@ -285,11 +305,13 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
     lattice for the matrix-free operator; dense=True reads the kernel
     rows of the orbit representatives, rows[g, i, j] = K[rep_i, g(rep_j)],
     from a half-space table at ParityBasis.kernel_offsets, and folds them
-    by the Walsh-Hadamard transform over g into every sector's block (K
-    is symmetric, so these rows are also its columns), _ROWS_CHUNK_BYTES
-    at a time.  ||A||_inf is the largest absolute row sum of those rows,
-    which the mirrors map onto every other row, a member listed k times
-    counting 1/k each time.  A vacuum (beta = 0) operator builds neither.
+    by the Walsh-Hadamard transform over g into the block of the first
+    sector of every class (K is symmetric, so these rows are also its
+    columns), _ROWS_CHUNK_BYTES at a time.  The grid's axis permutations
+    are found at its first dense assembly.  ||A||_inf is the largest
+    absolute row sum of those rows, which the mirrors map onto every other
+    row, a member listed k times counting 1/k each time.  A vacuum
+    (beta = 0) operator builds neither.
     """
     if grid.n == 0:
         raise SolverError("empty grid")
@@ -315,7 +337,7 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
     beta_rows = np.repeat(beta[basis.reps], 3)
     counted = np.abs(beta_rows) / np.repeat(basis.stabilizer, 3)
     sums = np.empty(3 * reps)
-    op.kernel = np.empty(sum(d * d for d in op.sectors), dtype=complex)
+    op.kernel = np.empty(sum(len(cls.index) ** 2 for cls in op.classes), dtype=complex)
     step = max(1, _ROWS_CHUNK_BYTES // (order * 9 * reps * 16))
     for start in range(0, reps, step):
         pairs = offset[:, start:start + step]
@@ -324,8 +346,9 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
             rows[g, :, a] = np.take(table[a].reshape(-1, 3), pairs[g], axis=0)
         rows = rows.reshape(order, 3 * pairs.shape[1], 3 * reps)
         sums[3 * start:3 * start + rows.shape[1]] = sum(np.abs(part) @ counted for part in rows)
-        basis.transform(rows)  # block s is rows[source_t, index_u, index_t]
-        for (index, position), block in zip(basis.sectors, op.blocks):
+        basis.transform(rows)  # block c is rows[source_t, index_u, index_t]
+        for cls, block in zip(op.classes, op.blocks):
+            index, position = cls.index, cls.positions[:, 0]
             mine = np.flatnonzero((index >= 3 * start) & (index < 3 * start + rows.shape[1]))
             block[mine] = rows[position // (3 * reps), index[mine, None] - 3 * start, index]
         del rows  # before the next chunk's rows are allocated

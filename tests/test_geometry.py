@@ -171,3 +171,26 @@ def test_grid_immutable():
     grid = build_grid(Box(min_corner=(0, 0, 0), max_corner=(0.4, 0.4, 0.4)), 0.2)
     with pytest.raises(ValueError):
         grid.centers[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("shapes, expected", [
+    (Sphere(center=(0.3, -0.2, 0.1), radius=1.0), 5),
+    (Box(min_corner=(-0.4, -0.4, -0.2), max_corner=(0.4, 0.4, 0.2)), 1),
+    (Box(min_corner=(-0.4, -0.3, -0.2), max_corner=(0.4, 0.3, 0.2)), 0),
+    ([Box(min_corner=(-0.4,) * 3, max_corner=(0.4,) * 3),
+      Box(min_corner=(0.0, 0.0, -0.4), max_corner=(0.4, 0.4, 0.4), region_id=0)], 1),
+])
+def test_permutations_map_the_voxel_sites_onto_themselves(shapes, expected):
+    """Every axis permutation but the identity that maps the voxel sites onto themselves
+    is found, and each carries voxel i to the voxel at i's center with its axes
+    permuted about the body's center; a notch at x, y > 0 keeps only x <-> y."""
+    grid = build_grid(shapes, 0.2)
+    assert len(grid.permutations) == expected
+    centered = grid.centers - 0.5 * np.add(*grid.bounding_box())
+    for sigma, image in grid.permutations.items():
+        assert sorted(image.tolist()) == list(range(grid.n))
+        moved = np.empty_like(centered)
+        moved[:, sigma] = centered
+        assert np.allclose(centered[image], moved, atol=1e-12), sigma
+    if expected == 1:
+        assert list(grid.permutations) == [(1, 0, 2)]

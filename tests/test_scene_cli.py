@@ -785,6 +785,52 @@ def test_cli_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+def loaded_openblas():
+    """(setter, getter) of the thread count of every OpenBLAS mapped into this process."""
+    import ctypes
+
+    import scipy.linalg  # noqa: F401  (maps scipy's own OpenBLAS beside numpy's)
+
+    with open("/proc/self/maps") as maps:
+        libs = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    pools = []
+    for lib in libs:
+        handle = ctypes.CDLL(lib)
+        for prefix, suffix in [(p, s) for p in ("openblas", "scipy_openblas") for s in ("", "64_")]:
+            getter = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter = getattr(handle, f"{prefix}_set_num_threads{suffix}")
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                pools.append((setter, getter))
+                break
+    return pools
+
+
+def test_threads_pin_blas_already_loaded(tmp_path, capsys, monkeypatch):
+    """With numpy and scipy loaded before the CLI runs in-process, --threads still sets
+    every loaded OpenBLAS pool, not only the environment of pools yet to start."""
+    pools = loaded_openblas() if Path("/proc/self/maps").exists() else []
+    if not pools:
+        pytest.skip("no OpenBLAS loaded")
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    before = [getter() for _, getter in pools]
+    try:
+        for setter, _ in pools:
+            setter(1)
+        scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
+        rc = cli_main(["greens", "--scene", str(scene), "--omega", "1.0", "--src", "0,0,0.9",
+                       "--eval", "1.2,0,0", "--threads", "2"])
+        capsys.readouterr()
+        assert rc == 0
+        assert [getter() for _, getter in pools] == [2] * len(pools)
+    finally:
+        for (setter, _), count in zip(pools, before):
+            setter(count)
+
+
 def test_package_exports_resolve_lazily():
     import greenvox
 

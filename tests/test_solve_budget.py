@@ -7,6 +7,7 @@ adds solves shows up here before it shows up in wall time.
 
 import json
 import tracemalloc
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ import greenvox.ldos as ldos
 import greenvox.report as report_module
 import greenvox.scene as scene_module
 import greenvox.vie as vie
-from greenvox import PlaneWaveMode, e_coefficient, make_shell_quadrature, purcell_sweep
+from greenvox import (PlaneWaveMode, VoxelGrid, e_coefficient, make_shell_quadrature,
+                      purcell_sweep)
 from greenvox.cli import main as cli_main
 from greenvox.ldos import _e_fields_on_shell
 from greenvox.report import run_validation
@@ -79,11 +81,12 @@ def test_validate_uses_one_medium_and_one_vacuum_solver(budget, monkeypatch):
     report = run_validation(scene_from_dict(CUBE))
     assert report.passed
     assert budget["assemble"] == 2
-    # one complex64 factorization of the medium operator, one LAPACK call per parity
-    # sector; the vacuum operator is the identity
+    # one complex64 factorization of the medium operator, one LAPACK call per stored
+    # block (the eight parity sectors fall into four classes under the axis
+    # permutations); the vacuum operator is the identity
     medium, vacuum = budget["operators"]
     assert [medium.factored, vacuum.factored] == [[np.complex64], []]
-    assert budget["lu_factor"] == len(medium.sectors) == 8
+    assert budget["lu_factor"] == len(medium.blocks) == 4
     # one block of the five Green sources (15 columns), the two direct-route solves
     # (1 column each) and the vacuum identity (3 columns); the total also catches a
     # shell e-field solve (512 columns) coming back
@@ -133,7 +136,7 @@ def test_sweep_solves_one_green_column_set_per_frequency(budget, monkeypatch):
     assert all("error" not in r for r in rows)
     assert len(grids) == 1  # the scene's grid serves every frequency
     assert budget["assemble"] == len(omegas)
-    assert budget["lu_factor"] == sum(len(op.sectors) for op in budget["operators"])
+    assert budget["lu_factor"] == sum(len(op.blocks) for op in budget["operators"])
     assert len(budget["solve_columns"]) == len(omegas)
     assert max(budget["solve_columns"]) <= 3
     # one complex64 factorization per frequency, never refactored in complex128,
@@ -144,10 +147,16 @@ def test_sweep_solves_one_green_column_set_per_frequency(budget, monkeypatch):
 
 
 def test_a_symmetric_sweep_stores_only_the_sector_blocks(budget, monkeypatch):
-    """17 frequencies on the 257-voxel Drude sphere: every operator stores its eight
-    sector blocks, 16 sum d_s^2 bytes, 7.9 times fewer than a 3N x 3N complex128
-    kernel, and no assembly or kernel product holds that much memory at once."""
+    """17 frequencies on the 257-voxel Drude sphere: every operator stores one block
+    per class of its eight parity sectors, four blocks of 16 sum d_c^2 bytes, 16.0
+    times fewer than a 3N x 3N complex128 kernel, no assembly or kernel product holds
+    that much memory at once, and the axis permutations are found once for the grid."""
     peaks = {"assemble": [], "kernel_product": []}
+    found = []
+    permutations = cached_property(lambda grid: found.append(grid) or find(grid))
+    find = VoxelGrid.permutations.func
+    permutations.__set_name__(VoxelGrid, "permutations")
+    monkeypatch.setattr(VoxelGrid, "permutations", permutations)
 
     def peaked(name, fn):
         def wrapper(*args, **kwargs):
@@ -170,12 +179,13 @@ def test_a_symmetric_sweep_stores_only_the_sector_blocks(budget, monkeypatch):
         tracemalloc.stop()
     assert all("error" not in r for r in rows)
     assert budget["assemble"] == len(peaks["assemble"]) == 17
-    assert budget["lu_factor"] == 17 * 8
+    assert budget["lu_factor"] == 17 * 4
     assert budget["solve_columns"] == [3] * 17
+    assert len(found) == 1 and all(op.grid is found[0] for op in budget["operators"])
     full = 16 * (3 * 257) ** 2
     for op in budget["operators"]:
-        assert op.grid.n == 257 and len(op.sectors) == 8
-        assert op.kernel.nbytes == 16 * sum(d * d for d in op.sectors) < full / 7.8
+        assert op.grid.n == 257 and len(op.sectors) == 8 and len(op.blocks) == 4
+        assert op.kernel.nbytes == 16 * sum(block.size for block in op.blocks) < full / 15
     assert len(peaks["kernel_product"]) >= 17 * 2  # a refinement residual and a shell product
     assert max(peaks["assemble"] + peaks["kernel_product"]) < full
 

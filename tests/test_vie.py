@@ -81,23 +81,32 @@ def test_iterative_matches_dense():
 def sector_scenes():
     """(grid, materials, parity sectors): the cube and the sphere keep all three
     mirrors; two touching boxes of different materials split at x = 0 lose the x
-    mirror; a Drude sphere with a Lorentz box off its center keeps none."""
+    mirror; a Drude sphere with a Lorentz box off its center keeps none.  The flat
+    box and the cube with a second material where |x| <= 0.2 keep every mirror."""
     tilted = PermittivityModel(poles=(LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4),),
                                region_id=2)
     halves = [Box(min_corner=(-0.4, -0.3, -0.2), max_corner=(0.0, 0.3, 0.2), region_id=1),
               Box(min_corner=(0.0, -0.3, -0.2), max_corner=(0.4, 0.3, 0.2), region_id=2)]
     lopsided = [Sphere(center=(0, 0, 0), radius=1.0, region_id=1),
                 Box(min_corner=(0.3, 0.1, -0.2), max_corner=(0.8, 0.6, 0.3), region_id=2)]
+    slab = [Box(min_corner=(-0.4,) * 3, max_corner=(0.4,) * 3, region_id=1),
+            Box(min_corner=(-0.2, -0.4, -0.4), max_corner=(0.2, 0.4, 0.4), region_id=2)]
     return {
         "cube": (build_grid(Box(min_corner=(-0.4,) * 3, max_corner=(0.4,) * 3), 0.2),
                  {1: LORENTZ}, 8),
         "sphere": (build_grid(Sphere(center=(0, 0, 0), radius=1.0), 0.2497), {1: DRUDE}, 8),
         "two materials": (build_grid(halves, 0.1), {1: DRUDE, 2: tilted}, 4),
         "asymmetric": (build_grid(lopsided, 0.2497), {1: DRUDE, 2: tilted}, 1),
+        "flat box": (build_grid(Box(min_corner=(-0.4, -0.4, -0.2), max_corner=(0.4, 0.4, 0.2)),
+                                0.2), {1: LORENTZ}, 8),
+        "cube with a slab": (build_grid(slab, 0.2), {1: DRUDE, 2: tilted}, 8),
     }
 
 
-@pytest.mark.parametrize("name", ["cube", "sphere", "two materials", "asymmetric"])
+SECTOR_SCENES = ["cube", "sphere", "two materials", "asymmetric", "flat box", "cube with a slab"]
+
+
+@pytest.mark.parametrize("name", SECTOR_SCENES)
 def test_parity_sectors_solve_the_materialized_operator(name):
     """The dense operator is factored in one block per parity sector of the mirrors
     that keep the voxels and beta; the refined solve is the complex128 solve of
@@ -113,15 +122,15 @@ def test_parity_sectors_solve_the_materialized_operator(name):
     assert op.factored == [np.complex64]
 
 
-@pytest.mark.parametrize("name", ["cube", "sphere", "two materials", "asymmetric"])
+@pytest.mark.parametrize("name", SECTOR_SCENES)
 def test_dense_kernel_stores_the_sector_blocks(name):
-    """The dense kernel is the block of K in every parity sector, sum_s d_s^2
-    complex128 entries in one buffer; its sector products are K q, and the norm
-    read from the representatives' rows is ||I - K diag(beta)||_inf."""
+    """The dense kernel is the block of K in every class of parity sectors, sum_c
+    d_c^2 complex128 entries in one buffer; its sector products are K q, and the
+    norm read from the representatives' rows is ||I - K diag(beta)||_inf."""
     grid, materials, _ = sector_scenes()[name]
     op = MediumSolver(grid, materials, OMEGA, method="dense").op
     assert op.kernel.dtype == np.complex128 and op.kernel.flags.c_contiguous
-    assert op.kernel.nbytes == 16 * sum(d * d for d in op.sectors)
+    assert op.kernel.nbytes == 16 * sum(len(cls.index) ** 2 for cls in op.classes)
     assert all(np.shares_memory(block, op.kernel) for block in op.blocks)
     K = pairwise_kernel(grid, OMEGA)
     norm = np.abs(np.eye(op.n3) - K * op.beta_rep).sum(axis=1).max()
@@ -134,11 +143,34 @@ def test_dense_kernel_stores_the_sector_blocks(name):
 
 
 def test_sectors_of_the_sphere():
-    """The 257-voxel sphere splits into eight blocks; the vacuum operator has none."""
+    """The 257-voxel sphere splits into eight sectors, stored as four blocks; the
+    vacuum operator has none."""
     grid, materials, _ = sector_scenes()["sphere"]
-    assert MediumSolver(grid, materials, OMEGA).op.sectors == (111, 104, 104, 91,
-                                                               104, 91, 91, 75)
+    op = MediumSolver(grid, materials, OMEGA).op
+    assert op.sectors == (111, 104, 104, 91, 104, 91, 91, 75)
+    assert [block.shape for block in op.blocks] == [(111, 111), (104, 104), (91, 91), (75, 75)]
+    assert op.kernel.size == 37043
     assert assemble(grid, np.zeros(grid.n), OMEGA).sectors == ()
+
+
+@pytest.mark.parametrize("name, classes", [
+    ("cube", [{0}, {1, 2, 4}, {3, 5, 6}, {7}]),
+    ("sphere", [{0}, {1, 2, 4}, {3, 5, 6}, {7}]),
+    ("flat box", [{0}, {1, 2}, {3}, {4}, {5, 6}, {7}]),  # x <-> y alone
+    ("cube with a slab", [{0}, {1}, {2, 4}, {3, 5}, {6}, {7}]),  # y <-> z alone
+    ("asymmetric", [{0}]),
+])
+def test_permuted_sectors_share_one_block(name, classes):
+    """Parity sectors that an axis permutation of the voxels and beta maps onto each
+    other are stored and factored as one block (sector chi's bit k flips axis k).
+    The solves and kernel products of these scenes are checked against the pairwise
+    kernel above."""
+    grid, materials, _ = sector_scenes()[name]
+    op = MediumSolver(grid, materials, OMEGA, method="dense").op
+    assert [set(cls.sectors) for cls in op.classes] == classes
+    assert len(op.blocks) == len(op.lu()[0]) == len(classes)
+    assert sum(block.shape[0] * len(cls.sectors)
+               for cls, block in zip(op.classes, op.blocks)) == op.n3
 
 
 @st.composite
@@ -247,8 +279,11 @@ def test_reflected_table_is_g0_at_every_signed_offset(tmp_path):
 
 def test_first_dense_assembly_holds_little_beside_the_blocks():
     """The first assemble on a cold 840-voxel Drude sphere, its ParityBasis index
-    included, peaks below 1.5 times the sector blocks it stores (the kernel rows are
-    gathered and folded a few MiB at a time), and leaves no N x N array on the grid."""
+    and sector classes included, peaks below the blocks it stores plus two chunks of
+    kernel rows (the rows are gathered and folded a few MiB at a time), and leaves no
+    N x N array on the grid."""
+    import greenvox.vie as vie_mod
+
     warm = build_grid(Sphere(center=(0, 0, 0), radius=1.0), 0.5)
     assemble(warm, np.ones(warm.n), OMEGA)  # imports and one-time caches, outside the count
     grid = build_grid(Sphere(center=(0, 0, 0), radius=1.0), 0.17)
@@ -259,8 +294,8 @@ def test_first_dense_assembly_holds_little_beside_the_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert grid.n == 840 and op.sectors == (315,) * 8
-    assert peak < 1.5 * op.kernel.nbytes
+    assert grid.n == 840 and op.sectors == (315,) * 8 and len(op.blocks) == 4
+    assert peak < op.kernel.nbytes + 2 * vie_mod._ROWS_CHUNK_BYTES
 
     def arrays(value):
         if isinstance(value, np.ndarray):
@@ -325,9 +360,10 @@ def test_solve_follows_the_representation(cube_grid, cube_materials, monkeypatch
     dense = MediumSolver(cube_grid, cube_materials, OMEGA, method="dense")
     for _ in range(3):
         dense.solve(rhs)
-    # one factorization, one LAPACK call per parity sector
+    # one factorization, one LAPACK call per stored block: four classes of sectors
     assert dense.op.factored == [np.complex64]
-    sectors = len(dense.op.sectors)
+    sectors = len(dense.op.blocks)
+    assert sectors == 4
     assert calls == {"lu_factor": sectors, "_gmres": 0}
     lattice = MediumSolver(cube_grid, cube_materials, OMEGA, method="gmres")
     lattice.solve(rhs)
