@@ -141,15 +141,21 @@ class VoxelGrid:
         flat.flags.writeable = False
         return flat
 
-    def _voxels_at(self, image):
-        """The voxel at each lattice index of image (N, 3), (N,) int, or None unless
-        every index is a voxel site: a sorted search of the flat site indices, so a
-        sparse body's large box costs O(N log N)."""
-        if np.any(image >= self.lattice_shape):
-            return None
+    @cached_property
+    def _sorted_sites(self):
+        """(order, lattice_flat[order]) with the flat site indices ascending."""
         order = np.argsort(self.lattice_flat)
-        sites = self.lattice_flat[order]
-        flat = np.ravel_multi_index(image.T, self.lattice_shape)
+        return order, self.lattice_flat[order]
+
+    def _voxels_at(self, image):
+        """The voxel at each lattice index of image (M, 3), (M,) int, or None unless
+        every index is a voxel site: a sorted search of the flat site indices, so a
+        sparse body's large box costs O(N log N).  image may be float: the bounds are
+        checked before it is cast."""
+        if ((image < 0) | (image >= self.lattice_shape)).any():
+            return None
+        order, sites = self._sorted_sites
+        flat = np.ravel_multi_index(image.T.astype(int), self.lattice_shape)
         pos = np.minimum(np.searchsorted(sites, flat), self.n - 1)
         if not np.array_equal(sites[pos], flat):
             return None
@@ -192,18 +198,24 @@ class VoxelGrid:
                 out[sigma] = found
         return out
 
-    def parity_basis(self, axes) -> "ParityBasis":
-        """The ParityBasis of the group generated by the mirrors of axes (a subset of
-        mirrors), built on first use and kept per axes."""
-        axes = tuple(sorted(axes))
-        if axes not in self._parity_bases:
-            self._parity_bases[axes] = ParityBasis(self, axes)
-        return self._parity_bases[axes]
+    def parity_basis(self, beta) -> "ParityBasis":
+        """The ParityBasis of the group of lattice mirrors and axis permutations that map
+        the voxel sites and the per-voxel beta (N,) exactly onto themselves.
 
-    @cached_property
-    def _voxel_at_site(self) -> dict:
-        """Flat lattice site -> voxel index: a dict, so a sparse body's large box costs O(N)."""
-        return dict(zip(self.lattice_flat.tolist(), range(self.n)))
+        This is the one place where an operator's symmetry group is found: a
+        mirror or permutation is kept when beta equals its image, and the
+        group is the mirrors and permutations kept (a permutation that keeps
+        beta maps the kept mirrors onto each other).  Built on first use and
+        kept per group; reading permutations finds the grid's axis
+        permutations at the first call.
+        """
+        kept = {key for key, image in (*self.mirrors.items(), *self.permutations.items())
+                if np.array_equal(beta[image], beta)}
+        group = (tuple(a for a in self.mirrors if a in kept),
+                 tuple(s for s in self.permutations if s in kept))
+        if group not in self._parity_bases:
+            self._parity_bases[group] = ParityBasis(self, *group)
+        return self._parity_bases[group]
 
     def index_of(self, point, rtol: float = 1e-9):
         """Index of the voxel whose center lies within rtol edges of point per axis, else None."""
@@ -211,10 +223,8 @@ class VoxelGrid:
         site = np.rint(rel)
         if not np.all(np.abs(rel - site) <= rtol):
             return None
-        (i, j, k), (nx, ny, nz) = site.tolist(), self.lattice_shape
-        if not (0 <= i < nx and 0 <= j < ny and 0 <= k < nz):  # no wrap-around
-            return None
-        return self._voxel_at_site.get(int((i * ny + j) * nz + k))
+        found = self._voxels_at(site[None])  # None off the lattice box: no wrap-around
+        return None if found is None else int(found[0])
 
 
 class SectorClass(NamedTuple):
@@ -235,11 +245,12 @@ class SectorClass(NamedTuple):
 
 
 class ParityBasis:
-    """Parity sectors of vector fields on a grid under a group of commuting lattice mirrors.
+    """Parity sectors of vector fields on a grid under a group of lattice mirrors and axis
+    permutations, and the classes of sectors that the permutations carry onto each other.
 
-    The group has G = 2^len(axes) elements; element g is a bitmask whose
-    bit k flips axes[k].  It acts on a field p by (R_g p)_i = S_g p_{g(i)},
-    S_g the diagonal of -1 on the flipped axes, so a kernel with
+    The mirror group has G = 2^len(axes) elements; element g is a bitmask
+    whose bit k flips axes[k].  It acts on a field p by (R_g p)_i = S_g
+    p_{g(i)}, S_g the diagonal of -1 on the flipped axes, so a kernel with
     K(g z, g z') = S_g K(z, z') S_g commutes with it.  Characters are
     bitmasks too, h(g) = (-1)^popcount(h & g), and sector chi holds the
     fields with R_g p = chi(g) p.  Each orbit is represented by its voxel
@@ -252,6 +263,18 @@ class ParityBasis:
     voxels lends each component to |O| of the G sectors and the sector
     sizes sum to 3N.
 
+    permutations lists the axis permutations sigma (keys of
+    VoxelGrid.permutations, the identity left out) of a group that maps the
+    voxels, beta and the set of mirror axes onto themselves.  T, carrying
+    component a of voxel i to component sigma[a] of its image, commutes
+    with K and conjugates mirror g into sigma(g), so it carries sector chi
+    onto sector sigma(chi).  It maps every representative onto a
+    representative (the lower half of an axis lands in the lower half of
+    its image, which has the same extent), so coordinate (orbit, a) with
+    source character h goes to (orbit of the image, sigma[a]) with
+    sigma(h), with no sign, and the block of sigma(chi) is the block of chi
+    with its coordinates renamed.
+
     reps (n_orbits,): the representatives, in voxel order; members
     (G, n_orbits): the voxel g(rep) of every group element and orbit, an
     orbit on a mirror plane listing its voxels more than once; stabilizer
@@ -259,14 +282,15 @@ class ParityBasis:
     for every nonempty sector, index the flat positions 3 orbit + a of its
     coordinates, ordered by their source character h, and position their
     flat positions 3 n_orbits h + index in the (G, 3 n_orbits) coordinates
-    of fold.  fold and unfold carry fields between voxels and orbit
-    coordinates.  For the trivial group every voxel is its own orbit and
-    the one sector holds every coordinate in voxel order.  kernel_offsets
-    indexes the kernel table at the representatives' rows alone, lazily.
-    classes groups the sectors that axis permutations map onto each other.
+    of fold; classes: the SectorClass of every class of sectors, in the
+    order of their first sector.  fold and unfold carry fields between
+    voxels and orbit coordinates.  For the trivial group every voxel is its
+    own orbit and the one sector holds every coordinate in voxel order.
+    kernel_offsets indexes the kernel table at the representatives' rows
+    alone, lazily.
     """
 
-    def __init__(self, grid: "VoxelGrid", axes):
+    def __init__(self, grid: "VoxelGrid", axes, permutations):
         self.axes, self.n = tuple(axes), grid.n
         self._lattice_index = grid.lattice_index
         domain, plane = np.arange(grid.n), np.zeros(grid.n, dtype=int)
@@ -289,10 +313,30 @@ class ParityBasis:
             index = index[np.argsort(source[index], kind="stable")]
             if len(index):
                 self.sectors[chi] = (index, 3 * len(domain) * source[index] + index)
+        width, weights = 3 * len(domain), 1.0 / np.repeat(self.stabilizer, 3)
+        images = []  # (character map, coordinate map) of every permutation
+        for sigma in permutations:
+            chars = np.zeros(self.order, dtype=int)
+            for k, axis in enumerate(self.axes):  # bit k flips axes[k]
+                chars |= ((np.arange(self.order) >> k) & 1) << self.axes.index(sigma[axis])
+            orbit = np.searchsorted(self.reps, grid.permutations[sigma][self.reps])
+            images.append((chars, (3 * orbit[:, None] + np.asarray(sigma)).reshape(-1)))
+        self.classes, placed = [], set()
+        for chi, (index, position) in self.sectors.items():
+            if chi in placed:
+                continue
+            members = {chi: position}
+            for chars, coords in images:
+                members.setdefault(int(chars[chi]),
+                                   width * chars[position // width] + coords[index])
+            placed.update(members)
+            positions = np.stack(list(members.values()), axis=1)
+            self.classes.append(
+                SectorClass(tuple(members), index, positions, weights[index, None]))
         for array in (self.reps, self.members, self.stabilizer,
-                      *(a for sector in self.sectors.values() for a in sector)):
+                      *(a for sector in self.sectors.values() for a in sector),
+                      *(a for cls in self.classes for a in cls[1:])):
             array.flags.writeable = False
-        self._classes = {}
 
     @property
     def order(self) -> int:
@@ -325,48 +369,6 @@ class ParityBasis:
         for array in (*axes, index):
             array.flags.writeable = False
         return tuple(axes), index
-
-    def classes(self, permutations) -> list:
-        """The SectorClass of every class of sectors under a group of axis permutations.
-
-        permutations maps sigma to its voxel permutation (VoxelGrid.permutations)
-        for every element but the identity of a group of axis permutations that
-        map the voxels and beta onto themselves.  T, carrying component a
-        of voxel i to component sigma[a] of its image, commutes with K and
-        conjugates mirror g into sigma(g), so it carries sector chi onto
-        sector sigma(chi).  It maps every representative onto a
-        representative (the lower half of an axis lands in the lower half of
-        its image, which has the same extent), so coordinate (orbit, a) with
-        source character h goes to (orbit of the image, sigma[a]) with
-        sigma(h), with no sign, and the block of sigma(chi) is the block of
-        chi with its coordinates renamed.  Built on first use, kept per group.
-        """
-        key = tuple(sorted(permutations))
-        if key not in self._classes:
-            width, weights = 3 * len(self.reps), 1.0 / np.repeat(self.stabilizer, 3)
-            images = []  # (character map, coordinate map) of every permutation
-            for sigma, voxels in permutations.items():
-                chars = np.zeros(self.order, dtype=int)
-                for k, axis in enumerate(self.axes):  # bit k flips axes[k]
-                    chars |= ((np.arange(self.order) >> k) & 1) << self.axes.index(sigma[axis])
-                orbit = np.searchsorted(self.reps, voxels[self.reps])
-                images.append((chars, (3 * orbit[:, None] + np.asarray(sigma)).reshape(-1)))
-            classes, placed = [], set()
-            for chi, (index, position) in self.sectors.items():
-                if chi in placed:
-                    continue
-                members = {chi: position}
-                for chars, coords in images:
-                    members.setdefault(int(chars[chi]),
-                                       width * chars[position // width] + coords[index])
-                placed.update(members)
-                positions = np.stack(list(members.values()), axis=1)
-                cls = SectorClass(tuple(members), index, positions, weights[index, None])
-                for array in cls[1:]:
-                    array.flags.writeable = False
-                classes.append(cls)
-            self._classes[key] = classes
-        return self._classes[key]
 
     def transform(self, x):
         """x[h] <- sum_g h(g) x[g] for every character h along axis 0 of a C-contiguous

@@ -162,12 +162,6 @@ def self_term(voxel_volume: float, omega: float):
 # transverse plane-wave modes
 # ----------------------------------------------------------------------
 
-def transverse_frame(khat):
-    """Deterministic orthonormal transverse pair (e_plus, e_minus) for one khat."""
-    e1, e2 = transverse_frames(_as_points(khat).reshape(1, 3))
-    return e1[0], e2[0]
-
-
 @dataclass(frozen=True)
 class PlaneWaveMode:
     """Electromagnetic continuum label kappa = (k, sigma, zeta).
@@ -203,8 +197,8 @@ class PlaneWaveMode:
 
     @property
     def polarization(self):
-        e_plus, e_minus = transverse_frame(self.k_vector / self.omega)
-        return e_plus if self.sigma == +1 else e_minus
+        e_plus, e_minus = transverse_frames(self.k_vector / self.omega)
+        return (e_plus if self.sigma == +1 else e_minus)[0]
 
     @property
     def submode(self) -> int:

@@ -35,18 +35,20 @@ voxels and beta onto themselves (VoxelGrid.permutations) commute with K
 too and carry parity sectors onto each other with their coordinates
 renamed (induced representations; Fassler & Stiefel, Group Theoretical
 Methods and Their Applications, Birkhauser (1992)): on a cube-symmetric
-body sectors 1, 2, 4 and sectors 3, 5, 6 are copies.  So one block is
+body sectors 1, 2, 4 and sectors 3, 5, 6 are copies.  Both are found
+from beta in one place, VoxelGrid.parity_basis.  So one block is
 stored and factored per class of sectors, folded from the kernel rows of
 the orbit representatives alone, a few MiB at a time, into 16 sum_c
 d_c^2 bytes; a body with no mirror and no permutation has one block, K.
 Every product K q, the solver's own residuals included, and every LU
 solve is one call per class, on the coordinates of all its sectors.
 A is solved by mixed-precision LU: each block is factored once in
-complex64 (complex128 when A leaves the complex64 range), and each
-solve is refined in complex128 until every column has a backward error
-of one float64 epsilon (the method of LAPACK zcgesv; Buttari et al.,
-ACM TOMS 34(4), 17 (2008)); an operator too ill-conditioned for that is
-refactored once in complex128.
+complex64 (complex128 when ||A||_inf + 2, which bounds every block
+entry, reaches the float32 range), and each solve is refined in
+complex128 until every column has a backward error of one float64
+epsilon (the method of LAPACK zcgesv; Buttari et al., ACM TOMS 34(4), 17
+(2008)); an operator too ill-conditioned for that is refactored once in
+complex128.
 The matrix-free kernel is the FFT of the table embedded in a circulant
 of twice the lattice extent per axis, so K p is a 3x3 block product
 between two FFTs (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16,
@@ -131,13 +133,14 @@ class InteractionOperator:
     """Discretized Fredholm operator p -> p - K diag(beta) p.
 
     kernel holds the dense kernel as one symmetric block per class of
-    parity sectors (self.classes), the block of the class's first sector
-    s, blocks[c][i, j] = sum_g h_j(g) K[rep_i, g(rep_j)] with h_j the
-    source character of coordinate j, in one contiguous complex128 buffer
-    of sum_c d_c^2 entries (blocks views it per class); K takes the
-    coordinates x of every sector of the class, in the order of s's, to
-    blocks[c] (x / stabilizer), and norm is ||A||_inf of
-    A = I - K diag(beta).  kernel is None for
+    parity sectors (self.parity.classes, parity the ParityBasis of the
+    group that maps the voxels and beta onto themselves), the block of the
+    class's first sector s, blocks[c][i, j] = sum_g h_j(g) K[rep_i,
+    g(rep_j)] with h_j the source character of coordinate j, in one
+    contiguous complex128 buffer of sum_c d_c^2 entries (blocks views it
+    per class); K takes the coordinates x of every sector of the class, in
+    the order of s's, to blocks[c] (x / stabilizer), and norm is
+    ||A||_inf of A = I - K diag(beta).  kernel is None for
     the matrix-free representation, which keeps lattice, the FFT of the
     kernel table over the circulant lattice, and forms K p as a
     circulant convolution over the body box (grid.lattice_flat places
@@ -173,9 +176,9 @@ class InteractionOperator:
 
     @cached_property
     def parity(self):
-        """ParityBasis of the grid's axis mirrors that also map beta exactly onto itself."""
-        return self.grid.parity_basis(axis for axis, image in self.grid.mirrors.items()
-                                      if np.array_equal(self.beta[image], self.beta))
+        """ParityBasis of the grid's mirrors and axis permutations that also map beta exactly
+        onto itself (VoxelGrid.parity_basis): its classes are the stored blocks."""
+        return self.grid.parity_basis(self.beta)
 
     @property
     def sectors(self) -> tuple:
@@ -184,16 +187,9 @@ class InteractionOperator:
             len(index) for index, _ in self.parity.sectors.values())
 
     @cached_property
-    def classes(self) -> list:
-        """The SectorClass of every stored block: the parity sectors that the grid's axis
-        permutations which also map beta exactly onto itself carry onto each other."""
-        return self.parity.classes({sigma: image for sigma, image in self.grid.permutations.items()
-                                    if np.array_equal(self.beta[image], self.beta)})
-
-    @cached_property
     def blocks(self) -> list:
         """The (d, d) symmetric block of every sector class, views of the stored kernel."""
-        sizes = [len(cls.index) for cls in self.classes]
+        sizes = [len(cls.index) for cls in self.parity.classes]
         ends = np.cumsum([d * d for d in sizes]).tolist()
         return [self.kernel[end - d * d:end].reshape(d, d) for d, end in zip(sizes, ends)]
 
@@ -210,7 +206,7 @@ class InteractionOperator:
         basis, m = self.parity, q.shape[1]
         coeff = basis.fold(q.reshape(self.grid.n, 3 * m)).reshape(-1, m) / basis.order
         image = np.zeros(coeff.shape, dtype=complex)
-        for cls, apply in zip(self.classes, maps):
+        for cls, apply in zip(basis.classes, maps):
             d, k = cls.positions.shape
             image[cls.positions] = apply(coeff[cls.positions].reshape(d, k * m)).reshape(d, k, m)
         return basis.unfold(image.reshape(basis.order, len(basis.reps), -1)).reshape(self.n3, m)
@@ -229,7 +225,7 @@ class InteractionOperator:
         """
         if self.kernel is not None:
             return self.sectorwise(q, [partial(_weighted_product, block, cls.weights)
-                                       for cls, block in zip(self.classes, self.blocks)])
+                                       for cls, block in zip(self.parity.classes, self.blocks)])
         index, table = self.grid.lattice_flat, self.lattice
         n, m, shape = self.grid.n, q.shape[1], self.grid.lattice_shape
         box = np.zeros((3, m, *shape), dtype=complex)
@@ -258,43 +254,34 @@ class InteractionOperator:
     def lu(self, double: bool = False):
         """(one (lu, piv) per sector class, ||A||_inf) for A = I - K diag(beta), stored kernel only.
 
-        A commutes with the mirrors of self.parity and the permutations of
-        self.classes, so its block in every sector of a class is
-        I - blocks[c] diag(beta_t / stabilizer_t), beta_t and stabilizer_t
-        those of each coordinate's orbit.  Each block is built C-ordered
-        in complex64 (complex128 with double=True, whose factors replace
-        the complex64 ones), and its transpose, the same memory in Fortran
-        order, is factored in place, so a solve takes trans=1.  When a
-        block leaves the complex64 range (a floating-point overflow while
-        it is built), no complex64 factors are made: every block is built
-        in complex128 at once.
+        A commutes with the mirrors and axis permutations of self.parity, so
+        its block in every sector of a class is I - blocks[c] diag(beta_t /
+        stabilizer_t), beta_t and stabilizer_t those of each coordinate's
+        orbit.  Each block is built C-ordered in complex64, or in complex128
+        with double=True (whose factors replace the complex64 ones) and
+        whenever ||A||_inf + 2 is not below the largest float32: an entry of
+        a block is at most ||A||_inf + 2 in modulus (the diagonal 1, plus
+        |K beta| summed over the distinct members of an orbit, which is at
+        most the row sum of A plus 1), so a complex64 block never overflows.
+        Its transpose, the same memory in Fortran order, is factored in
+        place, so a solve takes trans=1.
         """
-        dtype = np.dtype(np.complex128 if double else np.complex64)
+        wide = double or not self.norm + 2.0 < float(np.finfo(np.float32).max)
+        dtype = np.dtype(np.complex128 if wide else np.complex64)
         if self._lu is None or (double and self._lu[0][0][0].dtype != dtype):
             if self.kernel is None:
                 raise SolverError("LU requested from a matrix-free operator")
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    blocks = self._a_blocks(dtype)
-            except FloatingPointError:  # past the complex64 range
-                dtype = np.dtype(np.complex128)
-                blocks = self._a_blocks(dtype)
-            factors = [lu_factor(b.T, overwrite_a=True, check_finite=False) for b in blocks]
+            basis = self.parity
+            beta = -np.repeat(self.beta[basis.reps] / basis.stabilizer, 3)
+            factors = []
+            for cls, kernel in zip(basis.classes, self.blocks):
+                block = np.empty(kernel.shape, dtype=dtype)
+                np.multiply(kernel, beta[cls.index], out=block, casting="same_kind")
+                block.reshape(-1)[::len(block) + 1] += 1.0
+                factors.append(lu_factor(block.T, overwrite_a=True, check_finite=False))
             self._lu = (factors, self.norm)
             self.factored.append(dtype)
         return self._lu
-
-    def _a_blocks(self, dtype):
-        """The block of A in every sector class in dtype, C-ordered."""
-        basis = self.parity
-        beta = -np.repeat(self.beta[basis.reps] / basis.stabilizer, 3)
-        blocks = []
-        for cls, kernel in zip(self.classes, self.blocks):
-            block = np.empty(kernel.shape, dtype=dtype)
-            np.multiply(kernel, beta[cls.index], out=block, casting="same_kind")
-            block.reshape(-1)[::len(block) + 1] += 1.0
-            blocks.append(block)
-        return blocks
 
 
 def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> InteractionOperator:
@@ -313,8 +300,6 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
     row, a member listed k times counting 1/k each time.  A vacuum
     (beta = 0) operator builds neither.
     """
-    if grid.n == 0:
-        raise SolverError("empty grid")
     if not omega > 0.0:
         raise ValueError("assemble requires omega > 0")
     beta = np.asarray(beta, dtype=complex).reshape(grid.n)
@@ -337,7 +322,7 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
     beta_rows = np.repeat(beta[basis.reps], 3)
     counted = np.abs(beta_rows) / np.repeat(basis.stabilizer, 3)
     sums = np.empty(3 * reps)
-    op.kernel = np.empty(sum(len(cls.index) ** 2 for cls in op.classes), dtype=complex)
+    op.kernel = np.empty(sum(len(cls.index) ** 2 for cls in basis.classes), dtype=complex)
     step = max(1, _ROWS_CHUNK_BYTES // (order * 9 * reps * 16))
     for start in range(0, reps, step):
         pairs = offset[:, start:start + step]
@@ -347,7 +332,7 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
         rows = rows.reshape(order, 3 * pairs.shape[1], 3 * reps)
         sums[3 * start:3 * start + rows.shape[1]] = sum(np.abs(part) @ counted for part in rows)
         basis.transform(rows)  # block c is rows[source_t, index_u, index_t]
-        for cls, block in zip(op.classes, op.blocks):
+        for cls, block in zip(basis.classes, op.blocks):
             index, position = cls.index, cls.positions[:, 0]
             mine = np.flatnonzero((index >= 3 * start) & (index < 3 * start + rows.shape[1]))
             block[mine] = rows[position // (3 * reps), index[mine, None] - 3 * start, index]
@@ -402,10 +387,10 @@ def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):
     """Solve (I - K diag(beta)) x = rhs to ||op x - rhs|| <= tol ||rhs||.
 
     rhs: (3N,) or (3N, m).  The representation decides the method.  A
-    stored kernel is factorized once in complex64 (in complex128 when A
-    leaves the complex64 range) and every solve is refined in complex128
-    to a backward error of one float64 epsilon, so the answer is accurate
-    to complex128 whatever tol is; if 30 refinement steps on complex64
+    stored kernel is factorized once in complex64 (in complex128 when
+    ||A||_inf + 2 reaches the float32 range) and every solve is refined in
+    complex128 to a backward error of one float64 epsilon, so the answer is
+    accurate to complex128 whatever tol is; if 30 refinement steps on complex64
     factors do not reach that bound the operator is refactorized once in
     complex128 and the solve refined again.  The lattice operator
     is solved by restarted GMRES with a diagonal preconditioner to tol/10,

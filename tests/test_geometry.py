@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,15 @@ def test_index_of_is_a_lookup_that_never_wraps():
     assert sphere.index_of(c + 0.4 * h, rtol=0.5 - 1e-9) == 100
     assert sphere.index_of(c + [0.6 * h, 0, 0], rtol=0.5 - 1e-9) == sphere.index_of(c + [h, 0, 0])
     assert sphere.index_of([np.nan, 0.0, 0.0]) is None
+    # far points on every axis, and the sites at lattice index -1, are no voxel, and
+    # casting them to integer sites warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for grid in (sphere, box):
+            for unit in np.eye(3):
+                assert grid.index_of(grid.lattice_origin - grid.voxel_edge * unit) is None
+                for far in (-1e29, 1e29):
+                    assert grid.index_of(grid.centers[0] + far * unit) is None
 
 
 def test_voxel_grid_rejects_off_lattice_centers():

@@ -4,7 +4,7 @@ import pytest
 from greenvox import (PlaneWaveMode, fd_curl, fd_curl_curl, g0_closed,
                       g0_longitudinal, im_g0_spectral, make_shell_quadrature,
                       phi_plane_wave, scalar_green, self_term, sommerfeld_residual)
-from greenvox.green_free import self_term_scalar, transverse_frame
+from greenvox.green_free import PHI_NORM, self_term_scalar, transverse_frames
 from greenvox.permittivity import principal_value_integral
 
 RNG = np.random.default_rng(42)
@@ -149,9 +149,21 @@ def test_phi_frame_orthonormal():
     for _ in range(20):
         kh = RNG.normal(size=3)
         kh /= np.linalg.norm(kh)
-        e1, e2 = transverse_frame(kh)
+        (e1,), (e2,) = transverse_frames(kh)
         M = np.stack([e1, e2, kh])
         assert np.allclose(M @ M.T, np.eye(3), atol=1e-14)
+
+
+def test_polarization_is_the_plane_wave_at_the_origin():
+    """A cosine mode at the origin is PHI_NORM times its polarization, for both sigma:
+    the mode's frame is the one plane_wave_table builds."""
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        k = rng.uniform(-2, 2, 3)
+        k[2] = abs(k[2])
+        for sigma in (1, -1):
+            mode = PlaneWaveMode(k=tuple(k), sigma=sigma, zeta="c")
+            assert np.array_equal(phi_plane_wave(mode, np.zeros(3)), PHI_NORM * mode.polarization)
 
 
 def test_phi_box_orthonormality():

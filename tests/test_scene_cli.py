@@ -735,6 +735,27 @@ def test_cli_memory_error_exit_code(tmp_path, capsys, monkeypatch):
                                         "the configured cap"]
 
 
+@pytest.mark.parametrize("command", [
+    ["greens", "--omega", "1.0", "--src", "0,0,0.9", "--eval", "1.2,0,0"],
+    ["validate"],
+], ids=["greens", "validate"])
+def test_cli_solver_error_exit_code(command, tmp_path, capsys, monkeypatch):
+    """A SolverError raised by a command other than purcell, whose rows catch their
+    own, exits 3 with one stderr line and no traceback."""
+    import greenvox.vie as vie
+
+    def stalled(*args, **kwargs):
+        raise vie.SolverError("dense solve stalled at residual 1.000e-03 (target 1.0e-10)")
+
+    monkeypatch.setattr(vie, "solve_system", stalled)
+    scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
+    rc = cli_main([command[0], "--scene", str(scene), *command[1:]])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.strip().splitlines() == ["solver failure: dense solve stalled at residual "
+                                        "1.000e-03 (target 1.0e-10)"]
+
+
 def test_cli_purcell_records_memory_error_per_row(tmp_path, capsys, monkeypatch):
     import greenvox.vie as vie
 

@@ -130,7 +130,7 @@ def test_dense_kernel_stores_the_sector_blocks(name):
     grid, materials, _ = sector_scenes()[name]
     op = MediumSolver(grid, materials, OMEGA, method="dense").op
     assert op.kernel.dtype == np.complex128 and op.kernel.flags.c_contiguous
-    assert op.kernel.nbytes == 16 * sum(len(cls.index) ** 2 for cls in op.classes)
+    assert op.kernel.nbytes == 16 * sum(len(cls.index) ** 2 for cls in op.parity.classes)
     assert all(np.shares_memory(block, op.kernel) for block in op.blocks)
     K = pairwise_kernel(grid, OMEGA)
     norm = np.abs(np.eye(op.n3) - K * op.beta_rep).sum(axis=1).max()
@@ -167,10 +167,10 @@ def test_permuted_sectors_share_one_block(name, classes):
     kernel above."""
     grid, materials, _ = sector_scenes()[name]
     op = MediumSolver(grid, materials, OMEGA, method="dense").op
-    assert [set(cls.sectors) for cls in op.classes] == classes
+    assert [set(cls.sectors) for cls in op.parity.classes] == classes
     assert len(op.blocks) == len(op.lu()[0]) == len(classes)
     assert sum(block.shape[0] * len(cls.sectors)
-               for cls, block in zip(op.classes, op.blocks)) == op.n3
+               for cls, block in zip(op.parity.classes, op.blocks)) == op.n3
 
 
 @st.composite
@@ -266,7 +266,7 @@ def test_reflected_table_is_g0_at_every_signed_offset(tmp_path):
         signed = [np.unique(sites[:, None] - sites)
                   for sites in map(np.unique, grid.lattice_index.T)]
         circulant = [np.fft.ifftshift(np.arange(-n, n)) for n in grid.lattice_shape]
-        half_space = grid.parity_basis(grid.mirrors).kernel_offsets[0]
+        half_space = grid.parity_basis(np.ones(grid.n)).kernel_offsets[0]
         for axes in (signed, circulant, half_space):
             offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).astype(float)
             origin = tuple(int(np.flatnonzero(ax == 0)[0]) for ax in axes)
