@@ -111,6 +111,11 @@ class SceneConfig:
                             dense_cap=self.dense_cap)
 
 
+def _integer(raw) -> bool:
+    """raw is an int and not a bool: YAML reads true and false as bools, which are ints."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def _number(ctx, raw, errors, positive=False):
     # YAML 1.1 reads "1e-06" (no decimal point) as a string; accept it
     if isinstance(raw, str):
@@ -193,7 +198,7 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
     _check_unknown("scene", raw, _KNOWN_TOP, errors)
 
     version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if not _integer(version) or version != SCHEMA_VERSION:
         errors.append(f"unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})")
 
     # units -------------------------------------------------------------
@@ -216,7 +221,7 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
             continue
         _check_unknown(ctx, m, {"region_id", "poles"}, errors)
         rid = m.get("region_id")
-        if not isinstance(rid, int) or rid <= 0:
+        if not _integer(rid) or rid <= 0:
             errors.append(f"{ctx}.region_id: expected a positive integer")
             continue
         poles = []
@@ -260,7 +265,7 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
             params = {name: _value(f"{ctx}.{name}", s.get(name), unit, errors, positive=True)
                       for name, unit in fields.items()}
             rid = s.get("region_id")
-            if not isinstance(rid, int):
+            if not _integer(rid):
                 errors.append(f"{ctx}.region_id: expected an integer")
             elif rid not in declared_ids:
                 errors.append(f"{ctx}.region_id: dangling region id {rid}")
@@ -284,7 +289,7 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
     _check_unknown("solver", sblock, {"tol", "dense_cap"}, errors)
     tol = _number("solver.tol", sblock["tol"], errors, positive=True)
     dense_cap = sblock["dense_cap"]
-    if not isinstance(dense_cap, int) or dense_cap <= 0:
+    if not _integer(dense_cap) or dense_cap <= 0:
         errors.append("solver.dense_cap: expected a positive integer")
         dense_cap = _DEFAULTS["solver"]["dense_cap"]
 
@@ -293,7 +298,7 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
     _check_unknown("quadrature", qblock, {"n_theta", "n_phi"}, errors)
     n_theta, n_phi = qblock["n_theta"], qblock["n_phi"]
     for name, v in (("n_theta", n_theta), ("n_phi", n_phi)):
-        if not isinstance(v, int) or v < 2:
+        if not _integer(v) or v < 2:
             errors.append(f"quadrature.{name}: expected an integer >= 2")
 
     runs = _block("runs", raw.get("runs"), dict, errors)

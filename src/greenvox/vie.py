@@ -42,13 +42,17 @@ the orbit representatives alone, a few MiB at a time, into 16 sum_c
 d_c^2 bytes; a body with no mirror and no permutation has one block, K.
 Every product K q, the solver's own residuals included, and every LU
 solve is one call per class, on the coordinates of all its sectors.
-A is solved by mixed-precision LU: each block is factored once in
-complex64 (complex128 when ||A||_inf + 2, which bounds every block
-entry, reaches the float32 range), and each solve is refined in
-complex128 until every column has a backward error of one float64
-epsilon (the method of LAPACK zcgesv; Buttari et al., ACM TOMS 34(4), 17
-(2008)); an operator too ill-conditioned for that is refactored once in
-complex128.
+A is solved by LU per block, each solve refined in complex128 until
+every column has a backward error of one float64 epsilon (the method of
+LAPACK zcgesv; Buttari et al., ACM TOMS 34(4), 17 (2008)).  The factor
+precision is decided once, from the block sizes and ||A||_inf
+(_lu_dtype): mixed precision pays only where the O(d^3) factorization
+dominates (Carson & Higham, SIAM J. Sci. Comput. 40, A817 (2018)), so
+blocks of at most _DOUBLE_LU_MAX are factored in complex128, whose
+solves mostly meet the bound at their first residual, and larger ones
+in complex64, unless ||A||_inf + 2, which bounds every block entry,
+reaches the float32 range; an operator too ill-conditioned for complex64
+factors is refactored once in complex128.
 The matrix-free kernel is the FFT of the table embedded in a circulant
 of twice the lattice extent per axis, so K p is a 3x3 block product
 between two FFTs (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16,
@@ -96,6 +100,17 @@ _FIELDS_KEPT = 8
 
 #: refinement steps on one set of LU factors before giving up on them (zcgesv's ITERMAX)
 _REFINE_STEPS = 30
+
+#: largest stored block factored in complex128 outright; above it complex64 factors
+#: and complex128 refinement cost no more.  Time of the LU plus one refined 3-column
+#: solve on a Drude body at omega = 1 (2-core VM, one OpenBLAS thread, median of 10
+#: alternations), complex128 over complex64, by largest block:
+#:   spheres, four classes:  111: 0.55-0.68  249: 0.76  315: 0.87-0.94  423: 0.88-1.07
+#:                           453: 0.96  516: 1.00  582: 0.98  648: 1.05-1.10
+#:   one block, no symmetry: 150: 0.69  201: 0.82  270: 0.83  300: 1.00-1.05
+#:                           360: 0.81-1.04  402: 1.13-1.14  501: 1.07  600: 1.18  771: 1.18
+#: complex128 factors meet the stop test in 0 or 1 steps, complex64 ones in 2 or 3.
+_DOUBLE_LU_MAX = 400
 
 #: bytes of kernel rows assemble folds at a time (the 257-voxel sphere's 3.4 MB in one)
 _ROWS_CHUNK_BYTES = 7 << 19
@@ -257,21 +272,18 @@ class InteractionOperator:
         A commutes with the mirrors and axis permutations of self.parity, so
         its block in every sector of a class is I - blocks[c] diag(beta_t /
         stabilizer_t), beta_t and stabilizer_t those of each coordinate's
-        orbit.  Each block is built C-ordered in complex64, or in complex128
-        with double=True (whose factors replace the complex64 ones) and
-        whenever ||A||_inf + 2 is not below the largest float32: an entry of
-        a block is at most ||A||_inf + 2 in modulus (the diagonal 1, plus
-        |K beta| summed over the distinct members of an orbit, which is at
-        most the row sum of A plus 1), so a complex64 block never overflows.
-        Its transpose, the same memory in Fortran order, is factored in
-        place, so a solve takes trans=1.
+        orbit.  Each block is built C-ordered in the dtype _lu_dtype picks
+        from the block sizes and ||A||_inf, or in complex128 with
+        double=True (whose factors replace the complex64 ones).  Its
+        transpose, the same memory in Fortran order, is factored in place,
+        so a solve takes trans=1.
         """
-        wide = double or not self.norm + 2.0 < float(np.finfo(np.float32).max)
-        dtype = np.dtype(np.complex128 if wide else np.complex64)
-        if self._lu is None or (double and self._lu[0][0][0].dtype != dtype):
+        if self._lu is None or (double and self.factored[-1] != np.complex128):
             if self.kernel is None:
                 raise SolverError("LU requested from a matrix-free operator")
             basis = self.parity
+            dtype = np.dtype(np.complex128) if double else _lu_dtype(
+                [len(cls.index) for cls in basis.classes], self.norm)
             beta = -np.repeat(self.beta[basis.reps] / basis.stabilizer, 3)
             factors = []
             for cls, kernel in zip(basis.classes, self.blocks):
@@ -282,6 +294,22 @@ class InteractionOperator:
             self._lu = (factors, self.norm)
             self.factored.append(dtype)
         return self._lu
+
+
+def _lu_dtype(sizes, norm: float) -> np.dtype:
+    """The dtype the stored blocks of sizes (one per sector class) are factored in, for
+    an operator of ||A||_inf = norm.
+
+    complex128 when the largest block is at most _DOUBLE_LU_MAX, where its
+    factorization costs less than the refinement steps complex64 factors
+    need, or when norm + 2 is not below the largest float32: an entry of a
+    block is at most ||A||_inf + 2 in modulus (the diagonal 1, plus |K
+    beta| summed over the distinct members of an orbit, which is at most
+    the row sum of A plus 1), so below that a complex64 block never
+    overflows.  complex64 otherwise, refined in complex128 by the solve.
+    """
+    wide = max(sizes) <= _DOUBLE_LU_MAX or not norm + 2.0 < float(np.finfo(np.float32).max)
+    return np.dtype(np.complex128 if wide else np.complex64)
 
 
 def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> InteractionOperator:
@@ -387,8 +415,9 @@ def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):
     """Solve (I - K diag(beta)) x = rhs to ||op x - rhs|| <= tol ||rhs||.
 
     rhs: (3N,) or (3N, m).  The representation decides the method.  A
-    stored kernel is factorized once in complex64 (in complex128 when
-    ||A||_inf + 2 reaches the float32 range) and every solve is refined in
+    stored kernel is factorized once, in the precision op.lu decides from
+    its block sizes and ||A||_inf (complex128 for blocks of at most
+    _DOUBLE_LU_MAX, else complex64), and every solve is refined in
     complex128 to a backward error of one float64 epsilon, so the answer is
     accurate to complex128 whatever tol is; if 30 refinement steps on complex64
     factors do not reach that bound the operator is refactorized once in

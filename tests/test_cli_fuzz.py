@@ -2,8 +2,8 @@
 arguments, exits 0, 2, 3 or 4 and prints no traceback.
 
 A valid 64-voxel scene is mutated (wrong types, signs, NaN and infinities,
-missing keys, dangling region ids, run fields no command reads, a voxel edge
-too fine to voxelize) and so is
+missing keys, dangling region ids, booleans in integer fields, run fields no
+command reads, a voxel edge too fine to voxelize) and so is
 each command's argv (bad numbers, vectors and ranges, dropped flags).  The
 same scene with its body read from a 4 x 4 x 4 mask file gets a mutated mask
 file (a truncated header, tokens that are not numbers or not integers, huge
@@ -61,6 +61,13 @@ FREQUENCY_PATHS = [
 ]
 FREQUENCY_VALUES = [1e300, -1e300, 1e-300, 1e30, 1e-30]
 
+#: the scene's integer fields: YAML true and false load as bools, which are ints, and a
+#: scene holding one in any of these fields exits 4
+INTEGER_PATHS = [
+    ("schema_version",), ("materials", 0, "region_id"), ("geometry", "shapes", 0, "region_id"),
+    ("solver", "dense_cap"), ("quadrature", "n_theta"), ("quadrature", "n_phi"),
+]
+
 #: a voxel edge whose lattice over any body the mutations reach (at least 0.4 x 0.4 x
 #: 0.25) has more sites than build_grid scans, so the grid is refused before it is built
 FINE_VOXEL_EDGE = 1e-3
@@ -103,6 +110,16 @@ def _set(tree, path, value):
         node[last] = value
 
 
+def _get(tree, path):
+    """The value at path, or None when the path does not exist."""
+    for key in path:
+        try:
+            tree = tree[key]
+        except (KeyError, IndexError, TypeError):
+            return None
+    return tree
+
+
 def _delete(tree, path):
     """Remove the key at path from its mapping, if the path exists."""
     node = tree
@@ -120,6 +137,7 @@ scene_mutations = st.lists(st.one_of(
     st.tuples(st.just("set"), st.sampled_from(FREQUENCY_PATHS),
               st.sampled_from(FREQUENCY_VALUES)),
     st.tuples(st.just("set"), st.just(("geometry", "voxel_edge")), st.just(FINE_VOXEL_EDGE)),
+    st.tuples(st.just("set"), st.sampled_from(INTEGER_PATHS), st.booleans()),
     st.tuples(st.just("delete"), st.sampled_from(SCENE_PATHS), st.none())), max_size=3)
 
 argv_mutations = st.lists(st.tuples(
@@ -162,6 +180,8 @@ def test_cli_exit_codes_hold_under_malformed_input(command, scene_ops, argv_ops)
             code = cli_main(argv)
     assert code in (0, 2, 3, 4), (argv, scene, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, scene, err.getvalue())
+    if any(isinstance(_get(scene, path), bool) for path in INTEGER_PATHS):
+        assert code == 4, (argv, scene, err.getvalue())
 
 
 #: the 4 x 4 x 4 mask of the scene's cube, as tokens: nx ny nz edge origin, then 64 ids

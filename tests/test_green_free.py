@@ -7,13 +7,11 @@ from greenvox import (PlaneWaveMode, fd_curl, fd_curl_curl, g0_closed,
 from greenvox.green_free import PHI_NORM, self_term_scalar, transverse_frames
 from greenvox.permittivity import principal_value_integral
 
-RNG = np.random.default_rng(42)
 
-
-def random_pair(scale=1.0, min_sep=0.2):
+def random_pair(rng, scale=1.0, min_sep=0.2):
     while True:
-        r = RNG.uniform(-scale, scale, 3)
-        rp = RNG.uniform(-scale, scale, 3)
+        r = rng.uniform(-scale, scale, 3)
+        rp = rng.uniform(-scale, scale, 3)
         if np.linalg.norm(r - rp) > min_sep:
             return r, rp
 
@@ -37,9 +35,10 @@ def test_scalar_phase_periodicity():
 
 
 def test_scalar_reimplementation_oracle():
+    rng = np.random.default_rng(42)
     for _ in range(10):
-        r, rp = random_pair()
-        w = RNG.uniform(0.3, 4.0)
+        r, rp = random_pair(rng)
+        w = rng.uniform(0.3, 4.0)
         R = np.linalg.norm(r - rp)
         expected = (np.cos(w * R) + 1j * np.sin(w * R)) / (4 * np.pi * R)
         assert scalar_green(r, rp, w) == pytest.approx(expected, rel=1e-14)
@@ -55,9 +54,10 @@ def test_scalar_coincident_rejected():
 # ----------------------------------------------------------------------
 
 def test_g0_symmetry_exact():
+    rng = np.random.default_rng(43)
     for _ in range(10):
-        r, rp = random_pair()
-        w = RNG.uniform(0.3, 4.0)
+        r, rp = random_pair(rng)
+        w = rng.uniform(0.3, 4.0)
         G = g0_closed(r, rp, w)
         assert np.array_equal(G, G.T)
         assert np.array_equal(G, g0_closed(rp, r, w))
@@ -92,9 +92,10 @@ def test_g0_helmholtz_residual_fd():
     The truncation constant carries the near-field 1/R^4 growth of the
     4th derivatives, hence the (w h)^2 / R^4 scaling of the bound.
     """
+    rng = np.random.default_rng(44)
     for _ in range(20):
-        r, rp = random_pair(min_sep=0.4)
-        w = RNG.uniform(0.5, 2.0)
+        r, rp = random_pair(rng, min_sep=0.4)
+        w = rng.uniform(0.5, 2.0)
         h = 1e-3 / w
         R = np.linalg.norm(r - rp)
         field = lambda rr: g0_closed(rr, rp, w)
@@ -117,9 +118,10 @@ def test_g0_helmholtz_residual_is_second_order():
 
 
 def test_g0_longitudinal_traceless_and_curl_free():
+    rng = np.random.default_rng(45)
     for _ in range(5):
-        r, rp = random_pair(min_sep=0.4)
-        w = RNG.uniform(0.5, 2.0)
+        r, rp = random_pair(rng, min_sep=0.4)
+        w = rng.uniform(0.5, 2.0)
         L = g0_longitudinal(r, rp, w)
         assert abs(np.trace(L)) < 1e-14 * np.linalg.norm(L)
         curl = fd_curl(lambda rr: g0_longitudinal(rr, rp, w), r, 1e-3 / w)
@@ -136,18 +138,20 @@ def test_phi_sine_vanishes_at_origin():
 
 
 def test_phi_transverse():
+    rng = np.random.default_rng(46)
     for _ in range(20):
-        k = RNG.uniform(-2, 2, 3)
+        k = rng.uniform(-2, 2, 3)
         k[2] = abs(k[2]) + 0.1
-        mode = PlaneWaveMode(k=tuple(k), sigma=int(RNG.choice([1, -1])),
-                             zeta=str(RNG.choice(["c", "s"])))
-        pt = RNG.uniform(-3, 3, 3)
+        mode = PlaneWaveMode(k=tuple(k), sigma=int(rng.choice([1, -1])),
+                             zeta=str(rng.choice(["c", "s"])))
+        pt = rng.uniform(-3, 3, 3)
         assert abs(phi_plane_wave(mode, pt) @ k) < 1e-14
 
 
 def test_phi_frame_orthonormal():
+    rng = np.random.default_rng(47)
     for _ in range(20):
-        kh = RNG.normal(size=3)
+        kh = rng.normal(size=3)
         kh /= np.linalg.norm(kh)
         (e1,), (e2,) = transverse_frames(kh)
         M = np.stack([e1, e2, kh])

@@ -416,6 +416,31 @@ def test_malformed_scene_values_are_scene_errors(path, value, field, tmp_path, c
     assert rc == 4 and "Traceback" not in captured and field in captured, captured
 
 
+@pytest.mark.parametrize("path, field", [
+    (("schema_version",), "schema_version"),
+    (("materials", 0, "region_id"), "materials[0].region_id"),
+    (("geometry", "shapes", 0, "region_id"), "geometry.shapes[0].region_id"),
+    (("solver", "dense_cap"), "solver.dense_cap"),
+    (("quadrature", "n_theta"), "quadrature.n_theta"),
+    (("quadrature", "n_phi"), "quadrature.n_phi"),
+], ids=["schema_version", "material region_id", "shape region_id", "dense_cap", "n_theta",
+        "n_phi"])
+def test_yaml_booleans_are_not_scene_integers(path, field, tmp_path, capsys):
+    """YAML reads true as a bool, which Python counts as the int 1: schema_version,
+    either region_id, dense_cap (which sent every body to GMRES) and the quadrature
+    sizes all reject it, exit 4, naming the field."""
+    scene = yaml.safe_load(CUBE_SCENE)
+    node = scene
+    for key in path[:-1]:
+        node = node[key] if isinstance(node, list) else node.setdefault(key, {})
+    node[path[-1]] = True
+    text = yaml.safe_dump(scene)
+    assert f"{path[-1]}: true" in text
+    rc = cli_main(["validate", "--scene", str(write(tmp_path, "bad.yaml", text))])
+    captured = capsys.readouterr().err
+    assert rc == 4 and "Traceback" not in captured and field in captured, captured
+
+
 @pytest.mark.parametrize("pole, field", [
     ("{omega0: 0.0, omegap: 1.5, gamma: 0}", "gamma"),
     ("{omega0: 0.0, omegap: 1.5, gamma: -0.3}", "gamma"),
@@ -888,11 +913,14 @@ runs:
     assert "[FAIL]" not in out
 
 
-def test_operator_past_the_complex64_range_is_factored_in_complex128(tmp_path):
+def test_operator_past_the_complex64_range_is_factored_in_complex128(tmp_path, monkeypatch):
     """omegap = 1e25 puts beta K near 1e48, past complex64: the blocks go straight to
     complex128 factors, the CLI prints no numpy warning, and G is the complex128
-    dense answer to the solver tolerance."""
+    dense answer to the solver tolerance.  The cube's blocks are small enough for
+    complex128 factors anyway, so the in-process solver sets the crossover to 0: its
+    complex128 factors then come from the norm alone."""
     import greenvox
+    import greenvox.vie as vie
     from greenvox import MediumSolver, g0_closed
     from conftest import pairwise_kernel
 
@@ -908,6 +936,7 @@ def test_operator_past_the_complex64_range_is_factored_in_complex128(tmp_path):
     G = np.array(green["re"]) + 1j * np.array(green["im"])
 
     cfg = load_scene(scene)
+    monkeypatch.setattr(vie, "_DOUBLE_LU_MAX", 0)
     solver = MediumSolver(cfg.build_grid(), cfg.materials, 1.0, cfg.solver_tol, method="dense")
     x, y = np.array([0.0, 0.0, 3.0]), np.array([0.0, 0.0, 2.0])
     assert np.linalg.norm(solver.green(x, y) - G) <= cfg.solver_tol * np.linalg.norm(G)

@@ -81,11 +81,11 @@ def test_validate_uses_one_medium_and_one_vacuum_solver(budget, monkeypatch):
     report = run_validation(scene_from_dict(CUBE))
     assert report.passed
     assert budget["assemble"] == 2
-    # one complex64 factorization of the medium operator, one LAPACK call per stored
-    # block (the eight parity sectors fall into four classes under the axis
-    # permutations); the vacuum operator is the identity
+    # one factorization of the medium operator, in complex128 since its blocks are
+    # small, one LAPACK call per stored block (the eight parity sectors fall into four
+    # classes under the axis permutations); the vacuum operator is the identity
     medium, vacuum = budget["operators"]
-    assert [medium.factored, vacuum.factored] == [[np.complex64], []]
+    assert [medium.factored, vacuum.factored] == [[np.complex128], []]
     assert budget["lu_factor"] == len(medium.blocks) == 4
     # one block of the five Green sources (15 columns), the two direct-route solves
     # (1 column each) and the vacuum identity (3 columns); the total also catches a
@@ -139,11 +139,36 @@ def test_sweep_solves_one_green_column_set_per_frequency(budget, monkeypatch):
     assert budget["lu_factor"] == sum(len(op.blocks) for op in budget["operators"])
     assert len(budget["solve_columns"]) == len(omegas)
     assert max(budget["solve_columns"]) <= 3
-    # one complex64 factorization per frequency, never refactored in complex128,
-    # and a few complex128 refinement steps per solve
+    # one complex128 factorization per frequency (the cube's blocks are small), never
+    # refactored, and a few complex128 refinement steps per solve
     for op in budget["operators"]:
-        assert op.factored == [np.complex64]
+        assert op.factored == [np.complex128]
         assert len(op.refinements) == 1 and op.refinements[0] <= 3
+
+
+def test_small_blocks_are_solved_in_one_step(budget, monkeypatch):
+    """The 257-voxel sphere's blocks (111, 104, 91 and 75 wide) are factored in
+    complex128, and each solve meets the backward-error bound on its first residual:
+    one operator application per solve, in validate's medium operator and in every
+    operator of a 17-frequency sweep."""
+    applied = []
+    apply = vie.InteractionOperator.apply
+    monkeypatch.setattr(vie.InteractionOperator, "apply",
+                        lambda op, p: applied.append(op) or apply(op, p))
+    report = run_validation(scene_from_dict(dict(SPHERE, quadrature={"n_theta": 8,
+                                                                    "n_phi": 16})))
+    assert report.passed
+    rows = purcell_sweep(scene_from_dict(SPHERE).solver, (0.82, -1.12, 0.84),
+                         (0.0, 0.6, 0.8), np.linspace(0.7, 1.1, 17))
+    assert all("error" not in r for r in rows)
+    medium, vacuum, *sweep = budget["operators"]
+    assert vacuum.is_identity and len(sweep) == 17
+    for op in [medium, *sweep]:
+        assert [len(block) for block in op.blocks] == [111, 104, 91, 75]
+        assert op.factored == [np.complex128]
+        assert op.refinements == [0] * len(op.refinements) != []
+        assert sum(a is op for a in applied) == len(op.refinements)
+    assert len(medium.refinements) == 3 and all(len(op.refinements) == 1 for op in sweep)
 
 
 def test_a_symmetric_sweep_stores_only_the_sector_blocks(budget, monkeypatch):

@@ -82,7 +82,9 @@ def sector_scenes():
     """(grid, materials, parity sectors): the cube and the sphere keep all three
     mirrors; two touching boxes of different materials split at x = 0 lose the x
     mirror; a Drude sphere with a Lorentz box off its center keeps none.  The flat
-    box and the cube with a second material where |x| <= 0.2 keep every mirror."""
+    box and the cube with a second material where |x| <= 0.2 keep every mirror.  The
+    chiral body, the 3 x 3 x 3 lattice without the orbit of (0, 1, 2) under the cyclic
+    permutations of the axes, keeps no mirror and no axis swap, only the two 3-cycles."""
     tilted = PermittivityModel(poles=(LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4),),
                                region_id=2)
     halves = [Box(min_corner=(-0.4, -0.3, -0.2), max_corner=(0.0, 0.3, 0.2), region_id=1),
@@ -91,6 +93,8 @@ def sector_scenes():
                 Box(min_corner=(0.3, 0.1, -0.2), max_corner=(0.8, 0.6, 0.3), region_id=2)]
     slab = [Box(min_corner=(-0.4,) * 3, max_corner=(0.4,) * 3, region_id=1),
             Box(min_corner=(-0.2, -0.4, -0.4), max_corner=(0.2, 0.4, 0.4), region_id=2)]
+    site = np.argwhere(np.ones((3, 3, 3)))
+    site = site[~np.isin(site @ [9, 3, 1], [5, 19, 15])]  # (0, 1, 2), (2, 0, 1), (1, 2, 0)
     return {
         "cube": (build_grid(Box(min_corner=(-0.4,) * 3, max_corner=(0.4,) * 3), 0.2),
                  {1: LORENTZ}, 8),
@@ -100,17 +104,21 @@ def sector_scenes():
         "flat box": (build_grid(Box(min_corner=(-0.4, -0.4, -0.2), max_corner=(0.4, 0.4, 0.2)),
                                 0.2), {1: LORENTZ}, 8),
         "cube with a slab": (build_grid(slab, 0.2), {1: DRUDE, 2: tilted}, 8),
+        "chiral": (VoxelGrid((site - 1.0) * 0.2, 0.2, np.ones(len(site), dtype=int)),
+                   {1: DRUDE}, 1),
     }
 
 
-SECTOR_SCENES = ["cube", "sphere", "two materials", "asymmetric", "flat box", "cube with a slab"]
+SECTOR_SCENES = ["cube", "sphere", "two materials", "asymmetric", "flat box", "cube with a slab",
+                 "chiral"]
 
 
 @pytest.mark.parametrize("name", SECTOR_SCENES)
 def test_parity_sectors_solve_the_materialized_operator(name):
     """The dense operator is factored in one block per parity sector of the mirrors
     that keep the voxels and beta; the refined solve is the complex128 solve of
-    A = I - K diag(beta) to 1e-13."""
+    A = I - K diag(beta) to 1e-13.  Blocks of at most 400 are factored in complex128,
+    the asymmetric body's one block of 771 in complex64."""
     grid, materials, count = sector_scenes()[name]
     solver = MediumSolver(grid, materials, OMEGA, method="dense")
     op = solver.op
@@ -119,7 +127,7 @@ def test_parity_sectors_solve_the_materialized_operator(name):
     rhs = rng.normal(size=(op.n3, 2)) + 1j * rng.normal(size=(op.n3, 2))
     reference = np.linalg.solve(np.eye(op.n3) - pairwise_kernel(grid, OMEGA) * op.beta_rep, rhs)
     assert np.linalg.norm(solver.solve(rhs) - reference) <= 1e-13 * np.linalg.norm(reference)
-    assert op.factored == [np.complex64]
+    assert op.factored == [np.complex64 if name == "asymmetric" else np.complex128]
 
 
 @pytest.mark.parametrize("name", SECTOR_SCENES)
@@ -159,6 +167,7 @@ def test_sectors_of_the_sphere():
     ("flat box", [{0}, {1, 2}, {3}, {4}, {5, 6}, {7}]),  # x <-> y alone
     ("cube with a slab", [{0}, {1}, {2, 4}, {3, 5}, {6}, {7}]),  # y <-> z alone
     ("asymmetric", [{0}]),
+    ("chiral", [{0}]),  # the 3-cycles map the one sector onto itself
 ])
 def test_permuted_sectors_share_one_block(name, classes):
     """Parity sectors that an axis permutation of the voxels and beta maps onto each
@@ -171,6 +180,31 @@ def test_permuted_sectors_share_one_block(name, classes):
     assert len(op.blocks) == len(op.lu()[0]) == len(classes)
     assert sum(block.shape[0] * len(cls.sectors)
                for cls, block in zip(op.parity.classes, op.blocks)) == op.n3
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("sizes, norm, dtype", [
+    ([111, 104, 91, 75], 3.0, np.complex128),
+    ([714] * 4, 3.0, np.complex64),
+    ([771], 3.0, np.complex64),
+    ([714] * 4, 1e38, np.complex64),
+    ([111, 104, 91, 75], F32_MAX, np.complex128),
+    ([714] * 4, F32_MAX - 2.0, np.complex128),
+    ([771], 1e48, np.complex128),
+    ([771], np.inf, np.complex128),
+], ids=["sphere 257", "sphere 1904", "one sector 771", "large norm 1904", "float32 max 257",
+        "float32 max 1904", "1e48 771", "inf 771"])
+def test_lu_precision_follows_the_block_sizes_and_the_norm(sizes, norm, dtype):
+    """The LU precision is a function of the stored blocks' sizes and ||A||_inf alone,
+    read before anything is assembled: complex128 for the 257-voxel sphere's four
+    small blocks, complex64 for the 1904-voxel sphere's four of 714 and for one block
+    of 771, and complex128 whatever the sizes once ||A||_inf + 2 reaches the float32
+    range, where a complex64 block could overflow."""
+    import greenvox.vie as vie_mod
+
+    assert vie_mod._lu_dtype(sizes, norm) == dtype
 
 
 @st.composite
@@ -360,8 +394,9 @@ def test_solve_follows_the_representation(cube_grid, cube_materials, monkeypatch
     dense = MediumSolver(cube_grid, cube_materials, OMEGA, method="dense")
     for _ in range(3):
         dense.solve(rhs)
-    # one factorization, one LAPACK call per stored block: four classes of sectors
-    assert dense.op.factored == [np.complex64]
+    # one factorization, in complex128 (every block is at most 400 wide), one LAPACK
+    # call per stored block: four classes of sectors
+    assert dense.op.factored == [np.complex128]
     sectors = len(dense.op.blocks)
     assert sectors == 4
     assert calls == {"lu_factor": sectors, "_gmres": 0}
@@ -467,9 +502,15 @@ def test_fft_gmres_above_dense_cap_keeps_identities():
     assert dyson_residual(solver, x, y) <= tol * gnorm
 
 
-def test_ill_conditioned_operator_refactors_in_complex128(cube_grid, cube_materials):
+def test_ill_conditioned_operator_refactors_in_complex128(cube_grid, cube_materials,
+                                                         monkeypatch):
     """An eigenvalue of K diag(beta) within 1e-7 of 1 defeats refinement on complex64
-    factors: the solve refactors once in complex128 and still meets tol."""
+    factors: the solve refactors once in complex128 and still meets tol.  The cube's
+    blocks are small enough to be factored in complex128 outright, so the crossover is
+    set to 0 here and they are factored in complex64 first."""
+    import greenvox.vie as vie_mod
+
+    monkeypatch.setattr(vie_mod, "_DOUBLE_LU_MAX", 0)
     op = MediumSolver(cube_grid, cube_materials, OMEGA).op
     mu = np.linalg.eigvals(pairwise_kernel(cube_grid, OMEGA) * op.beta_rep)
     beta = op.beta * (1.0 - 1e-7) / mu[np.argmin(np.abs(mu))]
@@ -484,8 +525,14 @@ def test_ill_conditioned_operator_refactors_in_complex128(cube_grid, cube_materi
     assert scaled.factored == [np.complex64, np.complex128]
 
 
-def test_loose_tolerance_still_solves_to_double_precision(sphere_grid, drude_materials):
-    """The dense solve stops at a backward error of one float64 epsilon, not at tol."""
+def test_loose_tolerance_still_solves_to_double_precision(sphere_grid, drude_materials,
+                                                         monkeypatch):
+    """The dense solve stops at a backward error of one float64 epsilon, not at tol,
+    also on complex64 factors, whose first solve is only about float32-accurate (the
+    crossover is set to 0 here, so the sphere's blocks are factored in complex64)."""
+    import greenvox.vie as vie_mod
+
+    monkeypatch.setattr(vie_mod, "_DOUBLE_LU_MAX", 0)
     solver = MediumSolver(sphere_grid, drude_materials, OMEGA, tol=1e-6)
     rng = np.random.default_rng(8)
     rhs = rng.normal(size=(solver.op.n3, 3)) + 1j * rng.normal(size=(solver.op.n3, 3))
