@@ -21,7 +21,6 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -111,7 +110,7 @@ class VoxelGrid:
         self.voxel_edge = float(voxel_edge)
         self.material_ids = material_ids
         self.lattice_index = ijk
-        self._parity_bases = {}
+        self._symmetry_bases = {}
 
     @property
     def n(self) -> int:
@@ -198,9 +197,9 @@ class VoxelGrid:
                 out[sigma] = found
         return out
 
-    def parity_basis(self, beta) -> "ParityBasis":
-        """The ParityBasis of the group of lattice mirrors and axis permutations that map
-        the voxel sites and the per-voxel beta (N,) exactly onto themselves.
+    def symmetry_basis(self, beta):
+        """The symmetry.SymmetryBasis of the group of lattice mirrors and axis permutations
+        that map the voxel sites and the per-voxel beta (N,) exactly onto themselves.
 
         This is the one place where an operator's symmetry group is found: a
         mirror or permutation is kept when beta equals its image, and the
@@ -213,9 +212,10 @@ class VoxelGrid:
                 if np.array_equal(beta[image], beta)}
         group = (tuple(a for a in self.mirrors if a in kept),
                  tuple(s for s in self.permutations if s in kept))
-        if group not in self._parity_bases:
-            self._parity_bases[group] = ParityBasis(self, *group)
-        return self._parity_bases[group]
+        if group not in self._symmetry_bases:
+            from .symmetry import SymmetryBasis  # scipy.sparse: only where a basis is built
+            self._symmetry_bases[group] = SymmetryBasis(self, *group)
+        return self._symmetry_bases[group]
 
     def index_of(self, point, rtol: float = 1e-9):
         """Index of the voxel whose center lies within rtol edges of point per axis, else None."""
@@ -225,183 +225,6 @@ class VoxelGrid:
             return None
         found = self._voxels_at(site[None])  # None off the lattice box: no wrap-around
         return None if found is None else int(found[0])
-
-
-class SectorClass(NamedTuple):
-    """Parity sectors that axis permutations map onto each other, stored as one block.
-
-    sectors: the characters chi of the members, the representative first;
-    index (d,): the representative's coordinates, as in ParityBasis.sectors;
-    positions (d, k): the fold position of every member's coordinate that
-    the permutation carries coordinate i of the representative onto, column
-    0 the representative's own; weights (d, 1): 1 / the stabilizer's size
-    of each coordinate's orbit.
-    """
-
-    sectors: tuple
-    index: np.ndarray
-    positions: np.ndarray
-    weights: np.ndarray
-
-
-class ParityBasis:
-    """Parity sectors of vector fields on a grid under a group of lattice mirrors and axis
-    permutations, and the classes of sectors that the permutations carry onto each other.
-
-    The mirror group has G = 2^len(axes) elements; element g is a bitmask
-    whose bit k flips axes[k].  It acts on a field p by (R_g p)_i = S_g
-    p_{g(i)}, S_g the diagonal of -1 on the flipped axes, so a kernel with
-    K(g z, g z') = S_g K(z, z') S_g commutes with it.  Characters are
-    bitmasks too, h(g) = (-1)^popcount(h & g), and sector chi holds the
-    fields with R_g p = chi(g) p.  Each orbit is represented by its voxel
-    in the lower half of every mirror axis (the center plane included),
-    and a field of sector chi is fixed by its values there: component a
-    obeys p_{g(rep), a} = h(g) p_{rep, a} with the source character
-    h = chi ^ e_a, e_a the bit of axis a (0 off the axes).  The component
-    belongs to the sector when h is 1 on the orbit's stabilizer (the
-    mirrors whose plane holds rep), else it is 0 there, so an orbit of |O|
-    voxels lends each component to |O| of the G sectors and the sector
-    sizes sum to 3N.
-
-    permutations lists the axis permutations sigma (keys of
-    VoxelGrid.permutations, the identity left out) of a group that maps the
-    voxels, beta and the set of mirror axes onto themselves.  T, carrying
-    component a of voxel i to component sigma[a] of its image, commutes
-    with K and conjugates mirror g into sigma(g), so it carries sector chi
-    onto sector sigma(chi).  It maps every representative onto a
-    representative (the lower half of an axis lands in the lower half of
-    its image, which has the same extent), so coordinate (orbit, a) with
-    source character h goes to (orbit of the image, sigma[a]) with
-    sigma(h), with no sign, and the block of sigma(chi) is the block of chi
-    with its coordinates renamed.
-
-    reps (n_orbits,): the representatives, in voxel order; members
-    (G, n_orbits): the voxel g(rep) of every group element and orbit, an
-    orbit on a mirror plane listing its voxels more than once; stabilizer
-    (n_orbits,): the stabilizer's size; sectors: chi -> (index, position)
-    for every nonempty sector, index the flat positions 3 orbit + a of its
-    coordinates, ordered by their source character h, and position their
-    flat positions 3 n_orbits h + index in the (G, 3 n_orbits) coordinates
-    of fold; classes: the SectorClass of every class of sectors, in the
-    order of their first sector.  fold and unfold carry fields between
-    voxels and orbit coordinates.  For the trivial group every voxel is its
-    own orbit and the one sector holds every coordinate in voxel order.
-    kernel_offsets indexes the kernel table at the representatives' rows
-    alone, lazily.
-    """
-
-    def __init__(self, grid: "VoxelGrid", axes, permutations):
-        self.axes, self.n = tuple(axes), grid.n
-        self._lattice_index = grid.lattice_index
-        domain, plane = np.arange(grid.n), np.zeros(grid.n, dtype=int)
-        for k, axis in enumerate(self.axes):
-            coord = grid.lattice_index[:, axis]
-            plane |= (grid.mirrors[axis] == np.arange(grid.n)) << k
-            domain = domain[2 * coord[domain] <= grid.lattice_shape[axis] - 1]
-        self.reps, plane = domain, plane[domain]
-        members = [self.reps]
-        for axis in self.axes:  # element g + 2^k is g followed by the mirror of axes[k]
-            members += [grid.mirrors[axis][m] for m in members]
-        self.members = np.stack(members)
-        self.stabilizer = 1 << ((plane[:, None] >> np.arange(len(self.axes))) & 1).sum(axis=1)
-        e = np.zeros(3, dtype=int)
-        e[list(self.axes)] = 1 << np.arange(len(self.axes))
-        self.sectors = {}
-        for chi in range(self.order):
-            source = np.tile(chi ^ e, len(domain))
-            index = np.flatnonzero((source & np.repeat(plane, 3)) == 0)
-            index = index[np.argsort(source[index], kind="stable")]
-            if len(index):
-                self.sectors[chi] = (index, 3 * len(domain) * source[index] + index)
-        width, weights = 3 * len(domain), 1.0 / np.repeat(self.stabilizer, 3)
-        images = []  # (character map, coordinate map) of every permutation
-        for sigma in permutations:
-            chars = np.zeros(self.order, dtype=int)
-            for k, axis in enumerate(self.axes):  # bit k flips axes[k]
-                chars |= ((np.arange(self.order) >> k) & 1) << self.axes.index(sigma[axis])
-            orbit = np.searchsorted(self.reps, grid.permutations[sigma][self.reps])
-            images.append((chars, (3 * orbit[:, None] + np.asarray(sigma)).reshape(-1)))
-        self.classes, placed = [], set()
-        for chi, (index, position) in self.sectors.items():
-            if chi in placed:
-                continue
-            members = {chi: position}
-            for chars, coords in images:
-                members.setdefault(int(chars[chi]),
-                                   width * chars[position // width] + coords[index])
-            placed.update(members)
-            positions = np.stack(list(members.values()), axis=1)
-            self.classes.append(
-                SectorClass(tuple(members), index, positions, weights[index, None]))
-        for array in (self.reps, self.members, self.stabilizer,
-                      *(a for sector in self.sectors.values() for a in sector),
-                      *(a for cls in self.classes for a in cls[1:])):
-            array.flags.writeable = False
-
-    @property
-    def order(self) -> int:
-        return 1 << len(self.axes)
-
-    @cached_property
-    def characters(self):
-        """h(g) = (-1)^popcount(h & g), (G, G) float, row h: one Kronecker factor per bit."""
-        table = np.ones((1, 1))
-        for _ in self.axes:
-            table = np.kron([[1.0, 1.0], [1.0, -1.0]], table)
-        return table
-
-    @cached_property
-    def kernel_offsets(self):
-        """(axes, index): the table's offsets in lattice steps, |o_x| and the signed o_y, o_z
-        of voxel pairs, and the flat position in it of every rep_i - g(rep_j), int32 (G,
-        n_orbits, n_orbits), read at its negative where o_x < 0 (G0(-r) = G0(r))."""
-        axes, index, flip = [], 0, None
-        for coord in self._lattice_index.T:
-            offset = coord[self.reps][None, :, None] - coord[self.members][:, None, :]
-            flip = offset < 0 if flip is None else flip
-            np.negative(offset, out=offset, where=flip)
-            pairs = np.unique(np.subtract.outer(*[np.unique(coord)] * 2))  # -m, ..., m
-            axes.append(pairs[pairs >= 0] if not axes else pairs)
-            position = np.zeros(2 * pairs[-1] + 1, dtype=int)
-            position[axes[-1] + pairs[-1]] = np.arange(len(axes[-1]))
-            index = index * len(axes[-1]) + position[offset + pairs[-1]]
-        index = index.astype(np.int32)
-        for array in (*axes, index):
-            array.flags.writeable = False
-        return tuple(axes), index
-
-    def transform(self, x):
-        """x[h] <- sum_g h(g) x[g] for every character h along axis 0 of a C-contiguous
-        (G, ...) array, in place; returns x.
-
-        The Walsh-Hadamard transform as real products with the character
-        table, 4096 real columns at a time, so each temporary stays in cache.
-        """
-        if self.order > 1:
-            flat = x.reshape(self.order, -1)
-            flat = flat.view(flat.real.dtype)  # a complex array as (re, im) pairs
-            for start in range(0, flat.shape[1], 4096):
-                part = flat[:, start:start + 4096]
-                part[...] = self.characters @ part
-        return x
-
-    def fold(self, field):
-        """sum_g h(g) field[g(rep)] for every character h, (G, n_orbits, ...).
-
-        field (N, ...) holds a value per voxel, read at every orbit's members.
-        """
-        return self.transform(field[self.members])
-
-    def unfold(self, coords):
-        """sum_h h(g) coords[h, orbit] at voxel g(rep), (N, ...): fold's adjoint.
-
-        coords (G, n_orbits, ...), C-contiguous, is overwritten; it must
-        vanish at the coordinates no sector holds, so that a voxel listed
-        twice among the members receives one value.
-        """
-        field = np.empty((self.n, *coords.shape[2:]), dtype=coords.dtype)
-        field[self.members] = self.transform(coords)
-        return field
 
 
 def _lattice_counts(lo, hi, h: float):

@@ -25,23 +25,25 @@ Every grid lies on a cubic lattice, so K_ij depends only on the offset
 z_i - z_j, and the kernel is built once, as the table of its 3x3 blocks
 over the lattice offsets, evaluated at |offsets| and reflected: an axis
 mirror S gives G0(S r) = S G0(r) S.  The same symmetry stores the dense
-kernel per parity sector: the lattice mirrors i -> n_a - 1 - i that map
-the voxels and beta exactly onto themselves (geometry.ParityBasis)
-commute with K, so K and A = I - K diag(beta) are block diagonal in
-their parity basis, with up to eight blocks of about 3N/8
-(symmetry-adapted block diagonalization; Bossavit, Comput. Methods Appl.
-Mech. Eng. 56, 167 (1986)).  The lattice axis permutations that map the
-voxels and beta onto themselves (VoxelGrid.permutations) commute with K
-too and carry parity sectors onto each other with their coordinates
-renamed (induced representations; Fassler & Stiefel, Group Theoretical
-Methods and Their Applications, Birkhauser (1992)): on a cube-symmetric
-body sectors 1, 2, 4 and sectors 3, 5, 6 are copies.  Both are found
-from beta in one place, VoxelGrid.parity_basis.  So one block is
-stored and factored per class of sectors, folded from the kernel rows of
-the orbit representatives alone, a few MiB at a time, into 16 sum_c
-d_c^2 bytes; a body with no mirror and no permutation has one block, K.
-Every product K q, the solver's own residuals included, and every LU
-solve is one call per class, on the coordinates of all its sectors.
+kernel as blocks: the lattice mirrors i -> n_a - 1 - i and the lattice
+axis permutations that map the voxels and beta exactly onto themselves
+(found in one place, VoxelGrid.symmetry_basis) commute with K, so K and
+A = I - K diag(beta) are block diagonal in the basis adapted to the
+irreducible representations of that group, one block per irrep, the
+same block repeated once per dimension of the irrep (symmetry-adapted
+block diagonalization; Bossavit, Comput. Methods Appl. Mech. Eng. 56,
+167 (1986); Fassler & Stiefel, Group Theoretical Methods and Their
+Applications, Birkhauser (1992); for electromagnetic scattering Kahnert,
+J. Opt. Soc. Am. A 22, 1187 (2005)).  The mirrors split the fields into
+up to eight parity sectors; the permutations carry sectors onto each
+other, and the permutations that keep a sector split it further, so a
+body with all 48 signed axis permutations stores ten blocks of about
+3N/48 each (symmetry.SymmetryBasis).  Each block is folded from the
+kernel rows of one voxel per orbit of the whole group, a few MiB at a
+time, into 16 sum_c d_c^2 bytes; a body with no mirror and no
+permutation has one block, K.  Every product K q, the solver's own
+residuals included, and every LU solve is one call per block, on the
+coordinates of all its copies.
 A is solved by LU per block, each solve refined in complex128 until
 every column has a backward error of one float64 epsilon (the method of
 LAPACK zcgesv; Buttari et al., ACM TOMS 34(4), 17 (2008)).  The factor
@@ -50,8 +52,8 @@ precision is decided once, from the block sizes and ||A||_inf
 dominates (Carson & Higham, SIAM J. Sci. Comput. 40, A817 (2018)), so
 blocks of at most _DOUBLE_LU_MAX are factored in complex128, whose
 solves mostly meet the bound at their first residual, and larger ones
-in complex64, unless ||A||_inf + 2, which bounds every block entry,
-reaches the float32 range; an operator too ill-conditioned for complex64
+in complex64, unless a bound on the block entries reaches the float32
+range; an operator too ill-conditioned for complex64
 factors is refactored once in complex128.
 The matrix-free kernel is the FFT of the table embedded in a circulant
 of twice the lattice extent per axis, so K p is a 3x3 block product
@@ -104,7 +106,9 @@ _REFINE_STEPS = 30
 #: largest stored block factored in complex128 outright; above it complex64 factors
 #: and complex128 refinement cost no more.  Time of the LU plus one refined 3-column
 #: solve on a Drude body at omega = 1 (2-core VM, one OpenBLAS thread, median of 10
-#: alternations), complex128 over complex64, by largest block:
+#: alternations), complex128 over complex64, by largest block (the sphere rows were
+#: measured on the four blocks of the parity-sector classes, before they were split by
+#: their stabilizers; the 4224-voxel sphere's largest split block is 820, complex64):
 #:   spheres, four classes:  111: 0.55-0.68  249: 0.76  315: 0.87-0.94  423: 0.88-1.07
 #:                           453: 0.96  516: 1.00  582: 0.98  648: 1.05-1.10
 #:   one block, no symmetry: 150: 0.69  201: 0.82  270: 0.83  300: 1.00-1.05
@@ -112,7 +116,8 @@ _REFINE_STEPS = 30
 #: complex128 factors meet the stop test in 0 or 1 steps, complex64 ones in 2 or 3.
 _DOUBLE_LU_MAX = 400
 
-#: bytes of kernel rows assemble folds at a time (the 257-voxel sphere's 3.4 MB in one)
+#: bytes of kernel rows and their adapted images assemble holds at a time (the
+#: 257-voxel sphere's 1.6 MB in one)
 _ROWS_CHUNK_BYTES = 7 << 19
 
 #: GMRES Krylov vectors per restart cycle, and restart cycles per column
@@ -147,15 +152,15 @@ def _kernel_table(grid: VoxelGrid, omega: float, axes):
 class InteractionOperator:
     """Discretized Fredholm operator p -> p - K diag(beta) p.
 
-    kernel holds the dense kernel as one symmetric block per class of
-    parity sectors (self.parity.classes, parity the ParityBasis of the
-    group that maps the voxels and beta onto themselves), the block of the
-    class's first sector s, blocks[c][i, j] = sum_g h_j(g) K[rep_i,
-    g(rep_j)] with h_j the source character of coordinate j, in one
+    kernel holds the dense kernel as one symmetric block per class of the
+    symmetry-adapted basis (self.symmetry, the SymmetryBasis of the group
+    that maps the voxels and beta onto themselves), blocks[c] = U_c^T K U_c
+    with U_c the orthonormal basis vectors of one copy of class c, in one
     contiguous complex128 buffer of sum_c d_c^2 entries (blocks views it
-    per class); K takes the coordinates x of every sector of the class, in
-    the order of s's, to blocks[c] (x / stabilizer), and norm is
-    ||A||_inf of A = I - K diag(beta).  kernel is None for
+    per class); K takes the coordinates x (d_c, copies) of class c in fold's
+    basis to blocks[c] x, and norm is ||A||_inf of A = I - K diag(beta),
+    whose block is I - blocks[c] diag(beta at each coordinate's orbit),
+    since beta is constant on every orbit of the group.  kernel is None for
     the matrix-free representation, which keeps lattice, the FFT of the
     kernel table over the circulant lattice, and forms K p as a
     circulant convolution over the body box (grid.lattice_flat places
@@ -190,41 +195,37 @@ class InteractionOperator:
         return not np.any(self.beta)
 
     @cached_property
-    def parity(self):
-        """ParityBasis of the grid's mirrors and axis permutations that also map beta exactly
-        onto itself (VoxelGrid.parity_basis): its classes are the stored blocks."""
-        return self.grid.parity_basis(self.beta)
+    def symmetry(self):
+        """SymmetryBasis of the grid's mirrors and axis permutations that also map beta
+        exactly onto itself (VoxelGrid.symmetry_basis): its classes are the stored blocks."""
+        return self.grid.symmetry_basis(self.beta)
 
     @property
     def sectors(self) -> tuple:
         """Size of every parity sector of the dense operator; () in vacuum."""
-        return () if self.is_identity else tuple(
-            len(index) for index, _ in self.parity.sectors.values())
+        return () if self.is_identity else self.symmetry.sectors
 
     @cached_property
     def blocks(self) -> list:
-        """The (d, d) symmetric block of every sector class, views of the stored kernel."""
-        sizes = [len(cls.index) for cls in self.parity.classes]
+        """The (d, d) symmetric block of every symmetry class, views of the stored kernel."""
+        sizes = [len(cls.voxels) for cls in self.symmetry.classes]
         ends = np.cumsum([d * d for d in sizes]).tolist()
         return [self.kernel[end - d * d:end].reshape(d, d) for d, end in zip(sizes, ends)]
 
-    def sectorwise(self, q, maps):
-        """sum_s of maps[c] applied in every sector s of class c to the projection of q,
-        for a (3N, m) q.
+    def blockwise(self, q, maps):
+        """unfold of maps[c] applied to the adapted coordinates of every class c of q, for a
+        (3N, m) q.
 
-        The coordinates of q in a sector s, (1/G) sum_g h(g) q_{g(rep)} at
-        its orbit coordinates (ParityBasis.fold), form a (d, m) array; a
-        class gathers those of its k members in its representative's order
-        as one (d, k m) array, maps[c] takes it to the coordinates of its
-        image, and unfold carries those back to every orbit member.
+        fold gives q's coordinates in the orthonormal symmetry-adapted basis;
+        a class's d coordinates in each of its k copies form one (d, k m)
+        array, which maps[c] takes to the coordinates of its image.
         """
-        basis, m = self.parity, q.shape[1]
-        coeff = basis.fold(q.reshape(self.grid.n, 3 * m)).reshape(-1, m) / basis.order
-        image = np.zeros(coeff.shape, dtype=complex)
-        for cls, apply in zip(basis.classes, maps):
-            d, k = cls.positions.shape
-            image[cls.positions] = apply(coeff[cls.positions].reshape(d, k * m)).reshape(d, k, m)
-        return basis.unfold(image.reshape(basis.order, len(basis.reps), -1)).reshape(self.n3, m)
+        basis, m = self.symmetry, q.shape[1]
+        coords = basis.fold(q)
+        for cls, apply in zip(basis.classes, maps):  # a class's image replaces its coordinates
+            part = slice(cls.start, cls.start + len(cls.voxels) * cls.copies)
+            coords[part] = apply(coords[part].reshape(len(cls.voxels), -1)).reshape(-1, m)
+        return basis.unfold(coords)
 
     def kernel_product(self, q):
         """K q for a (3N, m) array: one product per stored block, or the lattice convolution.
@@ -239,8 +240,7 @@ class InteractionOperator:
         m columns cost about m single columns.
         """
         if self.kernel is not None:
-            return self.sectorwise(q, [partial(_weighted_product, block, cls.weights)
-                                       for cls, block in zip(self.parity.classes, self.blocks)])
+            return self.blockwise(q, [block.__matmul__ for block in self.blocks])
         index, table = self.grid.lattice_flat, self.lattice
         n, m, shape = self.grid.n, q.shape[1], self.grid.lattice_shape
         box = np.zeros((3, m, *shape), dtype=complex)
@@ -267,13 +267,13 @@ class InteractionOperator:
         return out.reshape(p.shape)
 
     def lu(self, double: bool = False):
-        """(one (lu, piv) per sector class, ||A||_inf) for A = I - K diag(beta), stored kernel only.
+        """(one (lu, piv) per stored block, ||A||_inf) for A = I - K diag(beta), dense only.
 
-        A commutes with the mirrors and axis permutations of self.parity, so
-        its block in every sector of a class is I - blocks[c] diag(beta_t /
-        stabilizer_t), beta_t and stabilizer_t those of each coordinate's
-        orbit.  Each block is built C-ordered in the dtype _lu_dtype picks
-        from the block sizes and ||A||_inf, or in complex128 with
+        A commutes with the mirrors and axis permutations of self.symmetry, so
+        its block in every copy of a class is I - blocks[c] diag(beta_t),
+        beta_t the beta of coordinate t's orbit.  Each block is built
+        C-ordered in the dtype _lu_dtype picks from the block sizes and a
+        bound on its entries, or in complex128 with
         double=True (whose factors replace the complex64 ones).  Its
         transpose, the same memory in Fortran order, is factored in place,
         so a solve takes trans=1.
@@ -281,14 +281,14 @@ class InteractionOperator:
         if self._lu is None or (double and self.factored[-1] != np.complex128):
             if self.kernel is None:
                 raise SolverError("LU requested from a matrix-free operator")
-            basis = self.parity
+            classes = self.symmetry.classes
+            bound = max(self.norm, float(np.abs(self.kernel).max() * np.abs(self.beta).max()))
             dtype = np.dtype(np.complex128) if double else _lu_dtype(
-                [len(cls.index) for cls in basis.classes], self.norm)
-            beta = -np.repeat(self.beta[basis.reps] / basis.stabilizer, 3)
+                [len(cls.voxels) for cls in classes], bound)
             factors = []
-            for cls, kernel in zip(basis.classes, self.blocks):
+            for cls, kernel in zip(classes, self.blocks):
                 block = np.empty(kernel.shape, dtype=dtype)
-                np.multiply(kernel, beta[cls.index], out=block, casting="same_kind")
+                np.multiply(kernel, -self.beta[cls.voxels], out=block, casting="same_kind")
                 block.reshape(-1)[::len(block) + 1] += 1.0
                 factors.append(lu_factor(block.T, overwrite_a=True, check_finite=False))
             self._lu = (factors, self.norm)
@@ -297,16 +297,18 @@ class InteractionOperator:
 
 
 def _lu_dtype(sizes, norm: float) -> np.dtype:
-    """The dtype the stored blocks of sizes (one per sector class) are factored in, for
-    an operator of ||A||_inf = norm.
+    """The dtype the stored blocks of sizes (one per block) are factored in, for an
+    operator whose blocks of K diag(beta) have entries of modulus at most norm.
 
     complex128 when the largest block is at most _DOUBLE_LU_MAX, where its
     factorization costs less than the refinement steps complex64 factors
     need, or when norm + 2 is not below the largest float32: an entry of a
-    block is at most ||A||_inf + 2 in modulus (the diagonal 1, plus |K
-    beta| summed over the distinct members of an orbit, which is at most
-    the row sum of A plus 1), so below that a complex64 block never
-    overflows.  complex64 otherwise, refined in complex128 by the solve.
+    block of A is at most norm + 1 in modulus, so below that a complex64
+    block never overflows.  complex64 otherwise, refined in complex128 by
+    the solve.  InteractionOperator.lu passes the larger of ||A||_inf, which
+    bounds the entries for one material (an orthonormal block of K has
+    entries at most ||K||_2 <= ||K||_inf), and max |blocks| max |beta|,
+    which bounds them for any beta.
     """
     wide = max(sizes) <= _DOUBLE_LU_MAX or not norm + 2.0 < float(np.finfo(np.float32).max)
     return np.dtype(np.complex128 if wide else np.complex64)
@@ -318,15 +320,18 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
     Both representations come from one kernel table builder over lattice
     offsets: dense=False keeps the FFT of the table over the circulant
     lattice for the matrix-free operator; dense=True reads the kernel
-    rows of the orbit representatives, rows[g, i, j] = K[rep_i, g(rep_j)],
-    from a half-space table at ParityBasis.kernel_offsets, and folds them
-    by the Walsh-Hadamard transform over g into the block of the first
-    sector of every class (K is symmetric, so these rows are also its
-    columns), _ROWS_CHUNK_BYTES at a time.  The grid's axis permutations
-    are found at its first dense assembly.  ||A||_inf is the largest
-    absolute row sum of those rows, which the mirrors map onto every other
-    row, a member listed k times counting 1/k each time.  A vacuum
-    (beta = 0) operator builds neither.
+    rows of the row representatives only, one mirror orbit per orbit of the
+    whole group, rows[g, j, i] = K[g(rep_j), row_i], from a half-space
+    table at SymmetryBasis.kernel_offsets, carries them to the adapted
+    basis by fold's two stages (the Walsh-Hadamard transform over g, then
+    the combination of stabilizer images) and reads every block row from
+    them, as SymmetryClass describes (K is symmetric, so these rows are
+    also its columns), _ROWS_CHUNK_BYTES at a time; each block is then
+    made exactly symmetric.  The grid's axis permutations are found at its
+    first dense assembly.  ||A||_inf is the largest absolute row sum of
+    those rows, which the group maps onto every other row, a member listed
+    k times counting 1/k each time.  A vacuum (beta = 0) operator builds
+    neither.
     """
     if not omega > 0.0:
         raise ValueError("assemble requires omega > 0")
@@ -343,68 +348,70 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
             np.moveaxis(table, 2 + axis, 0)[n] = 0.0
         op.lattice = np.fft.fftn(table, axes=(-3, -2, -1))
         return op
-    basis = op.parity
+    basis = op.symmetry
     axes, offset = basis.kernel_offsets
     table = np.ascontiguousarray(np.moveaxis(_kernel_table(grid, omega, axes), 1, -1))
     order, reps = basis.members.shape
-    beta_rows = np.repeat(beta[basis.reps], 3)
-    counted = np.abs(beta_rows) / np.repeat(basis.stabilizer, 3)
-    sums = np.empty(3 * reps)
-    op.kernel = np.empty(sum(len(cls.index) ** 2 for cls in basis.classes), dtype=complex)
-    step = max(1, _ROWS_CHUNK_BYTES // (order * 9 * reps * 16))
-    for start in range(0, reps, step):
-        pairs = offset[:, start:start + step]
-        rows = np.empty((order, pairs.shape[1], 3, reps, 3), dtype=complex)
-        for g, a in np.ndindex(order, 3):
-            rows[g, :, a] = np.take(table[a].reshape(-1, 3), pairs[g], axis=0)
-        rows = rows.reshape(order, 3 * pairs.shape[1], 3 * reps)
-        sums[3 * start:3 * start + rows.shape[1]] = sum(np.abs(part) @ counted for part in rows)
-        basis.transform(rows)  # block c is rows[source_t, index_u, index_t]
-        for cls, block in zip(basis.classes, op.blocks):
-            index, position = cls.index, cls.positions[:, 0]
-            mine = np.flatnonzero((index >= 3 * start) & (index < 3 * start + rows.shape[1]))
-            block[mine] = rows[position // (3 * reps), index[mine, None] - 3 * start, index]
+    counted = np.repeat(np.abs(beta[basis.reps]) / basis.stabilizer, 3)
+    sums = np.empty(3 * len(basis.rows))
+    op.kernel = np.empty(sum(len(cls.voxels) ** 2 for cls in basis.classes), dtype=complex)
+    step = max(1, _ROWS_CHUNK_BYTES // (48 * (order * 3 * reps + 3 * grid.n)))
+    for start in range(0, len(basis.rows), step):
+        pairs = offset[:, :, start:start + step]
+        rows = np.empty((order, reps, 3, pairs.shape[2], 3), dtype=complex)
+        for b in range(3):  # the blocks of G0 and the self term are symmetric
+            rows[:, :, b] = np.take(table[b].reshape(-1, 3), pairs, axis=0)
+        rows = rows.reshape(order, 3 * reps, -1)
+        first, count = 3 * start, rows.shape[2]
+        sums[first:first + count] = sum(counted @ np.abs(part) for part in rows)
+        folded = basis.adapt(basis.transform(rows).reshape(order * 3 * reps, count))
         del rows  # before the next chunk's rows are allocated
-    diagonal = self_term_scalar(grid.voxel_volume, omega) * beta_rows
+        for cls, block in zip(basis.classes, op.blocks):
+            mine = np.flatnonzero((cls.rows >= first) & (cls.rows < first + count))
+            d, dim = cls.weights.shape
+            image = folded[cls.start:cls.start + d * cls.copies].reshape(d, -1, dim, count)
+            block[mine] = sum(cls.weights[mine, m]
+                              * image[:, cls.copy[mine], m, cls.rows[mine] - first]
+                              for m in range(dim)).T
+    for block in op.blocks:  # symmetric to rounding: make it exactly so
+        np.add(block, block.T, out=block)
+        block *= 0.5
+    diagonal = self_term_scalar(grid.voxel_volume, omega) * np.repeat(
+        beta[basis.reps[basis.rows]], 3)
     op.norm = float(np.max(sums + np.abs(1.0 - diagonal) - np.abs(diagonal)))
     return op
 
 
 def _refined_lu_solve(op: InteractionOperator, b, factors):
-    """Solve on the sector LU factors, refining in complex128 to a backward error of eps.
+    """Solve on the block LU factors, refining in complex128 to a backward error of eps.
 
     Every column must reach ||r||_inf <= ||x||_inf ||A||_inf eps, with
     r = b - op x in complex128 and eps the float64 machine epsilon,
     whatever tolerance the caller asked for.  This is zcgesv's test
     without its sqrt(3N) slack, which let a solve stop one step early
     with 1e-13 relative errors in its small components.  Corrections are
-    solved sector by sector on columns scaled to unit max, so complex64
+    solved block by block on columns scaled to unit max, so complex64
     factors see no overflow or underflow.  Returns (x, r, corrections,
     bound met).
     """
-    sector_factors, norm = factors
-    getrs, = get_lapack_funcs(("getrs",), (sector_factors[0][0],))
-    solves = [partial(_lu_solve, getrs, *lu_piv) for lu_piv in sector_factors]
+    block_factors, norm = factors
+    getrs, = get_lapack_funcs(("getrs",), (block_factors[0][0],))
+    solves = [partial(_lu_solve, getrs, *lu_piv) for lu_piv in block_factors]
     bound = norm * np.finfo(float).eps
     x = np.zeros_like(b)
     resid = b
     for step in range(_REFINE_STEPS + 1):
         scale = np.max(np.abs(resid), axis=0)
         scale[scale == 0.0] = 1.0
-        x += scale * op.sectorwise(resid / scale, solves)
+        x += scale * op.blockwise(resid / scale, solves)
         resid = b - op.apply(x)
         if np.all(np.max(np.abs(resid), axis=0) <= bound * np.max(np.abs(x), axis=0)):
             return x, resid, step, True
     return x, resid, step, False
 
 
-def _weighted_product(block, weights, coords):
-    """block @ (weights * coords): a sector's kernel product."""
-    return block @ (weights * coords)
-
-
 def _lu_solve(getrs, lu, piv, coords):
-    """A_s^-1 coords on the factors of the transposed block, in their dtype, by LAPACK getrs."""
+    """A_c^-1 coords on the factors of the transposed block, in their dtype, by LAPACK getrs."""
     x, info = getrs(lu, piv, np.asarray(coords, lu.dtype, order="F"), trans=1, overwrite_b=True)
     if info != 0:
         raise SolverError(f"LAPACK getrs failed with info = {info}")

@@ -21,7 +21,7 @@ from pathlib import Path
 from unittest import mock
 
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from greenvox.cli import main as cli_main
 
@@ -160,6 +160,18 @@ def _mutated_argv(command, mutations, points):
 @settings(max_examples=60)
 @given(command=st.sampled_from(sorted(ARGV)), scene_ops=scene_mutations,
        argv_ops=argv_mutations)
+# a boolean in one integer field and no other mutation: true in each of INTEGER_PATHS and
+# false in one; in schema_version, both region_ids and dense_cap true would read as a
+# valid 1, so the boolean alone decides the exit code
+@example(command="greens", scene_ops=[("set", ("schema_version",), True)], argv_ops=[])
+@example(command="greens", scene_ops=[("set", ("materials", 0, "region_id"), True)],
+         argv_ops=[])
+@example(command="greens", scene_ops=[("set", ("geometry", "shapes", 0, "region_id"), True)],
+         argv_ops=[])
+@example(command="greens", scene_ops=[("set", ("solver", "dense_cap"), True)], argv_ops=[])
+@example(command="greens", scene_ops=[("set", ("quadrature", "n_theta"), True)], argv_ops=[])
+@example(command="greens", scene_ops=[("set", ("quadrature", "n_phi"), True)], argv_ops=[])
+@example(command="greens", scene_ops=[("set", ("solver", "dense_cap"), False)], argv_ops=[])
 def test_cli_exit_codes_hold_under_malformed_input(command, scene_ops, argv_ops):
     scene = copy.deepcopy(SCENE)
     for op, path, value in scene_ops:

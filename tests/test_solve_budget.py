@@ -83,10 +83,11 @@ def test_validate_uses_one_medium_and_one_vacuum_solver(budget, monkeypatch):
     assert budget["assemble"] == 2
     # one factorization of the medium operator, in complex128 since its blocks are
     # small, one LAPACK call per stored block (the eight parity sectors fall into four
-    # classes under the axis permutations); the vacuum operator is the identity
+    # classes under the axis permutations, split into ten irreps of their
+    # stabilizers); the vacuum operator is the identity
     medium, vacuum = budget["operators"]
     assert [medium.factored, vacuum.factored] == [[np.complex128], []]
-    assert budget["lu_factor"] == len(medium.blocks) == 4
+    assert budget["lu_factor"] == len(medium.blocks) == 10
     # one block of the five Green sources (15 columns), the two direct-route solves
     # (1 column each) and the vacuum identity (3 columns); the total also catches a
     # shell e-field solve (512 columns) coming back
@@ -147,8 +148,8 @@ def test_sweep_solves_one_green_column_set_per_frequency(budget, monkeypatch):
 
 
 def test_small_blocks_are_solved_in_one_step(budget, monkeypatch):
-    """The 257-voxel sphere's blocks (111, 104, 91 and 75 wide) are factored in
-    complex128, and each solve meets the backward-error bound on its first residual:
+    """The 257-voxel sphere's ten blocks (9 to 58 wide) are factored in complex128,
+    and each solve meets the backward-error bound on its first residual:
     one operator application per solve, in validate's medium operator and in every
     operator of a 17-frequency sweep."""
     applied = []
@@ -164,7 +165,7 @@ def test_small_blocks_are_solved_in_one_step(budget, monkeypatch):
     medium, vacuum, *sweep = budget["operators"]
     assert vacuum.is_identity and len(sweep) == 17
     for op in [medium, *sweep]:
-        assert [len(block) for block in op.blocks] == [111, 104, 91, 75]
+        assert [len(block) for block in op.blocks] == [23, 14, 37, 58, 46, 48, 43, 16, 9, 25]
         assert op.factored == [np.complex128]
         assert op.refinements == [0] * len(op.refinements) != []
         assert sum(a is op for a in applied) == len(op.refinements)
@@ -173,9 +174,10 @@ def test_small_blocks_are_solved_in_one_step(budget, monkeypatch):
 
 def test_a_symmetric_sweep_stores_only_the_sector_blocks(budget, monkeypatch):
     """17 frequencies on the 257-voxel Drude sphere: every operator stores one block
-    per class of its eight parity sectors, four blocks of 16 sum d_c^2 bytes, 16.0
-    times fewer than a 3N x 3N complex128 kernel, no assembly or kernel product holds
-    that much memory at once, and the axis permutations are found once for the grid."""
+    per irrep of the stabilizer of each class of its eight parity sectors, ten blocks
+    of 16 sum d_c^2 bytes, 46.9 times fewer than a 3N x 3N complex128 kernel, no
+    assembly or kernel product holds that much memory at once, and the axis
+    permutations are found once for the grid."""
     peaks = {"assemble": [], "kernel_product": []}
     found = []
     permutations = cached_property(lambda grid: found.append(grid) or find(grid))
@@ -204,13 +206,13 @@ def test_a_symmetric_sweep_stores_only_the_sector_blocks(budget, monkeypatch):
         tracemalloc.stop()
     assert all("error" not in r for r in rows)
     assert budget["assemble"] == len(peaks["assemble"]) == 17
-    assert budget["lu_factor"] == 17 * 4
+    assert budget["lu_factor"] == 17 * 10
     assert budget["solve_columns"] == [3] * 17
     assert len(found) == 1 and all(op.grid is found[0] for op in budget["operators"])
     full = 16 * (3 * 257) ** 2
     for op in budget["operators"]:
-        assert op.grid.n == 257 and len(op.sectors) == 8 and len(op.blocks) == 4
-        assert op.kernel.nbytes == 16 * sum(block.size for block in op.blocks) < full / 15
+        assert op.grid.n == 257 and len(op.sectors) == 8 and len(op.blocks) == 10
+        assert op.kernel.nbytes == 16 * sum(block.size for block in op.blocks) < full / 45
     assert len(peaks["kernel_product"]) >= 17 * 2  # a refinement residual and a shell product
     assert max(peaks["assemble"] + peaks["kernel_product"]) < full
 
