@@ -111,7 +111,9 @@ def sector_scenes():
     mirror; a Drude sphere with a Lorentz box off its center keeps none.  The flat
     box and the cube with a second material where |x| <= 0.2 keep every mirror.  The
     chiral body, the 3 x 3 x 3 lattice without the orbit of (0, 1, 2) under the cyclic
-    permutations of the axes, keeps no mirror and no axis swap, only the two 3-cycles."""
+    permutations of the axes, keeps no mirror and no axis swap, only the two 3-cycles;
+    the same lattice without its corner (0, 0, 0) keeps no mirror but all six axis
+    permutations, so its one sector splits into A1, A2 and E."""
     tilted = PermittivityModel(poles=(LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4),),
                                region_id=2)
     halves = [Box(min_corner=(-0.4, -0.3, -0.2), max_corner=(0.0, 0.3, 0.2), region_id=1),
@@ -121,6 +123,7 @@ def sector_scenes():
     slab = [Box(min_corner=(-0.4,) * 3, max_corner=(0.4,) * 3, region_id=1),
             Box(min_corner=(-0.2, -0.4, -0.4), max_corner=(0.2, 0.4, 0.4), region_id=2)]
     site = np.argwhere(np.ones((3, 3, 3)))
+    corner = site[1:]  # without (0, 0, 0)
     site = site[~np.isin(site @ [9, 3, 1], [5, 19, 15])]  # (0, 1, 2), (2, 0, 1), (1, 2, 0)
     return {
         "cube": (build_grid(Box(min_corner=(-0.4,) * 3, max_corner=(0.4,) * 3), 0.2),
@@ -133,11 +136,13 @@ def sector_scenes():
         "cube with a slab": (build_grid(slab, 0.2), {1: DRUDE, 2: tilted}, 8),
         "chiral": (VoxelGrid((site - 1.0) * 0.2, 0.2, np.ones(len(site), dtype=int)),
                    {1: DRUDE}, 1),
+        "corner": (VoxelGrid((corner - 1.0) * 0.2, 0.2, np.ones(len(corner), dtype=int)),
+                   {1: DRUDE}, 1),
     }
 
 
 SECTOR_SCENES = ["cube", "sphere", "two materials", "asymmetric", "flat box", "cube with a slab",
-                 "chiral"]
+                 "chiral", "corner"]
 
 
 @pytest.mark.parametrize("name", SECTOR_SCENES)
@@ -200,6 +205,7 @@ def test_sectors_of_the_sphere():
     ("cube with a slab", [({0}, 2), ({1}, 2), ({2, 4}, 1), ({3, 5}, 1), ({6}, 2), ({7}, 2)]),
     ("asymmetric", [({0}, 1)]),
     ("chiral", [({0}, 1)]),  # the 3-cycles map the one sector onto itself and split nothing
+    ("corner", [({0}, 3)]),  # no mirror: all of S3 keeps the one sector
 ])
 def test_permuted_sectors_share_one_block(name, classes):
     """Parity sectors that an axis permutation of the voxels and beta maps onto each
