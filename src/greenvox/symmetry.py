@@ -166,22 +166,27 @@ class SymmetryBasis:
         row_coords = (3 * self.rows[:, None] + np.arange(3)).reshape(-1)
         row_source = np.tile(e, len(self.rows))
 
-        self.classes, placed, start, entries = [], set(), 0, []
+        self.classes, placed, start, entries, widths = [], set(), 0, [], []
         for chi in np.unique(sector[live]).tolist():
             if chi in placed:
                 continue
-            targets, copies = np.unique(chars[:, chi], return_index=True)  # each sector's first
-            placed.update(targets.tolist())
+            images_of_chi = chars[:, chi].tolist()
+            targets = sorted(set(images_of_chi))
+            copies = np.array([images_of_chi.index(t) for t in targets])  # each sector's first
+            placed.update(targets)
             stab = np.flatnonzero(chars[:, chi] == chi) if split else np.zeros(1, dtype=int)
             # generators: the row coordinates of each copy, carried back to sector chi,
             # one per stabilizer orbit of chi's coordinates, copy 0's first
-            at = width * (targets[:, None] ^ row_source) + row_coords
+            at = width * (np.array(targets)[:, None] ^ row_source) + row_coords
             kappa, row = np.nonzero(live[at])
             at = inverse[copies[kappa], at[kappa, row]]
-            keep = np.unique(maps[stab][:, at].min(axis=0), return_index=True)[1]
+            key = maps[stab][:, at].min(axis=0)  # the first generator of each orbit is kept
+            first = np.argsort(key, kind="stable")
+            keep = first[np.diff(key[first], prepend=-1) != 0]
             at, kappa, row = at[keep], kappa[keep], row[keep]
             images = maps[stab][:, at].T  # (generators, |stab|)
             fixed = images == at[:, None]
+            positions = maps[copies][:, images].transpose(1, 0, 2)  # (generators, copies, |stab|)
             for irrep in _irreps(tuple(group[i] for i in stab)):
                 dim = irrep.shape[1]
                 projector = np.einsum("gs,sij->gij", fixed, irrep) / fixed.sum(1)[:, None, None]
@@ -198,19 +203,19 @@ class SymmetryBasis:
                 # row start + (u copies + kappa) dim + l holds one entry per stabilizer element
                 shape = (d, len(copies), dim, len(stab))
                 entries.append((np.broadcast_to(coef.transpose(0, 2, 1)[:, None], shape),
-                                np.broadcast_to(maps[copies][:, images[gen], None]
-                                                .transpose(1, 0, 3, 2), shape)))
+                                np.broadcast_to(positions[gen][:, :, None], shape)))
+                widths.append((d * n_copies, len(stab)))
                 orbit = self.rows[row[gen] // 3]
                 weights = scale[:, None] * w * np.sqrt(order / self.stabilizer[orbit])[:, None]
-                self.classes.append(SymmetryClass(tuple(targets.tolist()),
+                self.classes.append(SymmetryClass(tuple(targets),
                                                   start, n_copies, self.reps[orbit], row[gen],
                                                   kappa[gen], weights))
                 start += d * n_copies
         data, columns = (np.concatenate([part[i].reshape(-1) for part in entries])
                          for i in range(2))
         mirror = self.stabilizer[(columns % width) // 3]
-        lengths = [np.full(np.prod(part.shape[:3]), part.shape[3]) for part, _ in entries]
-        indptr = np.concatenate([[0], *lengths]).cumsum()
+        counts, lengths = zip(*widths)
+        indptr = np.concatenate([[0], np.repeat(lengths, counts)]).cumsum()
         data /= np.sqrt(order * mirror)
         self._fold = sparse.csr_array((data, columns, indptr), shape=(3 * grid.n, order * width))
         # its transpose times the mirror stabilizers: the same arrays read as columns
