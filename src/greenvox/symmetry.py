@@ -65,18 +65,19 @@ def _irreps(stabilizer):
     of axis permutations (identity first) that the basis splits by: the trivial one,
     then, when the group holds a swap, the sign, and for all of S3 the standard
     representation on the plane x + y + z = 0."""
-    trivial = np.ones((len(stabilizer), 1, 1))
-    if len(stabilizer) == 1:
-        return [trivial]
-    swap = [sum(s[a] == a for a in range(3)) == 1 for s in stabilizer]
-    irreps = [trivial, np.where(swap, -1.0, 1.0)[:, None, None]]
+    irreps = [np.ones((len(stabilizer), 1, 1))]
+    if len(stabilizer) > 1:
+        swap = [sum(s[a] == a for a in range(3)) == 1 for s in stabilizer]
+        irreps.append(np.where(swap, -1.0, 1.0)[:, None, None])
     if len(stabilizer) == 6:
         matrices = np.zeros((6, 3, 3))
         for k, sigma in enumerate(stabilizer):
             matrices[k, list(sigma), IDENTITY] = 1.0
         plane = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]]) / np.sqrt([[2.0], [6.0]])
         irreps.append(plane @ matrices @ plane.T)
-    return irreps
+    for irrep in irreps:  # cached, so shared by every basis
+        irrep.flags.writeable = False
+    return tuple(irreps)
 
 
 def _product(matrix, x):
