@@ -133,7 +133,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emitter", type=lambda s: _parse_triplet(s, "--emitter"), required=True)
     p.add_argument("--dipole", type=lambda s: _parse_triplet(s, "--dipole"), required=True)
     p.add_argument("--omega-range", type=_parse_range, required=True)
-    p.add_argument("--out", default="purcell.csv", help="output CSV name")
+    p.add_argument("--out", default="purcell.csv",
+                   help="output CSV file name in --out-dir; the plot script and the manifest "
+                        "take its stem with .gp and .json")
 
     l = sub.add_parser("ldos-check", help="LDOS identity residuals at a point pair")
     common(l)
@@ -198,6 +200,13 @@ def _argument_problem(args):
         if not (lo <= a <= b <= hi and n >= 1):
             return (f"--omega-range needs a positive start and a stop at or above it, both "
                     f"in [{lo:g}, {hi:g}], and at least one point, got {a}:{b}:{n}")
+        # the plot script and the manifest are written beside the CSV, as <stem>.gp and
+        # <stem>.json, so a CSV named like either would be overwritten by it
+        out = Path(args.out)
+        if (args.out in ("", "..") or out.name != args.out
+                or out.suffix.lower() in (".gp", ".json")):
+            return (f"--out must be a file name in --out-dir, without a directory part and "
+                    f"not ending in .gp or .json, got {args.out!r}")
     return None
 
 
@@ -213,7 +222,10 @@ def _complex_matrix_payload(M):
 
 
 def _write(path: Path, text: str):
-    path.write_text(text)
+    try:
+        path.write_text(text)
+    except OSError as exc:  # such as a directory of that name in --out-dir
+        _exit_config(f"cannot write {path}: {exc.strerror or exc}")
     print(f"wrote {path}", file=sys.stderr)
 
 

@@ -29,6 +29,7 @@ symmetric matrix in every copy of an irrep, and needs no weights.
 
 from __future__ import annotations
 
+import math
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -44,18 +45,22 @@ class SymmetryClass(NamedTuple):
     sectors: the parity sectors the class spans, its representative first;
     the block acts on fold's coordinates start .. start + d copies, d-major,
     one copy per sector of the class and partner of the irrep.  voxels
-    (d,): a voxel of each coordinate's orbit, where beta is read.  Row u of
-    the block is sum_m weights[u, m] (K f_{v, copy[u], m})[rows[u]]: the
-    kernel row rows[u] (3 row representative + component) against
-    partner m of copy copy[u] of every coordinate v.
+    (d,): a voxel of each coordinate's orbit, where beta is read.  The block
+    rows are listed by the kernel row they are read from, ascending, so the
+    rows a run of kernel rows gives are one slice: row by_row[k] of the block
+    is sum_m weights[m, k] (K f_{v, slab[m, k]})[rows[k]], the kernel row
+    rows[k] (3 row representative + component) against coordinate
+    slab[m, k] = copy * dim + m of every coordinate v's slab of copies
+    (partner m of one copy of the sector).
     """
 
     sectors: tuple
     start: int
     copies: int
     voxels: np.ndarray
+    by_row: np.ndarray
     rows: np.ndarray
-    copy: np.ndarray
+    slab: np.ndarray
     weights: np.ndarray
 
 
@@ -78,6 +83,14 @@ def _irreps(stabilizer):
     for irrep in irreps:  # cached, so shared by every basis
         irrep.flags.writeable = False
     return tuple(irreps)
+
+
+def _renumber(keys, size):
+    """(the distinct keys in [0, size), ascending; the position of every key among
+    them), by a table over [0, size), which takes no sort."""
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
 
 
 def _product(matrix, x):
@@ -122,14 +135,15 @@ class SymmetryBasis:
     into reps; sectors: the size of every nonempty parity sector; classes:
     one SymmetryClass per stored block, in the order of their first
     sector; fold and unfold carry fields between voxels and the adapted
-    coordinates; kernel_offsets indexes the kernel table at the row
-    representatives' rows, lazily.  For the trivial group every voxel is
-    its own orbit and the one block holds every coordinate in voxel order.
+    coordinates; kernel_offsets places the row representatives' rows in
+    the kernel table, lazily, and scratch holds the memory every assembly
+    gathers those rows into.  For the trivial group every voxel is its own
+    orbit and the one block holds every coordinate in voxel order.
     """
 
     def __init__(self, grid, axes, permutations):
-        self.axes, self.n = tuple(axes), grid.n
-        self._lattice_index = grid.lattice_index
+        self.axes, self.n, self._scratch = tuple(axes), grid.n, np.empty(0, dtype=complex)
+        self._lattice_index, self._lattice_shape = grid.lattice_index, grid.lattice_shape
         domain, plane = np.arange(grid.n), np.zeros(grid.n, dtype=int)
         for k, axis in enumerate(self.axes):
             coord = grid.lattice_index[:, axis]
@@ -208,9 +222,11 @@ class SymmetryBasis:
                 widths.append((d * n_copies, len(stab)))
                 orbit = self.rows[row[gen] // 3]
                 weights = scale[:, None] * w * np.sqrt(order / self.stabilizer[orbit])[:, None]
-                self.classes.append(SymmetryClass(tuple(targets),
-                                                  start, n_copies, self.reps[orbit], row[gen],
-                                                  kappa[gen], weights))
+                by_row = np.argsort(row[gen], kind="stable")
+                slab = dim * kappa[gen][by_row] + np.arange(dim)[:, None]
+                self.classes.append(SymmetryClass(tuple(targets), start, n_copies,
+                                                  self.reps[orbit], by_row, row[gen][by_row],
+                                                  slab, weights.T[:, by_row]))
                 start += d * n_copies
         data, columns = (np.concatenate([part[i].reshape(-1) for part in entries])
                          for i in range(2))
@@ -240,24 +256,42 @@ class SymmetryBasis:
 
     @cached_property
     def kernel_offsets(self):
-        """(axes, index): the table's offsets in lattice steps, |o_x| and the signed o_y, o_z
-        of voxel pairs, and the flat position in it of every row representative's
-        rep - g(rep_j), int32 (G, R, len(rows)), read at its negative where o_x < 0
-        (G0(-r) = G0(r))."""
-        axes, index, flip = [], 0, None
-        for coord in self._lattice_index.T:
+        """(axes, index, distinct, signed): where the row representatives' kernel rows are
+        read, lazily.
+
+        axes: the half-space box of offsets in lattice steps, 0 .. m_x and
+        -m_a .. m_a on the other axes, m_a the lattice extent less one.  The
+        kernel table holds the P offsets of that box that some rep - g(rep_j)
+        reaches, a row representative's rep read at its negative where
+        o_x < 0 (G0(-r) = G0(r)); table row 3 p + b holds row b of the block
+        at offset p, and index, int32 (G, R, len(rows)), is 3 p for every
+        row representative and g(rep_j).  distinct (M, 3): the |offsets| of
+        those P, zero first; signed (3 P, 3): the flat position of every
+        table entry in the (2, M, 3, 3) blocks at distinct times +1 and -1,
+        the second where the mirror S of the offset's negative axes flips the
+        entry (G0(S r) = S G0(r) S), so the table is one take from them.
+        """
+        axes, key, flip = [], 0, None
+        for coord, n in zip(self._lattice_index.T, self._lattice_shape):
             offset = coord[self.reps[self.rows]][None, None, :] - coord[self.members][:, :, None]
             flip = offset < 0 if flip is None else flip
             np.negative(offset, out=offset, where=flip)
-            pairs = np.unique(np.subtract.outer(*[np.unique(coord)] * 2))  # -m, ..., m
-            axes.append(pairs[pairs >= 0] if not axes else pairs)
-            position = np.zeros(2 * pairs[-1] + 1, dtype=int)
-            position[axes[-1] + pairs[-1]] = np.arange(len(axes[-1]))
-            index = index * len(axes[-1]) + position[offset + pairs[-1]]
-        index = index.astype(np.int32)
-        for array in (*axes, index):
+            axes.append(np.arange(-(n - 1) if axes else 0, n))
+            key = key * len(axes[-1]) + (offset - axes[-1][0])
+        box = [len(ax) for ax in axes]
+        reached, index = _renumber(key, math.prod(box))
+        offsets = np.stack([ax[at] for ax, at in zip(axes, np.unravel_index(reached, box))], 1)
+        sizes = self._lattice_shape  # the box of |offsets|
+        distinct, block = _renumber(np.ravel_multi_index(np.abs(offsets).T, sizes),
+                                    math.prod(sizes))
+        distinct = np.stack(np.unravel_index(distinct, sizes), axis=1)
+        negative = offsets < 0
+        signed = ((9 * block)[:, None, None] + np.arange(9).reshape(3, 3)
+                  + 9 * len(distinct) * (negative[:, :, None] != negative[:, None, :]))
+        index, signed = (3 * index).astype(np.int32), signed.reshape(-1, 3)
+        for array in (*axes, index, distinct, signed):
             array.flags.writeable = False
-        return tuple(axes), index
+        return tuple(axes), index, distinct, signed
 
     def transform(self, x):
         """x[h] <- sum_g h(g) x[g] for every character h along axis 0 of a C-contiguous
@@ -273,6 +307,15 @@ class SymmetryBasis:
                 part = flat[:, start:start + 4096]
                 part[...] = self.characters @ part
         return x
+
+    def scratch(self, shape):
+        """An uninitialized complex C-contiguous array of shape on memory the basis keeps,
+        grown when too small, so every assembly on the basis gathers its kernel rows
+        into the same pages; the next call may overwrite it."""
+        size = math.prod(shape)
+        if self._scratch.size < size:
+            self._scratch = np.empty(size, dtype=complex)
+        return self._scratch[:size].reshape(shape)
 
     def adapt(self, folded):
         """The adapted coordinates (3N, m) of sector sums (G 3R, m) in fold positions."""

@@ -41,7 +41,13 @@ body with all 48 signed axis permutations stores ten blocks of about
 3N/48 each (symmetry.SymmetryBasis).  Each block is folded from the
 kernel rows of one voxel per orbit of the whole group, a few MiB at a
 time, into 16 sum_c d_c^2 bytes; a body with no mirror and no
-permutation has one block, K.  Every product K q, the solver's own
+permutation has one block, K.  What depends only on the grid and its
+group is built once per SymmetryBasis: the offsets those rows read and
+the signs that reflect G0 onto them, where each block row sits among
+the folded rows, and the scratch the rows are gathered into, which every
+assembly on the basis reuses.  A frequency then costs one G0 evaluation
+at the distinct |offsets| the rows reach, gathers, the Walsh-Hadamard
+transform and one sparse product.  Every product K q, the solver's own
 residuals included, and every LU solve is one call per block, on the
 coordinates of all its copies.
 A is solved by LU per block, each solve refined in complex128 until
@@ -117,7 +123,8 @@ _REFINE_STEPS = 30
 _DOUBLE_LU_MAX = 400
 
 #: bytes of kernel rows and their adapted images assemble holds at a time (the
-#: 257-voxel sphere's 1.6 MB in one)
+#: 257-voxel sphere's 1.6 MB in one); the rows' share is the scratch the grid's
+#: SymmetryBasis keeps
 _ROWS_CHUNK_BYTES = 7 << 19
 
 #: GMRES Krylov vectors per restart cycle, and restart cycles per column
@@ -129,19 +136,25 @@ class SolverError(RuntimeError):
     pass
 
 
+def _kernel_blocks(grid: VoxelGrid, omega: float, offsets):
+    """Kernel blocks (..., 3, 3) at the offsets (..., 3) in lattice steps, the first of
+    which is 0: dV*G0 at a nonzero offset, the self term at 0."""
+    offsets = np.array(offsets, dtype=float)
+    offsets.reshape(-1, 3)[0] = 1.0  # placeholder at the zero offset, overwritten below
+    blocks = grid.voxel_volume * g0_from_displacements(grid.voxel_edge * offsets, omega)
+    blocks.reshape(-1, 3, 3)[0] = self_term_scalar(grid.voxel_volume, omega) * np.eye(3)
+    return blocks
+
+
 def _kernel_table(grid: VoxelGrid, omega: float, axes):
     """Kernel blocks over the offsets axes[0] x axes[1] x axes[2], (3, 3, *lengths).
 
-    Offsets are in lattice steps: dV*G0 at a nonzero offset, the self
-    term at 0, which every axis holds.  G0 is evaluated at |o| only:
-    G0(o) = S G0(|o|) S with S the mirror of the axes where o < 0, so
-    block (a, b) is the one at |o| times sign(o_a) sign(o_b), exactly.
+    Offsets are in lattice steps, and every axis holds 0.  G0 is evaluated
+    at |o| only: G0(o) = S G0(|o|) S with S the mirror of the axes where
+    o < 0, so block (a, b) is the one at |o| times sign(o_a) sign(o_b), exactly.
     """
     distinct = [np.unique(np.abs(ax)) for ax in axes]
-    offsets = np.stack(np.meshgrid(*distinct, indexing="ij"), axis=-1).astype(float)
-    offsets[0, 0, 0] = 1.0  # placeholder at the zero offset, overwritten below
-    blocks = grid.voxel_volume * g0_from_displacements(grid.voxel_edge * offsets, omega)
-    blocks[0, 0, 0] = self_term_scalar(grid.voxel_volume, omega) * np.eye(3)
+    blocks = _kernel_blocks(grid, omega, np.stack(np.meshgrid(*distinct, indexing="ij"), -1))
     i0, i1, i2 = (np.searchsorted(d, np.abs(ax)) for d, ax in zip(distinct, axes))
     table = np.moveaxis(blocks, (-2, -1), (0, 1)).take(i0, 2).take(i1, 3).take(i2, 4)
     sign = np.stack(np.meshgrid(*(np.where(ax < 0, -1.0, 1.0) for ax in axes), indexing="ij"))
@@ -317,21 +330,25 @@ def _lu_dtype(sizes, norm: float) -> np.dtype:
 def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> InteractionOperator:
     """Build the discrete Fredholm operator for the per-voxel beta at frequency omega.
 
-    Both representations come from one kernel table builder over lattice
+    Both representations read one builder of kernel blocks at lattice
     offsets: dense=False keeps the FFT of the table over the circulant
     lattice for the matrix-free operator; dense=True reads the kernel
     rows of the row representatives only, one mirror orbit per orbit of the
-    whole group, rows[g, j, i] = K[g(rep_j), row_i], from a half-space
-    table at SymmetryBasis.kernel_offsets, carries them to the adapted
-    basis by fold's two stages (the Walsh-Hadamard transform over g, then
-    the combination of stabilizer images) and reads every block row from
-    them, as SymmetryClass describes (K is symmetric, so these rows are
-    also its columns), _ROWS_CHUNK_BYTES at a time; each block is then
-    made exactly symmetric.  The grid's axis permutations are found at its
-    first dense assembly.  ||A||_inf is the largest absolute row sum of
-    those rows, which the group maps onto every other row, a member listed
-    k times counting 1/k each time.  A vacuum (beta = 0) operator builds
-    neither.
+    whole group, rows[g, j, i] = K[g(rep_j), row_i].  Everything but the G0
+    values is read from the basis (SymmetryBasis.kernel_offsets, built at
+    the first dense assembly on the grid and group, with the grid's axis
+    permutations): the blocks at the distinct |offsets|, times +1 and -1,
+    give the table in one take, and a chunk of rows, _ROWS_CHUNK_BYTES of
+    rows and their adapted images at a time, is one take from it into the
+    basis's scratch.  The rows are carried to the adapted basis by fold's
+    two stages (the Walsh-Hadamard transform over g, then the combination
+    of stabilizer images), and each block reads its rows from them, one
+    gather per irrep partner over the slice of its rows the chunk holds,
+    as SymmetryClass describes (K is symmetric, so these rows are also its
+    columns); each block is then made exactly symmetric.  ||A||_inf is the
+    largest absolute row sum of those rows, which the group maps onto every
+    other row, a member listed k times counting 1/k each time.  A vacuum
+    (beta = 0) operator builds neither.
     """
     if not omega > 0.0:
         raise ValueError("assemble requires omega > 0")
@@ -349,30 +366,32 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
         op.lattice = np.fft.fftn(table, axes=(-3, -2, -1))
         return op
     basis = op.symmetry
-    axes, offset = basis.kernel_offsets
-    table = np.ascontiguousarray(np.moveaxis(_kernel_table(grid, omega, axes), 1, -1))
+    _, index, distinct, signed = basis.kernel_offsets
+    # times +1.0 and -1.0 as in _kernel_table's sign product, which keeps the sign of a
+    # zero part where negation would flip it, so the table is the same to the bit
+    signs = np.array([1.0, -1.0])[:, None, None, None]
+    table = (_kernel_blocks(grid, omega, distinct) * signs).take(signed)
     order, reps = basis.members.shape
     counted = np.repeat(np.abs(beta[basis.reps]) / basis.stabilizer, 3)
     sums = np.empty(3 * len(basis.rows))
     op.kernel = np.empty(sum(len(cls.voxels) ** 2 for cls in basis.classes), dtype=complex)
     step = max(1, _ROWS_CHUNK_BYTES // (48 * (order * 3 * reps + 3 * grid.n)))
     for start in range(0, len(basis.rows), step):
-        pairs = offset[:, :, start:start + step]
-        rows = np.empty((order, reps, 3, pairs.shape[2], 3), dtype=complex)
-        for b in range(3):  # the blocks of G0 and the self term are symmetric
-            rows[:, :, b] = np.take(table[b].reshape(-1, 3), pairs, axis=0)
+        pairs = index[:, :, start:start + step]
+        rows = basis.scratch((order, reps, 3, pairs.shape[2], 3))
+        # table row 3 p + b (the blocks are symmetric); mode="clip" writes to rows unbuffered
+        np.take(table, pairs[:, :, None] + np.arange(3)[:, None], axis=0, out=rows, mode="clip")
         rows = rows.reshape(order, 3 * reps, -1)
         first, count = 3 * start, rows.shape[2]
         sums[first:first + count] = sum(counted @ np.abs(part) for part in rows)
         folded = basis.adapt(basis.transform(rows).reshape(order * 3 * reps, count))
-        del rows  # before the next chunk's rows are allocated
         for cls, block in zip(basis.classes, op.blocks):
-            mine = np.flatnonzero((cls.rows >= first) & (cls.rows < first + count))
-            d, dim = cls.weights.shape
-            image = folded[cls.start:cls.start + d * cls.copies].reshape(d, -1, dim, count)
-            block[mine] = sum(cls.weights[mine, m]
-                              * image[:, cls.copy[mine], m, cls.rows[mine] - first]
-                              for m in range(dim)).T
+            lo, hi = np.searchsorted(cls.rows, (first, first + count))
+            image = folded[cls.start:cls.start + len(block) * cls.copies].reshape(
+                len(block), cls.copies, count)
+            column = cls.rows[lo:hi] - first
+            block[cls.by_row[lo:hi]] = sum(weights[lo:hi] * image[:, slab[lo:hi], column]
+                                          for slab, weights in zip(cls.slab, cls.weights)).T
     for block in op.blocks:  # symmetric to rounding: make it exactly so
         np.add(block, block.T, out=block)
         block *= 0.5

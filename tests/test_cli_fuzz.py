@@ -15,6 +15,7 @@ so every example stays small.
 import contextlib
 import copy
 import io
+import json
 import os
 import tempfile
 from pathlib import Path
@@ -248,3 +249,38 @@ def test_cli_exit_codes_hold_under_malformed_mask_files(command, mask_ops):
             code = cli_main(argv)
     assert code in (0, 2, 3, 4), (argv, _mutated_mask(mask_ops), err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, _mutated_mask(mask_ops), err.getvalue())
+
+
+#: purcell --out names: a stem, a suffix, and a directory part before them
+OUT_STEMS = ["purcell", "p", "spectrum.v2", ".hidden", "...", "a b"]
+OUT_SUFFIXES = [".csv", ".json", ".gp", ".JSON", ".Gp", ""]
+OUT_DIRECTORIES = ["", "sub/", "out/", "./"]
+CSV_HEADER = "omega,purcell,gamma_e,gamma_m,identity_residual,error"
+
+
+@settings(max_examples=30)
+@given(directory=st.sampled_from(OUT_DIRECTORIES), stem=st.sampled_from(OUT_STEMS),
+       suffix=st.sampled_from(OUT_SUFFIXES), empty=st.booleans())
+@example(directory="", stem="purcell", suffix=".json", empty=False)
+@example(directory="sub/", stem="p", suffix=".csv", empty=False)
+def test_purcell_out_names_exit_0_or_4(directory, stem, suffix, empty):
+    """Whatever purcell --out names, the run exits 0 or 4 with no traceback; a name
+    with a directory part or a .gp or .json suffix, or an empty one, exits 4, and on
+    exit 0 the CSV the manifest names is the sweep's table."""
+    name = "" if empty else directory + stem + suffix
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        (Path(tmp) / "scene.yaml").write_text(yaml.safe_dump(SCENE))
+        argv = ["purcell", "--scene", str(Path(tmp) / "scene.yaml"), "--out-dir", str(out),
+                *ARGV["purcell"], "--out", name]
+        err = io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+        assert code in (0, 4) and "Traceback" not in err.getvalue(), (name, err.getvalue())
+        if empty or directory or suffix.lower() in (".gp", ".json"):
+            assert code == 4, (name, err.getvalue())
+        if code == 0:
+            manifest = json.loads((out / Path(name).with_suffix(".json")).read_text())
+            lines = (out / manifest["outputs"]["csv"]).read_text().splitlines()
+            assert lines[0].startswith("# config_hash=") and lines[1] == CSV_HEADER, name

@@ -238,6 +238,63 @@ def test_cli_purcell_rerun_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("name", ["purcell.json", "purcell.gp", "P.JSON", "sub/p.csv",
+                                  "sub/", "", "..", "."],
+                         ids=["json", "gp", "upper-case json", "missing directory",
+                              "trailing slash", "empty", "parent", "dot"])
+def test_purcell_out_names_that_clobber_or_leave_the_directory_exit_4(name, tmp_path, capsys,
+                                                                      monkeypatch):
+    """The manifest and the plot script are written beside the CSV as <stem>.json and
+    <stem>.gp, so a CSV named like either was overwritten by it, with exit 0; a name
+    with a directory that does not exist ended in a FileNotFoundError traceback.  Any
+    name but a plain file name not ending in .gp or .json now exits 4 with one stderr
+    line before the scene is read, and nothing is solved or written."""
+    import greenvox.vie as vie
+
+    monkeypatch.setattr(vie, "solve_system", lambda *a, **k: pytest.fail("solved"))
+    scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
+    rc = cli_main(["purcell", "--scene", str(scene), "--emitter", "0.95,0.15,0.25",
+                   "--dipole", "0,0,1", "--omega-range", "0.9:1.0:2",
+                   "--out-dir", str(tmp_path / "out"), "--out", name])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert len(err.strip().splitlines()) == 1 and "--out must be a file name" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cube.yaml"]
+
+
+def test_purcell_out_without_a_suffix_keeps_all_three_files(tmp_path, capsys):
+    """A plain name without a suffix is the CSV itself, beside <name>.gp and <name>.json,
+    and the manifest names all three."""
+    scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
+    rc = cli_main(["purcell", "--scene", str(scene), "--emitter", "0.95,0.15,0.25",
+                   "--dipole", "0,0,1", "--omega-range", "0.9:1.0:2",
+                   "--out-dir", str(tmp_path), "--out", "spectrum", "--quad", "4x8"])
+    capsys.readouterr()
+    assert rc == 0
+    manifest = json.loads((tmp_path / "spectrum.json").read_text())
+    assert (manifest["outputs"]["csv"], manifest["outputs"]["plot_script"]) == ("spectrum",
+                                                                               "spectrum.gp")
+    lines = (tmp_path / "spectrum").read_text().splitlines()
+    assert lines[1] == "omega,purcell,gamma_e,gamma_m,identity_residual,error" and len(lines) == 4
+
+
+@pytest.mark.parametrize("argv, taken", [
+    (["purcell", "--emitter", "0.95,0.15,0.25", "--dipole", "0,0,1", "--omega-range",
+      "0.9:1.0:2", "--quad", "4x8"], "purcell.csv"),
+    (["validate", "--quad", "4x8"], "validate_report.json"),
+], ids=["purcell", "validate"])
+def test_an_output_file_that_cannot_be_written_exits_4(argv, taken, tmp_path, capsys):
+    """An output whose name is taken by a directory in --out-dir ended in an
+    IsADirectoryError traceback with exit 1; it exits 4 with one stderr line."""
+    scene = write(tmp_path, "cube.yaml", CUBE_SCENE)
+    (tmp_path / "out" / taken).mkdir(parents=True)
+    rc = cli_main([argv[0], "--scene", str(scene), "--out-dir", str(tmp_path / "out"),
+                   *argv[1:]])
+    err = capsys.readouterr().err
+    assert rc == 4 and "Traceback" not in err, err
+    assert err.strip().splitlines()[-1].startswith(f"cannot write {tmp_path / 'out' / taken}")
+
+
 def test_cli_validate_vacuum_scene(tmp_path, capsys):
     scene = write(tmp_path, "vac.yaml", MINIMAL_VACUUM)
     rc = cli_main(["validate", "--scene", str(scene)])

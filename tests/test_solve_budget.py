@@ -217,6 +217,41 @@ def test_a_symmetric_sweep_stores_only_the_sector_blocks(budget, monkeypatch):
     assert max(peaks["assemble"] + peaks["kernel_product"]) < full
 
 
+def test_a_sweep_gathers_its_kernel_rows_into_one_held_scratch(monkeypatch):
+    """17 frequencies on the 257-voxel Drude sphere, each assembled in one chunk: every
+    assembly gathers its kernel rows into the one scratch array the grid's
+    SymmetryBasis holds, at most _ROWS_CHUNK_BYTES, so after the first none allocates
+    an array of those rows, and each peaks below one chunk of rows and their adapted
+    images (an assembly that allocates its rows peaks above it)."""
+    peaks, scratches, ops = [], [], []
+
+    def peaked(*args, **kwargs):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        op = assemble(*args, **kwargs)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        scratches.append(op.symmetry._scratch)
+        ops.append(op)
+        return op
+
+    assemble = vie.assemble
+    monkeypatch.setattr(vie, "assemble", peaked)
+    tracemalloc.start()
+    try:
+        rows = purcell_sweep(scene_from_dict(SPHERE).solver, (0.82, -1.12, 0.84),
+                             (0.0, 0.6, 0.8), np.linspace(0.7, 1.1, 17))
+    finally:
+        tracemalloc.stop()
+    assert all("error" not in r for r in rows) and len(peaks) == 17
+    basis = ops[0].symmetry
+    order, reps = basis.members.shape
+    gathered, images = (16 * 9 * len(basis.rows) * n for n in (order * reps, 257))
+    assert all(op.symmetry is basis for op in ops)
+    assert all(scratch is scratches[0] for scratch in scratches)
+    assert scratches[0].nbytes == gathered <= vie._ROWS_CHUNK_BYTES
+    assert max(peaks[1:]) < gathered + images
+
+
 def test_a_sweep_row_is_one_solve_and_one_kernel_product(budget, monkeypatch):
     """Gamma_e is the exact shell integral: a purcell_sweep row builds no shell
     quadrature and no plane-wave table, solves 3 columns once and applies the kernel

@@ -335,14 +335,14 @@ def lorentz_beta(grid):
 
 
 def test_kernel_matches_pairwise_reference(tmp_path, monkeypatch):
-    """The kernel the sector blocks gathered from the lattice table apply is the
-    pairwise kernel, each stored block is exactly symmetric, and the table holds
-    no more blocks than there are voxel pairs."""
+    """The kernel the sector blocks gathered from the kernel table apply is the
+    pairwise kernel, each stored block is exactly symmetric, and G0 is evaluated at
+    no more offsets than there are voxel pairs."""
     import greenvox.vie as vie_mod
 
     tables = []
-    build = vie_mod._kernel_table
-    monkeypatch.setattr(vie_mod, "_kernel_table",
+    build = vie_mod._kernel_blocks
+    monkeypatch.setattr(vie_mod, "_kernel_blocks",
                         lambda *args: tables.append(build(*args)) or tables[-1])
     for name, grid in lattice_grids(tmp_path).items():
         op = assemble(grid, lorentz_beta(grid), OMEGA)
@@ -350,7 +350,7 @@ def test_kernel_matches_pairwise_reference(tmp_path, monkeypatch):
         ref = pairwise_kernel(grid, OMEGA)
         assert np.max(np.abs(K - ref)) <= 1e-13 * np.max(np.abs(ref)), name
         assert all(np.array_equal(block, block.T) for block in op.blocks), name
-        assert np.prod(tables[-1].shape[2:]) <= grid.n**2, name
+        assert np.prod(tables[-1].shape[:-2]) <= grid.n**2, name
 
 
 def test_reflected_table_is_g0_at_every_signed_offset(tmp_path):
@@ -405,6 +405,42 @@ def test_first_dense_assembly_holds_little_beside_the_blocks():
 
     kept = [a for obj in (grid, *grid._symmetry_bases.values()) for a in arrays(vars(obj))]
     assert kept and max(a.size for a in kept) < grid.n**2
+
+
+@pytest.mark.parametrize("name", [*SECTOR_SCENES, "sphere 840"])
+def test_assembly_in_chunks_equals_the_one_chunk_assembly(name, monkeypatch):
+    """Kernel rows gathered and folded a few row representatives at a time give the
+    stored blocks of the assembly in one chunk, entry for entry, and its ||A||_inf to
+    rounding (a row's absolute sum is a BLAS matrix-vector product whose rounding
+    depends on where the row sits in its chunk): with chunks of one row
+    representative, and of about a third of them (the last chunk short where they do
+    not divide), every body assembles in at least three chunks, each into the front
+    of the scratch the one-chunk assembly left on its basis."""
+    import greenvox.symmetry as symmetry
+    import greenvox.vie as vie_mod
+
+    if name == "sphere 840":
+        grid, materials = build_grid(Sphere(center=(0, 0, 0), radius=1.0), 0.17), {1: DRUDE}
+    else:
+        grid, materials, _ = sector_scenes()[name]
+    beta = MediumSolver(grid, materials, OMEGA, method="dense").beta
+    monkeypatch.setattr(vie_mod, "_ROWS_CHUNK_BYTES", 1 << 40)
+    whole = assemble(grid, beta, OMEGA)
+    basis, scratch = whole.symmetry, whole.symmetry._scratch
+    order, reps = basis.members.shape
+    per_row = 48 * (order * 3 * reps + 3 * grid.n)  # rows and images, as assemble counts them
+    chunks = []
+    transform = symmetry.SymmetryBasis.transform
+    monkeypatch.setattr(symmetry.SymmetryBasis, "transform",
+                        lambda self, x: chunks.append(x.shape[-1]) or transform(self, x))
+    for step in sorted({1, max(1, (len(basis.rows) - 1) // 3)}):
+        monkeypatch.setattr(vie_mod, "_ROWS_CHUNK_BYTES", step * per_row)
+        chunks.clear()
+        op = assemble(grid, beta, OMEGA)
+        assert len(chunks) >= 3 and sum(chunks) == 3 * len(basis.rows), (name, step)
+        assert op.kernel.tobytes() == whole.kernel.tobytes(), (name, step)
+        assert abs(op.norm - whole.norm) <= 8 * np.finfo(float).eps * whole.norm, (name, step)
+        assert op.symmetry is basis and basis._scratch is scratch, (name, step)
 
 
 def test_fft_product_matches_dense_kernel(tmp_path):
