@@ -311,7 +311,8 @@ class SymmetryBasis:
     def scratch(self, shape):
         """An uninitialized complex C-contiguous array of shape on memory the basis keeps,
         grown when too small, so every assembly on the basis gathers its kernel rows
-        into the same pages; the next call may overwrite it."""
+        into the same pages; the next call may overwrite it, so two threads must not
+        assemble on one basis at once."""
         size = math.prod(shape)
         if self._scratch.size < size:
             self._scratch = np.empty(size, dtype=complex)
