@@ -176,11 +176,14 @@ def _argument_problem(args):
 
     Checked before the scene is read or any thread pool starts.
     """
-    if args.threads is not None and args.threads < 1:
-        return f"--threads must be a positive integer, got {args.threads}"
-    if args.out_dir and any(p.exists() and not p.is_dir()
-                            for p in (Path(args.out_dir), *Path(args.out_dir).parents)):
-        return f"--out-dir {args.out_dir} names an existing file"
+    if args.threads is not None and not 1 <= args.threads < 2**31:  # the setters take a C int
+        return f"--threads must be an integer in [1, {2**31 - 1}], got {args.threads}"
+    try:
+        if args.out_dir and any(p.exists() and not p.is_dir()
+                                for p in (Path(args.out_dir), *Path(args.out_dir).parents)):
+            return f"--out-dir {args.out_dir} names an existing file"
+    except OSError as exc:  # such as a name too long for the file system
+        return f"--out-dir {args.out_dir}: {exc.strerror or exc}"
     lo, hi = NUMBER_RANGE
     omega = getattr(args, "omega", 1.0)
     if not lo <= omega <= hi:

@@ -227,6 +227,34 @@ class VoxelGrid:
         return None if found is None else int(found[0])
 
 
+def _renumber(keys, size):
+    """(the distinct keys in [0, size), ascending; the position of every key among
+    them), by a table over [0, size), which takes no sort."""
+    seen = np.zeros(size, dtype=bool)
+    seen[keys] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
+
+
+def reflection(offsets):
+    """(distinct, signed): the kernel table at lattice offsets (P, 3), 0 among them, as the
+    reflection G0(o) = S G0(|o|) S, S the mirror of the axes where o < 0, of the blocks at
+    the distinct |offsets| (M, 3), ascending from 0.  signed (P, 3, 3): the flat position
+    of every entry in reflect's stack (2, M, 3, 3) of the blocks times +1 and -1."""
+    size = [int(column.max()) + 1 for column in np.abs(offsets).T]  # the box of |offsets|
+    distinct, block = _renumber(np.ravel_multi_index(np.abs(offsets).T, size), np.prod(size))
+    bits = (np.arange(8)[:, None] >> np.arange(3)) & 1  # the negative axes of 8 sign patterns
+    flipped = (bits[:, :, None] != bits[:, None, :]).reshape(8, 9)
+    signed = (np.arange(9) + 9 * len(distinct) * flipped).take((offsets < 0) @ [1, 2, 4], axis=0)
+    signed += (9 * block)[:, None]
+    return np.stack(np.unravel_index(distinct, size), axis=1), signed.reshape(-1, 3, 3)
+
+
+def reflect(blocks, signed):
+    """The kernel table of signed's shape from the blocks (M, 3, 3) at reflection's distinct
+    |offsets| (times -1.0: a negation differs from it in the sign of some zero parts)."""
+    return (blocks * np.array([1.0, -1.0])[:, None, None, None]).take(signed)
+
+
 def _lattice_counts(lo, hi, h: float):
     """Cells per axis of the lattice of edge h covering [lo, hi], (3,) float."""
     return np.maximum(1.0, np.ceil((np.asarray(hi, float) - np.asarray(lo, float)) / h - 1e-9))
@@ -303,7 +331,10 @@ def eps_on_grid(grid: VoxelGrid, materials, omega: float):
 
 def read_mask(path):
     """Parse a mask file into (centers (N,3), edge, region_ids (N,)); GridError if malformed."""
-    text, (lo, hi) = Path(path).read_text().split(), NUMBER_RANGE
+    try:
+        text, (lo, hi) = Path(path).read_text().split(), NUMBER_RANGE
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8 text
+        raise GridError(f"mask file {path}: {getattr(exc, 'strerror', None) or exc}") from None
     if len(text) < 7:
         raise GridError(f"mask file {path}: truncated header")
     try:

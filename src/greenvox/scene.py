@@ -180,14 +180,17 @@ def load_scene(path) -> SceneConfig:
     safe loader, several times faster), else by the pure-Python parser.
     """
     path = Path(path)
-    if not path.exists():
-        raise SceneError([f"scene file {path} does not exist"])
     try:
-        raw = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except yaml.YAMLError as exc:
+        raw = yaml.load(path.read_bytes(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except FileNotFoundError:
+        raise SceneError([f"scene file {path} does not exist"]) from None
+    except OSError as exc:  # such as a directory, or a name too long for the file system
+        raise SceneError([f"scene file {path} cannot be read: {exc.strerror or exc}"]) from None
+    except yaml.YAMLError as exc:  # bytes that are not UTF-8 text too, with a reason, no mark
         mark = getattr(exc, "problem_mark", None)
         loc = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise SceneError([f"parse error{loc}: {getattr(exc, 'problem', exc)}"]) from exc
+        problem = getattr(exc, "problem", None) or getattr(exc, "reason", exc)
+        raise SceneError([f"scene file {path}: parse error{loc}: {problem}"]) from exc
     if not isinstance(raw, dict):
         raise SceneError(["scene must be a mapping"])
     return scene_from_dict(raw, source_path=str(path), base_dir=path.parent)

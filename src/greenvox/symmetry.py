@@ -36,6 +36,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
+from .geometry import _renumber, reflection
+
 IDENTITY = (0, 1, 2)
 
 
@@ -83,14 +85,6 @@ def _irreps(stabilizer):
     for irrep in irreps:  # cached, so shared by every basis
         irrep.flags.writeable = False
     return tuple(irreps)
-
-
-def _renumber(keys, size):
-    """(the distinct keys in [0, size), ascending; the position of every key among
-    them), by a table over [0, size), which takes no sort."""
-    seen = np.zeros(size, dtype=bool)
-    seen[keys] = True
-    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[keys]
 
 
 def _product(matrix, x):
@@ -256,42 +250,25 @@ class SymmetryBasis:
 
     @cached_property
     def kernel_offsets(self):
-        """(axes, index, distinct, signed): where the row representatives' kernel rows are
-        read, lazily.
+        """(index, distinct, signed): where the row representatives' kernel rows are read
+        in the kernel table, lazily.
 
-        axes: the half-space box of offsets in lattice steps, 0 .. m_x and
-        -m_a .. m_a on the other axes, m_a the lattice extent less one.  The
-        kernel table holds the P offsets of that box that some rep - g(rep_j)
-        reaches, a row representative's rep read at its negative where
-        o_x < 0 (G0(-r) = G0(r)); table row 3 p + b holds row b of the block
-        at offset p, and index, int32 (G, R, len(rows)), is 3 p for every
-        row representative and g(rep_j).  distinct (M, 3): the |offsets| of
-        those P, zero first; signed (3 P, 3): the flat position of every
-        table entry in the (2, M, 3, 3) blocks at distinct times +1 and -1,
-        the second where the mirror S of the offset's negative axes flips the
-        entry (G0(S r) = S G0(r) S), so the table is one take from them.
+        The table holds the blocks at the P lattice offsets rep - g(rep_j) that some
+        row representative rep and member g(rep_j) reach, row b of the block at offset
+        p in its row 3 p + b, and index, int32 (G, R, len(rows)), is 3 p for each.
+        (distinct, signed): geometry.reflection of the P offsets, signed as (3 P, 3).
         """
-        axes, key, flip = [], 0, None
-        for coord, n in zip(self._lattice_index.T, self._lattice_shape):
+        key, box = 0, [2 * n - 1 for n in self._lattice_shape]
+        for coord, width in zip(self._lattice_index.T, box):
             offset = coord[self.reps[self.rows]][None, None, :] - coord[self.members][:, :, None]
-            flip = offset < 0 if flip is None else flip
-            np.negative(offset, out=offset, where=flip)
-            axes.append(np.arange(-(n - 1) if axes else 0, n))
-            key = key * len(axes[-1]) + (offset - axes[-1][0])
-        box = [len(ax) for ax in axes]
+            key = key * width + offset + width // 2
         reached, index = _renumber(key, math.prod(box))
-        offsets = np.stack([ax[at] for ax, at in zip(axes, np.unravel_index(reached, box))], 1)
-        sizes = self._lattice_shape  # the box of |offsets|
-        distinct, block = _renumber(np.ravel_multi_index(np.abs(offsets).T, sizes),
-                                    math.prod(sizes))
-        distinct = np.stack(np.unravel_index(distinct, sizes), axis=1)
-        negative = offsets < 0
-        signed = ((9 * block)[:, None, None] + np.arange(9).reshape(3, 3)
-                  + 9 * len(distinct) * (negative[:, :, None] != negative[:, None, :]))
+        distinct, signed = reflection(np.stack(np.unravel_index(reached, box), axis=1)
+                                      - np.array(box) // 2)
         index, signed = (3 * index).astype(np.int32), signed.reshape(-1, 3)
-        for array in (*axes, index, distinct, signed):
+        for array in (index, distinct, signed):
             array.flags.writeable = False
-        return tuple(axes), index, distinct, signed
+        return index, distinct, signed
 
     def transform(self, x):
         """x[h] <- sum_g h(g) x[g] for every character h along axis 0 of a C-contiguous

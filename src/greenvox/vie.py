@@ -22,8 +22,8 @@ reciprocity and the Dyson permutation identity exactly (to solver
 tolerance), which is what the identity tests lean on.
 
 Every grid lies on a cubic lattice, so K_ij depends only on the offset
-z_i - z_j, and the kernel is built once, as the table of its 3x3 blocks
-over the lattice offsets, evaluated at |offsets| and reflected: an axis
+z_i - z_j, and both representations read K from one table of its 3x3
+blocks at signed offsets, evaluated at |offsets| and reflected: an axis
 mirror S gives G0(S r) = S G0(r) S.  The same symmetry stores the dense
 kernel as blocks: the lattice mirrors i -> n_a - 1 - i and the lattice
 axis permutations that map the voxels and beta exactly onto themselves
@@ -98,7 +98,7 @@ from typing import Mapping
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, solve_triangular
 
-from .geometry import VoxelGrid, eps_on_grid
+from .geometry import VoxelGrid, eps_on_grid, reflect, reflection
 from .green_free import g0_closed, g0_from_displacements, self_term_scalar
 
 
@@ -137,28 +137,13 @@ class SolverError(RuntimeError):
 
 
 def _kernel_blocks(grid: VoxelGrid, omega: float, offsets):
-    """Kernel blocks (..., 3, 3) at the offsets (..., 3) in lattice steps, the first of
-    which is 0: dV*G0 at a nonzero offset, the self term at 0."""
+    """Kernel blocks (M, 3, 3) at the offsets (M, 3) in lattice steps, the first of which
+    is 0 (reflection's distinct): dV*G0 at a nonzero offset, the self term at 0."""
     offsets = np.array(offsets, dtype=float)
-    offsets.reshape(-1, 3)[0] = 1.0  # placeholder at the zero offset, overwritten below
+    offsets[0] = 1.0  # placeholder at the zero offset, overwritten below
     blocks = grid.voxel_volume * g0_from_displacements(grid.voxel_edge * offsets, omega)
-    blocks.reshape(-1, 3, 3)[0] = self_term_scalar(grid.voxel_volume, omega) * np.eye(3)
+    blocks[0] = self_term_scalar(grid.voxel_volume, omega) * np.eye(3)
     return blocks
-
-
-def _kernel_table(grid: VoxelGrid, omega: float, axes):
-    """Kernel blocks over the offsets axes[0] x axes[1] x axes[2], (3, 3, *lengths).
-
-    Offsets are in lattice steps, and every axis holds 0.  G0 is evaluated
-    at |o| only: G0(o) = S G0(|o|) S with S the mirror of the axes where
-    o < 0, so block (a, b) is the one at |o| times sign(o_a) sign(o_b), exactly.
-    """
-    distinct = [np.unique(np.abs(ax)) for ax in axes]
-    blocks = _kernel_blocks(grid, omega, np.stack(np.meshgrid(*distinct, indexing="ij"), -1))
-    i0, i1, i2 = (np.searchsorted(d, np.abs(ax)) for d, ax in zip(distinct, axes))
-    table = np.moveaxis(blocks, (-2, -1), (0, 1)).take(i0, 2).take(i1, 3).take(i2, 4)
-    sign = np.stack(np.meshgrid(*(np.where(ax < 0, -1.0, 1.0) for ax in axes), indexing="ij"))
-    return table * (sign[:, None] * sign[None, :])
 
 
 @dataclass
@@ -330,16 +315,16 @@ def _lu_dtype(sizes, norm: float) -> np.dtype:
 def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> InteractionOperator:
     """Build the discrete Fredholm operator for the per-voxel beta at frequency omega.
 
-    Both representations read one builder of kernel blocks at lattice
-    offsets: dense=False keeps the FFT of the table over the circulant
-    lattice for the matrix-free operator; dense=True reads the kernel
-    rows of the row representatives only, one mirror orbit per orbit of the
-    whole group, rows[g, j, i] = K[g(rep_j), row_i].  Everything but the G0
-    values is read from the basis (SymmetryBasis.kernel_offsets, built at
-    the first dense assembly on the grid and group, with the grid's axis
-    permutations): the blocks at the distinct |offsets|, times +1 and -1,
-    give the table in one take, and a chunk of rows, _ROWS_CHUNK_BYTES of
-    rows and their adapted images at a time, is one take from it into the
+    Both representations build their kernel table one way: G0 at the
+    distinct |offsets| of a plan of signed offsets, reflected onto them in
+    one take (geometry.reflection, geometry.reflect).  dense=False plans
+    the circulant lattice and keeps the FFT of its table for the
+    matrix-free operator; dense=True reads the kernel rows of the row
+    representatives only, one mirror orbit per orbit of the whole group,
+    rows[g, j, i] = K[g(rep_j), row_i], planned once per basis
+    (SymmetryBasis.kernel_offsets, built at the first dense assembly on the
+    grid and group); a chunk of rows, _ROWS_CHUNK_BYTES of rows and their
+    adapted images at a time, is one take from the table into the
     basis's scratch.  The rows are carried to the adapted basis by fold's
     two stages (the Walsh-Hadamard transform over g, then the combination
     of stabilizer images), and each block reads its rows from them, one
@@ -359,18 +344,18 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
     if not dense:
         # circulant of 2n sites per axis: index i holds offset i below n and
         # i - 2n above it, and zero at i = n, an offset no voxel pair reaches
-        table = _kernel_table(grid, omega,
-                              [np.fft.ifftshift(np.arange(-n, n)) for n in grid.lattice_shape])
-        for axis, n in enumerate(grid.lattice_shape):
+        shape = grid.lattice_shape
+        axes = np.meshgrid(*(np.fft.ifftshift(np.arange(-n, n)) for n in shape), indexing="ij")
+        distinct, signed = reflection(np.stack(axes, axis=-1).reshape(-1, 3))
+        table = reflect(_kernel_blocks(grid, omega, distinct),
+                        signed.transpose(1, 2, 0).reshape(3, 3, *axes[0].shape))
+        for axis, n in enumerate(shape):
             np.moveaxis(table, 2 + axis, 0)[n] = 0.0
         op.lattice = np.fft.fftn(table, axes=(-3, -2, -1))
         return op
     basis = op.symmetry
-    _, index, distinct, signed = basis.kernel_offsets
-    # times +1.0 and -1.0 as in _kernel_table's sign product, which keeps the sign of a
-    # zero part where negation would flip it, so the table is the same to the bit
-    signs = np.array([1.0, -1.0])[:, None, None, None]
-    table = (_kernel_blocks(grid, omega, distinct) * signs).take(signed)
+    index, distinct, signed = basis.kernel_offsets
+    table = reflect(_kernel_blocks(grid, omega, distinct), signed)
     order, reps = basis.members.shape
     counted = np.repeat(np.abs(beta[basis.reps]) / basis.stabilizer, 3)
     sums = np.empty(3 * len(basis.rows))

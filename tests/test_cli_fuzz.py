@@ -7,7 +7,9 @@ command reads, a voxel edge too fine to voxelize) and so is
 each command's argv (bad numbers, vectors and ranges, dropped flags).  The
 same scene with its body read from a 4 x 4 x 4 mask file gets a mutated mask
 file (a truncated header, tokens that are not numbers or not integers, huge
-or non-finite edges and origins, ids of the wrong count, sign or size).  No
+or non-finite edges and origins, ids of the wrong count, sign or size).  The
+scene file, its mask file and the output directory are also named by paths
+to nothing, to a directory, to bytes that are not text, or too long.  No
 mutation can enlarge the body past 64 voxels or ask for a large quadrature,
 so every example stays small.
 """
@@ -249,6 +251,43 @@ def test_cli_exit_codes_hold_under_malformed_mask_files(command, mask_ops):
             code = cli_main(argv)
     assert code in (0, 2, 3, 4), (argv, _mutated_mask(mask_ops), err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, _mutated_mask(mask_ops), err.getvalue())
+
+
+#: what a path names: the file or directory meant, nothing, a directory, a file of
+#: bytes that are not UTF-8 text, or a name longer than a file system takes
+PATH_KINDS = ["meant", "missing", "directory", "not UTF-8", "overlong"]
+
+
+@settings(max_examples=30)
+@given(scene=st.sampled_from(PATH_KINDS), mask=st.sampled_from(PATH_KINDS),
+       out_dir=st.sampled_from(PATH_KINDS))
+def test_cli_exit_codes_hold_for_whatever_a_path_names(scene, mask, out_dir):
+    """Whatever --scene, the scene's mask path and --out-dir name, greens exits 0, 2,
+    3 or 4 with no traceback, and 4 when one names what it cannot use: for the scene
+    and the mask anything but the file meant, for --out-dir a file or an overlong
+    name (a missing directory is made, an existing one written into)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "directory").mkdir()
+        (tmp / "not UTF-8").write_bytes(b"\x81 4 4 4 \xff\n")
+        where = {"missing": tmp / "missing", "directory": tmp / "directory",
+                 "not UTF-8": tmp / "not UTF-8", "overlong": tmp / ("x" * 300)}
+        meant = {"scene": tmp / "scene.yaml", "mask": tmp / "body.msk", "out": tmp / "out"}
+        paths = {name: meant[name] if kind == "meant" else where[kind]
+                 for name, kind in (("scene", scene), ("mask", mask), ("out", out_dir))}
+        body = copy.deepcopy(SCENE)
+        body["geometry"] = {"shapes": [{"kind": "mask", "path": str(paths["mask"])}]}
+        meant["scene"].write_text(yaml.safe_dump(body))
+        meant["mask"].write_text(" ".join(MASK) + "\n")
+        argv = ["greens", "--scene", str(paths["scene"]), "--out-dir", str(paths["out"]),
+                *ARGV["greens"]]
+        err = io.StringIO()
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+    assert code in (0, 2, 3, 4) and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    if scene != "meant" or mask != "meant" or out_dir in ("not UTF-8", "overlong"):
+        assert code == 4, (scene, mask, out_dir, err.getvalue())
 
 
 #: purcell --out names: a stem, a suffix, and a directory part before them

@@ -423,10 +423,14 @@ def test_cli_bad_input_is_a_config_error(argv, message, tmp_path, capsys, monkey
     ["ldos-check", "--omega", "1e-300", "--point", "1.2,0,0"],
     ["purcell", "--emitter", "0.95,0.15,0.25", "--dipole", "0,0,1",
      "--omega-range", "1e300:1e300:1"],
+    ["validate", "--out-dir", "d" * 300],
+    ["validate", "--threads", "2147483648"],
+    ["validate", "--threads", "4294967297"],
 ], ids=["nan src", "inf eval", "inf point", "nan point2", "nan emitter", "zero dipole",
         "unsorted range", "nan range start", "inf range stop", "zero threads",
         "negative threads", "out-dir is a file", "out-dir below a file", "downward kdir",
-        "huge omega", "tiny omega", "huge range"])
+        "huge omega", "tiny omega", "huge range", "overlong out-dir",
+        "threads past a C int", "threads that wrap to one"])
 def test_cli_bad_arguments_exit_4_before_any_solve(argv, tmp_path, capsys, monkeypatch):
     """Arguments no scene can make valid exit 4 with one stderr line, no traceback,
     and nothing is solved or written; the thread variables stay unset."""
@@ -699,6 +703,32 @@ geometry:
     (line,) = capsys.readouterr().err.strip().splitlines()
     assert rc == 4
     assert line.startswith("grid error: mask file") and message in line
+
+
+@pytest.mark.parametrize("scene, mask", [
+    ("a directory", None), ("s" * 300 + ".yaml", None), ("latin.yaml", None),
+    ("mask.yaml", "missing.msk"), ("mask.yaml", "a directory"), ("mask.yaml", "latin.msk"),
+], ids=["scene is a directory", "overlong scene name", "scene not UTF-8", "missing mask",
+        "mask is a directory", "mask not UTF-8"])
+def test_an_unreadable_scene_or_mask_file_exits_4(scene, mask, tmp_path, capsys):
+    """A scene or mask file that cannot be read, or is not UTF-8 text, exits 4 with a
+    message naming it: not an IsADirectoryError, OSError, UnicodeDecodeError or
+    FileNotFoundError traceback, exit 1."""
+    (tmp_path / "a directory").mkdir()
+    (tmp_path / "latin.yaml").write_bytes(CUBE_SCENE.encode() + b"# caf\xe9\n")
+    (tmp_path / "latin.msk").write_bytes(b"1 1 1 0.25 0 0 0\n1 # caf\xe9\n")
+    write(tmp_path, "mask.yaml", f"""
+materials:
+  - region_id: 1
+    poles: [{{omega0: 1.5, omegap: 1.0, gamma: 0.4}}]
+geometry:
+  shapes:
+    - {{kind: mask, path: {mask}}}
+""")
+    rc = cli_main(["greens", "--scene", str(tmp_path / scene), "--omega", "1", "--src",
+                   "0,0,2", "--eval", "0,0,3"])
+    err = capsys.readouterr().err
+    assert rc == 4 and "Traceback" not in err and str(tmp_path / (mask or scene)) in err, err
 
 
 def test_cli_solver_failure_exit_code(tmp_path, capsys, monkeypatch):

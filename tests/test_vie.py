@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,25 +359,56 @@ def test_kernel_matches_pairwise_reference(tmp_path, monkeypatch):
 
 def test_reflected_table_is_g0_at_every_signed_offset(tmp_path):
     """The table is evaluated at the |offsets| and reflected to the signed ones; on the
-    signed per-axis offsets of the voxel pairs, on the circulant axes and on the dense
-    path's half space it equals G0 evaluated at every offset directly, entry for entry
+    signed per-axis offsets of the voxel pairs, on the circulant and on the offsets the
+    dense plan reads it equals G0 evaluated at every offset directly, entry for entry
     (an exact zero may differ in sign: -x is exact, but (-0) * y + 0 is not -(0 * y + 0))."""
     import greenvox.vie as vie_mod
+    from greenvox.geometry import reflect, reflection
     from greenvox.green_free import g0_from_displacements
+
+    def direct(grid, offsets):
+        at = np.array(offsets, dtype=float)
+        zero = ~at.any(axis=-1)
+        at[zero] = 1.0
+        blocks = grid.voxel_volume * g0_from_displacements(grid.voxel_edge * at, OMEGA)
+        blocks[zero] = self_term(grid.voxel_volume, OMEGA)
+        return blocks
 
     for name, grid in lattice_grids(tmp_path).items():
         signed = [np.unique(sites[:, None] - sites)
                   for sites in map(np.unique, grid.lattice_index.T)]
         circulant = [np.fft.ifftshift(np.arange(-n, n)) for n in grid.lattice_shape]
-        half_space = grid.symmetry_basis(np.ones(grid.n)).kernel_offsets[0]
-        for axes in (signed, circulant, half_space):
-            offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).astype(float)
-            origin = tuple(int(np.flatnonzero(ax == 0)[0]) for ax in axes)
-            offsets[origin] = 1.0
-            direct = grid.voxel_volume * g0_from_displacements(grid.voxel_edge * offsets, OMEGA)
-            direct[origin] = self_term(grid.voxel_volume, OMEGA)
-            table = vie_mod._kernel_table(grid, OMEGA, axes)
-            assert np.array_equal(table, np.moveaxis(direct, (-2, -1), (0, 1))), name
+        for axes in (signed, circulant):
+            offsets = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+            distinct, entries = reflection(offsets)
+            table = reflect(vie_mod._kernel_blocks(grid, OMEGA, distinct), entries)
+            assert np.array_equal(table, direct(grid, offsets)), name
+        basis = grid.symmetry_basis(np.ones(grid.n))
+        index, distinct, entries = basis.kernel_offsets
+        coord = grid.lattice_index
+        offsets = coord[basis.reps[basis.rows]][None, None] - coord[basis.members][:, :, None]
+        table = reflect(vie_mod._kernel_blocks(grid, OMEGA, distinct), entries)
+        assert np.array_equal(table.reshape(-1, 3, 3)[index // 3], direct(grid, offsets)), name
+
+
+def test_a_matrix_free_solve_builds_no_symmetry_basis():
+    """The circulant table is planned without the symmetry module: a GMRES-only run
+    imports neither greenvox.symmetry nor scipy.sparse, in a fresh process."""
+    import greenvox
+
+    code = ("import sys, numpy as np\n"
+            "from greenvox import Box, LorentzPole, MediumSolver, PermittivityModel, build_grid\n"
+            "grid = build_grid(Box(min_corner=(-0.4,) * 3, max_corner=(0.4,) * 3), 0.2)\n"
+            "pole = LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4)\n"
+            "solver = MediumSolver(grid, {1: PermittivityModel(poles=(pole,), region_id=1)},\n"
+            "                      1.0, 1e-8, method='gmres')\n"
+            "solver.green(np.array([1.2, 0.1, -0.1]), np.array([-0.3, 1.1, 0.2]))\n"
+            "print(sorted({'greenvox.symmetry', 'scipy.sparse'} & set(sys.modules)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(greenvox.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_first_dense_assembly_holds_little_beside_the_blocks():
