@@ -210,6 +210,15 @@ def _argument_problem(args):
                 or out.suffix.lower() in (".gp", ".json")):
             return (f"--out must be a file name in --out-dir, without a directory part and "
                     f"not ending in .gp or .json, got {args.out!r}")
+        out_dir = Path(args.out_dir or ".")  # the sweep runs before any file is written
+        try:
+            limit = os.pathconf(next(p for p in (out_dir, *out_dir.parents) if p.exists()),
+                                "PC_NAME_MAX")
+        except (AttributeError, OSError, ValueError):  # a system that reports no limit
+            limit = -1
+        for name in (args.out, out.with_suffix(".gp").name, out.with_suffix(".json").name):
+            if 0 <= limit < len(os.fsencode(name)):
+                return f"--out: the file name {name!r} is longer than {limit} bytes"
     return None
 
 

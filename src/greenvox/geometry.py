@@ -144,7 +144,9 @@ class VoxelGrid:
     def _sorted_sites(self):
         """(order, lattice_flat[order]) with the flat site indices ascending."""
         order = np.argsort(self.lattice_flat)
-        return order, self.lattice_flat[order]
+        sites = self.lattice_flat[order]
+        order.flags.writeable = sites.flags.writeable = False
+        return order, sites
 
     def _voxels_at(self, image):
         """The voxel at each lattice index of image (M, 3), (M,) int, or None unless

@@ -336,9 +336,6 @@ def purcell_sweep(solver_at, emitter_position, dipole, omegas):
         try:
             emitter = EmitterSpec(position=tuple(emitter_position), omega=float(w),
                                   dipole=tuple(dipole))
-            # a row's assembly gathers its kernel rows into the scratch the grid's
-            # SymmetryBasis holds and allocates little else beside the blocks it keeps,
-            # so no row returns pages to the system for the next to fault in again
             solver = solver_at(float(w))
             rates = gamma_decomposed(solver, emitter)
             rows.append({

@@ -30,6 +30,7 @@ symmetric matrix in every copy of an irrep, and needs no weights.
 from __future__ import annotations
 
 import math
+import threading
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -39,6 +40,12 @@ from scipy import sparse
 from .geometry import _renumber, reflection
 
 IDENTITY = (0, 1, 2)
+
+#: bytes of kernel rows and their adapted images fill holds at a time (the 257-voxel
+#: sphere's 1.6 MB in one); the rows' share is memory the calling thread keeps
+_ROWS_CHUNK_BYTES = 7 << 19
+
+_held = threading.local()  # rows: where every fill in this thread, on any grid, gathers
 
 
 class SymmetryClass(NamedTuple):
@@ -130,13 +137,13 @@ class SymmetryBasis:
     one SymmetryClass per stored block, in the order of their first
     sector; fold and unfold carry fields between voxels and the adapted
     coordinates; kernel_offsets places the row representatives' rows in
-    the kernel table, lazily, and scratch holds the memory every assembly
-    gathers those rows into.  For the trivial group every voxel is its own
-    orbit and the one block holds every coordinate in voxel order.
+    the kernel table, lazily, and fill reads the stored blocks through it.
+    For the trivial group every voxel is its own orbit and the one block
+    holds every coordinate in voxel order.
     """
 
     def __init__(self, grid, axes, permutations):
-        self.axes, self.n, self._scratch = tuple(axes), grid.n, np.empty(0, dtype=complex)
+        self.axes, self.n = tuple(axes), grid.n
         self._lattice_index, self._lattice_shape = grid.lattice_index, grid.lattice_shape
         domain, plane = np.arange(grid.n), np.zeros(grid.n, dtype=int)
         for k, axis in enumerate(self.axes):
@@ -246,6 +253,7 @@ class SymmetryBasis:
         table = np.ones((1, 1))
         for _ in self.axes:
             table = np.kron([[1.0, 1.0], [1.0, -1.0]], table)
+        table.flags.writeable = False
         return table
 
     @cached_property
@@ -285,25 +293,11 @@ class SymmetryBasis:
                 part[...] = self.characters @ part
         return x
 
-    def scratch(self, shape):
-        """An uninitialized complex C-contiguous array of shape on memory the basis keeps,
-        grown when too small, so every assembly on the basis gathers its kernel rows
-        into the same pages; the next call may overwrite it, so two threads must not
-        assemble on one basis at once."""
-        size = math.prod(shape)
-        if self._scratch.size < size:
-            self._scratch = np.empty(size, dtype=complex)
-        return self._scratch[:size].reshape(shape)
-
-    def adapt(self, folded):
-        """The adapted coordinates (3N, m) of sector sums (G 3R, m) in fold positions."""
-        return _product(self._fold, folded)
-
     def fold(self, q):
         """The adapted coordinates (3N, m) of a field q (3N, m) given per voxel component."""
         m = q.shape[1]
         folded = self.transform(q.reshape(self.n, 3 * m)[self.members])
-        return self.adapt(folded.reshape(-1, m))
+        return _product(self._fold, folded.reshape(-1, m))
 
     def unfold(self, coords):
         """The field (3N, m) per voxel component of adapted coordinates (3N, m): fold's
@@ -313,3 +307,74 @@ class SymmetryBasis:
         field = np.empty((self.n, 3 * m), dtype=complex)
         field[self.members] = self.transform(folded)
         return field.reshape(3 * self.n, m)
+
+    def blocks(self, kernel):
+        """The (d, d) block of every class, views of a kernel buffer (sum_c d_c^2,)."""
+        sizes = [len(cls.voxels) for cls in self.classes]
+        ends = np.cumsum([d * d for d in sizes]).tolist()
+        return [kernel[end - d * d:end].reshape(d, d) for d, end in zip(sizes, ends)]
+
+    def blockwise(self, q, maps):
+        """unfold of maps[c] applied to the adapted coordinates of every class c of q, for a
+        (3N, m) q.
+
+        fold gives q's coordinates in the orthonormal symmetry-adapted basis;
+        a class's d coordinates in each of its k copies form one (d, k m)
+        array, which maps[c] takes to the coordinates of its image.
+        """
+        m = q.shape[1]
+        coords = self.fold(q)
+        for cls, apply in zip(self.classes, maps):  # a class's image replaces its coordinates
+            part = slice(cls.start, cls.start + len(cls.voxels) * cls.copies)
+            coords[part] = apply(coords[part].reshape(len(cls.voxels), -1)).reshape(-1, m)
+        return self.unfold(coords)
+
+    def fill(self, table, beta):
+        """(kernel, ||I - K diag(beta)||_inf) for the K whose 3x3 blocks table (3 P, 3) holds
+        at kernel_offsets' P offsets; blocks views kernel, each block exactly symmetric.
+
+        Only the rows of the row representatives are read, rows[g, j, i] =
+        K[g(rep_j), row_i], _ROWS_CHUNK_BYTES of rows and their adapted images
+        at a time: one take into memory the calling thread keeps (the basis
+        keeps none, so threads may fill on one basis at once), fold's two
+        stages, and one gather per irrep partner, as SymmetryClass describes
+        (K is symmetric, so rows are also columns).  ||A||_inf is their largest
+        absolute row sum (the group maps them onto every row), over g and then
+        over members, one listed k times counting 1/k, in an order no chunk moves.
+        """
+        index = self.kernel_offsets[0]
+        order, reps = self.members.shape
+        counted = np.repeat(np.abs(beta[self.reps]) / self.stabilizer, 3)[:, None]
+        sums = np.empty(3 * len(self.rows))
+        kernel = np.empty(sum(len(cls.voxels) ** 2 for cls in self.classes), dtype=complex)
+        blocks = self.blocks(kernel)
+        step = max(1, _ROWS_CHUNK_BYTES // (48 * (order * 3 * reps + 3 * self.n)))
+        size = 9 * order * reps * min(step, len(self.rows))
+        if getattr(_held, "rows", np.empty(0)).size < size:  # kept for the thread's next fill
+            _held.rows = np.empty(size, dtype=complex)
+        magnitudes = np.abs(table)
+        for start in range(0, len(self.rows), step):
+            pairs = index[:, :, None, start:start + step] + np.arange(3)[:, None]
+            rows = _held.rows[:3 * pairs.size].reshape(order, reps, 3, -1, 3)
+            # table row 3 p + b (the blocks are symmetric); mode="clip" writes to rows unbuffered
+            np.take(table, pairs, axis=0, out=rows, mode="clip")
+            rows = rows.reshape(order, 3 * reps, -1)
+            first, count = 3 * start, rows.shape[2]
+            # summed over g, then over members, entry by entry: BLAS would round by position
+            sums[first:first + count] = (counted * magnitudes.take(pairs, axis=0).reshape(
+                rows.shape).sum(axis=0)).sum(axis=0)
+            folded = _product(self._fold, self.transform(rows).reshape(order * 3 * reps, count))
+            for cls, block in zip(self.classes, blocks):
+                lo, hi = np.searchsorted(cls.rows, (first, first + count))
+                image = folded[cls.start:cls.start + len(block) * cls.copies].reshape(
+                    len(block), cls.copies, count)
+                column = cls.rows[lo:hi] - first
+                block[cls.by_row[lo:hi]] = sum(weights[lo:hi] * image[:, slab[lo:hi], column]
+                                              for slab, weights in zip(cls.slab, cls.weights)).T
+        for block in blocks:  # symmetric to rounding: make it exactly so
+            np.add(block, block.T, out=block)
+            block *= 0.5
+        zero = index[0, self.rows[0], 0]  # rep - rep for the first row representative
+        diagonal = np.tile(table[zero:zero + 3].diagonal(), len(self.rows)) * np.repeat(
+            beta[self.reps[self.rows]], 3)
+        return kernel, float(np.max(sums + np.abs(1.0 - diagonal) - np.abs(diagonal)))

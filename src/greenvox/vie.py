@@ -25,31 +25,18 @@ Every grid lies on a cubic lattice, so K_ij depends only on the offset
 z_i - z_j, and both representations read K from one table of its 3x3
 blocks at signed offsets, evaluated at |offsets| and reflected: an axis
 mirror S gives G0(S r) = S G0(r) S.  The same symmetry stores the dense
-kernel as blocks: the lattice mirrors i -> n_a - 1 - i and the lattice
-axis permutations that map the voxels and beta exactly onto themselves
-(found in one place, VoxelGrid.symmetry_basis) commute with K, so K and
-A = I - K diag(beta) are block diagonal in the basis adapted to the
-irreducible representations of that group, one block per irrep, the
-same block repeated once per dimension of the irrep (symmetry-adapted
-block diagonalization; Bossavit, Comput. Methods Appl. Mech. Eng. 56,
-167 (1986); Fassler & Stiefel, Group Theoretical Methods and Their
-Applications, Birkhauser (1992); for electromagnetic scattering Kahnert,
-J. Opt. Soc. Am. A 22, 1187 (2005)).  The mirrors split the fields into
-up to eight parity sectors; the permutations carry sectors onto each
-other, and the permutations that keep a sector split it further, so a
-body with all 48 signed axis permutations stores ten blocks of about
-3N/48 each (symmetry.SymmetryBasis).  Each block is folded from the
-kernel rows of one voxel per orbit of the whole group, a few MiB at a
-time, into 16 sum_c d_c^2 bytes; a body with no mirror and no
-permutation has one block, K.  What depends only on the grid and its
-group is built once per SymmetryBasis: the offsets those rows read and
-the signs that reflect G0 onto them, where each block row sits among
-the folded rows, and the scratch the rows are gathered into, which every
-assembly on the basis reuses.  A frequency then costs one G0 evaluation
-at the distinct |offsets| the rows reach, gathers, the Walsh-Hadamard
-transform and one sparse product.  Every product K q, the solver's own
-residuals included, and every LU solve is one call per block, on the
-coordinates of all its copies.
+kernel as blocks: the lattice mirrors and axis permutations that map the
+voxels and beta exactly onto themselves (VoxelGrid.symmetry_basis)
+commute with K, so K and A = I - K diag(beta) are block diagonal in the
+basis adapted to the group's irreducible representations (Kahnert, J.
+Opt. Soc. Am. A 22, 1187 (2005)): a body with all 48 signed axis
+permutations stores ten blocks of about 3N/48 each, one with none stores
+K.  Only symmetry.SymmetryBasis knows that layout: once per grid and
+group it plans the offsets the blocks read, so a frequency costs one G0
+evaluation at their distinct |offsets| and the basis's fill of the
+blocks.  Every product K q, the solver's own residuals included, and
+every LU solve is one call per block, on the coordinates of all its
+copies.
 A is solved by LU per block, each solve refined in complex128 until
 every column has a backward error of one float64 epsilon (the method of
 LAPACK zcgesv; Buttari et al., ACM TOMS 34(4), 17 (2008)).  The factor
@@ -121,11 +108,6 @@ _REFINE_STEPS = 30
 #:                           360: 0.81-1.04  402: 1.13-1.14  501: 1.07  600: 1.18  771: 1.18
 #: complex128 factors meet the stop test in 0 or 1 steps, complex64 ones in 2 or 3.
 _DOUBLE_LU_MAX = 400
-
-#: bytes of kernel rows and their adapted images assemble holds at a time (the
-#: 257-voxel sphere's 1.6 MB in one); the rows' share is the scratch the grid's
-#: SymmetryBasis keeps
-_ROWS_CHUNK_BYTES = 7 << 19
 
 #: GMRES Krylov vectors per restart cycle, and restart cycles per column
 _RESTART = 80
@@ -206,24 +188,7 @@ class InteractionOperator:
     @cached_property
     def blocks(self) -> list:
         """The (d, d) symmetric block of every symmetry class, views of the stored kernel."""
-        sizes = [len(cls.voxels) for cls in self.symmetry.classes]
-        ends = np.cumsum([d * d for d in sizes]).tolist()
-        return [self.kernel[end - d * d:end].reshape(d, d) for d, end in zip(sizes, ends)]
-
-    def blockwise(self, q, maps):
-        """unfold of maps[c] applied to the adapted coordinates of every class c of q, for a
-        (3N, m) q.
-
-        fold gives q's coordinates in the orthonormal symmetry-adapted basis;
-        a class's d coordinates in each of its k copies form one (d, k m)
-        array, which maps[c] takes to the coordinates of its image.
-        """
-        basis, m = self.symmetry, q.shape[1]
-        coords = basis.fold(q)
-        for cls, apply in zip(basis.classes, maps):  # a class's image replaces its coordinates
-            part = slice(cls.start, cls.start + len(cls.voxels) * cls.copies)
-            coords[part] = apply(coords[part].reshape(len(cls.voxels), -1)).reshape(-1, m)
-        return basis.unfold(coords)
+        return self.symmetry.blocks(self.kernel)
 
     def kernel_product(self, q):
         """K q for a (3N, m) array: one product per stored block, or the lattice convolution.
@@ -238,7 +203,7 @@ class InteractionOperator:
         m columns cost about m single columns.
         """
         if self.kernel is not None:
-            return self.blockwise(q, [block.__matmul__ for block in self.blocks])
+            return self.symmetry.blockwise(q, [block.__matmul__ for block in self.blocks])
         index, table = self.grid.lattice_flat, self.lattice
         n, m, shape = self.grid.n, q.shape[1], self.grid.lattice_shape
         box = np.zeros((3, m, *shape), dtype=complex)
@@ -319,21 +284,10 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
     distinct |offsets| of a plan of signed offsets, reflected onto them in
     one take (geometry.reflection, geometry.reflect).  dense=False plans
     the circulant lattice and keeps the FFT of its table for the
-    matrix-free operator; dense=True reads the kernel rows of the row
-    representatives only, one mirror orbit per orbit of the whole group,
-    rows[g, j, i] = K[g(rep_j), row_i], planned once per basis
-    (SymmetryBasis.kernel_offsets, built at the first dense assembly on the
-    grid and group); a chunk of rows, _ROWS_CHUNK_BYTES of rows and their
-    adapted images at a time, is one take from the table into the
-    basis's scratch.  The rows are carried to the adapted basis by fold's
-    two stages (the Walsh-Hadamard transform over g, then the combination
-    of stabilizer images), and each block reads its rows from them, one
-    gather per irrep partner over the slice of its rows the chunk holds,
-    as SymmetryClass describes (K is symmetric, so these rows are also its
-    columns); each block is then made exactly symmetric.  ||A||_inf is the
-    largest absolute row sum of those rows, which the group maps onto every
-    other row, a member listed k times counting 1/k each time.  A vacuum
-    (beta = 0) operator builds neither.
+    matrix-free operator; dense=True evaluates the table at the offsets
+    the grid's SymmetryBasis plans once (kernel_offsets), and the basis
+    fills the stored blocks and ||A||_inf from it (SymmetryBasis.fill).
+    A vacuum (beta = 0) operator builds neither.
     """
     if not omega > 0.0:
         raise ValueError("assemble requires omega > 0")
@@ -353,36 +307,9 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
             np.moveaxis(table, 2 + axis, 0)[n] = 0.0
         op.lattice = np.fft.fftn(table, axes=(-3, -2, -1))
         return op
-    basis = op.symmetry
-    index, distinct, signed = basis.kernel_offsets
-    table = reflect(_kernel_blocks(grid, omega, distinct), signed)
-    order, reps = basis.members.shape
-    counted = np.repeat(np.abs(beta[basis.reps]) / basis.stabilizer, 3)
-    sums = np.empty(3 * len(basis.rows))
-    op.kernel = np.empty(sum(len(cls.voxels) ** 2 for cls in basis.classes), dtype=complex)
-    step = max(1, _ROWS_CHUNK_BYTES // (48 * (order * 3 * reps + 3 * grid.n)))
-    for start in range(0, len(basis.rows), step):
-        pairs = index[:, :, start:start + step]
-        rows = basis.scratch((order, reps, 3, pairs.shape[2], 3))
-        # table row 3 p + b (the blocks are symmetric); mode="clip" writes to rows unbuffered
-        np.take(table, pairs[:, :, None] + np.arange(3)[:, None], axis=0, out=rows, mode="clip")
-        rows = rows.reshape(order, 3 * reps, -1)
-        first, count = 3 * start, rows.shape[2]
-        sums[first:first + count] = sum(counted @ np.abs(part) for part in rows)
-        folded = basis.adapt(basis.transform(rows).reshape(order * 3 * reps, count))
-        for cls, block in zip(basis.classes, op.blocks):
-            lo, hi = np.searchsorted(cls.rows, (first, first + count))
-            image = folded[cls.start:cls.start + len(block) * cls.copies].reshape(
-                len(block), cls.copies, count)
-            column = cls.rows[lo:hi] - first
-            block[cls.by_row[lo:hi]] = sum(weights[lo:hi] * image[:, slab[lo:hi], column]
-                                          for slab, weights in zip(cls.slab, cls.weights)).T
-    for block in op.blocks:  # symmetric to rounding: make it exactly so
-        np.add(block, block.T, out=block)
-        block *= 0.5
-    diagonal = self_term_scalar(grid.voxel_volume, omega) * np.repeat(
-        beta[basis.reps[basis.rows]], 3)
-    op.norm = float(np.max(sums + np.abs(1.0 - diagonal) - np.abs(diagonal)))
+    _, distinct, signed = op.symmetry.kernel_offsets
+    op.kernel, op.norm = op.symmetry.fill(reflect(_kernel_blocks(grid, omega, distinct), signed),
+                                          beta)
     return op
 
 
@@ -407,7 +334,7 @@ def _refined_lu_solve(op: InteractionOperator, b, factors):
     for step in range(_REFINE_STEPS + 1):
         scale = np.max(np.abs(resid), axis=0)
         scale[scale == 0.0] = 1.0
-        x += scale * op.blockwise(resid / scale, solves)
+        x += scale * op.symmetry.blockwise(resid / scale, solves)
         resid = b - op.apply(x)
         if np.all(np.max(np.abs(resid), axis=0) <= bound * np.max(np.abs(x), axis=0)):
             return x, resid, step, True

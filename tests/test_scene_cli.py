@@ -426,11 +426,16 @@ def test_cli_bad_input_is_a_config_error(argv, message, tmp_path, capsys, monkey
     ["validate", "--out-dir", "d" * 300],
     ["validate", "--threads", "2147483648"],
     ["validate", "--threads", "4294967297"],
+    ["purcell", "--emitter", "0.95,0.15,0.25", "--dipole", "0,0,1", "--omega-range", "0.9:1.1:3",
+     "--out", "p" * 300],
+    ["purcell", "--emitter", "0.95,0.15,0.25", "--dipole", "0,0,1", "--omega-range", "0.9:1.1:3",
+     "--out", "p" * 251 + ".csv"],
 ], ids=["nan src", "inf eval", "inf point", "nan point2", "nan emitter", "zero dipole",
         "unsorted range", "nan range start", "inf range stop", "zero threads",
         "negative threads", "out-dir is a file", "out-dir below a file", "downward kdir",
         "huge omega", "tiny omega", "huge range", "overlong out-dir",
-        "threads past a C int", "threads that wrap to one"])
+        "threads past a C int", "threads that wrap to one", "overlong out",
+        "out whose manifest name is overlong"])
 def test_cli_bad_arguments_exit_4_before_any_solve(argv, tmp_path, capsys, monkeypatch):
     """Arguments no scene can make valid exit 4 with one stderr line, no traceback,
     and nothing is solved or written; the thread variables stay unset."""

@@ -219,23 +219,29 @@ def test_a_symmetric_sweep_stores_only_the_sector_blocks(budget, monkeypatch):
 
 def test_a_sweep_gathers_its_kernel_rows_into_one_held_scratch(monkeypatch):
     """17 frequencies on the 257-voxel Drude sphere, each assembled in one chunk: every
-    assembly gathers its kernel rows into the one scratch array the grid's
-    SymmetryBasis holds, at most _ROWS_CHUNK_BYTES, so after the first none allocates
-    an array of those rows, and each peaks below one chunk of rows and their adapted
-    images (an assembly that allocates its rows peaks above it)."""
-    peaks, scratches, ops = [], [], []
+    assembly gathers its kernel rows into the one buffer its thread keeps, at most
+    _ROWS_CHUNK_BYTES, so after the first none allocates an array of those rows, and
+    each peaks below one chunk of rows and their adapted images (an assembly that
+    allocates its rows peaks above it); an assembly in another thread gathers its
+    rows into a buffer of its own and leaves this thread's in place."""
+    import threading
+
+    import greenvox.symmetry as symmetry
+
+    peaks, buffers, ops = [], [], []
 
     def peaked(*args, **kwargs):
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         op = assemble(*args, **kwargs)
         peaks.append(tracemalloc.get_traced_memory()[1] - start)
-        scratches.append(op.symmetry._scratch)
+        buffers.append(symmetry._held.rows)
         ops.append(op)
         return op
 
     assemble = vie.assemble
     monkeypatch.setattr(vie, "assemble", peaked)
+    monkeypatch.delattr(symmetry._held, "rows", raising=False)  # as in a new thread
     tracemalloc.start()
     try:
         rows = purcell_sweep(scene_from_dict(SPHERE).solver, (0.82, -1.12, 0.84),
@@ -247,9 +253,49 @@ def test_a_sweep_gathers_its_kernel_rows_into_one_held_scratch(monkeypatch):
     order, reps = basis.members.shape
     gathered, images = (16 * 9 * len(basis.rows) * n for n in (order * reps, 257))
     assert all(op.symmetry is basis for op in ops)
-    assert all(scratch is scratches[0] for scratch in scratches)
-    assert scratches[0].nbytes == gathered <= vie._ROWS_CHUNK_BYTES
+    assert all(buffer is buffers[0] for buffer in buffers)
+    assert buffers[0].nbytes == gathered <= symmetry._ROWS_CHUNK_BYTES
     assert max(peaks[1:]) < gathered + images
+    worker = []
+
+    def in_a_worker():
+        op = assemble(ops[0].grid, ops[0].beta, ops[0].omega)
+        worker.append((op.kernel.tobytes(), symmetry._held.rows))
+
+    thread = threading.Thread(target=in_a_worker)
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive()
+    kernel, rows = worker[0]
+    assert kernel == ops[0].kernel.tobytes()
+    assert not np.shares_memory(rows, buffers[0]) and symmetry._held.rows is buffers[0]
+
+
+def test_purcell_factors_from_four_threads_equal_the_sequential_ones():
+    """Solvers of 17 frequencies built from four threads at once on one scene, whose
+    grid and SymmetryBasis they share, give Purcell factors bitwise equal to solvers
+    built in turn, ten rounds over, with the interpreter switching threads often."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from greenvox import EmitterSpec, purcell
+
+    cfg = scene_from_dict(SPHERE)
+    emitters = [EmitterSpec(position=(0.82, -1.12, 0.84), omega=float(w), dipole=(0.0, 0.6, 0.8))
+                for w in np.linspace(0.7, 1.1, 17)]
+
+    def factor(emitter):
+        return purcell(cfg.solver(emitter.omega), None, emitter)
+
+    expected = [factor(emitter) for emitter in emitters]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            rounds = [list(pool.map(factor, emitters, timeout=120)) for _ in range(10)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert [sum(a != b for a, b in zip(got, expected)) for got in rounds] == [0] * 10
 
 
 def test_a_sweep_row_is_one_solve_and_one_kernel_product(budget, monkeypatch):

@@ -415,8 +415,9 @@ def test_first_dense_assembly_holds_little_beside_the_blocks():
     """The first assemble on a cold 840-voxel Drude sphere, its SymmetryBasis index
     and classes included, peaks below the blocks it stores plus two chunks of
     kernel rows (the rows are gathered and folded a few MiB at a time), and leaves no
-    N x N array on the grid."""
-    import greenvox.vie as vie_mod
+    N x N array on the grid, and no array an assembly could write to: the grid and
+    its bases are shared by the solvers of every frequency."""
+    import greenvox.symmetry as symmetry
 
     warm = build_grid(Sphere(center=(0, 0, 0), radius=1.0), 0.5)
     assemble(warm, np.ones(warm.n), OMEGA)  # imports and one-time caches, outside the count
@@ -429,7 +430,7 @@ def test_first_dense_assembly_holds_little_beside_the_blocks():
     finally:
         tracemalloc.stop()
     assert grid.n == 840 and op.sectors == (315,) * 8 and len(op.blocks) == 10
-    assert peak < op.kernel.nbytes + 2 * vie_mod._ROWS_CHUNK_BYTES
+    assert peak < op.kernel.nbytes + 2 * symmetry._ROWS_CHUNK_BYTES
 
     def arrays(value):
         if isinstance(value, np.ndarray):
@@ -440,28 +441,27 @@ def test_first_dense_assembly_holds_little_beside_the_blocks():
 
     kept = [a for obj in (grid, *grid._symmetry_bases.values()) for a in arrays(vars(obj))]
     assert kept and max(a.size for a in kept) < grid.n**2
+    assert not [a.shape for a in kept if a.flags.writeable]
 
 
 @pytest.mark.parametrize("name", [*SECTOR_SCENES, "sphere 840"])
 def test_assembly_in_chunks_equals_the_one_chunk_assembly(name, monkeypatch):
     """Kernel rows gathered and folded a few row representatives at a time give the
-    stored blocks of the assembly in one chunk, entry for entry, and its ||A||_inf to
-    rounding (a row's absolute sum is a BLAS matrix-vector product whose rounding
-    depends on where the row sits in its chunk): with chunks of one row
-    representative, and of about a third of them (the last chunk short where they do
-    not divide), every body assembles in at least three chunks, each into the front
-    of the scratch the one-chunk assembly left on its basis."""
+    stored blocks and the ||A||_inf of the assembly in one chunk, bit for bit (a row's
+    absolute sum is added entry by entry, with no BLAS call, whatever the chunk): with chunks
+    of one row representative, and of about a third of them (the last chunk short
+    where they do not divide), every body assembles in at least three chunks, each
+    into the front of the rows buffer the one-chunk assembly left in this thread."""
     import greenvox.symmetry as symmetry
-    import greenvox.vie as vie_mod
 
     if name == "sphere 840":
         grid, materials = build_grid(Sphere(center=(0, 0, 0), radius=1.0), 0.17), {1: DRUDE}
     else:
         grid, materials, _ = sector_scenes()[name]
     beta = MediumSolver(grid, materials, OMEGA, method="dense").beta
-    monkeypatch.setattr(vie_mod, "_ROWS_CHUNK_BYTES", 1 << 40)
+    monkeypatch.setattr(symmetry, "_ROWS_CHUNK_BYTES", 1 << 40)
     whole = assemble(grid, beta, OMEGA)
-    basis, scratch = whole.symmetry, whole.symmetry._scratch
+    basis, buffer = whole.symmetry, symmetry._held.rows
     order, reps = basis.members.shape
     per_row = 48 * (order * 3 * reps + 3 * grid.n)  # rows and images, as assemble counts them
     chunks = []
@@ -469,13 +469,56 @@ def test_assembly_in_chunks_equals_the_one_chunk_assembly(name, monkeypatch):
     monkeypatch.setattr(symmetry.SymmetryBasis, "transform",
                         lambda self, x: chunks.append(x.shape[-1]) or transform(self, x))
     for step in sorted({1, max(1, (len(basis.rows) - 1) // 3)}):
-        monkeypatch.setattr(vie_mod, "_ROWS_CHUNK_BYTES", step * per_row)
+        monkeypatch.setattr(symmetry, "_ROWS_CHUNK_BYTES", step * per_row)
         chunks.clear()
         op = assemble(grid, beta, OMEGA)
         assert len(chunks) >= 3 and sum(chunks) == 3 * len(basis.rows), (name, step)
         assert op.kernel.tobytes() == whole.kernel.tobytes(), (name, step)
-        assert abs(op.norm - whole.norm) <= 8 * np.finfo(float).eps * whole.norm, (name, step)
-        assert op.symmetry is basis and basis._scratch is scratch, (name, step)
+        assert op.norm == whole.norm, (name, step)
+        assert op.symmetry is basis and symmetry._held.rows is buffer, (name, step)
+
+
+def test_assemblies_from_two_threads_on_one_grid_equal_the_sequential_ones(monkeypatch):
+    """Thread A's assembly waits at its first Walsh-Hadamard transform, after it has
+    gathered its kernel rows, until thread B has assembled the same grid at another
+    frequency on the same SymmetryBasis: both kernels and norms equal the ones
+    assembled in turn, bit for bit (rows gathered into memory the two assemblies
+    shared would carry B's rows into A's blocks)."""
+    import threading
+
+    import greenvox.symmetry as symmetry
+
+    grid = build_grid(Sphere(center=(0, 0, 0), radius=1.0), 0.25)
+    betas = {w: np.full(grid.n, w**2 * (eval_eps(DRUDE, w) - 1.0)) for w in (0.8, 1.1)}
+    expected = {w: assemble(grid, beta, w) for w, beta in betas.items()}
+    assert expected[0.8].symmetry is expected[1.1].symmetry
+    gathered, assembled, got = threading.Event(), threading.Event(), {}
+    transform = symmetry.SymmetryBasis.transform
+
+    def held(self, x):
+        if threading.current_thread().name == "A" and not gathered.is_set():
+            gathered.set()
+            assembled.wait(60)
+        return transform(self, x)
+
+    def run(w):
+        op = assemble(grid, betas[w], w)
+        got[w] = (op.kernel.tobytes(), op.norm)
+
+    monkeypatch.setattr(symmetry.SymmetryBasis, "transform", held)
+    a = threading.Thread(target=run, args=(0.8,), name="A")
+    a.start()
+    try:
+        assert gathered.wait(60)
+        b = threading.Thread(target=run, args=(1.1,), name="B")
+        b.start()
+        b.join(60)
+    finally:
+        assembled.set()
+        a.join(60)
+    assert not a.is_alive() and not b.is_alive()
+    for w, op in expected.items():
+        assert got.get(w) == (op.kernel.tobytes(), op.norm), w
 
 
 def test_fft_product_matches_dense_kernel(tmp_path):
