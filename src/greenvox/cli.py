@@ -190,14 +190,17 @@ def _argument_problem(args):
         return f"--omega must be a positive finite frequency in [{lo:g}, {hi:g}], got {omega!r}"
     if args.command == "modes" and args.kdir[2] < 0.0:
         return "--kdir must have a nonnegative z component (modes are labelled by k_z >= 0)"
+    # the scene's number rule; math's norms and distances neither overflow nor underflow
     for name in ("src", "eval", "point", "point2", "emitter", "dipole", "kdir"):
         value = getattr(args, name, None)
-        if isinstance(value, tuple) and not all(map(math.isfinite, value)):
-            return f"--{name} must be three finite numbers, got {','.join(map(str, value))}"
-        if name in ("dipole", "kdir") and value == (0.0, 0.0, 0.0):
-            return f"--{name} must be a nonzero vector"
-    if args.command == "greens" and args.src == args.eval:
-        return "--src equals --eval, where G diverges; ldos-check --point gives Im G(x, x)"
+        if isinstance(value, tuple) and not all(abs(v) <= hi for v in value):
+            return f"--{name} must be three finite numbers of magnitude at most {hi:g}, got {value}"
+        if name in ("dipole", "kdir") and value and not math.hypot(*value) >= lo:
+            return f"--{name} must have a norm of at least {lo:g}"
+    if args.command == "greens" and math.dist(args.src, args.eval) < lo:
+        return f"--src and --eval are closer than {lo:g}; ldos-check --point gives Im G(x, x)"
+    if args.command == "ldos-check" and 0 < math.dist(args.point, args.point2 or args.point) < lo:
+        return f"--point2 must equal --point or lie at least {lo:g} from it"
     if args.command == "purcell":
         a, b, n = args.omega_range
         if not (lo <= a <= b <= hi and n >= 1):
@@ -263,8 +266,9 @@ def _read_points_csv(path):
                 if line and not line.lower().startswith(("x", "#"))]
     except (OSError, ValueError) as exc:
         _exit_config(f"--eval {path}: {exc}")
-    if not rows or any(len(row) != 3 or not all(map(math.isfinite, row)) for row in rows):
-        _exit_config(f"--eval {path}: expected rows of three finite numbers x,y,z")
+    hi = NUMBER_RANGE[1]
+    if not rows or any(len(row) != 3 or not all(abs(v) <= hi for v in row) for row in rows):
+        _exit_config(f"--eval {path}: expected rows of three numbers x,y,z, each at most {hi:g}")
     return rows
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -369,7 +370,7 @@ _RUN_FIELD_KINDS = {
 def _parse_runs(runs: dict, errors) -> dict:
     """Run blocks with every field parsed, in scene units.
 
-    Frequencies are positive, the dipole is nonzero and x differs from y,
+    Frequencies are positive, the dipole is nonzero and x lies at least 1e-30 from y,
     since EmitterSpec and G(x, y) would raise on them after the solve.
     """
     out = {}
@@ -392,8 +393,8 @@ def _parse_runs(runs: dict, errors) -> dict:
                     parsed[key] = value
         if "dipole" in parsed and not np.linalg.norm(parsed["dipole"]) > 0.0:
             errors.append(f"runs.{block_name}.dipole: must be a nonzero vector")
-        if "x" in parsed and parsed.get("y") == parsed["x"]:
-            errors.append(f"runs.{block_name}.y: equals runs.{block_name}.x, where G diverges")
+        if {"x", "y"} <= parsed.keys() and math.dist(parsed["x"], parsed["y"]) < NUMBER_RANGE[0]:
+            errors.append(f"runs.{block_name}.y: within 1e-30 of x, where G diverges")
         out[block_name] = parsed
     return out
 

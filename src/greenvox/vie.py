@@ -89,8 +89,9 @@ from .geometry import VoxelGrid, eps_on_grid, reflect, reflection
 from .green_free import g0_closed, g0_from_displacements, self_term_scalar
 
 
-#: solved sources (and solved plane-wave modes) a MediumSolver keeps, least recently used
-#: dropped first (validate revisits five sources)
+#: keys each memo of a MediumSolver keeps (G0 rows and Green columns by point, solved
+#: fields such as plane-wave modes by key), least recently used dropped first
+#: (validate revisits five points)
 _FIELDS_KEPT = 8
 
 #: refinement steps on one set of LU factors before giving up on them (zcgesv's ITERMAX)
@@ -460,6 +461,24 @@ def _gmres(op: InteractionOperator, b, pre_diag, rtol: float):
     return x, rnorm, applications
 
 
+def _recall(memo: dict, keys, make):
+    """memo's values for keys, in order; make(missing) makes those not held, in one call.
+
+    Hits and made values (marked read-only) become the most recent entries, then all
+    but the _FIELDS_KEPT most recent are dropped: a call keeps its own, up to that many.
+    """
+    held = {key: memo.pop(key) for key in keys if key in memo}
+    memo.update(held)
+    missing = [key for key in dict.fromkeys(keys) if key not in held]
+    if missing:
+        for key, value in zip(missing, make(missing)):
+            value.flags.writeable = False
+            memo[key] = held[key] = value
+    for key in list(memo)[:-_FIELDS_KEPT]:
+        del memo[key]
+    return [held[key] for key in keys]
+
+
 class MediumSolver:
     """One assembled operator (and factorization) shared across sources.
 
@@ -467,7 +486,8 @@ class MediumSolver:
     frequency go through this object, which assembles and factorizes once:
     solve, solved (memoised by a key) and grid_fields give on-grid
     values, and evaluate carries any of them (Green columns, e or m) to
-    arbitrary points.
+    arbitrary points.  G0 rows, Green columns and solved fields are each
+    memoised, read-only, for the _FIELDS_KEPT keys used last (_recall).
     materials maps every region id of the grid to its PermittivityModel,
     which also gives eps at frequencies other than omega.  method is the
     one solve decision: "dense" stores the kernel (LU) at any size,
@@ -486,34 +506,18 @@ class MediumSolver:
         self.eps, self.beta = eps_on_grid(grid, materials, omega)
         dense = method == "dense" or (method == "auto" and grid.n <= dense_cap)
         self.op = assemble(grid, self.beta, omega, dense=dense)
-        self._fields = {}
-        self._solved = {}
-        self._blocks = (None, None)
+        self._fields, self._solved, self._rows = {}, {}, {}
 
     def solve(self, rhs):
         return solve_system(self.op, rhs, self.tol)
 
-    @staticmethod
-    def _keep(memo, key, value):
-        """Store value as the most recent entry, dropping the least recent beyond _FIELDS_KEPT."""
-        memo.pop(key, None)
-        if len(memo) == _FIELDS_KEPT:
-            del memo[next(iter(memo))]
-        memo[key] = value
-
     def solved(self, key, rhs):
         """solve(rhs()) for the right-hand side named by the hashable key, read-only.
 
-        Memoised like grid_fields (the eight keys used last), so a field
-        revisited by key, such as the e coefficient of one plane-wave
-        mode, is solved once.
+        Memoised by key, so a field revisited by key, such as the e
+        coefficient of one plane-wave mode, is solved once.
         """
-        x = self._solved.get(key)
-        if x is None:
-            x = self.solve(rhs())
-            x.flags.writeable = False
-        self._keep(self._solved, key, x)
-        return x
+        return _recall(self._solved, [key], lambda _: [self.solve(rhs())])[0]
 
     # -- geometry-aware kernel pieces -----------------------------------
     def g0_blocks_at(self, point):
@@ -522,25 +526,23 @@ class MediumSolver:
         A point inside the body sees its own voxel through the self term,
         at the center or off it, so the evaluation formula is finite
         everywhere and continuous at a voxel center (G0 to the center
-        would diverge as the point nears it).  Read-only, and kept for the
-        last point asked, so the source columns of x, its evaluation row
-        and the discrete shell integral at x share one evaluation.
+        would diverge as the point nears it).  Read-only and memoised by
+        point, so the source columns of x, its evaluation row and the
+        discrete shell integral at x share one evaluation.
         """
         point = np.asarray(point, dtype=float)
-        key = point.tobytes()
-        if self._blocks[0] == key:
-            return self._blocks[1]
-        idx = self.grid.index_of(point, rtol=0.5 - 1e-9)
-        disp = point[None, :] - self.grid.centers
-        if idx is not None:
-            disp[idx] = 1.0
-        blocks = g0_from_displacements(disp, self.omega)
-        if idx is not None:
-            blocks[idx] = (self_term_scalar(self.grid.voxel_volume, self.omega)
-                           / self.grid.voxel_volume) * np.eye(3)
-        blocks.flags.writeable = False
-        self._blocks = (key, blocks)
-        return blocks
+
+        def make(_):
+            idx = self.grid.index_of(point, rtol=0.5 - 1e-9)
+            disp = point[None, :] - self.grid.centers
+            if idx is not None:
+                disp[idx] = 1.0
+            blocks = g0_from_displacements(disp, self.omega)
+            if idx is not None:
+                blocks[idx] = (self_term_scalar(self.grid.voxel_volume, self.omega)
+                               / self.grid.voxel_volume) * np.eye(3)
+            return [blocks]
+        return _recall(self._rows, [point.tobytes()], make)[0]
 
     def source_columns(self, y):
         """Right-hand side G0(z_i, y) n_j restricted to the grid, (3N, 3)."""
@@ -550,32 +552,25 @@ class MediumSolver:
         """Solved on-grid Green columns X_i = G(z_i, y), read-only.
 
         sources is one point y (3,), giving (N, 3, 3), or P points (P, 3),
-        giving (P, N, 3, 3).  Every source not yet memoised is solved,
-        a duplicate once, in one solve of 3P right-hand sides, so each
-        refinement step reads the factors and the kernel once for all of
-        them.  The eight sources used last are memoised, the least recently
-        used dropped first, so a revisited source is not re-solved and a
-        block never drops one of its own sources to make room (up to eight).
+        giving (P, N, 3, 3).  Sources are memoised by point, and every
+        source not yet memoised is solved, a duplicate once, in one solve
+        of 3P right-hand sides, so each refinement step reads the factors
+        and the kernel once for all of them.
         """
         pts = np.asarray(sources, dtype=float)
         if pts.ndim not in (1, 2) or pts.shape[-1] != 3:
             raise ValueError(f"sources must be (3,) or (P, 3), got shape {pts.shape}")
-        rows = pts.reshape(-1, 3)
-        keys = [p.tobytes() for p in rows]
-        fields = {key: self._fields.pop(key) for key in keys if key in self._fields}
-        self._fields.update(fields)  # a hit becomes the most recent
-        new = {key: p for key, p in zip(keys, rows) if key not in fields}
-        if new:
-            rhs = np.hstack([self.source_columns(p) for p in new.values()])
+        keys = [p.tobytes() for p in pts.reshape(-1, 3)]
+        points = dict(zip(keys, pts.reshape(-1, 3)))
+
+        def make(new):
+            rhs = np.hstack([self.source_columns(points[key]) for key in new])
             X = self.solve(rhs).reshape(self.grid.n, 3, len(new), 3)
-            X = np.ascontiguousarray(X.transpose(2, 0, 1, 3))
-            X.flags.writeable = False
-            for key, Xp in zip(new, X):
-                self._keep(self._fields, key, Xp)
-                fields[key] = Xp
+            return np.ascontiguousarray(X.transpose(2, 0, 1, 3))
+        fields = _recall(self._fields, keys, make)
         if pts.ndim == 1:
-            return fields[keys[0]]
-        out = np.stack([fields[key] for key in keys])
+            return fields[0]
+        out = np.stack(fields)
         out.flags.writeable = False
         return out
 
@@ -633,8 +628,7 @@ def dyson_residual(solver: MediumSolver, x, y) -> float:
     y = np.asarray(y, dtype=float)
     Xy, Xx = solver.grid_fields(np.stack([y, x]))
     # int beta G(x,z) G0(z,y): G(x,z) = X(x)_z^T by reciprocity, and G0(z,y) the
-    # blocks the solve for y used, with M/dV in the voxel that holds y (taken
-    # first, so the blocks at x stay memoised after the call)
+    # blocks the solve for y used, with M/dV in the voxel that holds y
     i2 = solver.grid.voxel_volume * np.einsum(
         "j,jba,jbc->ac", solver.beta, Xx, solver.g0_blocks_at(y))
     diff = solver.green(x, y) - g0_closed(x, y, solver.omega)

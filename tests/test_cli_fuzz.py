@@ -92,7 +92,8 @@ ARGV = {
 COMMON_FLAGS = ["--tol", "--quad", "--threads"]
 ARG_VALUES = ["nan", "-1", "0", "1", "inf", "-inf", "1e300", "abc", "", "1,2", "0,0,0",
               "nan,0,0", "0.1,0.1,0.1", "1.2,0.1,-0.1", "0.9:0.8:2", "0:1:2", "1:1:1",
-              "1:2:0", "nan:1:2", "1e300:1e300:1", "1e-300:1:2", "4x8", "0x8", "ax8", "1e-300"]
+              "1:2:0", "nan:1:2", "1e300:1e300:1", "1e-300:1:2", "4x8", "0x8", "ax8", "1e-300",
+              "1e200,0,0", "0,0,1e-300"]
 
 
 def _set(tree, path, value):
@@ -175,6 +176,10 @@ def _mutated_argv(command, mutations, points):
 @example(command="greens", scene_ops=[("set", ("quadrature", "n_theta"), True)], argv_ops=[])
 @example(command="greens", scene_ops=[("set", ("quadrature", "n_phi"), True)], argv_ops=[])
 @example(command="greens", scene_ops=[("set", ("solver", "dense_cap"), False)], argv_ops=[])
+# a point past the number range and a vector whose norm underflows, which 60 random
+# examples seldom reach
+@example(command="greens", scene_ops=[], argv_ops=[("--src", "1e200,0,0")])
+@example(command="modes", scene_ops=[], argv_ops=[("--kdir", "0,0,1e-300")])
 def test_cli_exit_codes_hold_under_malformed_input(command, scene_ops, argv_ops):
     scene = copy.deepcopy(SCENE)
     for op, path, value in scene_ops:

@@ -388,8 +388,9 @@ def test_cli_overrides_are_validated_and_hashed(tmp_path, capsys):
     (["modes", "--omega", "1", "--kdir", "0,0,1", "--eval", "pairs.csv"], "pairs.csv"),
     (["modes", "--omega", "1", "--kdir", "0,0,1", "--eval", "header.csv"], "header.csv"),
     (["greens", "--omega", "1", "--src", "2,0,0", "--eval", "2,0,0"], "ldos-check"),
+    (["modes", "--omega", "1", "--kdir", "0,0,1", "--eval", "huge.csv"], "huge.csv"),
 ], ids=["greens omega", "modes omega", "ldos-check omega", "zero kdir", "missing csv",
-        "non-numeric csv", "two-column csv", "no points", "coincident greens"])
+        "non-numeric csv", "two-column csv", "no points", "coincident greens", "huge csv"])
 def test_cli_bad_input_is_a_config_error(argv, message, tmp_path, capsys, monkeypatch):
     """Bad command-line input exits 4 with one stderr line, not a traceback."""
     monkeypatch.chdir(tmp_path)
@@ -398,6 +399,7 @@ def test_cli_bad_input_is_a_config_error(argv, message, tmp_path, capsys, monkey
     write(tmp_path, "words.csv", "x,y,z\n1.2,zero,-0.2\n")
     write(tmp_path, "pairs.csv", "1.2,0.3\n")
     write(tmp_path, "header.csv", "x,y,z\n")
+    write(tmp_path, "huge.csv", "x,y,z\n1e300,0,0\n")
     rc = cli_main([argv[0], "--scene", str(scene), *argv[1:]])
     err = capsys.readouterr().err.strip().splitlines()
     assert rc == 4
@@ -430,12 +432,23 @@ def test_cli_bad_input_is_a_config_error(argv, message, tmp_path, capsys, monkey
      "--out", "p" * 300],
     ["purcell", "--emitter", "0.95,0.15,0.25", "--dipole", "0,0,1", "--omega-range", "0.9:1.1:3",
      "--out", "p" * 251 + ".csv"],
+    ["greens", "--omega", "1", "--src", "1e200,0,0", "--eval", "2,0,0"],
+    ["ldos-check", "--omega", "1", "--point", "1e160,0,0"],
+    ["ldos-check", "--omega", "1", "--point", "2,0,0", "--point2", "2,0,1e-300"],
+    ["greens", "--omega", "1", "--src", "2,0,0", "--eval", "2,0,1e-110"],
+    ["modes", "--omega", "1", "--kdir", "1e300,0,1e300", "--eval", "points.csv"],
+    ["modes", "--omega", "1", "--kdir", "1e-300,0,0", "--eval", "points.csv"],
+    ["purcell", "--emitter", "2,0,0", "--dipole", "1e300,0,1", "--omega-range", "0.9:1.1:3"],
+    ["purcell", "--emitter", "2,0,0", "--dipole", "1e-300,0,0", "--omega-range", "0.9:1.1:3"],
+    ["purcell", "--emitter", "1e300,0,0", "--dipole", "0,0,1", "--omega-range", "0.9:1.1:3"],
 ], ids=["nan src", "inf eval", "inf point", "nan point2", "nan emitter", "zero dipole",
         "unsorted range", "nan range start", "inf range stop", "zero threads",
         "negative threads", "out-dir is a file", "out-dir below a file", "downward kdir",
         "huge omega", "tiny omega", "huge range", "overlong out-dir",
         "threads past a C int", "threads that wrap to one", "overlong out",
-        "out whose manifest name is overlong"])
+        "out whose manifest name is overlong", "huge src", "huge point",
+        "point pair closer than 1e-30", "greens pair closer than 1e-30", "overflowing kdir",
+        "underflowing kdir", "huge dipole", "tiny dipole", "huge emitter"])
 def test_cli_bad_arguments_exit_4_before_any_solve(argv, tmp_path, capsys, monkeypatch):
     """Arguments no scene can make valid exit 4 with one stderr line, no traceback,
     and nothing is solved or written; the thread variables stay unset."""
@@ -465,8 +478,10 @@ def test_cli_bad_arguments_exit_4_before_any_solve(argv, tmp_path, capsys, monke
     (("geometry", "shapes", 0, "kind"), [], "geometry.shapes[0].kind"),
     (("materials", 0, "poles", 0, "omegap"), 1e300, "materials[0].poles[0].omegap"),
     (("runs", "validate", "omega"), 1e-300, "runs.validate.omega"),
+    (("runs", "validate"), {"omega": 1.0, "x": [2, 0, 0], "y": [2, 0, 1e-300]},
+     "runs.validate.y"),
 ], ids=["units", "geometry", "solver", "quadrature", "poles", "shape kind",
-        "huge omegap", "tiny validate omega"])
+        "huge omegap", "tiny validate omega", "validate points closer than 1e-30"])
 def test_malformed_scene_values_are_scene_errors(path, value, field, tmp_path, capsys):
     """Each of these escaped the schema as a traceback (a block that is not a
     mapping, poles that are not a list, an unhashable shape kind, a frequency whose

@@ -97,6 +97,18 @@ def test_validate_uses_one_medium_and_one_vacuum_solver(budget, monkeypatch):
     assert len(identities) == 2
 
 
+def test_validate_evaluates_g0_once_per_point(monkeypatch):
+    """validate's checks revisit five points (x, y, the first voxel center, the m-mode
+    point and the emitter): G0 is evaluated once at each, once for the medium's kernel
+    table and once at the vacuum solver's emitter."""
+    calls = []
+    g0 = vie.g0_from_displacements
+    monkeypatch.setattr(vie, "g0_from_displacements",
+                        lambda *args: calls.append(args) or g0(*args))
+    assert run_validation(scene_from_dict(CUBE)).passed
+    assert len(calls) == 7
+
+
 def test_ldos_check_for_a_separated_pair_solves_once(budget, tmp_path, capsys):
     scene = tmp_path / "cube.yaml"
     scene.write_text(json.dumps(CUBE))
@@ -334,7 +346,7 @@ def test_a_sweep_row_evaluates_g0_twice(monkeypatch):
     fresh = vie.MediumSolver.g0_blocks_at
 
     def unshared(solver, point):
-        solver._blocks = (None, None)
+        solver._rows.clear()
         return fresh(solver, point)
 
     with monkeypatch.context() as patch:

@@ -619,6 +619,26 @@ def test_grid_fields_solved_once_per_source(cube_grid, cube_materials, monkeypat
     assert len(columns) == vie_mod._FIELDS_KEPT + 2
 
 
+def test_g0_rows_are_memoised_like_green_columns(cube_grid, cube_materials, monkeypatch):
+    """A revisited point returns its held read-only G0 row, and after _FIELDS_KEPT + 1
+    distinct points the least recently used is evaluated again."""
+    import greenvox.vie as vie_mod
+
+    solver = MediumSolver(cube_grid, cube_materials, OMEGA)
+    calls = []
+    g0 = vie_mod.g0_from_displacements
+    monkeypatch.setattr(vie_mod, "g0_from_displacements",
+                        lambda *args: calls.append(args) or g0(*args))
+    points = Y_OUT + 0.1 * np.arange(vie_mod._FIELDS_KEPT + 1)[:, None]
+    rows = [solver.g0_blocks_at(p) for p in points[:-1]]
+    assert all(solver.g0_blocks_at(p.copy()) is row for p, row in zip(points, rows))
+    assert len(calls) == vie_mod._FIELDS_KEPT and not rows[0].flags.writeable
+    solver.g0_blocks_at(points[-1])
+    again = solver.g0_blocks_at(points[0])
+    assert again is not rows[0] and len(calls) == vie_mod._FIELDS_KEPT + 2
+    np.testing.assert_array_equal(again, rows[0])
+
+
 @pytest.mark.parametrize("method, rel", [("dense", 1e-13), ("gmres", 1e-10)])
 def test_batched_grid_fields_match_single_sources(cube_grid, cube_materials, method, rel,
                                                   monkeypatch):
