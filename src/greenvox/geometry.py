@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .constants import MAX_LATTICE_SITES, NUMBER_RANGE
-from .permittivity import PermittivityModel, eval_eps
+from .permittivity import PermittivityModel, _distinct, eval_eps
 
 
 class GridError(ValueError):
@@ -101,7 +101,7 @@ class VoxelGrid:
         if not np.max(np.abs(rel - ijk)) <= 1e-9:
             raise GridError("voxel centers do not lie on one cubic lattice of the voxel edge")
         ijk = ijk.astype(int)
-        if len(np.unique(ijk, axis=0)) != len(centers):
+        if _repeats_a_row(ijk):
             raise GridError("duplicate voxel centers")
         for array in (centers, material_ids, ijk, origin):
             array.flags.writeable = False
@@ -229,6 +229,13 @@ class VoxelGrid:
         return None if found is None else int(found[0])
 
 
+def _repeats_a_row(rows):
+    """Whether two rows of a 2-D array are equal, entry by entry (so -0.0 equals 0.0 and
+    no row holding NaN equals another, as for np.unique(rows, axis=0))."""
+    ordered = rows[np.lexsort(rows.T)]
+    return bool(np.any(np.all(ordered[1:] == ordered[:-1], axis=1)))
+
+
 def _renumber(keys, size):
     """(the distinct keys in [0, size), ascending; the position of every key among
     them), by a table over [0, size), which takes no sort."""
@@ -323,7 +330,7 @@ def eps_on_grid(grid: VoxelGrid, materials, omega: float):
     ids raise; vacuum regions (empty pole list) give beta = 0.
     """
     eps = np.empty(grid.n, dtype=complex)
-    for rid in np.unique(grid.material_ids):
+    for rid in _distinct(grid.material_ids):
         if rid not in materials:
             raise KeyError(f"region id {rid} has no material definition")
         eps[grid.material_ids == rid] = eval_eps(materials[rid], omega)

@@ -37,7 +37,8 @@ also a grid); an emitter at another frequency raises ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,7 +48,12 @@ from .vie import MediumSolver, SolverError
 
 @dataclass(frozen=True)
 class EmitterSpec:
-    """Two-level emitter: position, transition frequency, real dipole vector."""
+    """Two-level emitter: position, transition frequency, real dipole vector.
+
+    Rates are computed on the unit dipole d / |d| and scaled by |d|^2 after, so a
+    dipole whose square underflows (a molecular one in C m is about 1e-30) keeps its
+    Purcell factor and the relative checks of validate.
+    """
 
     position: tuple[float, float, float]
     omega: float
@@ -58,7 +64,7 @@ class EmitterSpec:
         object.__setattr__(self, "dipole", tuple(float(v) for v in self.dipole))
         if not self.omega > 0.0:
             raise ValueError("transition frequency must be positive")
-        if not np.linalg.norm(self.dipole) > 0.0:
+        if not self.size > 0.0:
             raise ValueError("dipole vector must be nonzero")
 
     @property
@@ -68,6 +74,16 @@ class EmitterSpec:
     @property
     def d(self):
         return np.asarray(self.dipole, dtype=float)
+
+    @property
+    def size(self) -> float:
+        """|d|, by math.hypot, which underflows and overflows only where |d| does."""
+        return math.hypot(*self.dipole)
+
+    @property
+    def unit(self) -> "EmitterSpec":
+        """This emitter with the dipole d / |d|."""
+        return replace(self, dipole=tuple(self.d / self.size))
 
 
 def vacuum_decay_rate(omega: float, dipole) -> float:
@@ -266,21 +282,25 @@ class DecayRates:
 
     @classmethod
     def from_identity(cls, ident: LdosIdentityResult, emitter: EmitterSpec) -> "DecayRates":
-        """Rates from the LDOS identity evaluated at the emitter's position and frequency."""
-        w, d = emitter.omega, emitter.d
-        d_im_d = float(d @ ident.im_green @ d)
-        gamma_via = 2.0 * w**2 * d_im_d
-        gamma_e = 2.0 * w**2 * float(np.real(d @ ident.kappa_term @ d))
-        gamma_m = gamma_via - gamma_e
-        contracted = (ident.contracted(d) * float(d @ d) / d_im_d
-                      if d_im_d != 0.0 else float("nan"))
+        """Rates from the LDOS identity evaluated at the emitter's position and frequency.
+
+        The contractions use the unit dipole u = d / |d|; the rates are those of u times
+        |d|^2, and the Purcell factor and contracted residual are u's.
+        """
+        w, u, scale = emitter.omega, emitter.unit.d, emitter.size**2
+        u_im_u = float(u @ ident.im_green @ u)
+        gamma_via = 2.0 * w**2 * u_im_u
+        gamma_e = 2.0 * w**2 * float(np.real(u @ ident.kappa_term @ u))
+        gamma_m = scale * gamma_via - scale * gamma_e
+        contracted = (ident.contracted(u) * float(u @ u) / u_im_u
+                      if u_im_u != 0.0 else float("nan"))
         return cls(
-            gamma_e=gamma_e,
+            gamma_e=scale * gamma_e,
             gamma_m=gamma_m,
-            gamma_m_mu_route=2.0 * w**2 * float(np.real(d @ ident.m_term @ d)),
-            gamma_total=gamma_e + gamma_m,
-            gamma_via_im_green=gamma_via,
-            purcell=gamma_via / vacuum_decay_rate(w, d),
+            gamma_m_mu_route=scale * 2.0 * w**2 * float(np.real(u @ ident.m_term @ u)),
+            gamma_total=scale * gamma_e + gamma_m,
+            gamma_via_im_green=scale * gamma_via,
+            purcell=gamma_via / vacuum_decay_rate(w, u),
             contracted_residual=contracted,
             identity_relative_residual=ident.relative_absorption,
         )
@@ -312,9 +332,9 @@ def purcell(grid, materials, emitter: EmitterSpec, tol: float = 1e-10) -> float:
               else MediumSolver(grid, materials, emitter.omega, tol))
     solver.check_frequency(emitter.omega, "emitter")
     img = im_green_at(solver, emitter.r)
-    d = emitter.d
-    gamma = 2.0 * emitter.omega**2 * float(d @ img @ d)
-    return gamma / vacuum_decay_rate(emitter.omega, d)
+    u = emitter.unit.d
+    gamma = 2.0 * emitter.omega**2 * float(u @ img @ u)
+    return gamma / vacuum_decay_rate(emitter.omega, u)
 
 
 def purcell_sweep(solver_at, emitter_position, dipole, omegas):

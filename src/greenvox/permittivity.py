@@ -135,6 +135,13 @@ def _panel_integral(f, a: float, b: float, n: int) -> complex:
     return half * np.sum(wts * f(mid + half * x))
 
 
+def _distinct(values):
+    """The distinct values of a 1-D array, ascending: np.unique, which numpy 2 answers
+    through numpy.ma, an import of its own."""
+    values = np.sort(values)
+    return values[np.concatenate(([True], values[1:] != values[:-1]))]
+
+
 def _subdivide(a: float, b: float, ratio: float = 4.0) -> list[tuple[float, float]]:
     """Split [a, b] (0 < a < b) geometrically so each piece has b/a <= ratio."""
     if a <= 0.0:
@@ -161,7 +168,7 @@ def principal_value_integral(f, pole: float, breakpoints, n_nodes: int = 48,
         delta = 0.1 * min(pole - lo, hi - pole)
     delta = min(delta, 0.5 * (pole - lo), 0.5 * (hi - pole))
 
-    edges = np.unique(np.concatenate([pts, [pole - delta, pole + delta]]))
+    edges = _distinct(np.concatenate([pts, [pole - delta, pole + delta]]))
     left = edges[edges <= pole - delta]
     right = edges[edges >= pole + delta]
 

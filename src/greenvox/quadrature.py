@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import _repeats_a_row
+
 
 @dataclass(frozen=True)
 class SphereQuadrature:
@@ -34,7 +36,7 @@ class SphereQuadrature:
             raise ValueError("weights must sum to 2 pi (half-sphere measure)")
         if np.any(weights <= 0.0):
             raise ValueError("weights must be positive")
-        if len(np.unique(np.round(nodes, 14), axis=0)) != len(nodes):
+        if _repeats_a_row(np.round(nodes, 14)):
             raise ValueError("duplicate quadrature nodes")
         if not self.rotated and np.any(nodes[:, 2] < -1e-14):
             raise ValueError("nodes must lie on the upper half sphere")

@@ -42,7 +42,7 @@ import yaml
 
 from .constants import NUMBER_RANGE, UnitSystem
 from .geometry import Box, GridError, MaskShape, Sphere, VoxelGrid, build_grid
-from .permittivity import LorentzPole, PermittivityModel
+from .permittivity import LorentzPole, PermittivityModel, _distinct
 
 SCHEMA_VERSION = 1
 
@@ -95,7 +95,7 @@ class SceneConfig:
         declares, which only a mask can do.
         """
         grid = build_grid(self.shapes, self.voxel_edge)
-        missing = sorted(set(np.unique(grid.material_ids).tolist()) - set(self.materials))
+        missing = sorted(set(_distinct(grid.material_ids).tolist()) - set(self.materials))
         if missing:
             raise GridError(f"mask region id {', '.join(map(str, missing))} "
                             "has no material definition")
@@ -391,7 +391,7 @@ def _parse_runs(runs: dict, errors) -> dict:
                 value = _value(ctx, value, kind, errors, positive=kind == "frequency")
                 if value is not None:
                     parsed[key] = value
-        if "dipole" in parsed and not np.linalg.norm(parsed["dipole"]) > 0.0:
+        if "dipole" in parsed and not math.hypot(*parsed["dipole"]) > 0.0:
             errors.append(f"runs.{block_name}.dipole: must be a nonzero vector")
         if {"x", "y"} <= parsed.keys() and math.dist(parsed["x"], parsed["y"]) < NUMBER_RANGE[0]:
             errors.append(f"runs.{block_name}.y: within 1e-30 of x, where G diverges")

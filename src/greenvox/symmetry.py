@@ -24,7 +24,10 @@ complex characters, so where the permutations hold no swap, sectors are
 only shared and never split.  The second stage is one sparse orthogonal
 map from sector coordinates to the adapted ones, so fold, the whole map,
 and unfold, its adjoint, are orthogonal: the kernel's block is the same
-symmetric matrix in every copy of an irrep, and needs no weights.
+symmetric matrix in every copy of an irrep, and needs no weights.  Both
+directions of that map are planned once per basis as numpy gathers
+(_Sums), and so is fill's reading of the blocks where one chunk holds
+every kernel row it reads, so a basis needs no sparse-matrix library.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from __future__ import annotations
 import math
 import threading
 from functools import cache, cached_property
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .geometry import _renumber, reflection
 
@@ -44,6 +47,9 @@ IDENTITY = (0, 1, 2)
 #: bytes of kernel rows and their adapted images fill holds at a time (the 257-voxel
 #: sphere's 1.6 MB in one); the rows' share is memory the calling thread keeps
 _ROWS_CHUNK_BYTES = 7 << 19
+
+#: floats of gathered terms fold and unfold hold at a time, so they stay in cache
+_GATHER_FLOATS = 1 << 15
 
 _held = threading.local()  # rows: where every fill in this thread, on any grid, gathers
 
@@ -94,9 +100,77 @@ def _irreps(stabilizer):
     return tuple(irreps)
 
 
-def _product(matrix, x):
-    """matrix @ x for a real sparse matrix and a complex (rows, m) array, as real pairs."""
-    return (matrix @ np.ascontiguousarray(x).view(float)).view(complex)
+class _Run(NamedTuple):
+    """Output rows of a _Sums that sum as many terms each: index (slots, n) and weights
+    (slots, n, 1 or 2), slot-major, and rows, a slice of the output, or places (c, n),
+    each row going to c places."""
+
+    index: np.ndarray
+    weights: np.ndarray
+    rows: slice | np.ndarray
+
+
+class _Sums(NamedTuple):
+    """A sparse real map of rows, y = M x, as numpy gathers, one run at a time.
+
+    Each row of a run is the sum over its slots of weights * x[index]: the run's terms
+    are gathered and scaled _GATHER_FLOATS at a time, and summed from 0 in one
+    reduction over the slots.  weights is (..., 1) for a complex x (rows, m), and (...,
+    2) for a one-dimensional complex x, each weight repeated for the real and the
+    imaginary part, so every product runs over contiguous memory.
+    """
+
+    runs: tuple
+
+    def __call__(self, x, out):
+        """out <- M x for complex x (M's columns, ...) and out (M's rows, ...); the rows
+        of out that no run gives are left as they are."""
+        width = 2 * math.prod(out.shape[1:])
+        reals = out.view(float).reshape(len(out), width)
+        for index, weights, rows in self.runs:
+            step = max(1, _GATHER_FLOATS // (len(index) * width))
+            for lo in range(0, index.shape[1], step):
+                cut = slice(lo, lo + step)
+                terms = x.take(index[:, cut], axis=0).view(float).reshape(len(index), -1, width)
+                terms *= weights[:, cut]
+                # from 0, over real parts, so no run sums pairwise by its length
+                if isinstance(rows, slice):
+                    np.add.reduce(terms, axis=0, initial=0.0, out=reals[rows][cut])
+                    continue
+                sums = np.add.reduce(terms, axis=0, initial=0.0).view(complex).reshape(
+                    -1, *out.shape[1:])
+                for places in rows[:, cut]:
+                    out[places] = sums
+        return out
+
+    def slots(self, lo, hi):
+        """(index, weights), each (slots, hi - lo): the terms of output rows lo:hi, which
+        lie in one run given as a slice."""
+        for index, weights, rows in self.runs:
+            if isinstance(rows, slice) and rows.start <= lo and hi <= rows.stop:
+                cut = slice(lo - rows.start, hi - rows.start)
+                return index[:, cut], weights[:, cut, 0]
+        raise IndexError(f"rows {lo}:{hi} lie in no run")
+
+
+def _sums(parts, pairs=False):
+    """The read-only _Sums of parts, (index, weights, rows): index and weights (slots,
+    n), rows a slice or places (c, n) as in _Run; adjacent parts of as many slots whose
+    rows are both slices, one following the other, or both places share one run.
+    pairs: for a one-dimensional complex x."""
+    runs = []
+    for (_, ordered), group in groupby(parts, key=lambda part: (
+            len(part[0]), isinstance(part[2], slice))):
+        group = list(group)
+        index, weights = (np.concatenate([part[k] for part in group], axis=1) for k in (0, 1))
+        rows = (slice(group[0][2].start, group[-1][2].stop) if ordered else
+                np.concatenate([part[2] for part in group], axis=1))
+        run = _Run(index.astype(np.int32), np.repeat(weights[..., None], 2 if pairs else 1,
+                                                     axis=2), rows)
+        for array in run[:2 if ordered else 3]:
+            array.flags.writeable = False
+        runs.append(run)
+    return _Sums(tuple(runs))
 
 
 class SymmetryBasis:
@@ -162,7 +236,8 @@ class SymmetryBasis:
         source = np.arange(order)[:, None]
         live = ((source & np.repeat(plane, 3)) == 0).reshape(-1)
         sector = (source ^ np.tile(e, len(self.reps))).reshape(-1)
-        self.sectors = tuple(int(c) for c in np.bincount(sector[live], minlength=order) if c)
+        counts = np.bincount(sector[live], minlength=order)
+        self.sectors = tuple(int(c) for c in counts if c)
 
         group = [IDENTITY, *permutations]
         split = any(sum(s[a] == a for a in range(3)) == 1 for s in group)
@@ -182,8 +257,8 @@ class SymmetryBasis:
         row_coords = (3 * self.rows[:, None] + np.arange(3)).reshape(-1)
         row_source = np.tile(e, len(self.rows))
 
-        self.classes, placed, start, entries, widths = [], set(), 0, [], []
-        for chi in np.unique(sector[live]).tolist():
+        self.classes, placed, start, entries = [], set(), 0, []
+        for chi in np.flatnonzero(counts).tolist():
             if chi in placed:
                 continue
             images_of_chi = chars[:, chi].tolist()
@@ -218,9 +293,8 @@ class SymmetryBasis:
                 d, n_copies = len(gen), len(copies) * dim
                 # row start + (u copies + kappa) dim + l holds one entry per stabilizer element
                 shape = (d, len(copies), dim, len(stab))
-                entries.append((np.broadcast_to(coef.transpose(0, 2, 1)[:, None], shape),
-                                np.broadcast_to(positions[gen][:, :, None], shape)))
-                widths.append((d * n_copies, len(stab)))
+                entries.append((np.broadcast_to(positions[gen][:, :, None], shape),
+                                np.broadcast_to(coef.transpose(0, 2, 1)[:, None], shape)))
                 orbit = self.rows[row[gen] // 3]
                 weights = scale[:, None] * w * np.sqrt(order / self.stabilizer[orbit])[:, None]
                 by_row = np.argsort(row[gen], kind="stable")
@@ -229,16 +303,32 @@ class SymmetryBasis:
                                                   self.reps[orbit], by_row, row[gen][by_row],
                                                   slab, weights.T[:, by_row]))
                 start += d * n_copies
-        data, columns = (np.concatenate([part[i].reshape(-1) for part in entries])
-                         for i in range(2))
-        mirror = self.stabilizer[(columns % width) // 3]
-        counts, lengths = zip(*widths)
-        indptr = np.concatenate([[0], np.repeat(lengths, counts)]).cumsum()
-        data /= np.sqrt(order * mirror)
-        self._fold = sparse.csr_array((data, columns, indptr), shape=(3 * grid.n, order * width))
-        # its transpose times the mirror stabilizers: the same arrays read as columns
-        self._unfold = sparse.csc_array((data * mirror, columns, indptr),
-                                        shape=(order * width, 3 * grid.n))
+        # fold position (h, orbit, a) carries 1 / sqrt(G |its mirror stabilizer|)
+        mirror = self.stabilizer[np.arange(width) // 3]
+        parts, row = [], 0
+        for columns, coef in entries:
+            columns, coef = (a.reshape(-1, a.shape[-1]).T for a in (columns, coef))
+            parts.append((columns, coef / np.sqrt(order * mirror[columns % width]),
+                          slice(row, row + columns.shape[1])))
+            row += columns.shape[1]
+        self._fold = _sums(parts)
+        # the adjoint times the mirror stabilizers: fold's terms grouped by their column,
+        # the columns ordered by their number of terms, each run summing one number of
+        # terms; a position outside every sector has none, and unfold leaves it 0
+        rows, columns, weights = (np.concatenate(terms) for terms in zip(*(
+            (np.broadcast_to(np.arange(rows.start, rows.stop), index.shape).reshape(-1),
+             index.reshape(-1), weights.reshape(-1)) for index, weights, rows in parts)))
+        terms = np.bincount(columns, minlength=order * width)
+        by_column = np.lexsort((columns, terms[columns]))
+        rows, weights = rows[by_column], (weights * mirror[columns % width])[by_column]
+        parts, at = [], 0
+        for slots in filter(None, np.flatnonzero(np.bincount(terms)).tolist()):
+            places = np.flatnonzero(terms == slots)
+            parts.append((rows[at:at + slots * len(places)].reshape(-1, slots).T,
+                          weights[at:at + slots * len(places)].reshape(-1, slots).T,
+                          places[None]))
+            at += slots * len(places)
+        self._unfold = _sums(parts)
         for array in (self.reps, self.members, self.stabilizer, self.rows,
                       *(a for cls in self.classes for a in cls[3:])):
             array.flags.writeable = False
@@ -297,13 +387,14 @@ class SymmetryBasis:
         """The adapted coordinates (3N, m) of a field q (3N, m) given per voxel component."""
         m = q.shape[1]
         folded = self.transform(q.reshape(self.n, 3 * m)[self.members])
-        return _product(self._fold, folded.reshape(-1, m))
+        return self._fold(folded.reshape(-1, m), np.empty((3 * self.n, m), dtype=complex))
 
     def unfold(self, coords):
         """The field (3N, m) per voxel component of adapted coordinates (3N, m): fold's
         inverse and adjoint."""
         m = coords.shape[1]
-        folded = _product(self._unfold, coords).reshape(self.order, len(self.reps), 3 * m)
+        folded = np.zeros((self.order, len(self.reps), 3 * m), dtype=complex)
+        self._unfold(coords, folded.reshape(-1, m))
         field = np.empty((self.n, 3 * m), dtype=complex)
         field[self.members] = self.transform(folded)
         return field.reshape(3 * self.n, m)
@@ -329,25 +420,72 @@ class SymmetryBasis:
             coords[part] = apply(coords[part].reshape(len(cls.voxels), -1)).reshape(-1, m)
         return self.unfold(coords)
 
+    @cached_property
+    def _gathers(self):
+        """(images, gathers, read): fold's second stage and _gather in two plans, for a
+        basis filled in one chunk.  images takes the flattened rows (fold positions by
+        kernel rows) to the read image values _gather reads, entry by entry and partner
+        by partner, and gathers those to the stored entries, so no image value goes
+        unread.  Their sums are fold's and _gather's, term for term, so a basis fills to
+        the same bits in any chunks."""
+        count, parts, offset = 3 * len(self.rows), [], 0
+        for cls in self.classes:
+            d = len(cls.voxels)
+            k, i = np.nonzero(np.arange(d) <= cls.by_row[:, None])
+            row = cls.by_row[k]
+            index, weights = self._fold.slots(cls.start, cls.start + d * cls.copies)
+            r = (i * cls.copies + cls.slab[:, k]).reshape(-1)  # partner-major
+            parts.append((index[:, r] * count + np.tile(cls.rows[k], len(cls.slab)),
+                          weights[:, r], cls.weights[:, k],
+                          offset + np.stack([d * row + i, d * i + row])))
+            offset += d * d
+        images, gathers, read = [], [], 0
+        for index, weights, partners, places in sorted(parts, key=lambda part: len(part[0])):
+            images.append((index, weights, slice(read, read + index.shape[1])))
+            gathers.append((read + np.arange(index.shape[1]).reshape(len(partners), -1),
+                            partners, places))
+            read += index.shape[1]
+        return (_sums(images, pairs=True),
+                _sums(sorted(gathers, key=lambda part: len(part[0])), pairs=True), read)
+
+    def _gather(self, image, first, kernel):
+        """The stored entries that image, fold's coordinates (3N, count) of the kernel rows
+        first .. first + count, gives, class by class: entry (by_row[k], i) of a class's
+        block is the sum over partners m of weights[m, k] times image[start + i copies +
+        slab[m, k], rows[k]] (SymmetryClass), its weight applied to the real and the
+        imaginary part.  The entries above the diagonal are left to fill's mirror."""
+        count = image.shape[1]
+        for cls, block in zip(self.classes, self.blocks(kernel)):
+            a, b = np.searchsorted(cls.rows, (first, first + count))
+            part = image[cls.start:cls.start + len(block) * cls.copies].reshape(
+                len(block), cls.copies, count).transpose(1, 2, 0)
+            rows = np.zeros((b - a, len(block)), dtype=complex)  # as _Sums sums, from 0
+            for slab, weights in zip(cls.slab[:, a:b], cls.weights[:, a:b]):
+                term = part[slab, cls.rows[a:b] - first]  # (block rows, d), C-ordered
+                term.view(float).reshape(*term.shape, 2)[...] *= weights[:, None, None]
+                rows += term
+            block[cls.by_row[a:b]] = rows
+
     def fill(self, table, beta):
         """(kernel, ||I - K diag(beta)||_inf) for the K whose 3x3 blocks table (3 P, 3) holds
         at kernel_offsets' P offsets; blocks views kernel, each block exactly symmetric.
 
         Only the rows of the row representatives are read, rows[g, j, i] =
-        K[g(rep_j), row_i], _ROWS_CHUNK_BYTES of rows and their adapted images
-        at a time: one take into memory the calling thread keeps (the basis
-        keeps none, so threads may fill on one basis at once), fold's two
-        stages, and one gather per irrep partner, as SymmetryClass describes
-        (K is symmetric, so rows are also columns).  ||A||_inf is their largest
-        absolute row sum (the group maps them onto every row), over g and then
-        over members, one listed k times counting 1/k, in an order no chunk moves.
+        K[g(rep_j), row_i], _ROWS_CHUNK_BYTES of rows and their adapted images at a
+        time: one take into memory the calling thread keeps (the basis keeps none, so
+        threads may fill on one basis at once), fold's two stages, and the gather of
+        every class (K is symmetric, so rows are also columns).  A basis filled in one
+        chunk gathers through one plan it keeps (_gathers), a larger one class by class
+        (_gather), with the same arithmetic; the entries on and below each diagonal are
+        gathered, and mirrored, so every block is exactly symmetric.  ||A||_inf is the
+        rows' largest absolute row sum (the group maps them onto every row), over g and
+        then over members, one listed k times counting 1/k, in an order no chunk moves.
         """
         index = self.kernel_offsets[0]
         order, reps = self.members.shape
         counted = np.repeat(np.abs(beta[self.reps]) / self.stabilizer, 3)[:, None]
         sums = np.empty(3 * len(self.rows))
         kernel = np.empty(sum(len(cls.voxels) ** 2 for cls in self.classes), dtype=complex)
-        blocks = self.blocks(kernel)
         step = max(1, _ROWS_CHUNK_BYTES // (48 * (order * 3 * reps + 3 * self.n)))
         size = 9 * order * reps * min(step, len(self.rows))
         if getattr(_held, "rows", np.empty(0)).size < size:  # kept for the thread's next fill
@@ -363,17 +501,15 @@ class SymmetryBasis:
             # summed over g, then over members, entry by entry: BLAS would round by position
             sums[first:first + count] = (counted * magnitudes.take(pairs, axis=0).reshape(
                 rows.shape).sum(axis=0)).sum(axis=0)
-            folded = _product(self._fold, self.transform(rows).reshape(order * 3 * reps, count))
-            for cls, block in zip(self.classes, blocks):
-                lo, hi = np.searchsorted(cls.rows, (first, first + count))
-                image = folded[cls.start:cls.start + len(block) * cls.copies].reshape(
-                    len(block), cls.copies, count)
-                column = cls.rows[lo:hi] - first
-                block[cls.by_row[lo:hi]] = sum(weights[lo:hi] * image[:, slab[lo:hi], column]
-                                              for slab, weights in zip(cls.slab, cls.weights)).T
-        for block in blocks:  # symmetric to rounding: make it exactly so
-            np.add(block, block.T, out=block)
-            block *= 0.5
+            rows = self.transform(rows).reshape(order * 3 * reps, count)
+            if step >= len(self.rows):
+                images, gathers, read = self._gathers
+                gathers(images(rows.reshape(-1), np.empty(read, complex)), kernel)
+                continue
+            self._gather(self._fold(rows, np.empty((3 * self.n, count), complex)), first, kernel)
+        for block in self.blocks(kernel) if step < len(self.rows) else ():
+            for row in range(1, len(block)):  # column row above the diagonal, from row row
+                block[:row, row] = block[row, :row]
         zero = index[0, self.rows[0], 0]  # rep - rep for the first row representative
         diagonal = np.tile(table[zero:zero + 3].diagonal(), len(self.rows)) * np.repeat(
             beta[self.reps[self.rows]], 3)

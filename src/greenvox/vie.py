@@ -35,11 +35,11 @@ K.  Only symmetry.SymmetryBasis knows that layout: once per grid and
 group it plans the offsets the blocks read, so a frequency costs one G0
 evaluation at their distinct |offsets| and the basis's fill of the
 blocks.  Every product K q, the solver's own residuals included, and
-every LU solve is one call per block, on the coordinates of all its
+every block solve is one call per block, on the coordinates of all its
 copies.
-A is solved by LU per block, each solve refined in complex128 until
-every column has a backward error of one float64 epsilon (the method of
-LAPACK zcgesv; Buttari et al., ACM TOMS 34(4), 17 (2008)).  The factor
+A is factored per block, each solve refined in complex128 until every
+column has a backward error of one float64 epsilon (the method of LAPACK
+zcgesv; Buttari et al., ACM TOMS 34(4), 17 (2008)).  The factor
 precision is decided once, from the block sizes and ||A||_inf
 (_lu_dtype): mixed precision pays only where the O(d^3) factorization
 dominates (Carson & Higham, SIAM J. Sci. Comput. 40, A817 (2018)), so
@@ -47,7 +47,13 @@ blocks of at most _DOUBLE_LU_MAX are factored in complex128, whose
 solves mostly meet the bound at their first residual, and larger ones
 in complex64, unless a bound on the block entries reaches the float32
 range; an operator too ill-conditioned for complex64
-factors is refactored once in complex128.
+factors is refactored once in complex128.  lu_factor has two factor
+forms: a complex128 block of at most _DOUBLE_LU_MAX rows is inverted by
+numpy, and solved by one matrix product inside the same refinement loop;
+every other block (complex64, or complex128 and wider) keeps LAPACK's LU
+from scipy.linalg, factored in place, which only that branch imports, so
+a process whose blocks are all at most _DOUBLE_LU_MAX wide, or that
+solves by GMRES, loads no scipy.linalg.
 The matrix-free kernel is the FFT of the table embedded in a circulant
 of twice the lattice extent per axis, so K p is a 3x3 block product
 between two FFTs (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16,
@@ -61,7 +67,8 @@ output that the inverse FFTs read.  The lattice operator is solved by
 restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
 (1986)), left-preconditioned by the diagonal of I - K diag(beta), from
 x0 = rhs: 80 Krylov vectors per cycle, orthogonalized by two passes of
-classical Gram-Schmidt, at most 400 cycles, until the true residual
+classical Gram-Schmidt, its small triangle solved by numpy, at most 400
+cycles, until the true residual
 formed after a cycle is at most tol/10 of the right-hand side, or a
 breakdown.  That residual is the one recorded, so no further operator
 application checks it.  MediumSolver, built from the mapping of region
@@ -83,7 +90,6 @@ from functools import cached_property, partial
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, lu_factor, solve_triangular
 
 from .geometry import VoxelGrid, eps_on_grid, reflect, reflection
 from .green_free import g0_closed, g0_from_displacements, self_term_scalar
@@ -231,16 +237,15 @@ class InteractionOperator:
         return out.reshape(p.shape)
 
     def lu(self, double: bool = False):
-        """(one (lu, piv) per stored block, ||A||_inf) for A = I - K diag(beta), dense only.
+        """(the lu_factor of every stored block, ||A||_inf) for A = I - K diag(beta), dense
+        only.
 
         A commutes with the mirrors and axis permutations of self.symmetry, so
         its block in every copy of a class is I - blocks[c] diag(beta_t),
         beta_t the beta of coordinate t's orbit.  Each block is built
         C-ordered in the dtype _lu_dtype picks from the block sizes and a
-        bound on its entries, or in complex128 with
-        double=True (whose factors replace the complex64 ones).  Its
-        transpose, the same memory in Fortran order, is factored in place,
-        so a solve takes trans=1.
+        bound on its entries, or in complex128 with double=True (whose
+        factors replace the complex64 ones), and factored by lu_factor.
         """
         if self._lu is None or (double and self.factored[-1] != np.complex128):
             if self.kernel is None:
@@ -254,10 +259,47 @@ class InteractionOperator:
                 block = np.empty(kernel.shape, dtype=dtype)
                 np.multiply(kernel, -self.beta[cls.voxels], out=block, casting="same_kind")
                 block.reshape(-1)[::len(block) + 1] += 1.0
-                factors.append(lu_factor(block.T, overwrite_a=True, check_finite=False))
+                factors.append(lu_factor(block))
             self._lu = (factors, self.norm)
             self.factored.append(dtype)
         return self._lu
+
+
+def lu_factor(block):
+    """The factors of one C-ordered block of A.
+
+    A complex128 block of at most _DOUBLE_LU_MAX rows: its inverse, by
+    numpy, so a solve is one matrix product.  Any other block (complex64,
+    or complex128 past _DOUBLE_LU_MAX, from the float32-range rule of
+    _lu_dtype or a refactor): LAPACK getrf of the transpose, the same memory
+    in Fortran order, factored in place by scipy, which is imported here
+    only (its import costs more than every factorization of small blocks);
+    a solve is getrs with trans=1.  A singular block that is inverted raises
+    SolverError.
+    """
+    if block.dtype == np.complex128 and len(block) <= _DOUBLE_LU_MAX:
+        try:
+            return np.linalg.inv(block)
+        except np.linalg.LinAlgError:
+            raise SolverError("the dense operator has a singular block") from None
+    from scipy.linalg import lu_factor as getrf
+
+    return getrf(block.T, overwrite_a=True, check_finite=False)
+
+
+def _block_solves(block_factors):
+    """One callable per stored block taking coordinates (d, k) to A_c^-1 coordinates, on
+    lu_factor's factors: an inverse or a getrf pair, block by block."""
+    solves = []
+    for factors in block_factors:
+        if isinstance(factors, np.ndarray):  # an inverse
+            solves.append(factors.__matmul__)
+            continue
+        from scipy.linalg import get_lapack_funcs
+
+        getrs, = get_lapack_funcs(("getrs",), (factors[0],))
+        solves.append(partial(_lu_solve, getrs, *factors))
+    return solves
 
 
 def _lu_dtype(sizes, norm: float) -> np.dtype:
@@ -327,8 +369,7 @@ def _refined_lu_solve(op: InteractionOperator, b, factors):
     bound met).
     """
     block_factors, norm = factors
-    getrs, = get_lapack_funcs(("getrs",), (block_factors[0][0],))
-    solves = [partial(_lu_solve, getrs, *lu_piv) for lu_piv in block_factors]
+    solves = _block_solves(block_factors)
     bound = norm * np.finfo(float).eps
     x = np.zeros_like(b)
     resid = b
@@ -343,7 +384,8 @@ def _refined_lu_solve(op: InteractionOperator, b, factors):
 
 
 def _lu_solve(getrs, lu, piv, coords):
-    """A_c^-1 coords on the factors of the transposed block, in their dtype, by LAPACK getrs."""
+    """A_c^-1 coords on the getrf factors of the transposed block, in their dtype, by LAPACK
+    getrs."""
     x, info = getrs(lu, piv, np.asarray(coords, lu.dtype, order="F"), trans=1, overwrite_b=True)
     if info != 0:
         raise SolverError(f"LAPACK getrs failed with info = {info}")
@@ -453,7 +495,8 @@ def _gmres(op: InteractionOperator, b, pre_diag, rtol: float):
             R[:k + 1, k] = h[:k + 1]
             if abs(g[k + 1]) <= inner_target or breakdown:
                 break
-        x += solve_triangular(R[:k + 1, :k + 1], g[:k + 1]) @ basis[:k + 1]
+        # R is upper triangular, so partial pivoting keeps its rows: this is back substitution
+        x += np.linalg.solve(R[:k + 1, :k + 1], g[:k + 1]) @ basis[:k + 1]
         r = b - op.apply(x)
         rnorm, applications = np.linalg.norm(r), applications + 1
         if breakdown:

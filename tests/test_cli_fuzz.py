@@ -96,6 +96,11 @@ ARG_VALUES = ["nan", "-1", "0", "1", "inf", "-inf", "1e300", "abc", "", "1,2", "
               "1e200,0,0", "0,0,1e-300"]
 
 
+#: (flag, value) pairs the number rule of command-line points and vectors rejects
+OUT_OF_RANGE = {("--src", "1e200,0,0"), ("--emitter", "1e200,0,0"), ("--point", "1e200,0,0"),
+                ("--kdir", "0,0,1e-300"), ("--dipole", "0,0,1e-300")}
+
+
 def _set(tree, path, value):
     """Put value at path in tree, creating dicts on the way; skip a path through a
     short list or a scalar."""
@@ -176,10 +181,13 @@ def _mutated_argv(command, mutations, points):
 @example(command="greens", scene_ops=[("set", ("quadrature", "n_theta"), True)], argv_ops=[])
 @example(command="greens", scene_ops=[("set", ("quadrature", "n_phi"), True)], argv_ops=[])
 @example(command="greens", scene_ops=[("set", ("solver", "dense_cap"), False)], argv_ops=[])
-# a point past the number range and a vector whose norm underflows, which 60 random
-# examples seldom reach
+# every point past the number range and every vector whose norm underflows, which 60
+# random examples seldom reach (OUT_OF_RANGE)
 @example(command="greens", scene_ops=[], argv_ops=[("--src", "1e200,0,0")])
+@example(command="purcell", scene_ops=[], argv_ops=[("--emitter", "1e200,0,0")])
+@example(command="ldos-check", scene_ops=[], argv_ops=[("--point", "1e200,0,0")])
 @example(command="modes", scene_ops=[], argv_ops=[("--kdir", "0,0,1e-300")])
+@example(command="purcell", scene_ops=[], argv_ops=[("--dipole", "0,0,1e-300")])
 def test_cli_exit_codes_hold_under_malformed_input(command, scene_ops, argv_ops):
     scene = copy.deepcopy(SCENE)
     for op, path, value in scene_ops:
@@ -201,6 +209,8 @@ def test_cli_exit_codes_hold_under_malformed_input(command, scene_ops, argv_ops)
     assert code in (0, 2, 3, 4), (argv, scene, err.getvalue())
     assert "Traceback" not in err.getvalue(), (argv, scene, err.getvalue())
     if any(isinstance(_get(scene, path), bool) for path in INTEGER_PATHS):
+        assert code == 4, (argv, scene, err.getvalue())
+    if argv_ops and set(argv_ops) <= OUT_OF_RANGE:
         assert code == 4, (argv, scene, err.getvalue())
 
 

@@ -984,6 +984,56 @@ def test_threads_pin_blas_already_loaded(tmp_path, capsys, monkeypatch):
             setter(count)
 
 
+def test_threads_pin_an_openblas_loaded_after_the_policy(tmp_path):
+    """A dense solve with a block wider than 400 (the 257-voxel sphere with a Lorentz box
+    off its center keeps one of 771) loads scipy.linalg only when it factors; --threads 1
+    pins that OpenBLAS too, through the environment the policy set, in a fresh process
+    whose environment names no thread count."""
+    import greenvox
+
+    if not Path("/proc/self/maps").exists():
+        pytest.skip("no /proc/self/maps to find the loaded OpenBLAS")
+    scene = write(tmp_path, "lopsided.yaml", CUBE_SCENE.replace(
+        "    poles: [{omega0: 1.5, omegap: 1.0, gamma: 0.4}]",
+        "    poles: [{omega0: 0.0, omegap: 1.5, gamma: 0.3}]\n"
+        "  - region_id: 2\n"
+        "    poles: [{omega0: 1.5, omegap: 1.0, gamma: 0.4}]").replace(
+        "  voxel_edge: 0.2\n  shapes:\n"
+        "    - {kind: box, min_corner: [-0.4, -0.4, -0.4], max_corner: [0.4, 0.4, 0.4],\n"
+        "       region_id: 1}",
+        "  voxel_edge: 0.2497\n  shapes:\n"
+        "    - {kind: sphere, center: [0, 0, 0], radius: 1.0, region_id: 1}\n"
+        "    - {kind: box, min_corner: [0.3, 0.1, -0.2], max_corner: [0.8, 0.6, 0.3],\n"
+        "       region_id: 2}"))
+    code = ("import ctypes, sys\n"
+            "from greenvox.cli import main\n"
+            f"rc = main(['greens', '--scene', {str(scene)!r}, '--omega', '1.0', '--src',\n"
+            "           '1.2,0.1,-0.1', '--eval', '-0.3,1.1,0.2', '--threads', '1'])\n"
+            "libs = sorted({line.split()[-1] for line in open('/proc/self/maps')\n"
+            "               if 'openblas' in line.lower()})\n"
+            "counts = []\n"
+            "for lib in libs:\n"
+            "    handle = ctypes.CDLL(lib)\n"
+            "    for name in ('openblas_get_num_threads', 'openblas_get_num_threads64_',\n"
+            "                 'scipy_openblas_get_num_threads',\n"
+            "                 'scipy_openblas_get_num_threads64_'):\n"
+            "        getter = getattr(handle, name, None)\n"
+            "        if getter is not None:\n"
+            "            getter.restype = ctypes.c_int\n"
+            "            counts.append(getter())\n"
+            "            break\n"
+            "print(rc, 'scipy.linalg' in sys.modules, len(libs), counts, file=sys.stderr)\n")
+    env = {k: v for k, v in os.environ.items() if k not in (
+        "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(greenvox.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rc, linalg, libs, counts = proc.stderr.strip().splitlines()[-1].split(" ", 3)
+    assert (rc, linalg) == ("0", "True") and int(libs) >= 2
+    assert counts == str([1] * int(libs))
+
+
 def test_package_exports_resolve_lazily():
     import greenvox
 
@@ -1052,3 +1102,20 @@ def test_operator_past_the_complex64_range_is_factored_in_complex128(tmp_path, m
     X = np.linalg.solve(A, solver.source_columns(y)).reshape(solver.grid.n, 3, 3)
     reference = g0_closed(x, y, 1.0) + solver.scattered_at(x, X)
     assert np.linalg.norm(G - reference) <= cfg.solver_tol * np.linalg.norm(reference)
+
+
+def test_an_underflowing_scene_dipole_keeps_the_purcell_factor(tmp_path):
+    """A scene dipole whose square underflows (1e-160) or whose np.linalg.norm does
+    (1e-300) passes every check of validate on the 64-voxel cube, with the Purcell
+    factor of the unit dipole along it: rates are computed on d / |d| and scaled by
+    |d|^2 after."""
+    from greenvox.report import run_validation
+
+    purcell = {}
+    for size in ("1.0", "1.0e-160", "1.0e-300"):
+        text = CUBE_SCENE.replace("validate: {omega: 1.0}",
+                                  f"validate: {{omega: 1.0, dipole: [{size}, 0, 0]}}")
+        report = run_validation(load_scene(write(tmp_path, "scene.yaml", text)))
+        assert report.passed, [c.name for c in report.checks if not c.passed]
+        purcell[size] = report.outputs["purcell"]
+    assert all(abs(p - purcell["1.0"]) <= 1e-12 * purcell["1.0"] for p in purcell.values())

@@ -167,6 +167,39 @@ def test_parity_sectors_solve_the_materialized_operator(name):
     assert op.factored == [np.complex64 if name == "asymmetric" else np.complex128]
 
 
+@pytest.mark.parametrize("name, widest_inverse", [("asymmetric", 400), ("sphere", 30)])
+def test_a_stalled_complex64_solve_refactors_in_complex128(monkeypatch, name, widest_inverse):
+    """With no refinement step allowed, complex64 factors miss the backward-error bound,
+    so the operator is refactored once in complex128, and the same solve meets the
+    bound there.  In complex128 a block of at most _DOUBLE_LU_MAX rows is inverted and
+    a wider one keeps LAPACK's LU, factored in place: the asymmetric body's one block
+    of 771, and on the sphere, with _DOUBLE_LU_MAX lowered to 30 so that it is
+    factored in complex64 first, both forms serve one operator."""
+    import greenvox.vie as vie_mod
+
+    monkeypatch.setattr(vie_mod, "_REFINE_STEPS", 0)
+    monkeypatch.setattr(vie_mod, "_DOUBLE_LU_MAX", widest_inverse)
+    grid, materials, _ = sector_scenes()[name]
+    solver = MediumSolver(grid, materials, OMEGA, method="dense")
+    op = solver.op
+    rhs = np.random.default_rng(7).normal(size=(op.n3, 2)) + 0j
+    x = solver.solve(rhs)
+    assert op.factored == [np.complex64, np.complex128] and op.refinements == [0]
+    factors, _ = op.lu()
+    widths = [len(cls.voxels) for cls in op.symmetry.classes]
+    assert any(d > widest_inverse for d in widths)
+    for d, block_factors in zip(widths, factors):
+        if d <= widest_inverse:
+            assert isinstance(block_factors, np.ndarray) and block_factors.shape == (d, d)
+            assert block_factors.dtype == np.complex128
+        else:  # getrf's (lu, piv) of the transposed block
+            lu, piv = block_factors
+            assert lu.dtype == np.complex128 and lu.shape == (d, d) and lu.flags.f_contiguous
+            assert piv.shape == (d,)
+    reference = np.linalg.solve(np.eye(op.n3) - pairwise_kernel(grid, OMEGA) * op.beta_rep, rhs)
+    assert np.linalg.norm(x - reference) <= 1e-13 * np.linalg.norm(reference)
+
+
 @pytest.mark.parametrize("name", SECTOR_SCENES)
 def test_dense_kernel_stores_the_sector_blocks(name):
     """The dense kernel is the block of K in every symmetry class, sum_c d_c^2
@@ -391,24 +424,65 @@ def test_reflected_table_is_g0_at_every_signed_offset(tmp_path):
         assert np.array_equal(table.reshape(-1, 3, 3)[index // 3], direct(grid, offsets)), name
 
 
-def test_a_matrix_free_solve_builds_no_symmetry_basis():
-    """The circulant table is planned without the symmetry module: a GMRES-only run
-    imports neither greenvox.symmetry nor scipy.sparse, in a fresh process."""
+def _modules_loaded_by(code):
+    """The modules among greenvox.symmetry, scipy.linalg, scipy.sparse and numpy.ma that
+    a fresh process running code (which has numpy as np and the greenvox names it uses)
+    loads."""
     import greenvox
 
     code = ("import sys, numpy as np\n"
-            "from greenvox import Box, LorentzPole, MediumSolver, PermittivityModel, build_grid\n"
-            "grid = build_grid(Box(min_corner=(-0.4,) * 3, max_corner=(0.4,) * 3), 0.2)\n"
-            "pole = LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4)\n"
-            "solver = MediumSolver(grid, {1: PermittivityModel(poles=(pole,), region_id=1)},\n"
-            "                      1.0, 1e-8, method='gmres')\n"
-            "solver.green(np.array([1.2, 0.1, -0.1]), np.array([-0.3, 1.1, 0.2]))\n"
-            "print(sorted({'greenvox.symmetry', 'scipy.sparse'} & set(sys.modules)))\n")
+            "from greenvox import (Box, LorentzPole, MediumSolver, PermittivityModel, Sphere,\n"
+            "                      build_grid)\n"
+            + code +
+            "print(sorted({'greenvox.symmetry', 'scipy.linalg', 'scipy.sparse', 'numpy.ma'}\n"
+            "             & set(sys.modules)))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(greenvox.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_a_matrix_free_solve_builds_no_symmetry_basis():
+    """The circulant table is planned without the symmetry module, and GMRES solves its
+    small triangle with numpy: a GMRES-only run imports neither greenvox.symmetry nor
+    scipy.linalg, scipy.sparse or numpy.ma, in a fresh process."""
+    assert _modules_loaded_by(
+        "grid = build_grid(Box(min_corner=(-0.4,) * 3, max_corner=(0.4,) * 3), 0.2)\n"
+        "pole = LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4)\n"
+        "solver = MediumSolver(grid, {1: PermittivityModel(poles=(pole,), region_id=1)},\n"
+        "                      1.0, 1e-8, method='gmres')\n"
+        "solver.green(np.array([1.2, 0.1, -0.1]), np.array([-0.3, 1.1, 0.2]))\n") == "[]"
+
+
+@pytest.mark.parametrize("body, loaded", [
+    ("Sphere(center=(0, 0, 0), radius=1.0)", "['greenvox.symmetry']"),
+    ("[Sphere(center=(0, 0, 0), radius=1.0, region_id=1),\n"
+     " Box(min_corner=(0.3, 0.1, -0.2), max_corner=(0.8, 0.6, 0.3), region_id=2)]",
+     "['greenvox.symmetry', 'numpy.ma', 'scipy.linalg']")], ids=["sphere", "sphere and box"])
+def test_scipy_serves_only_the_complex64_factors(body, loaded):
+    """A dense solve whose blocks are at most _DOUBLE_LU_MAX wide (the 257-voxel Drude
+    sphere's ten) factors them with numpy, and its process loads none of scipy.linalg,
+    scipy.sparse and numpy.ma; the same sphere with a Lorentz box off its center keeps
+    one block of 771, factored in complex64 by scipy.linalg, which its process loads
+    then (with the numpy.ma that scipy.linalg imports), and not scipy.sparse.  Both
+    solves meet the backward-error bound."""
+    assert _modules_loaded_by(
+        f"grid = build_grid({body}, 0.2497)\n"
+        "drude = PermittivityModel(poles=(LorentzPole(omega0=0.0, omegap=1.5, gamma=0.3),),\n"
+        "                          region_id=1)\n"
+        "box = PermittivityModel(poles=(LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4),),\n"
+        "                        region_id=2)\n"
+        "solver = MediumSolver(grid, {1: drude, 2: box}, 1.0, method='dense')\n"
+        "assert grid.n == 257 and len(solver.op.blocks) == (10 if len(set(grid.material_ids))\n"
+        "                                                   == 1 else 1)\n"
+        "b = solver.source_columns(np.array([1.2, 0.1, -0.1]))\n"
+        "x = solver.solve(b)\n"
+        "error = np.max(np.abs(b - solver.op.apply(x)), axis=0)\n"
+        "assert np.all(error <= np.max(np.abs(x), axis=0) * solver.op.norm\n"
+        "              * np.finfo(float).eps), error\n"
+        "assert solver.op.factored == [np.complex128 if len(solver.op.blocks) == 10\n"
+        "                              else np.complex64]\n") == loaded
 
 
 def test_first_dense_assembly_holds_little_beside_the_blocks():
@@ -975,7 +1049,9 @@ def test_grid_forms_are_gone():
                 and lookup(name).__module__ == vie.__name__ and not name.startswith("_")}
 
     expected = {"assemble", "dyson_residual", "solve_system"}
-    assert vie_functions(vars(vie), vars(vie).get) == expected
+    # lu_factor: the one block factorization, public so that a budget or a trace can count
+    # it by name, and not exported
+    assert vie_functions(vars(vie), vars(vie).get) == expected | {"lu_factor"}
     assert vie_functions(greenvox.__all__, lambda name: getattr(greenvox, name)) == expected
 
 
