@@ -215,7 +215,7 @@ class VoxelGrid:
         group = (tuple(a for a in self.mirrors if a in kept),
                  tuple(s for s in self.permutations if s in kept))
         if group not in self._symmetry_bases:
-            from .symmetry import SymmetryBasis  # scipy.sparse: only where a basis is built
+            from .symmetry import SymmetryBasis  # imported here: symmetry imports geometry
             self._symmetry_bases[group] = SymmetryBasis(self, *group)
         return self._symmetry_bases[group]
 

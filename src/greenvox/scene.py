@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .constants import NUMBER_RANGE, UnitSystem
+from .constants import MAX_QUADRATURE_ORDER, NUMBER_RANGE, UnitSystem
 from .geometry import Box, GridError, MaskShape, Sphere, VoxelGrid, build_grid
 from .permittivity import LorentzPole, PermittivityModel, _distinct
 
@@ -304,6 +304,8 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
     for name, v in (("n_theta", n_theta), ("n_phi", n_phi)):
         if not _integer(v) or v < 2:
             errors.append(f"quadrature.{name}: expected an integer >= 2")
+        elif v > MAX_QUADRATURE_ORDER:
+            errors.append(f"quadrature.{name}: expected at most {MAX_QUADRATURE_ORDER}, got {v}")
 
     runs = _block("runs", raw.get("runs"), dict, errors)
     _check_unknown("runs", runs, _KNOWN_RUNS, errors)

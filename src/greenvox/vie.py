@@ -47,13 +47,14 @@ blocks of at most _DOUBLE_LU_MAX are factored in complex128, whose
 solves mostly meet the bound at their first residual, and larger ones
 in complex64, unless a bound on the block entries reaches the float32
 range; an operator too ill-conditioned for complex64
-factors is refactored once in complex128.  lu_factor has two factor
-forms: a complex128 block of at most _DOUBLE_LU_MAX rows is inverted by
-numpy, and solved by one matrix product inside the same refinement loop;
-every other block (complex64, or complex128 and wider) keeps LAPACK's LU
-from scipy.linalg, factored in place, which only that branch imports, so
-a process whose blocks are all at most _DOUBLE_LU_MAX wide, or that
-solves by GMRES, loads no scipy.linalg.
+factors is refactored once in complex128.  A block's factorization is
+its solve (lu_factor), in one of two forms decided at factor time: a
+complex128 block of at most _DOUBLE_LU_MAX rows is inverted by numpy and
+solved by one matrix product inside the same refinement loop; every
+other block (complex64, or complex128 and wider) keeps LAPACK's LU from
+scipy.linalg, factored in place, which only that branch imports, so a
+process whose blocks are all at most _DOUBLE_LU_MAX wide, or that solves
+by GMRES, loads no scipy.linalg.  Both forms refuse a singular block.
 The matrix-free kernel is the FFT of the table embedded in a circulant
 of twice the lattice extent per axis, so K p is a 3x3 block product
 between two FFTs (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16,
@@ -164,7 +165,7 @@ class InteractionOperator:
     kernel: np.ndarray | None
     norm: float = field(default=0.0, repr=False)
     lattice: np.ndarray | None = field(default=None, repr=False)
-    _lu: tuple | None = field(default=None, repr=False)
+    _lu: list | None = field(default=None, repr=False)
     factored: list = field(default_factory=list, repr=False)
     refinements: list = field(default_factory=list, repr=False)
     iterations: list = field(default_factory=list, repr=False)
@@ -237,69 +238,60 @@ class InteractionOperator:
         return out.reshape(p.shape)
 
     def lu(self, double: bool = False):
-        """(the lu_factor of every stored block, ||A||_inf) for A = I - K diag(beta), dense
-        only.
+        """The solve of every stored block of A = I - K diag(beta), by lu_factor; dense only.
 
         A commutes with the mirrors and axis permutations of self.symmetry, so
         its block in every copy of a class is I - blocks[c] diag(beta_t),
         beta_t the beta of coordinate t's orbit.  Each block is built
         C-ordered in the dtype _lu_dtype picks from the block sizes and a
         bound on its entries, or in complex128 with double=True (whose
-        factors replace the complex64 ones), and factored by lu_factor.
+        solves replace the complex64 ones), and factored by lu_factor.
         """
         if self._lu is None or (double and self.factored[-1] != np.complex128):
             if self.kernel is None:
                 raise SolverError("LU requested from a matrix-free operator")
             classes = self.symmetry.classes
-            bound = max(self.norm, float(np.abs(self.kernel).max() * np.abs(self.beta).max()))
-            dtype = np.dtype(np.complex128) if double else _lu_dtype(
-                [len(cls.voxels) for cls in classes], bound)
-            factors = []
+            sizes = [len(cls.voxels) for cls in classes]
+            bound = self.norm if max(sizes) <= _DOUBLE_LU_MAX else max(
+                self.norm, float(np.abs(self.kernel).max() * np.abs(self.beta).max()))
+            dtype = np.dtype(np.complex128) if double else _lu_dtype(sizes, bound)
+            solves = []
             for cls, kernel in zip(classes, self.blocks):
                 block = np.empty(kernel.shape, dtype=dtype)
                 np.multiply(kernel, -self.beta[cls.voxels], out=block, casting="same_kind")
                 block.reshape(-1)[::len(block) + 1] += 1.0
-                factors.append(lu_factor(block))
-            self._lu = (factors, self.norm)
+                solves.append(lu_factor(block))
+            self._lu = solves
             self.factored.append(dtype)
         return self._lu
 
 
 def lu_factor(block):
-    """The factors of one C-ordered block of A.
+    """The solve of one C-ordered block A_c of A: a callable taking coordinates (d, k) to
+    A_c^-1 coordinates.
 
-    A complex128 block of at most _DOUBLE_LU_MAX rows: its inverse, by
-    numpy, so a solve is one matrix product.  Any other block (complex64,
-    or complex128 past _DOUBLE_LU_MAX, from the float32-range rule of
-    _lu_dtype or a refactor): LAPACK getrf of the transpose, the same memory
-    in Fortran order, factored in place by scipy, which is imported here
-    only (its import costs more than every factorization of small blocks);
-    a solve is getrs with trans=1.  A singular block that is inverted raises
-    SolverError.
+    A complex128 block of at most _DOUBLE_LU_MAX rows: the product with its
+    inverse, by numpy.  Any other block (complex64, or complex128 past
+    _DOUBLE_LU_MAX, from the float32-range rule of _lu_dtype or a refactor):
+    getrs with trans=1 (_lu_solve) on LAPACK getrf of the transpose, the
+    same memory in Fortran order, factored in place; both routines come
+    from scipy.linalg, which is imported here only (its import costs more
+    than every factorization of small blocks).  A singular block raises
+    SolverError in either form.
     """
+    singular = "the dense operator has a singular block"
     if block.dtype == np.complex128 and len(block) <= _DOUBLE_LU_MAX:
         try:
-            return np.linalg.inv(block)
+            return np.linalg.inv(block).__matmul__
         except np.linalg.LinAlgError:
-            raise SolverError("the dense operator has a singular block") from None
-    from scipy.linalg import lu_factor as getrf
+            raise SolverError(singular) from None
+    from scipy.linalg import get_lapack_funcs
 
-    return getrf(block.T, overwrite_a=True, check_finite=False)
-
-
-def _block_solves(block_factors):
-    """One callable per stored block taking coordinates (d, k) to A_c^-1 coordinates, on
-    lu_factor's factors: an inverse or a getrf pair, block by block."""
-    solves = []
-    for factors in block_factors:
-        if isinstance(factors, np.ndarray):  # an inverse
-            solves.append(factors.__matmul__)
-            continue
-        from scipy.linalg import get_lapack_funcs
-
-        getrs, = get_lapack_funcs(("getrs",), (factors[0],))
-        solves.append(partial(_lu_solve, getrs, *factors))
-    return solves
+    getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (block,))
+    lu, piv, info = getrf(block.T, overwrite_a=True)
+    if info != 0:
+        raise SolverError(singular if info > 0 else f"LAPACK getrf failed with info = {info}")
+    return partial(_lu_solve, getrs, lu, piv)
 
 
 def _lu_dtype(sizes, norm: float) -> np.dtype:
@@ -311,10 +303,11 @@ def _lu_dtype(sizes, norm: float) -> np.dtype:
     need, or when norm + 2 is not below the largest float32: an entry of a
     block of A is at most norm + 1 in modulus, so below that a complex64
     block never overflows.  complex64 otherwise, refined in complex128 by
-    the solve.  InteractionOperator.lu passes the larger of ||A||_inf, which
-    bounds the entries for one material (an orthonormal block of K has
-    entries at most ||K||_2 <= ||K||_inf), and max |blocks| max |beta|,
-    which bounds them for any beta.
+    the solve.  InteractionOperator.lu passes ||A||_inf, which bounds the
+    entries for one material (an orthonormal block of K has entries at most
+    ||K||_2 <= ||K||_inf), and past _DOUBLE_LU_MAX, the one case where norm
+    can decide, the larger of it and max |blocks| max |beta|, which bounds
+    them for any beta.
     """
     wide = max(sizes) <= _DOUBLE_LU_MAX or not norm + 2.0 < float(np.finfo(np.float32).max)
     return np.dtype(np.complex128 if wide else np.complex64)
@@ -356,8 +349,8 @@ def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> Inte
     return op
 
 
-def _refined_lu_solve(op: InteractionOperator, b, factors):
-    """Solve on the block LU factors, refining in complex128 to a backward error of eps.
+def _refined_lu_solve(op: InteractionOperator, b, solves):
+    """Solve by op.lu()'s block solves, refining in complex128 to a backward error of eps.
 
     Every column must reach ||r||_inf <= ||x||_inf ||A||_inf eps, with
     r = b - op x in complex128 and eps the float64 machine epsilon,
@@ -365,12 +358,10 @@ def _refined_lu_solve(op: InteractionOperator, b, factors):
     without its sqrt(3N) slack, which let a solve stop one step early
     with 1e-13 relative errors in its small components.  Corrections are
     solved block by block on columns scaled to unit max, so complex64
-    factors see no overflow or underflow.  Returns (x, r, corrections,
-    bound met).
+    factors see no overflow or underflow; ||A||_inf is op.norm.  Returns
+    (x, r, corrections, bound met).
     """
-    block_factors, norm = factors
-    solves = _block_solves(block_factors)
-    bound = norm * np.finfo(float).eps
+    bound = op.norm * np.finfo(float).eps
     x = np.zeros_like(b)
     resid = b
     for step in range(_REFINE_STEPS + 1):

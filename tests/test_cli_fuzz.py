@@ -93,12 +93,13 @@ COMMON_FLAGS = ["--tol", "--quad", "--threads"]
 ARG_VALUES = ["nan", "-1", "0", "1", "inf", "-inf", "1e300", "abc", "", "1,2", "0,0,0",
               "nan,0,0", "0.1,0.1,0.1", "1.2,0.1,-0.1", "0.9:0.8:2", "0:1:2", "1:1:1",
               "1:2:0", "nan:1:2", "1e300:1e300:1", "1e-300:1:2", "4x8", "0x8", "ax8", "1e-300",
-              "1e200,0,0", "0,0,1e-300"]
+              "1e200,0,0", "0,0,1e-300", "1025x8"]
 
 
-#: (flag, value) pairs the number rule of command-line points and vectors rejects
+#: (flag, value) pairs the number rule of command-line points and vectors rejects, and
+#: a --quad order above MAX_QUADRATURE_ORDER
 OUT_OF_RANGE = {("--src", "1e200,0,0"), ("--emitter", "1e200,0,0"), ("--point", "1e200,0,0"),
-                ("--kdir", "0,0,1e-300"), ("--dipole", "0,0,1e-300")}
+                ("--kdir", "0,0,1e-300"), ("--dipole", "0,0,1e-300"), ("--quad", "1025x8")}
 
 
 def _set(tree, path, value):
@@ -181,13 +182,14 @@ def _mutated_argv(command, mutations, points):
 @example(command="greens", scene_ops=[("set", ("quadrature", "n_theta"), True)], argv_ops=[])
 @example(command="greens", scene_ops=[("set", ("quadrature", "n_phi"), True)], argv_ops=[])
 @example(command="greens", scene_ops=[("set", ("solver", "dense_cap"), False)], argv_ops=[])
-# every point past the number range and every vector whose norm underflows, which 60
-# random examples seldom reach (OUT_OF_RANGE)
+# every point past the number range, every vector whose norm underflows and a quadrature
+# order above the cap, which 60 random examples seldom reach (OUT_OF_RANGE)
 @example(command="greens", scene_ops=[], argv_ops=[("--src", "1e200,0,0")])
 @example(command="purcell", scene_ops=[], argv_ops=[("--emitter", "1e200,0,0")])
 @example(command="ldos-check", scene_ops=[], argv_ops=[("--point", "1e200,0,0")])
 @example(command="modes", scene_ops=[], argv_ops=[("--kdir", "0,0,1e-300")])
 @example(command="purcell", scene_ops=[], argv_ops=[("--dipole", "0,0,1e-300")])
+@example(command="validate", scene_ops=[], argv_ops=[("--quad", "1025x8")])
 def test_cli_exit_codes_hold_under_malformed_input(command, scene_ops, argv_ops):
     scene = copy.deepcopy(SCENE)
     for op, path, value in scene_ops:

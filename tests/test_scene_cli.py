@@ -341,6 +341,27 @@ def test_cli_validate_fails_with_coarse_quadrature(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("scene_text, extra, field", [
+    (CUBE_SCENE + "quadrature: {n_theta: 1025, n_phi: 16}\n", [], "n_theta"),
+    (CUBE_SCENE, ["--quad", "8x1025"], "n_phi"),
+], ids=["scene n_theta", "--quad n_phi"])
+def test_a_quadrature_order_above_the_cap_exits_4_before_any_solve(scene_text, extra, field,
+                                                                   tmp_path, capsys, monkeypatch):
+    """An order above MAX_QUADRATURE_ORDER, from the scene or from --quad, is a scene error:
+    exit 4 with one error line under the scene header, before the rule is built or
+    anything is solved."""
+    import greenvox.report as report
+    import greenvox.vie as vie
+
+    monkeypatch.setattr(vie, "solve_system", lambda *a, **k: pytest.fail("solved"))
+    monkeypatch.setattr(report, "make_shell_quadrature", lambda *a: pytest.fail("built"))
+    scene = write(tmp_path, "cube.yaml", scene_text)
+    rc = cli_main(["validate", "--scene", str(scene), *extra])
+    err = capsys.readouterr().err
+    expected = f"  - quadrature.{field}: expected at most 1024, got 1025"
+    assert rc == 4 and err.splitlines() == ["invalid scene:", expected], err
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = write(tmp_path, "bad.yaml", "materials: 7\n")
     rc = cli_main(["validate", "--scene", str(bad)])

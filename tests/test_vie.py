@@ -185,19 +185,31 @@ def test_a_stalled_complex64_solve_refactors_in_complex128(monkeypatch, name, wi
     rhs = np.random.default_rng(7).normal(size=(op.n3, 2)) + 0j
     x = solver.solve(rhs)
     assert op.factored == [np.complex64, np.complex128] and op.refinements == [0]
-    factors, _ = op.lu()
     widths = [len(cls.voxels) for cls in op.symmetry.classes]
     assert any(d > widest_inverse for d in widths)
-    for d, block_factors in zip(widths, factors):
-        if d <= widest_inverse:
-            assert isinstance(block_factors, np.ndarray) and block_factors.shape == (d, d)
-            assert block_factors.dtype == np.complex128
-        else:  # getrf's (lu, piv) of the transposed block
-            lu, piv = block_factors
+    for d, solve in zip(widths, op.lu()):
+        if d <= widest_inverse:  # the product with the inverse
+            inverse = solve.__self__
+            assert isinstance(inverse, np.ndarray) and inverse.shape == (d, d)
+            assert inverse.dtype == np.complex128
+        else:  # getrs on getrf's (lu, piv) of the transposed block
+            _, lu, piv = solve.args
             assert lu.dtype == np.complex128 and lu.shape == (d, d) and lu.flags.f_contiguous
             assert piv.shape == (d,)
     reference = np.linalg.solve(np.eye(op.n3) - pairwise_kernel(grid, OMEGA) * op.beta_rep, rhs)
     assert np.linalg.norm(x - reference) <= 1e-13 * np.linalg.norm(reference)
+
+
+@pytest.mark.parametrize("dtype, d", [(np.complex128, 3), (np.complex128, 401),
+                                      (np.complex64, 3), (np.complex64, 401)])
+def test_a_singular_block_is_refused_in_either_factor_form(dtype, d):
+    """lu_factor raises SolverError on an all-zero block whether it inverts it (complex128,
+    at most _DOUBLE_LU_MAX rows) or keeps LAPACK's LU (every other block), where getrf
+    reports the zero pivot in its info."""
+    import greenvox.vie as vie_mod
+
+    with pytest.raises(SolverError, match="singular block"):
+        vie_mod.lu_factor(np.zeros((d, d), dtype=dtype))
 
 
 @pytest.mark.parametrize("name", SECTOR_SCENES)
@@ -254,7 +266,7 @@ def test_permuted_sectors_share_one_block(name, classes):
     op = MediumSolver(grid, materials, OMEGA, method="dense").op
     stored = [set(cls.sectors) for cls in op.symmetry.classes]
     assert [(c, stored.count(c)) for c in dict.fromkeys(map(frozenset, stored))] == classes
-    assert len(op.blocks) == len(op.lu()[0]) == sum(count for _, count in classes)
+    assert len(op.blocks) == len(op.lu()) == sum(count for _, count in classes)
     assert sum(block.shape[0] * cls.copies
                for cls, block in zip(op.symmetry.classes, op.blocks)) == op.n3
 
