@@ -155,10 +155,12 @@ def _shell_integral(solver: MediumSolver, x, y, Xx, Xy):
     u^T Im(K) conj(v) = [(K u)^T conj(v) - conj(conj(u)^T K v)] / 2i
     takes one kernel product of U^x, and of U^y when y differs.  The
     product is a fresh one: K U read off the solve as X - b would make
-    the identity hold by construction.  The discrete partner keeps the
-    kernel's own values, Im M on the diagonal and g0_blocks_at (M/dV in
-    the voxel holding a point) for Im G0(x, z_j); it closes the LDOS
-    identity to solver tolerance.  The vacuum operator gives Im G0(x, y)
+    the identity hold by construction.  It is the product the solve's
+    last residual formed on the same beta X, which kernel_product keeps,
+    so a row whose x and y were solved together forms no other.  The
+    discrete partner keeps the kernel's own values, Im M on the diagonal
+    and g0_blocks_at (M/dV in the voxel holding a point) for Im G0(x, z_j);
+    it closes the LDOS identity to solver tolerance.  The vacuum operator gives Im G0(x, y)
     for both, with no product.
     """
     w, dV, op = solver.omega, solver.grid.voxel_volume, solver.op

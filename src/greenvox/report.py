@@ -124,7 +124,7 @@ def _validate_defaults(cfg: SceneConfig, grid: VoxelGrid) -> dict:
 def run_validation(cfg: SceneConfig) -> RunReport:
     """Run the identity suite on one medium and one vacuum solver; raises SolverError.
 
-    The medium solver is factorized once and solves the five Green
+    The medium solver builds its block solves once and solves the five Green
     sources of the checks (y, x, the first voxel center, the m mode's
     point and the emitter) in one block; every later Green-route call
     finds its source in the solver's memo.  Only the direct-route e and

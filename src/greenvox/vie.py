@@ -49,12 +49,18 @@ in complex64, unless a bound on the block entries reaches the float32
 range; an operator too ill-conditioned for complex64
 factors is refactored once in complex128.  A block's factorization is
 its solve (lu_factor), in one of two forms decided at factor time: a
-complex128 block of at most _DOUBLE_LU_MAX rows is inverted by numpy and
-solved by one matrix product inside the same refinement loop; every
-other block (complex64, or complex128 and wider) keeps LAPACK's LU from
+complex128 block of at most _DOUBLE_LU_MAX rows is solved by numpy,
+LU-solved (LAPACK gesv) at its first solve, inverted at its second and
+solved by the product with its inverse from then on, so an operator
+solved once, as a sweep row's is, pays one LU per block, not an inverse
+of about three (Higham, Accuracy and Stability of Numerical Algorithms,
+2nd ed., ch. 14); every other block
+(complex64, or complex128 and wider) keeps LAPACK's LU from
 scipy.linalg, factored in place, which only that branch imports, so a
 process whose blocks are all at most _DOUBLE_LU_MAX wide, or that solves
 by GMRES, loads no scipy.linalg.  Both forms refuse a singular block.
+The dense K q keeps its last input and product, so the shell integral of
+ldos reads the product the refinement's last residual formed.
 The matrix-free kernel is the FFT of the table embedded in a circulant
 of twice the lattice extent per axis, so K p is a 3x3 block product
 between two FFTs (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16,
@@ -126,6 +132,9 @@ class SolverError(RuntimeError):
     pass
 
 
+_SINGULAR = "the dense operator has a singular block"
+
+
 def _kernel_blocks(grid: VoxelGrid, omega: float, offsets):
     """Kernel blocks (M, 3, 3) at the offsets (M, 3) in lattice steps, the first of which
     is 0 (reflection's distinct): dV*G0 at a nonzero offset, the self term at 0."""
@@ -156,7 +165,8 @@ class InteractionOperator:
     keeps neither.  factored lists the dtype of every LU factorization,
     in order, refinements the refinement steps every dense solve took,
     and iterations the (operator applications, achieved relative
-    residual) of every column GMRES solved.
+    residual) of every column GMRES solved.  _product holds the last
+    dense kernel_product, (a copy of q, K q read-only).
     """
 
     grid: VoxelGrid
@@ -166,6 +176,7 @@ class InteractionOperator:
     norm: float = field(default=0.0, repr=False)
     lattice: np.ndarray | None = field(default=None, repr=False)
     _lu: list | None = field(default=None, repr=False)
+    _product: tuple | None = field(default=None, repr=False)
     factored: list = field(default_factory=list, repr=False)
     refinements: list = field(default_factory=list, repr=False)
     iterations: list = field(default_factory=list, repr=False)
@@ -201,6 +212,13 @@ class InteractionOperator:
     def kernel_product(self, q):
         """K q for a (3N, m) array: one product per stored block, or the lattice convolution.
 
+        The dense product keeps its last input and result: a q equal to
+        that input returns the same read-only K q with no product, which is
+        how the shell integral of ldos reuses the product of the solve's
+        last residual, on the same beta X, bit for bit.  The lattice
+        product keeps nothing: GMRES never repeats an input, and the copy
+        would cost every application.
+
         The convolution runs pruned FFTs: q is scattered into the body
         box and transformed one axis at a time, zero-padded to 2 n_a, so
         each axis transforms only the lines that can be nonzero; the
@@ -211,7 +229,13 @@ class InteractionOperator:
         m columns cost about m single columns.
         """
         if self.kernel is not None:
-            return self.symmetry.blockwise(q, [block.__matmul__ for block in self.blocks])
+            last = self._product  # one read: another thread may replace it
+            if last is not None and np.array_equal(last[0], q):
+                return last[1]
+            out = self.symmetry.blockwise(q, [block.__matmul__ for block in self.blocks])
+            out.flags.writeable = False
+            self._product = (np.array(q), out)
+            return out
         index, table = self.grid.lattice_flat, self.lattice
         n, m, shape = self.grid.n, q.shape[1], self.grid.lattice_shape
         box = np.zeros((3, m, *shape), dtype=complex)
@@ -245,7 +269,8 @@ class InteractionOperator:
         beta_t the beta of coordinate t's orbit.  Each block is built
         C-ordered in the dtype _lu_dtype picks from the block sizes and a
         bound on its entries, or in complex128 with double=True (whose
-        solves replace the complex64 ones), and factored by lu_factor.
+        solves replace the complex64 ones), and handed to lu_factor, which
+        factors it now or, for a small complex128 block, at its solves.
         """
         if self._lu is None or (double and self.factored[-1] != np.complex128):
             if self.kernel is None:
@@ -270,28 +295,52 @@ def lu_factor(block):
     """The solve of one C-ordered block A_c of A: a callable taking coordinates (d, k) to
     A_c^-1 coordinates.
 
-    A complex128 block of at most _DOUBLE_LU_MAX rows: the product with its
-    inverse, by numpy.  Any other block (complex64, or complex128 past
-    _DOUBLE_LU_MAX, from the float32-range rule of _lu_dtype or a refactor):
-    getrs with trans=1 (_lu_solve) on LAPACK getrf of the transpose, the
-    same memory in Fortran order, factored in place; both routines come
-    from scipy.linalg, which is imported here only (its import costs more
-    than every factorization of small blocks).  A singular block raises
-    SolverError in either form.
+    A complex128 block of at most _DOUBLE_LU_MAX rows: _SolvedThenInverted,
+    numpy's LU-solve at the first call and the product with the inverse,
+    formed at the second, from then on.  Any other block (complex64, or
+    complex128 past _DOUBLE_LU_MAX, from the float32-range rule of _lu_dtype
+    or a refactor): getrs with trans=1 (_lu_solve) on LAPACK getrf of the
+    transpose, the same memory in Fortran order, factored in place; both
+    routines come from scipy.linalg, which is imported here only (its
+    import costs more than every factorization of small blocks).  A
+    singular block raises SolverError in either form: numpy's at its
+    first solve, getrf's here.
     """
-    singular = "the dense operator has a singular block"
     if block.dtype == np.complex128 and len(block) <= _DOUBLE_LU_MAX:
-        try:
-            return np.linalg.inv(block).__matmul__
-        except np.linalg.LinAlgError:
-            raise SolverError(singular) from None
+        return _SolvedThenInverted(block)
     from scipy.linalg import get_lapack_funcs
 
     getrf, getrs = get_lapack_funcs(("getrf", "getrs"), (block,))
     lu, piv, info = getrf(block.T, overwrite_a=True)
     if info != 0:
-        raise SolverError(singular if info > 0 else f"LAPACK getrf failed with info = {info}")
+        raise SolverError(_SINGULAR if info > 0 else f"LAPACK getrf failed with info = {info}")
     return partial(_lu_solve, getrs, lu, piv)
+
+
+class _SolvedThenInverted:
+    """The solve of a small complex128 block: LAPACK gesv (numpy.linalg.solve) at the
+    first call, then the product with numpy's inverse, formed once at the second.
+
+    An inverse costs about three LUs and pays only for a block solved
+    several times; a sweep's operators are solved once.  The block is kept
+    after the inverse is formed, so two threads sharing the operator never
+    read a dropped one; at worst both form the inverse.
+    """
+
+    def __init__(self, block):
+        self.block, self.inverse, self.solved = block, None, False
+
+    def __call__(self, coords):
+        inverse = self.inverse
+        if inverse is None:
+            try:
+                if not self.solved:
+                    self.solved = True
+                    return np.linalg.solve(self.block, coords)
+                self.inverse = inverse = np.linalg.inv(self.block)
+            except np.linalg.LinAlgError:
+                raise SolverError(_SINGULAR) from None
+        return inverse @ coords
 
 
 def _lu_dtype(sizes, norm: float) -> np.dtype:
@@ -387,9 +436,10 @@ def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):
     """Solve (I - K diag(beta)) x = rhs to ||op x - rhs|| <= tol ||rhs||.
 
     rhs: (3N,) or (3N, m).  The representation decides the method.  A
-    stored kernel is factorized once, in the precision op.lu decides from
-    its block sizes and ||A||_inf (complex128 for blocks of at most
-    _DOUBLE_LU_MAX, else complex64), and every solve is refined in
+    stored kernel's blocks are built once, in the precision op.lu decides
+    from its block sizes and ||A||_inf (complex128 for blocks of at most
+    _DOUBLE_LU_MAX, LU-solved at the first solve and inverted at the
+    second, else complex64 LU factors), and every solve is refined in
     complex128 to a backward error of one float64 epsilon, so the answer is
     accurate to complex128 whatever tol is; if 30 refinement steps on complex64
     factors do not reach that bound the operator is refactorized once in
@@ -514,10 +564,12 @@ def _recall(memo: dict, keys, make):
 
 
 class MediumSolver:
-    """One assembled operator (and factorization) shared across sources.
+    """One assembled operator (and its block solves) shared across sources.
 
     All Green-tensor, field-coefficient and LDOS computations at a fixed
-    frequency go through this object, which assembles and factorizes once:
+    frequency go through this object, which assembles once and builds its
+    blocks once (lu_factor: a small block is LU-solved at its first solve
+    and inverted at its second, for every later one):
     solve, solved (memoised by a key) and grid_fields give on-grid
     values, and evaluate carries any of them (Green columns, e or m) to
     arbitrary points.  G0 rows, Green columns and solved fields are each

@@ -109,7 +109,38 @@ def test_validate_evaluates_g0_once_per_point(monkeypatch):
     assert len(calls) == 7
 
 
-def test_ldos_check_for_a_separated_pair_solves_once(budget, tmp_path, capsys):
+@pytest.fixture
+def dense_products(monkeypatch):
+    """Counts SymmetryBasis.blockwise calls, the block solves and kernel products of the
+    dense path, and keeps (a copy of q, K q) of every kernel_product call."""
+    from greenvox.symmetry import SymmetryBasis
+
+    counts = {"blockwise": 0, "products": []}
+    blockwise, kernel_product = SymmetryBasis.blockwise, vie.InteractionOperator.kernel_product
+
+    def counting(*args):
+        counts["blockwise"] += 1
+        return blockwise(*args)
+
+    def keeping(op, q):
+        counts["products"].append((np.array(q), kernel_product(op, q)))
+        return counts["products"][-1][1]
+
+    monkeypatch.setattr(SymmetryBasis, "blockwise", counting)
+    monkeypatch.setattr(vie.InteractionOperator, "kernel_product", keeping)
+    return counts
+
+
+def assert_fresh_shell_product(op, products):
+    """The shell integral's K q, the last kernel product, equals a fresh one bit for bit."""
+    q, product = products[-1]
+    assert np.array_equal(product, op.symmetry.blockwise(q, [b.__matmul__ for b in op.blocks]))
+
+
+def test_ldos_check_for_a_separated_pair_solves_once(budget, dense_products, tmp_path, capsys):
+    """The six Green columns of x and y are solved together, and the shell integral's
+    kernel product is the one the solve's last residual formed: the shell integral
+    makes no dense block pass of its own."""
     scene = tmp_path / "cube.yaml"
     scene.write_text(json.dumps(CUBE))
     rc = cli_main(["ldos-check", "--scene", str(scene), "--omega", "1.0",
@@ -117,6 +148,12 @@ def test_ldos_check_for_a_separated_pair_solves_once(budget, tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     assert budget["solve_columns"] == [6]
+    op, = budget["operators"]
+    # a block solve and a residual product per refinement step (the cube takes one
+    # step), and none for the shell integral
+    assert dense_products["blockwise"] == 2 * (op.refinements[0] + 1)
+    assert dense_products["products"][-1][0].shape == (op.n3, 6)
+    assert_fresh_shell_product(op, dense_products["products"])
 
 
 def test_dyson_residual_solves_both_sources_at_once(budget):
@@ -310,10 +347,12 @@ def test_purcell_factors_from_four_threads_equal_the_sequential_ones():
     assert [sum(a != b for a, b in zip(got, expected)) for got in rounds] == [0] * 10
 
 
-def test_a_sweep_row_is_one_solve_and_one_kernel_product(budget, monkeypatch):
+def test_a_sweep_row_is_one_solve_and_one_kernel_product(budget, dense_products,
+                                                          monkeypatch):
     """Gamma_e is the exact shell integral: a purcell_sweep row builds no shell
-    quadrature and no plane-wave table, solves 3 columns once and applies the kernel
-    once beyond the solve's own operator applications."""
+    quadrature and no plane-wave table, solves 3 columns once and asks for the kernel
+    once beyond the solve's own operator applications, and that product is the one
+    the solve's last residual formed, so no dense block pass of its own."""
     import greenvox.quadrature as quadrature
 
     calls = {"plane_wave_table": 0, "make_shell_quadrature": 0, "apply": 0,
@@ -336,6 +375,11 @@ def test_a_sweep_row_is_one_solve_and_one_kernel_product(budget, monkeypatch):
     assert calls["plane_wave_table"] == calls["make_shell_quadrature"] == 0
     assert budget["solve_columns"] == [3]
     assert calls["kernel_product"] - calls["apply"] == 1
+    op, = budget["operators"]
+    # a block solve and a residual product per refinement step (the cube takes one
+    # step), and none for the shell integral
+    assert dense_products["blockwise"] == 2 * (op.refinements[0] + 1)
+    assert_fresh_shell_product(op, dense_products["products"])
 
 
 def test_a_sweep_row_evaluates_g0_twice(monkeypatch):

@@ -188,10 +188,9 @@ def test_a_stalled_complex64_solve_refactors_in_complex128(monkeypatch, name, wi
     widths = [len(cls.voxels) for cls in op.symmetry.classes]
     assert any(d > widest_inverse for d in widths)
     for d, solve in zip(widths, op.lu()):
-        if d <= widest_inverse:  # the product with the inverse
-            inverse = solve.__self__
-            assert isinstance(inverse, np.ndarray) and inverse.shape == (d, d)
-            assert inverse.dtype == np.complex128
+        if d <= widest_inverse:  # numpy's LU-solve of the block, then its inverse
+            assert isinstance(solve, vie_mod._SolvedThenInverted)
+            assert solve.block.shape == (d, d) and solve.block.dtype == np.complex128
         else:  # getrs on getrf's (lu, piv) of the transposed block
             _, lu, piv = solve.args
             assert lu.dtype == np.complex128 and lu.shape == (d, d) and lu.flags.f_contiguous
@@ -203,13 +202,58 @@ def test_a_stalled_complex64_solve_refactors_in_complex128(monkeypatch, name, wi
 @pytest.mark.parametrize("dtype, d", [(np.complex128, 3), (np.complex128, 401),
                                       (np.complex64, 3), (np.complex64, 401)])
 def test_a_singular_block_is_refused_in_either_factor_form(dtype, d):
-    """lu_factor raises SolverError on an all-zero block whether it inverts it (complex128,
-    at most _DOUBLE_LU_MAX rows) or keeps LAPACK's LU (every other block), where getrf
-    reports the zero pivot in its info."""
+    """An all-zero block raises SolverError before its solve returns anything, whether
+    numpy solves it (complex128, at most _DOUBLE_LU_MAX rows: gesv at the first solve,
+    the inverse at the second) or LAPACK's LU does (every other block), where getrf
+    reports the zero pivot in its info at factor time."""
     import greenvox.vie as vie_mod
 
+    coords, solved = np.ones((d, 2), dtype=dtype), []
     with pytest.raises(SolverError, match="singular block"):
-        vie_mod.lu_factor(np.zeros((d, d), dtype=dtype))
+        solve = vie_mod.lu_factor(np.zeros((d, d), dtype=dtype))
+        solved.append(solve(coords))
+    if dtype == np.complex128 and d <= vie_mod._DOUBLE_LU_MAX:
+        with pytest.raises(SolverError, match="singular block"):
+            solved.append(solve(coords))
+    assert solved == []
+
+
+def test_a_small_block_is_inverted_at_its_second_solve(monkeypatch):
+    """The sphere's ten complex128 blocks are LU-solved by numpy at the operator's first
+    solve, inverted once each at its second, and solved by the inverse alone at its
+    third, all three within 1e-13 of a solve of the materialized operator; a
+    purcell_sweep row, whose operator is solved once, inverts nothing."""
+    calls = {"solve": 0, "inv": 0}
+
+    def counting(name):
+        original = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapper)
+
+    grid, materials, _ = sector_scenes()["sphere"]
+    solver = MediumSolver(grid, materials, OMEGA, method="dense")
+    op, rng = solver.op, np.random.default_rng(8)
+    A = np.eye(op.n3) - pairwise_kernel(grid, OMEGA) * op.beta_rep
+    for name in calls:
+        counting(name)
+    counted = []
+    for _ in range(3):
+        rhs = rng.normal(size=(op.n3, 3)) + 1j * rng.normal(size=(op.n3, 3))
+        calls.update(solve=0, inv=0)
+        x = solver.solve(rhs)
+        counted.append(dict(calls))
+        reference = np.linalg.solve(A, rhs)
+        assert np.linalg.norm(x - reference) <= 1e-13 * np.linalg.norm(reference)
+    assert len(op.blocks) == 10 and op.refinements == [0, 0, 0]
+    assert counted == [{"solve": 10, "inv": 0}, {"solve": 0, "inv": 10},
+                       {"solve": 0, "inv": 0}]
+    calls.update(solve=0, inv=0)
+    rows = purcell_sweep(lambda w: MediumSolver(grid, materials, w), (0.82, -1.12, 0.84),
+                         (0.0, 0.6, 0.8), [OMEGA])
+    assert "error" not in rows[0] and calls["inv"] == 0
 
 
 @pytest.mark.parametrize("name", SECTOR_SCENES)
