@@ -153,14 +153,14 @@ def _shell_integral(solver: MediumSolver, x, y, Xx, Xy):
     dV Im G0(z_i, z_j) is Im K_ij off the diagonal; on it, where K holds
     Im M, it is dV w/(6 pi).  K is complex symmetric, so
     u^T Im(K) conj(v) = [(K u)^T conj(v) - conj(conj(u)^T K v)] / 2i
-    takes one kernel product of U^x, and of U^y when y differs.  The
-    product is a fresh one: K U read off the solve as X - b would make
-    the identity hold by construction.  It is the product the solve's
-    last residual formed on the same beta X, which kernel_product keeps,
-    so a row whose x and y were solved together forms no other.  The
-    discrete partner keeps the kernel's own values, Im M on the diagonal
-    and g0_blocks_at (M/dV in the voxel holding a point) for Im G0(x, z_j);
-    it closes the LDOS identity to solver tolerance.  The vacuum operator gives Im G0(x, y)
+    takes one kernel product of U^x, and of U^y when y differs.  K U is a
+    true product of the kernel with beta X (the one the solve's last
+    residual formed, kept by the operator), never X - b, which would
+    make the identity hold by construction; a row whose x and y were
+    solved together forms no other.  The discrete partner keeps the
+    kernel's own values, Im M on the diagonal and g0_blocks_at (M/dV in
+    the voxel holding a point) for Im G0(x, z_j); it closes the LDOS
+    identity to solver tolerance.  The vacuum operator gives Im G0(x, y)
     for both, with no product.
     """
     w, dV, op = solver.omega, solver.grid.voxel_volume, solver.op

@@ -50,17 +50,18 @@ range; an operator too ill-conditioned for complex64
 factors is refactored once in complex128.  A block's factorization is
 its solve (lu_factor), in one of two forms decided at factor time: a
 complex128 block of at most _DOUBLE_LU_MAX rows is solved by numpy,
-LU-solved (LAPACK gesv) at its first solve, inverted at its second and
-solved by the product with its inverse from then on, so an operator
-solved once, as a sweep row's is, pays one LU per block, not an inverse
-of about three (Higham, Accuracy and Stability of Numerical Algorithms,
-2nd ed., ch. 14); every other block
+LU-solved (LAPACK gesv) at every block solve of its operator's first
+solve, refinement steps included, and inverted when the operator is
+solved again, so an operator solved once, as a sweep row's is, pays one
+LU-solve per block and refinement step, not an inverse of about three
+LUs (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+ch. 14); every other block
 (complex64, or complex128 and wider) keeps LAPACK's LU from
 scipy.linalg, factored in place, which only that branch imports, so a
 process whose blocks are all at most _DOUBLE_LU_MAX wide, or that solves
 by GMRES, loads no scipy.linalg.  Both forms refuse a singular block.
-The dense K q keeps its last input and product, so the shell integral of
-ldos reads the product the refinement's last residual formed.
+The dense operator keeps the K q of its last application, so the shell
+integral of ldos reads the product the refinement's last residual formed.
 The matrix-free kernel is the FFT of the table embedded in a circulant
 of twice the lattice extent per axis, so K p is a 3x3 block product
 between two FFTs (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16,
@@ -165,8 +166,8 @@ class InteractionOperator:
     keeps neither.  factored lists the dtype of every LU factorization,
     in order, refinements the refinement steps every dense solve took,
     and iterations the (operator applications, achieved relative
-    residual) of every column GMRES solved.  _product holds the last
-    dense kernel_product, (a copy of q, K q read-only).
+    residual) of every column GMRES solved.  _product holds the
+    (beta p, K beta p) of the last dense apply until kernel_product reads it.
     """
 
     grid: VoxelGrid
@@ -212,12 +213,14 @@ class InteractionOperator:
     def kernel_product(self, q):
         """K q for a (3N, m) array: one product per stored block, or the lattice convolution.
 
-        The dense product keeps its last input and result: a q equal to
-        that input returns the same read-only K q with no product, which is
+        A dense q equal to the beta p of the operator's last apply returns
+        that apply's K q, read-only, with no product, and drops it: this is
         how the shell integral of ldos reuses the product of the solve's
-        last residual, on the same beta X, bit for bit.  The lattice
-        product keeps nothing: GMRES never repeats an input, and the copy
-        would cost every application.
+        last residual, on the same beta X, bit for bit.  apply keeps its
+        own two (3N, m) arrays and copies nothing, so an operator holds at
+        most 2 x 3N x m complex128 beyond its blocks, m the columns of its
+        last apply; a direct call keeps nothing.  The lattice operator
+        keeps nothing: GMRES never repeats an input.
 
         The convolution runs pruned FFTs: q is scattered into the body
         box and transformed one axis at a time, zero-padded to 2 n_a, so
@@ -231,11 +234,9 @@ class InteractionOperator:
         if self.kernel is not None:
             last = self._product  # one read: another thread may replace it
             if last is not None and np.array_equal(last[0], q):
+                self._product = None
                 return last[1]
-            out = self.symmetry.blockwise(q, [block.__matmul__ for block in self.blocks])
-            out.flags.writeable = False
-            self._product = (np.array(q), out)
-            return out
+            return self.symmetry.blockwise(q, [block.__matmul__ for block in self.blocks])
         index, table = self.grid.lattice_flat, self.lattice
         n, m, shape = self.grid.n, q.shape[1], self.grid.lattice_shape
         box = np.zeros((3, m, *shape), dtype=complex)
@@ -258,8 +259,12 @@ class InteractionOperator:
         if self.is_identity:
             return p.copy()
         flat = p.reshape(self.n3, -1)
-        out = flat - self.kernel_product(self.beta_rep[:, None] * flat)
-        return out.reshape(p.shape)
+        q = self.beta_rep[:, None] * flat
+        product = self.kernel_product(q)
+        if self.kernel is not None:  # q and its product are this call's own, kept uncopied
+            product.flags.writeable = False
+            self._product = (q, product)
+        return (flat - product).reshape(p.shape)
 
     def lu(self, double: bool = False):
         """The solve of every stored block of A = I - K diag(beta), by lu_factor; dense only.
@@ -270,7 +275,11 @@ class InteractionOperator:
         C-ordered in the dtype _lu_dtype picks from the block sizes and a
         bound on its entries, or in complex128 with double=True (whose
         solves replace the complex64 ones), and handed to lu_factor, which
-        factors it now or, for a small complex128 block, at its solves.
+        factors it now or, for a small complex128 block, LU-solves it at
+        each call.  solve_system asks once per solve: asked again for the
+        same solves, lu inverts the small complex128 blocks, since only an
+        operator solved again reuses an inverse, and the refinement steps of
+        a first solve stay LU-solves.
         """
         if self._lu is None or (double and self.factored[-1] != np.complex128):
             if self.kernel is None:
@@ -288,6 +297,10 @@ class InteractionOperator:
                 solves.append(lu_factor(block))
             self._lu = solves
             self.factored.append(dtype)
+        else:
+            for solve in self._lu:
+                if isinstance(solve, _SolvedThenInverted):
+                    solve.invert()
         return self._lu
 
 
@@ -296,15 +309,15 @@ def lu_factor(block):
     A_c^-1 coordinates.
 
     A complex128 block of at most _DOUBLE_LU_MAX rows: _SolvedThenInverted,
-    numpy's LU-solve at the first call and the product with the inverse,
-    formed at the second, from then on.  Any other block (complex64, or
+    numpy's LU-solve at each call until InteractionOperator.lu inverts it,
+    the product with the inverse from then on.  Any other block (complex64, or
     complex128 past _DOUBLE_LU_MAX, from the float32-range rule of _lu_dtype
     or a refactor): getrs with trans=1 (_lu_solve) on LAPACK getrf of the
     transpose, the same memory in Fortran order, factored in place; both
     routines come from scipy.linalg, which is imported here only (its
     import costs more than every factorization of small blocks).  A
-    singular block raises SolverError in either form: numpy's at its
-    first solve, getrf's here.
+    singular block raises SolverError in either form: numpy's when it
+    is solved or inverted, getrf's here.
     """
     if block.dtype == np.complex128 and len(block) <= _DOUBLE_LU_MAX:
         return _SolvedThenInverted(block)
@@ -318,29 +331,33 @@ def lu_factor(block):
 
 
 class _SolvedThenInverted:
-    """The solve of a small complex128 block: LAPACK gesv (numpy.linalg.solve) at the
-    first call, then the product with numpy's inverse, formed once at the second.
+    """The solve of a small complex128 block: LAPACK gesv (numpy.linalg.solve) at each
+    call until invert forms numpy's inverse, then the product with it.
 
-    An inverse costs about three LUs and pays only for a block solved
+    An inverse costs about three LUs and pays only for an operator solved
     several times; a sweep's operators are solved once.  The block is kept
     after the inverse is formed, so two threads sharing the operator never
     read a dropped one; at worst both form the inverse.
     """
 
     def __init__(self, block):
-        self.block, self.inverse, self.solved = block, None, False
+        self.block, self.inverse = block, None
+
+    def invert(self):
+        if self.inverse is None:
+            try:
+                self.inverse = np.linalg.inv(self.block)
+            except np.linalg.LinAlgError:
+                raise SolverError(_SINGULAR) from None
 
     def __call__(self, coords):
         inverse = self.inverse
-        if inverse is None:
-            try:
-                if not self.solved:
-                    self.solved = True
-                    return np.linalg.solve(self.block, coords)
-                self.inverse = inverse = np.linalg.inv(self.block)
-            except np.linalg.LinAlgError:
-                raise SolverError(_SINGULAR) from None
-        return inverse @ coords
+        if inverse is not None:
+            return inverse @ coords
+        try:
+            return np.linalg.solve(self.block, coords)
+        except np.linalg.LinAlgError:
+            raise SolverError(_SINGULAR) from None
 
 
 def _lu_dtype(sizes, norm: float) -> np.dtype:
@@ -438,7 +455,7 @@ def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):
     rhs: (3N,) or (3N, m).  The representation decides the method.  A
     stored kernel's blocks are built once, in the precision op.lu decides
     from its block sizes and ||A||_inf (complex128 for blocks of at most
-    _DOUBLE_LU_MAX, LU-solved at the first solve and inverted at the
+    _DOUBLE_LU_MAX, LU-solved through the first solve and inverted at the
     second, else complex64 LU factors), and every solve is refined in
     complex128 to a backward error of one float64 epsilon, so the answer is
     accurate to complex128 whatever tol is; if 30 refinement steps on complex64
@@ -568,8 +585,8 @@ class MediumSolver:
 
     All Green-tensor, field-coefficient and LDOS computations at a fixed
     frequency go through this object, which assembles once and builds its
-    blocks once (lu_factor: a small block is LU-solved at its first solve
-    and inverted at its second, for every later one):
+    blocks once (lu_factor: a small block is LU-solved through the first
+    solve and inverted at the second, for every later one):
     solve, solved (memoised by a key) and grid_fields give on-grid
     values, and evaluate carries any of them (Green columns, e or m) to
     arbitrary points.  G0 rows, Green columns and solved fields are each

@@ -203,9 +203,9 @@ def test_a_stalled_complex64_solve_refactors_in_complex128(monkeypatch, name, wi
                                       (np.complex64, 3), (np.complex64, 401)])
 def test_a_singular_block_is_refused_in_either_factor_form(dtype, d):
     """An all-zero block raises SolverError before its solve returns anything, whether
-    numpy solves it (complex128, at most _DOUBLE_LU_MAX rows: gesv at the first solve,
-    the inverse at the second) or LAPACK's LU does (every other block), where getrf
-    reports the zero pivot in its info at factor time."""
+    numpy solves it (complex128, at most _DOUBLE_LU_MAX rows: gesv at each call, the
+    inverse when the operator is solved again) or LAPACK's LU does (every other block),
+    where getrf reports the zero pivot in its info at factor time."""
     import greenvox.vie as vie_mod
 
     coords, solved = np.ones((d, 2), dtype=dtype), []
@@ -214,7 +214,8 @@ def test_a_singular_block_is_refused_in_either_factor_form(dtype, d):
         solved.append(solve(coords))
     if dtype == np.complex128 and d <= vie_mod._DOUBLE_LU_MAX:
         with pytest.raises(SolverError, match="singular block"):
-            solved.append(solve(coords))
+            solve.invert()
+        assert solve.inverse is None
     assert solved == []
 
 
@@ -222,7 +223,9 @@ def test_a_small_block_is_inverted_at_its_second_solve(monkeypatch):
     """The sphere's ten complex128 blocks are LU-solved by numpy at the operator's first
     solve, inverted once each at its second, and solved by the inverse alone at its
     third, all three within 1e-13 of a solve of the materialized operator; a
-    purcell_sweep row, whose operator is solved once, inverts nothing."""
+    purcell_sweep row, whose operator is solved once, inverts nothing, and neither does
+    a row of the Lorentz cube whose solve takes a refinement step: each step LU-solves
+    every block again."""
     calls = {"solve": 0, "inv": 0}
 
     def counting(name):
@@ -254,6 +257,18 @@ def test_a_small_block_is_inverted_at_its_second_solve(monkeypatch):
     rows = purcell_sweep(lambda w: MediumSolver(grid, materials, w), (0.82, -1.12, 0.84),
                          (0.0, 0.6, 0.8), [OMEGA])
     assert "error" not in rows[0] and calls["inv"] == 0
+    grid, materials, _ = sector_scenes()["cube"]
+    solvers = []
+    calls.update(solve=0, inv=0)
+
+    def cube_solver(w):
+        solvers.append(MediumSolver(grid, materials, w))
+        return solvers[-1]
+    rows = purcell_sweep(cube_solver, (0.95, 0.15, 0.25), (0.0, 0.0, 1.0), [0.7, 0.8])
+    assert [solver.op.refinements for solver in solvers] == [[1], [0]]
+    assert all("error" not in row for row in rows) and calls["inv"] == 0
+    steps = sum(len(solver.op.blocks) * (solver.op.refinements[0] + 1) for solver in solvers)
+    assert calls["solve"] == steps == 30
 
 
 @pytest.mark.parametrize("name", SECTOR_SCENES)
