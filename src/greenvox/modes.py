@@ -18,7 +18,10 @@ tensor,
 Both routes are implemented; they agree to solver tolerance as an exact
 discrete identity, which the tests exploit.  The direct routes and the
 Green route of m solve on the grid and reach every other point through
-MediumSolver.evaluate, the evaluation formula the Green tensor uses.  The
+MediumSolver.evaluate, the evaluation formula the Green tensor uses.
+The direct routes' right-hand sides (e_direct_rhs, m_direct_rhs) are
+solved through MediumSolver.solved, memoised by mode, so a caller can
+solve them in one block with its Green sources.  The
 Green route of e needs no evaluation: it is ldos._e_fields_on_shell on
 the mode's one direction, read from the memoised Green columns of each
 point.  Every function takes the MediumSolver of the mode's frequency
@@ -33,6 +36,7 @@ reported symbolically, never as a number).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -104,18 +108,21 @@ def _alpha_at(solver: MediumSolver, index: int, nu: float) -> float:
 # e coefficients
 # ----------------------------------------------------------------------
 
+def e_direct_rhs(solver: MediumSolver, mode: PlaneWaveMode):
+    """Inhomogeneity omega Phi_kappa of the e Fredholm equation on the grid, (N, 3)."""
+    solver.check_frequency(mode.omega, "mode shell")
+    return mode.omega * phi_plane_wave(mode, solver.grid.centers)
+
+
 def e_grid_solution(solver: MediumSolver, mode: PlaneWaveMode):
     """On-grid e values from the direct Fredholm solve, (N, 3), read-only.
 
-    Memoised per mode on the solver, so every function that needs the e
-    of one mode on the grid solves for it once.
+    Memoised by mode on the solver (MediumSolver.solved), so every
+    function that needs the e of one mode on the grid solves for it once,
+    and a caller that names the mode beside other right-hand sides, as
+    validate does, solves it in their block.
     """
-    solver.check_frequency(mode.omega, "mode shell")
-
-    def rhs():
-        return (mode.omega * phi_plane_wave(mode, solver.grid.centers)).reshape(solver.op.n3)
-
-    return solver.solved(mode, rhs).reshape(solver.grid.n, 3)
+    return solver.solved({mode: partial(e_direct_rhs, solver, mode)})[0]
 
 
 def e_coefficient(solver: MediumSolver, mode: PlaneWaveMode, points):
@@ -143,19 +150,30 @@ def e_coefficient_via_green(solver: MediumSolver, mode: PlaneWaveMode, points):
 # m coefficients
 # ----------------------------------------------------------------------
 
+def _m_scale(solver: MediumSolver, mode: MedModeIndex) -> float:
+    """-alpha_tilde(x, nu) nu^2 of the m inhomogeneity; mode.x must be a voxel center."""
+    solver.check_frequency(mode.nu, "medium mode")
+    idx = solver.grid.index_of(mode.x_point)
+    if idx is None:
+        raise ValueError("medium mode position must be a voxel center of the grid")
+    return -_alpha_at(solver, idx, mode.nu) * mode.nu**2
+
+
+def m_direct_rhs(solver: MediumSolver, mode: MedModeIndex):
+    """Inhomogeneity -alpha_tilde nu^2 G0(z_i, x) n_j of the m Fredholm equation, (3N,)."""
+    return _m_scale(solver, mode) * (solver.source_columns(mode.x_point) @ mode.direction)
+
+
 def m_coefficient(solver: MediumSolver, mode: MedModeIndex, points, route: str = "green"):
     """Medium field coefficient m_mu at the requested points, (P, 3).
 
     route "green" evaluates -alpha_tilde nu^2 G(r, x) n_j from the medium
     Green tensor; route "direct" solves the m Fredholm equation with its
-    own inhomogeneity.  The two agree to solver tolerance.
+    own inhomogeneity, memoised by mode on the solver (MediumSolver.solved).
+    The two agree to solver tolerance.
     """
-    solver.check_frequency(mode.nu, "medium mode")
-    idx = solver.grid.index_of(mode.x_point)
-    if idx is None:
-        raise ValueError("medium mode position must be a voxel center of the grid")
+    scale = _m_scale(solver, mode)
     nj = mode.direction
-    scale = -_alpha_at(solver, idx, mode.nu) * mode.nu**2
 
     def g0_from_x(p):
         return g0_from_displacements(p - mode.x_point, solver.omega)
@@ -165,9 +183,8 @@ def m_coefficient(solver: MediumSolver, mode: MedModeIndex, points, route: str =
         return scale * (G @ nj)
     if route != "direct":
         raise ValueError(f"unknown m-coefficient route {route!r}")
-    rhs = scale * (solver.source_columns(mode.x_point) @ nj)       # (3N,)
-    return solver.evaluate(points, solver.solve(rhs),
-                           lambda p: scale * (g0_from_x(p) @ nj))[:, :, 0]
+    m_grid = solver.solved({mode: partial(m_direct_rhs, solver, mode)})[0]
+    return solver.evaluate(points, m_grid, lambda p: scale * (g0_from_x(p) @ nj))[:, :, 0]
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import scipy
@@ -28,7 +29,8 @@ from .geometry import VoxelGrid
 from .green_free import g0_closed, im_g0_spectral
 from .ldos import (DecayRates, EmitterSpec, gamma_decomposed, ldos_identity_residual,
                    purcell, vacuum_decay_rate)
-from .modes import MedModeIndex, e_coefficient, e_coefficient_via_green, m_coefficient
+from .modes import (MedModeIndex, e_coefficient, e_coefficient_via_green, e_direct_rhs,
+                    m_coefficient, m_direct_rhs)
 from .green_free import PlaneWaveMode
 from .permittivity import VACUUM, eval_eps, kk_residual
 from .quadrature import make_shell_quadrature
@@ -124,11 +126,12 @@ def _validate_defaults(cfg: SceneConfig, grid: VoxelGrid) -> dict:
 def run_validation(cfg: SceneConfig) -> RunReport:
     """Run the identity suite on one medium and one vacuum solver; raises SolverError.
 
-    The medium solver builds its block solves once and solves the five Green
-    sources of the checks (y, x, the first voxel center, the m mode's
-    point and the emitter) in one block; every later Green-route call
-    finds its source in the solver's memo.  Only the direct-route e and
-    m solves, the route-equivalence cross-checks, are solved apart.
+    The medium solver builds its block solves once and solves, in one block,
+    every right-hand side of the checks: the five Green sources (y, x, the
+    first voxel center, the m mode's point and the emitter) and the
+    direct-route e and m inhomogeneities of the route-equivalence checks.
+    Every later call finds its field in the solver's memo, so the medium
+    operator is solved once.
     """
     report = _new_report("validate", cfg)
     grid = cfg.grid
@@ -169,8 +172,10 @@ def run_validation(cfg: SceneConfig) -> RunReport:
     mu = MedModeIndex(x=tuple(grid.centers[grid.n // 2]), nu=omega, j=3)
     emitter = EmitterSpec(position=tuple(probes["emitter"]), omega=omega,
                           dipole=tuple(probes["dipole"]))
-    # every Green source of the checks below, in one block solve
-    solver.grid_fields(np.stack([y0, x0, grid.centers[0], mu.x_point, emitter.r]))
+    # every Green source and direct-route field of the checks below, in one block solve
+    solver.solved({**solver.sources([y0, x0, grid.centers[0], mu.x_point, emitter.r]),
+                   mode: partial(e_direct_rhs, solver, mode),
+                   mu: partial(m_direct_rhs, solver, mu)})
 
     # Dyson permutation identity and reciprocity
     dy = dyson_residual(solver, x0, y0)

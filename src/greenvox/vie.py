@@ -52,8 +52,8 @@ its solve (lu_factor), in one of two forms decided at factor time: a
 complex128 block of at most _DOUBLE_LU_MAX rows is solved by numpy,
 LU-solved (LAPACK gesv) at every block solve of its operator's first
 solve, refinement steps included, and inverted when the operator is
-solved again, so an operator solved once, as a sweep row's is, pays one
-LU-solve per block and refinement step, not an inverse of about three
+solved again, so an operator solved once, as every CLI command's is, pays
+one LU-solve per block and refinement step, not an inverse of about three
 LUs (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
 ch. 14); every other block
 (complex64, or complex128 and wider) keeps LAPACK's LU from
@@ -103,9 +103,9 @@ from .geometry import VoxelGrid, eps_on_grid, reflect, reflection
 from .green_free import g0_closed, g0_from_displacements, self_term_scalar
 
 
-#: keys each memo of a MediumSolver keeps (G0 rows and Green columns by point, solved
-#: fields such as plane-wave modes by key), least recently used dropped first
-#: (validate revisits five points)
+#: keys each memo of a MediumSolver keeps (G0 rows by point; solved fields, the Green
+#: columns by point and the field coefficients by mode), least recently used dropped
+#: first (validate revisits five points and solves two field coefficients)
 _FIELDS_KEPT = 8
 
 #: refinement steps on one set of LU factors before giving up on them (zcgesv's ITERMAX)
@@ -123,6 +123,12 @@ _REFINE_STEPS = 30
 #:                           360: 0.81-1.04  402: 1.13-1.14  501: 1.07  600: 1.18  771: 1.18
 #: complex128 factors meet the stop test in 0 or 1 steps, complex64 ones in 2 or 3.
 _DOUBLE_LU_MAX = 400
+
+#: columns of one lattice convolution (kernel_product).  Time of an m-column product over
+#: a one-column product's on the 8^3 and 12^3 Lorentz cubes (2-core VM, one OpenBLAS
+#: thread, medians of 150 interleaved calls), in one convolution: m = 3 2.8-3.0x,
+#: 6 7.4-8.0x, 15 21x; three columns at a time: 6 6.1-6.3x, 15 16-17x
+_LATTICE_COLUMNS = 3
 
 #: GMRES Krylov vectors per restart cycle, and restart cycles per column
 _RESTART = 80
@@ -228,8 +234,10 @@ class InteractionOperator:
         spectrum is multiplied by the table's 3x3 blocks, nine in-place
         products summed into one output, and inverted one axis at a
         time, keeping the first n_a sites of each axis, which is where
-        the body lies.  The spectrum and the product are C-contiguous, so
-        m columns cost about m single columns.
+        the body lies.  The spectrum and the product are C-contiguous.
+        More than _LATTICE_COLUMNS columns are convolved that many at a
+        time: the cost of one convolution grows faster than its columns
+        past them.
         """
         if self.kernel is not None:
             last = self._product  # one read: another thread may replace it
@@ -237,6 +245,9 @@ class InteractionOperator:
                 self._product = None
                 return last[1]
             return self.symmetry.blockwise(q, [block.__matmul__ for block in self.blocks])
+        if q.shape[1] > _LATTICE_COLUMNS:
+            return np.hstack([self.kernel_product(q[:, start:start + _LATTICE_COLUMNS])
+                              for start in range(0, q.shape[1], _LATTICE_COLUMNS)])
         index, table = self.grid.lattice_flat, self.lattice
         n, m, shape = self.grid.n, q.shape[1], self.grid.lattice_shape
         box = np.zeros((3, m, *shape), dtype=complex)
@@ -335,7 +346,7 @@ class _SolvedThenInverted:
     call until invert forms numpy's inverse, then the product with it.
 
     An inverse costs about three LUs and pays only for an operator solved
-    several times; a sweep's operators are solved once.  The block is kept
+    several times; the CLI's operators are solved once.  The block is kept
     after the inverse is formed, so two threads sharing the operator never
     read a dropped one; at worst both form the inverse.
     """
@@ -587,10 +598,11 @@ class MediumSolver:
     frequency go through this object, which assembles once and builds its
     blocks once (lu_factor: a small block is LU-solved through the first
     solve and inverted at the second, for every later one):
-    solve, solved (memoised by a key) and grid_fields give on-grid
-    values, and evaluate carries any of them (Green columns, e or m) to
-    arbitrary points.  G0 rows, Green columns and solved fields are each
-    memoised, read-only, for the _FIELDS_KEPT keys used last (_recall).
+    solve, solved (memoised by key) and grid_fields give on-grid values,
+    and evaluate carries any of them (Green columns, e or m) to arbitrary
+    points.  G0 rows and solved fields (Green columns by point, field
+    coefficients by mode) are each memoised, read-only, for the
+    _FIELDS_KEPT keys used last (_recall).
     materials maps every region id of the grid to its PermittivityModel,
     which also gives eps at frequencies other than omega.  method is the
     one solve decision: "dense" stores the kernel (LU) at any size,
@@ -609,18 +621,36 @@ class MediumSolver:
         self.eps, self.beta = eps_on_grid(grid, materials, omega)
         dense = method == "dense" or (method == "auto" and grid.n <= dense_cap)
         self.op = assemble(grid, self.beta, omega, dense=dense)
-        self._fields, self._solved, self._rows = {}, {}, {}
+        self._solved, self._rows = {}, {}
 
     def solve(self, rhs):
         return solve_system(self.op, rhs, self.tol)
 
-    def solved(self, key, rhs):
-        """solve(rhs()) for the right-hand side named by the hashable key, read-only.
+    def solved(self, rhs: Mapping):
+        """The solutions of the right-hand sides rhs names, read-only, in its order.
 
-        Memoised by key, so a field revisited by key, such as the e
-        coefficient of one plane-wave mode, is solved once.
+        rhs maps hashable keys to callables, each giving an array of 3N
+        rows' worth of columns ((3N,), (N, 3) or (N, 3, m)), and each
+        solution keeps its right-hand side's shape.  Memoised by key, so a
+        field revisited by key, such as the Green columns of a point or the
+        e coefficient of one plane-wave mode, is solved once; every key not
+        held is solved in one solve of all their columns, so each
+        refinement step reads the factors and the kernel once for all.
         """
-        return _recall(self._solved, [key], lambda _: [self.solve(rhs())])[0]
+        n3 = self.op.n3
+
+        def make(missing):
+            parts = [np.asarray(rhs[key](), dtype=complex) for key in missing]
+            x = self.solve(np.hstack([b.reshape(n3, -1) for b in parts]))
+            x = np.split(x, np.cumsum([b.size // n3 for b in parts[:-1]]), axis=1)
+            return [np.ascontiguousarray(xb).reshape(b.shape) for b, xb in zip(parts, x)]
+        return _recall(self._solved, list(rhs), make)
+
+    def sources(self, points) -> dict:
+        """The Green sources at points (P, 3), as solved takes them: G0(z_i, y) n_j on the
+        grid, (N, 3, 3), keyed by the point's bytes."""
+        return {p.tobytes(): partial(self.g0_blocks_at, p)
+                for p in np.asarray(points, dtype=float).reshape(-1, 3)}
 
     # -- geometry-aware kernel pieces -----------------------------------
     def g0_blocks_at(self, point):
@@ -655,25 +685,18 @@ class MediumSolver:
         """Solved on-grid Green columns X_i = G(z_i, y), read-only.
 
         sources is one point y (3,), giving (N, 3, 3), or P points (P, 3),
-        giving (P, N, 3, 3).  Sources are memoised by point, and every
+        giving (P, N, 3, 3): solved's values for self.sources, so every
         source not yet memoised is solved, a duplicate once, in one solve
-        of 3P right-hand sides, so each refinement step reads the factors
-        and the kernel once for all of them.
+        of 3P right-hand sides.
         """
         pts = np.asarray(sources, dtype=float)
         if pts.ndim not in (1, 2) or pts.shape[-1] != 3:
             raise ValueError(f"sources must be (3,) or (P, 3), got shape {pts.shape}")
-        keys = [p.tobytes() for p in pts.reshape(-1, 3)]
-        points = dict(zip(keys, pts.reshape(-1, 3)))
-
-        def make(new):
-            rhs = np.hstack([self.source_columns(points[key]) for key in new])
-            X = self.solve(rhs).reshape(self.grid.n, 3, len(new), 3)
-            return np.ascontiguousarray(X.transpose(2, 0, 1, 3))
-        fields = _recall(self._fields, keys, make)
+        keyed = self.sources(pts)
+        fields = dict(zip(keyed, self.solved(keyed)))
         if pts.ndim == 1:
-            return fields[0]
-        out = np.stack(fields)
+            return fields[pts.tobytes()]
+        out = np.stack([fields[p.tobytes()] for p in pts])
         out.flags.writeable = False
         return out
 

@@ -68,7 +68,16 @@ def budget(monkeypatch):
     return counts
 
 
-def test_validate_uses_one_medium_and_one_vacuum_solver(budget, monkeypatch):
+@pytest.fixture
+def inverses(monkeypatch):
+    """Counts numpy.linalg.inv calls."""
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    return calls
+
+
+def test_validate_uses_one_medium_and_one_vacuum_solver(budget, inverses, monkeypatch):
     identities = []
     original = ldos.ldos_identity_residual
 
@@ -88,13 +97,76 @@ def test_validate_uses_one_medium_and_one_vacuum_solver(budget, monkeypatch):
     medium, vacuum = budget["operators"]
     assert [medium.factored, vacuum.factored] == [[np.complex128], []]
     assert budget["lu_factor"] == len(medium.blocks) == 10
-    # one block of the five Green sources (15 columns), the two direct-route solves
-    # (1 column each) and the vacuum identity (3 columns); the total also catches a
-    # shell e-field solve (512 columns) coming back
-    assert len(budget["solve_columns"]) <= 4
-    assert sum(budget["solve_columns"]) <= 20
-    assert all(steps <= 3 for op in budget["operators"] for steps in op.refinements)
+    # one block of the five Green sources (15 columns) and the two direct-route fields
+    # (1 column each), then the vacuum identity (3 columns): the medium operator is
+    # solved once, so no small block is inverted
+    assert budget["solve_columns"] == [17, 3]
+    assert len(medium.refinements) == 1 and medium.refinements[0] <= 3
+    assert inverses == []
     assert len(identities) == 2
+
+
+CLI_ARGS = {
+    "greens": ["--omega", "1.0", "--src", "0.95,0.15,0.25", "--eval", "-0.2,0.95,0.4"],
+    "modes": ["--omega", "1.0", "--kdir", "0,0.6,0.8", "--eval", "{points}"],
+    "purcell": ["--emitter", "0.95,0.15,0.25", "--dipole", "0,0,1",
+                "--omega-range", "0.8:1.2:3"],
+    "ldos-check": ["--omega", "1.0", "--point", "0.95,0.15,0.25",
+                   "--point2=-0.2,0.95,0.4"],
+    "validate": [],
+}
+
+
+@pytest.mark.parametrize("command", CLI_ARGS)
+def test_every_command_solves_each_medium_operator_once(command, budget, inverses,
+                                                        monkeypatch, tmp_path, capsys):
+    """On the 64-voxel cube, each CLI command solves every medium operator it assembles
+    exactly once, so no small block is ever inverted."""
+    solved = []
+    solve_system = vie.solve_system
+    monkeypatch.setattr(vie, "solve_system",
+                        lambda op, *args: solved.append(op) or solve_system(op, *args))
+    scene, points = tmp_path / "cube.yaml", tmp_path / "points.csv"
+    scene.write_text(json.dumps(CUBE))
+    points.write_text("x,y,z\n0.95,0.15,0.25\n0.1,0.1,0.1\n")
+    argv = [arg.format(points=points) for arg in CLI_ARGS[command]]
+    rc = cli_main([command, "--scene", str(scene), "--out-dir", str(tmp_path / "out"), *argv])
+    capsys.readouterr()
+    assert rc == 0
+    media = [op for op in budget["operators"] if not op.is_identity]
+    assert len(media) == (3 if command == "purcell" else 1)
+    assert [sum(s is op for s in solved) for op in media] == [1] * len(media)
+    assert all(op.factored == [np.complex128] for op in media)
+    assert inverses == []
+
+
+def test_direct_route_columns_of_the_validate_block_match_separate_solves(budget):
+    """The e and m direct-route columns solved in validate's 17-column block equal
+    separate solves of the same right-hand sides to 1e-13, and the direct routes read
+    them back from the memo: a second m_coefficient call solves nothing."""
+    from greenvox.modes import (MedModeIndex, e_direct_rhs, e_grid_solution, m_coefficient,
+                                m_direct_rhs)
+
+    cfg = scene_from_dict(CUBE)
+    solver, reference = cfg.solver(1.0), cfg.solver(1.0)
+    grid = solver.grid
+    mode = PlaneWaveMode(k=(0.48, 0.36, 0.8), sigma=+1, zeta="c")
+    mu = MedModeIndex(x=tuple(grid.centers[grid.n // 2]), nu=1.0, j=3)
+    sources = [R_OUT, np.array([-0.2, 0.95, 0.4]), grid.centers[0], mu.x_point, R_OUT + 0.3]
+    solver.solved({**solver.sources(sources), mode: lambda: e_direct_rhs(solver, mode),
+                   mu: lambda: m_direct_rhs(solver, mu)})
+    assert budget["solve_columns"] == [17]
+    pairs = [(e_grid_solution(solver, mode), e_direct_rhs(solver, mode)),
+             (solver.solved({mu: lambda: pytest.fail("solved again")})[0],
+              m_direct_rhs(solver, mu))]
+    for got, rhs in pairs:
+        single = reference.solve(rhs.reshape(-1)).reshape(got.shape)
+        assert np.linalg.norm(got - single) <= 1e-13 * np.linalg.norm(single)
+    pts = np.vstack([R_OUT, grid.centers[0]])
+    first = m_coefficient(solver, mu, pts, route="direct")
+    second = m_coefficient(solver, mu, pts, route="direct")
+    np.testing.assert_array_equal(first, second)
+    assert budget["solve_columns"] == [17, 1, 1]  # the two reference solves only
 
 
 def test_validate_evaluates_g0_once_per_point(monkeypatch):
@@ -218,7 +290,7 @@ def test_small_blocks_are_solved_in_one_step(budget, monkeypatch):
         assert op.factored == [np.complex128]
         assert op.refinements == [0] * len(op.refinements) != []
         assert sum(a is op for a in applied) == len(op.refinements)
-    assert len(medium.refinements) == 3 and all(len(op.refinements) == 1 for op in sweep)
+    assert len(medium.refinements) == 1 and all(len(op.refinements) == 1 for op in sweep)
 
 
 def test_a_symmetric_sweep_stores_only_the_sector_blocks(budget, monkeypatch):

@@ -668,7 +668,10 @@ def test_assemblies_from_two_threads_on_one_grid_equal_the_sequential_ones(monke
 
 def test_fft_product_matches_dense_kernel(tmp_path):
     """The lattice convolution reproduces K q on every kind of lattice grid, from a
-    C-contiguous spectrum, and m columns at once are m single columns."""
+    C-contiguous spectrum, and m columns at once, convolved _LATTICE_COLUMNS at a time,
+    are m single columns bit for bit."""
+    import greenvox.vie as vie_mod
+
     rng = np.random.default_rng(5)
     for name, grid in lattice_grids(tmp_path).items():
         dense = assemble(grid, lorentz_beta(grid), OMEGA)
@@ -682,9 +685,10 @@ def test_fft_product_matches_dense_kernel(tmp_path):
         expected = pairwise_kernel(grid, OMEGA) @ q
         got = fft.kernel_product(q)
         assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected), name
-        q3 = np.hstack([q, q[:, :1] * 1j])
-        single = np.hstack([fft.kernel_product(q3[:, [j]]) for j in range(3)])
-        assert np.max(np.abs(fft.kernel_product(q3) - single)) <= 1e-15 * np.max(np.abs(single))
+        q7 = np.hstack([q, q * 1j, q[:, :1] * (1 - 2j), q * 3.0])
+        assert q7.shape[1] > 2 * vie_mod._LATTICE_COLUMNS
+        single = np.hstack([fft.kernel_product(q7[:, [j]]) for j in range(7)])
+        assert np.array_equal(fft.kernel_product(q7), single), name
         for v in (p, p[:, 0]):
             assert fft.apply(v).shape == v.shape
             assert np.linalg.norm(fft.apply(v) - dense.apply(v)) <= 1e-13 * np.linalg.norm(v)
