@@ -206,7 +206,8 @@ def run_validation(cfg: SceneConfig) -> RunReport:
     check("ldos_forms_agreement", ident.forms_gap / ident.scale)
     check("ldos_identity_discrete", ident.relative_discrete,
           detail="kappa with the kernel's own Im G0 values: the discrete optical theorem",
-          threshold=None if solver.op.kernel is not None else max(1e-12, 10.0 * solver.tol))
+          threshold=None if solver.op.plan.representation == "dense"
+          else max(1e-12, 10.0 * solver.tol))
 
     # compensation: identity route is exact, mu route bounded by the residual; relative
     # checks take the rates of the unit dipole, whose squares cannot underflow

@@ -44,10 +44,6 @@ from .geometry import _renumber, reflection
 
 IDENTITY = (0, 1, 2)
 
-#: bytes of kernel rows and their adapted images fill holds at a time (the 257-voxel
-#: sphere's 1.6 MB in one); the rows' share is memory the calling thread keeps
-_ROWS_CHUNK_BYTES = 7 << 19
-
 #: floats of gathered terms fold and unfold hold at a time, so they stay in cache
 _GATHER_FLOATS = 1 << 15
 
@@ -114,10 +110,10 @@ class _Sums(NamedTuple):
     """A sparse real map of rows, y = M x, as numpy gathers, one run at a time.
 
     Each row of a run is the sum over its slots of weights * x[index]: the run's terms
-    are gathered and scaled _GATHER_FLOATS at a time, and summed from 0 in one
-    reduction over the slots.  weights is (..., 1) for a complex x (rows, m), and (...,
-    2) for a one-dimensional complex x, each weight repeated for the real and the
-    imaginary part, so every product runs over contiguous memory.
+    are gathered into one buffer per call and scaled _GATHER_FLOATS at a time, and
+    summed from 0 in one reduction over the slots.  weights is (..., 1) for a complex x
+    (rows, m), and (..., 2) for a one-dimensional complex x, each weight repeated for
+    the real and the imaginary part, so every product runs over contiguous memory.
     """
 
     runs: tuple
@@ -127,11 +123,17 @@ class _Sums(NamedTuple):
         of out that no run gives are left as they are."""
         width = 2 * math.prod(out.shape[1:])
         reals = out.view(float).reshape(len(out), width)
+        # every chunk's terms, in this call's own memory, so threads may share the plan
+        held = np.empty(max(_GATHER_FLOATS, width * max(len(run.index) for run in self.runs))
+                        // 2, dtype=x.dtype)
         for index, weights, rows in self.runs:
             step = max(1, _GATHER_FLOATS // (len(index) * width))
             for lo in range(0, index.shape[1], step):
                 cut = slice(lo, lo + step)
-                terms = x.take(index[:, cut], axis=0).view(float).reshape(len(index), -1, width)
+                taken = index[:, cut]
+                terms = held[:taken.size * width // 2].reshape(taken.shape + x.shape[1:])
+                x.take(taken, axis=0, out=terms, mode="clip")  # "clip" writes to terms unbuffered
+                terms = terms.view(float).reshape(len(index), -1, width)
                 terms *= weights[:, cut]
                 # from 0, over real parts, so no run sums pairwise by its length
                 if isinstance(rows, slice):
@@ -466,13 +468,13 @@ class SymmetryBasis:
                 rows += term
             block[cls.by_row[a:b]] = rows
 
-    def fill(self, table, beta):
+    def fill(self, table, beta, step):
         """(kernel, ||I - K diag(beta)||_inf) for the K whose 3x3 blocks table (3 P, 3) holds
         at kernel_offsets' P offsets; blocks views kernel, each block exactly symmetric.
 
         Only the rows of the row representatives are read, rows[g, j, i] =
-        K[g(rep_j), row_i], _ROWS_CHUNK_BYTES of rows and their adapted images at a
-        time: one take into memory the calling thread keeps (the basis keeps none, so
+        K[g(rep_j), row_i], those of step row representatives at a time (vie.plan's
+        fill_rows, from 1 to all of them): one take into memory the calling thread keeps (the basis keeps none, so
         threads may fill on one basis at once), fold's two stages, and the gather of
         every class (K is symmetric, so rows are also columns).  A basis filled in one
         chunk gathers through one plan it keeps (_gathers), a larger one class by class
@@ -486,8 +488,7 @@ class SymmetryBasis:
         counted = np.repeat(np.abs(beta[self.reps]) / self.stabilizer, 3)[:, None]
         sums = np.empty(3 * len(self.rows))
         kernel = np.empty(sum(len(cls.voxels) ** 2 for cls in self.classes), dtype=complex)
-        step = max(1, _ROWS_CHUNK_BYTES // (48 * (order * 3 * reps + 3 * self.n)))
-        size = 9 * order * reps * min(step, len(self.rows))
+        size = 9 * order * reps * step
         if getattr(_held, "rows", np.empty(0)).size < size:  # kept for the thread's next fill
             _held.rows = np.empty(size, dtype=complex)
         magnitudes = np.abs(table)

@@ -39,51 +39,35 @@ every block solve is one call per block, on the coordinates of all its
 copies.
 A is factored per block, each solve refined in complex128 until every
 column has a backward error of one float64 epsilon (the method of LAPACK
-zcgesv; Buttari et al., ACM TOMS 34(4), 17 (2008)).  The factor
-precision is decided once, from the block sizes and ||A||_inf
-(_lu_dtype): mixed precision pays only where the O(d^3) factorization
-dominates (Carson & Higham, SIAM J. Sci. Comput. 40, A817 (2018)), so
-blocks of at most _DOUBLE_LU_MAX are factored in complex128, whose
-solves mostly meet the bound at their first residual, and larger ones
-in complex64, unless a bound on the block entries reaches the float32
-range; an operator too ill-conditioned for complex64
-factors is refactored once in complex128.  A block's factorization is
-its solve (lu_factor), in one of two forms decided at factor time: a
-complex128 block of at most _DOUBLE_LU_MAX rows is solved by numpy,
-LU-solved (LAPACK gesv) at every block solve of its operator's first
-solve, refinement steps included, and inverted when the operator is
-solved again, so an operator solved once, as every CLI command's is, pays
-one LU-solve per block and refinement step, not an inverse of about three
-LUs (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-ch. 14); every other block
-(complex64, or complex128 and wider) keeps LAPACK's LU from
-scipy.linalg, factored in place, which only that branch imports, so a
-process whose blocks are all at most _DOUBLE_LU_MAX wide, or that solves
-by GMRES, loads no scipy.linalg.  Both forms refuse a singular block.
-The dense operator keeps the K q of its last application, so the shell
-integral of ldos reads the product the refinement's last residual formed.
+zcgesv; Buttari et al., ACM TOMS 34(4), 17 (2008)).  A block's
+factorization is its solve (lu_factor), and both forms refuse a singular
+block.  The dense operator keeps the K q of its last application, so the
+shell integral of ldos reads the product the refinement's last residual
+formed.
 The matrix-free kernel is the FFT of the table embedded in a circulant
-of twice the lattice extent per axis, so K p is a 3x3 block product
-between two FFTs (O(N log N); Goodman, Draine & Flatau, Opt. Lett. 16,
-1198 (1991)).  The FFTs are pruned (Markel, IEEE Trans. Audio
-Electroacoust. 19, 305 (1971)): p lives in the body box, one eighth of
-the circulant, so the forward transform runs one axis at a time over the
-lines that can be nonzero, and the inverse keeps only the body box after
-each axis.  The table is C-contiguous, so its spectrum is too, and the
-block product is nine in-place products summed into one contiguous
-output that the inverse FFTs read.  The lattice operator is solved by
-restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
-(1986)), left-preconditioned by the diagonal of I - K diag(beta), from
+lattice of at least twice the lattice extent per axis, so K p is a 3x3
+block product between two FFTs (O(N log N); Goodman, Draine & Flatau,
+Opt. Lett. 16, 1198 (1991)).  The FFTs are pruned (Markel, IEEE Trans.
+Audio Electroacoust. 19, 305 (1971)): p lives in the body box, at most one
+eighth of the circulant, so the forward transform runs one axis at a time
+over the lines that can be nonzero, and the inverse keeps only the body
+box after each axis.  The table is C-contiguous, so its spectrum is too,
+and the block product is nine in-place products summed into one
+contiguous output that the inverse FFTs read.  The lattice operator is
+solved by restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7,
+856 (1986)), left-preconditioned by the diagonal of I - K diag(beta), from
 x0 = rhs: 80 Krylov vectors per cycle, orthogonalized by two passes of
 classical Gram-Schmidt, its small triangle solved by numpy, at most 400
-cycles, until the true residual
-formed after a cycle is at most tol/10 of the right-hand side, or a
-breakdown.  That residual is the one recorded, so no further operator
-application checks it.  MediumSolver, built from the mapping of region
-id to permittivity model, is the one place that picks the representation
-(method and dense_cap); assemble builds the one it is asked for from the
-per-voxel beta, and the solve follows it.  With beta = 0 the operator is
-the identity and nothing is assembled or solved.
+cycles, until the true residual formed after a cycle is at most tol/10 of
+the right-hand side, or a breakdown.  That residual is the one recorded,
+so no further operator application checks it.  With beta = 0 the operator
+is the identity and nothing is assembled or solved.
+
+plan makes every size decision of an operator before anything is
+assembled: its representation, each block's factor dtype and form, the
+fill's chunks and the circulant extent.  Its docstring gives every
+threshold and the reason for it; assemble, lu, lu_factor, fill and
+solve_system read the Plan it returns.
 
 One MediumSolver per frequency is the medium: it is the first argument
 of every function that evaluates the Green tensor, here and in ldos and
@@ -111,9 +95,8 @@ _FIELDS_KEPT = 8
 #: refinement steps on one set of LU factors before giving up on them (zcgesv's ITERMAX)
 _REFINE_STEPS = 30
 
-#: largest stored block factored in complex128 outright; above it complex64 factors
-#: and complex128 refinement cost no more.  Time of the LU plus one refined 3-column
-#: solve on a Drude body at omega = 1 (2-core VM, one OpenBLAS thread, median of 10
+#: largest stored block factored in complex128 (plan).  Time of the LU plus one refined
+#: 3-column solve on a Drude body at omega = 1 (2-core VM, one OpenBLAS thread, median of 10
 #: alternations), complex128 over complex64, by largest block (the sphere rows were
 #: measured on the four blocks of the parity-sector classes, before they were split by
 #: their stabilizers; the 4224-voxel sphere's largest split block is 820, complex64):
@@ -123,6 +106,17 @@ _REFINE_STEPS = 30
 #:                           360: 0.81-1.04  402: 1.13-1.14  501: 1.07  600: 1.18  771: 1.18
 #: complex128 factors meet the stop test in 0 or 1 steps, complex64 ones in 2 or 3.
 _DOUBLE_LU_MAX = 400
+
+#: bytes of kernel rows and their adapted images SymmetryBasis.fill holds at a time (plan;
+#: the 257-voxel sphere's 1.6 MB in one); the rows' share is memory the calling thread keeps
+_ROWS_CHUNK_BYTES = 7 << 19
+
+#: the primes a circulant extent is made of (plan).  Time of kernel_product's pruned
+#: forward and inverse transforms of one column on an n^3 box at the smallest such length
+#: L >= 2n over their time at 2n (2-core VM, one thread, medians of 9 interleaved pairs):
+#: n = 13 (26 -> 27) 0.72, 17 (34 -> 35) 0.69, 19 (38 -> 40) 0.68, 23 (46 -> 48) 0.62,
+#: 29 (58 -> 60) 0.57, 31 (62 -> 63) 0.56, 34 (68 -> 70) 0.79; 11 (22 -> 24) 1.15
+_FFT_PRIMES = (2, 3, 5, 7, 11)
 
 #: columns of one lattice convolution (kernel_product).  Time of an m-column product over
 #: a one-column product's on the 8^3 and 12^3 Lorentz cubes (2-core VM, one OpenBLAS
@@ -152,6 +146,94 @@ def _kernel_blocks(grid: VoxelGrid, omega: float, offsets):
     return blocks
 
 
+@dataclass(frozen=True)
+class Plan:
+    """Every size decision of one operator, made by plan before anything is assembled.
+
+    representation: "identity", "dense" or "lattice".  A dense plan holds
+    sizes, the d_c of every stored block in the order of the symmetry
+    basis's classes; dtype and forms, the dtype of the first factorization
+    and the form of each block's solve in it ("numpy" or "getrf",
+    lu_factor's two); double_forms, the forms of the complex128 refactor;
+    and fill_rows, the row representatives SymmetryBasis.fill reads per
+    chunk.  A lattice plan holds circulant, the sites of the circulant
+    lattice per axis.
+    """
+
+    representation: str
+    sizes: tuple = ()
+    dtype: np.dtype | None = None
+    forms: tuple = ()
+    double_forms: tuple = ()
+    fill_rows: int = 0
+    circulant: tuple = ()
+
+
+def plan(grid: VoxelGrid, beta, method: str = "auto", dense_cap: int = 1000) -> Plan:
+    """The Plan of the operator of grid and the per-voxel beta (N,), with nothing
+    assembled; the one function that reads dense_cap, _DOUBLE_LU_MAX and
+    _ROWS_CHUNK_BYTES.
+
+    Representation.  beta = 0 is the identity.  method "dense" stores the
+    kernel at any size, "gmres" keeps the circulant lattice, and "auto"
+    stores the kernel up to dense_cap voxels.
+
+    Factors.  Mixed precision pays only where the O(d^3) factorization
+    dominates (Carson & Higham, SIAM J. Sci. Comput. 40, A817 (2018)), so an
+    operator whose blocks are all at most _DOUBLE_LU_MAX wide is factored
+    in complex128, whose solves mostly meet the bound at their first
+    residual, and a wider one in complex64, refined in complex128;
+    InteractionOperator.lu raises complex64 to complex128 where the entries
+    could reach the float32 range.  A complex128 block of at most
+    _DOUBLE_LU_MAX rows takes the "numpy" form: LU-solved by LAPACK gesv at
+    every block solve of its operator's first solve and inverted at the
+    second, so an operator solved once, as every CLI command's is, pays one
+    LU-solve per block and refinement step, not an inverse of about three
+    LUs (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 14).  Every other block takes the "getrf" form, LAPACK's LU from
+    scipy.linalg, which only that form imports (its import costs more than
+    every factorization of small blocks), so a process whose blocks are all
+    at most _DOUBLE_LU_MAX wide, or that solves by GMRES, loads no
+    scipy.linalg.  double_forms apply the same rule to the complex128
+    refactor.
+
+    Fill.  A row representative's kernel rows and their adapted images take
+    48 (3 G R + 3 N) bytes (G mirror images, R mirror orbits), and fill reads as
+    many at a time as _ROWS_CHUNK_BYTES holds, at least one.
+
+    Circulant.  Each axis of n sites takes the smallest length L >= 2n made
+    of _FFT_PRIMES, numpy's FFT radices, so an axis whose 2n has a larger
+    prime factor transforms at a faster length; indices n .. L - n hold
+    zeros, at offsets no voxel pair reaches.
+    """
+    if method not in ("auto", "dense", "gmres"):
+        raise ValueError(f"unknown solve method {method!r}")
+    if not np.any(beta):
+        return Plan("identity")
+    if method == "gmres" or (method == "auto" and grid.n > dense_cap):
+        return Plan("lattice", circulant=tuple(_smooth(2 * n) for n in grid.lattice_shape))
+    basis = grid.symmetry_basis(beta)
+    sizes = tuple(len(cls.voxels) for cls in basis.classes)
+    double_forms = tuple("numpy" if d <= _DOUBLE_LU_MAX else "getrf" for d in sizes)
+    single = max(sizes) > _DOUBLE_LU_MAX
+    rows = _ROWS_CHUNK_BYTES // (48 * (basis.order * 3 * len(basis.reps) + 3 * grid.n))
+    return Plan("dense", sizes, np.dtype(np.complex64 if single else np.complex128),
+                ("getrf",) * len(sizes) if single else double_forms, double_forms,
+                min(len(basis.rows), max(1, rows)))
+
+
+def _smooth(length: int) -> int:
+    """The smallest integer >= length with no prime factor outside _FFT_PRIMES."""
+    rest = length
+    for prime in _FFT_PRIMES:
+        while rest % prime == 0:
+            rest //= prime
+    return length if rest == 1 else _smooth(length + 1)
+
+
+_plan = plan  # assemble's keyword plan hides the function
+
+
 @dataclass
 class InteractionOperator:
     """Discretized Fredholm operator p -> p - K diag(beta) p.
@@ -166,20 +248,22 @@ class InteractionOperator:
     whose block is I - blocks[c] diag(beta at each coordinate's orbit),
     since beta is constant on every orbit of the group.  kernel is None for
     the matrix-free representation, which keeps lattice, the FFT of the
-    kernel table over the circulant lattice, and forms K p as a
-    circulant convolution over the body box (grid.lattice_flat places
-    each voxel in it).  A vacuum operator (beta = 0) is the identity and
-    keeps neither.  factored lists the dtype of every LU factorization,
-    in order, refinements the refinement steps every dense solve took,
-    and iterations the (operator applications, achieved relative
-    residual) of every column GMRES solved.  _product holds the
-    (beta p, K beta p) of the last dense apply until kernel_product reads it.
+    kernel table over the circulant lattice of plan.circulant, and forms
+    K p as a circulant convolution over the body box (grid.lattice_flat
+    places each voxel in it).  A vacuum operator (beta = 0) is the identity
+    and keeps neither.  plan is the Plan it was assembled by.  factored
+    lists the dtype of every LU factorization, in order, refinements the
+    refinement steps every dense solve took, and iterations the (operator
+    applications, achieved relative residual) of every column GMRES
+    solved.  _product holds the (beta p, K beta p) of the last dense apply
+    until kernel_product reads it.
     """
 
     grid: VoxelGrid
     omega: float
     beta: np.ndarray
-    kernel: np.ndarray | None
+    plan: Plan
+    kernel: np.ndarray | None = None
     norm: float = field(default=0.0, repr=False)
     lattice: np.ndarray | None = field(default=None, repr=False)
     _lu: list | None = field(default=None, repr=False)
@@ -198,7 +282,7 @@ class InteractionOperator:
 
     @property
     def is_identity(self) -> bool:
-        return not np.any(self.beta)
+        return self.plan.representation == "identity"
 
     @cached_property
     def symmetry(self):
@@ -229,15 +313,15 @@ class InteractionOperator:
         keeps nothing: GMRES never repeats an input.
 
         The convolution runs pruned FFTs: q is scattered into the body
-        box and transformed one axis at a time, zero-padded to 2 n_a, so
-        each axis transforms only the lines that can be nonzero; the
-        spectrum is multiplied by the table's 3x3 blocks, nine in-place
-        products summed into one output, and inverted one axis at a
-        time, keeping the first n_a sites of each axis, which is where
-        the body lies.  The spectrum and the product are C-contiguous.
-        More than _LATTICE_COLUMNS columns are convolved that many at a
-        time: the cost of one convolution grows faster than its columns
-        past them.
+        box and transformed one axis at a time, zero-padded to the plan's
+        circulant extent L_a >= 2 n_a, so each axis transforms only the
+        lines that can be nonzero; the spectrum is multiplied by the
+        table's 3x3 blocks, nine in-place products summed into one output,
+        and inverted one axis at a time, keeping the first n_a sites of
+        each axis, which is where the body lies.  The spectrum and the
+        product are C-contiguous.  More than _LATTICE_COLUMNS columns are
+        convolved that many at a time: the cost of one convolution grows
+        faster than its columns past them.
         """
         if self.kernel is not None:
             last = self._product  # one read: another thread may replace it
@@ -252,8 +336,8 @@ class InteractionOperator:
         n, m, shape = self.grid.n, q.shape[1], self.grid.lattice_shape
         box = np.zeros((3, m, *shape), dtype=complex)
         box.reshape(3, m, -1)[:, :, index] = q.reshape(n, 3, m).transpose(1, 2, 0)
-        for axis, length in enumerate(shape, start=2):
-            box = np.fft.fft(box, n=2 * length, axis=axis)
+        for axis, length in enumerate(self.plan.circulant, start=2):
+            box = np.fft.fft(box, n=length, axis=axis)
         out, term = np.empty_like(box), np.empty_like(box[0])
         for a in range(3):
             np.multiply(table[a, 0], box[0], out=out[a])
@@ -283,29 +367,35 @@ class InteractionOperator:
         A commutes with the mirrors and axis permutations of self.symmetry, so
         its block in every copy of a class is I - blocks[c] diag(beta_t),
         beta_t the beta of coordinate t's orbit.  Each block is built
-        C-ordered in the dtype _lu_dtype picks from the block sizes and a
-        bound on its entries, or in complex128 with double=True (whose
-        solves replace the complex64 ones), and handed to lu_factor, which
-        factors it now or, for a small complex128 block, LU-solves it at
-        each call.  solve_system asks once per solve: asked again for the
-        same solves, lu inverts the small complex128 blocks, since only an
-        operator solved again reuses an inverse, and the refinement steps of
-        a first solve stay LU-solves.
+        C-ordered in the plan's dtype and handed to lu_factor in its form, or
+        in complex128 and the plan's double_forms with double=True (whose
+        solves replace the first ones).  A planned complex64 is raised to
+        complex128 here, the one decision that reads the entries, unless
+        bound + 2 is below the largest float32, bound = max(||A||_inf,
+        max |blocks| max |beta|): an entry of a block of A is at most
+        bound + 1 in modulus (||A||_inf bounds them for one material, an
+        orthonormal block of K having entries at most ||K||_2 <=
+        ||K||_inf, and the product for any beta), so below it complex64
+        blocks never overflow.  solve_system asks once per solve: asked
+        again for the same solves, lu inverts the "numpy" blocks, since only
+        an operator solved again reuses an inverse, and the refinement steps
+        of a first solve stay LU-solves.
         """
         if self._lu is None or (double and self.factored[-1] != np.complex128):
-            if self.kernel is None:
+            if self.plan.representation != "dense":
                 raise SolverError("LU requested from a matrix-free operator")
-            classes = self.symmetry.classes
-            sizes = [len(cls.voxels) for cls in classes]
-            bound = self.norm if max(sizes) <= _DOUBLE_LU_MAX else max(
-                self.norm, float(np.abs(self.kernel).max() * np.abs(self.beta).max()))
-            dtype = np.dtype(np.complex128) if double else _lu_dtype(sizes, bound)
+            dtype, forms = self.plan.dtype, self.plan.forms
+            if dtype == np.complex64 and not double:
+                bound = max(self.norm, float(np.abs(self.kernel).max() * np.abs(self.beta).max()))
+                double = not bound + 2.0 < float(np.finfo(np.float32).max)
+            if double:
+                dtype, forms = np.dtype(np.complex128), self.plan.double_forms
             solves = []
-            for cls, kernel in zip(classes, self.blocks):
+            for cls, kernel, form in zip(self.symmetry.classes, self.blocks, forms):
                 block = np.empty(kernel.shape, dtype=dtype)
                 np.multiply(kernel, -self.beta[cls.voxels], out=block, casting="same_kind")
                 block.reshape(-1)[::len(block) + 1] += 1.0
-                solves.append(lu_factor(block))
+                solves.append(lu_factor(block, form))
             self._lu = solves
             self.factored.append(dtype)
         else:
@@ -315,22 +405,19 @@ class InteractionOperator:
         return self._lu
 
 
-def lu_factor(block):
-    """The solve of one C-ordered block A_c of A: a callable taking coordinates (d, k) to
-    A_c^-1 coordinates.
+def lu_factor(block, form: str):
+    """The solve of one C-ordered block A_c of A in the form plan gave it: a callable
+    taking coordinates (d, k) to A_c^-1 coordinates.
 
-    A complex128 block of at most _DOUBLE_LU_MAX rows: _SolvedThenInverted,
-    numpy's LU-solve at each call until InteractionOperator.lu inverts it,
-    the product with the inverse from then on.  Any other block (complex64, or
-    complex128 past _DOUBLE_LU_MAX, from the float32-range rule of _lu_dtype
-    or a refactor): getrs with trans=1 (_lu_solve) on LAPACK getrf of the
-    transpose, the same memory in Fortran order, factored in place; both
-    routines come from scipy.linalg, which is imported here only (its
-    import costs more than every factorization of small blocks).  A
-    singular block raises SolverError in either form: numpy's when it
-    is solved or inverted, getrf's here.
+    "numpy": _SolvedThenInverted, numpy's LU-solve at each call until
+    InteractionOperator.lu inverts it, the product with the inverse from
+    then on.  "getrf": getrs with trans=1 (_lu_solve) on LAPACK getrf of
+    the transpose, the same memory in Fortran order, factored in place;
+    both routines come from scipy.linalg, which is imported here only.  A
+    singular block raises SolverError in either form: numpy's when it is
+    solved or inverted, getrf's here.
     """
-    if block.dtype == np.complex128 and len(block) <= _DOUBLE_LU_MAX:
+    if form == "numpy":
         return _SolvedThenInverted(block)
     from scipy.linalg import get_lapack_funcs
 
@@ -345,10 +432,8 @@ class _SolvedThenInverted:
     """The solve of a small complex128 block: LAPACK gesv (numpy.linalg.solve) at each
     call until invert forms numpy's inverse, then the product with it.
 
-    An inverse costs about three LUs and pays only for an operator solved
-    several times; the CLI's operators are solved once.  The block is kept
-    after the inverse is formed, so two threads sharing the operator never
-    read a dropped one; at worst both form the inverse.
+    The block is kept after the inverse is formed, so two threads sharing
+    the operator never read a dropped one; at worst both form the inverse.
     """
 
     def __init__(self, block):
@@ -371,58 +456,45 @@ class _SolvedThenInverted:
             raise SolverError(_SINGULAR) from None
 
 
-def _lu_dtype(sizes, norm: float) -> np.dtype:
-    """The dtype the stored blocks of sizes (one per block) are factored in, for an
-    operator whose blocks of K diag(beta) have entries of modulus at most norm.
-
-    complex128 when the largest block is at most _DOUBLE_LU_MAX, where its
-    factorization costs less than the refinement steps complex64 factors
-    need, or when norm + 2 is not below the largest float32: an entry of a
-    block of A is at most norm + 1 in modulus, so below that a complex64
-    block never overflows.  complex64 otherwise, refined in complex128 by
-    the solve.  InteractionOperator.lu passes ||A||_inf, which bounds the
-    entries for one material (an orthonormal block of K has entries at most
-    ||K||_2 <= ||K||_inf), and past _DOUBLE_LU_MAX, the one case where norm
-    can decide, the larger of it and max |blocks| max |beta|, which bounds
-    them for any beta.
-    """
-    wide = max(sizes) <= _DOUBLE_LU_MAX or not norm + 2.0 < float(np.finfo(np.float32).max)
-    return np.dtype(np.complex128 if wide else np.complex64)
-
-
-def assemble(grid: VoxelGrid, beta, omega: float, *, dense: bool = True) -> InteractionOperator:
-    """Build the discrete Fredholm operator for the per-voxel beta at frequency omega.
+def assemble(grid: VoxelGrid, beta, omega: float, *, plan: Plan | None = None
+             ) -> InteractionOperator:
+    """Build the discrete Fredholm operator for the per-voxel beta at frequency omega, as
+    plan, vie.plan's Plan of grid and beta, says (by default its dense one).
 
     Both representations build their kernel table one way: G0 at the
     distinct |offsets| of a plan of signed offsets, reflected onto them in
-    one take (geometry.reflection, geometry.reflect).  dense=False plans
-    the circulant lattice and keeps the FFT of its table for the
-    matrix-free operator; dense=True evaluates the table at the offsets
+    one take (geometry.reflection, geometry.reflect).  A lattice plan
+    places the table on its circulant and keeps its FFT for the
+    matrix-free operator; a dense one evaluates the table at the offsets
     the grid's SymmetryBasis plans once (kernel_offsets), and the basis
     fills the stored blocks and ||A||_inf from it (SymmetryBasis.fill).
-    A vacuum (beta = 0) operator builds neither.
+    An identity plan builds neither.
     """
     if not omega > 0.0:
         raise ValueError("assemble requires omega > 0")
     beta = np.asarray(beta, dtype=complex).reshape(grid.n)
-    op = InteractionOperator(grid=grid, omega=omega, beta=beta, kernel=None)
-    if op.is_identity:
+    plan = _plan(grid, beta, "dense") if plan is None else plan
+    op = InteractionOperator(grid=grid, omega=omega, beta=beta, plan=plan)
+    if plan.representation == "identity":
         return op
-    if not dense:
-        # circulant of 2n sites per axis: index i holds offset i below n and
-        # i - 2n above it, and zero at i = n, an offset no voxel pair reaches
-        shape = grid.lattice_shape
-        axes = np.meshgrid(*(np.fft.ifftshift(np.arange(-n, n)) for n in shape), indexing="ij")
+    if plan.representation == "lattice":
+        # circulant of L sites per axis: index i holds offset i below n and i - L above
+        # L - n; the band between, which no voxel pair reaches, reads -n and is zeroed
+        shape, offsets = grid.lattice_shape, []
+        for n, length in zip(shape, plan.circulant):
+            sites = np.arange(length)
+            offsets.append(np.where(sites < n, sites, np.maximum(sites - length, -n)))
+        axes = np.meshgrid(*offsets, indexing="ij")
         distinct, signed = reflection(np.stack(axes, axis=-1).reshape(-1, 3))
         table = reflect(_kernel_blocks(grid, omega, distinct),
                         signed.transpose(1, 2, 0).reshape(3, 3, *axes[0].shape))
-        for axis, n in enumerate(shape):
-            np.moveaxis(table, 2 + axis, 0)[n] = 0.0
+        for axis, (n, length) in enumerate(zip(shape, plan.circulant)):
+            np.moveaxis(table, 2 + axis, 0)[n:length - n + 1] = 0.0
         op.lattice = np.fft.fftn(table, axes=(-3, -2, -1))
         return op
     _, distinct, signed = op.symmetry.kernel_offsets
     op.kernel, op.norm = op.symmetry.fill(reflect(_kernel_blocks(grid, omega, distinct), signed),
-                                          beta)
+                                          beta, plan.fill_rows)
     return op
 
 
@@ -463,18 +535,16 @@ def _lu_solve(getrs, lu, piv, coords):
 def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):
     """Solve (I - K diag(beta)) x = rhs to ||op x - rhs|| <= tol ||rhs||.
 
-    rhs: (3N,) or (3N, m).  The representation decides the method.  A
-    stored kernel's blocks are built once, in the precision op.lu decides
-    from its block sizes and ||A||_inf (complex128 for blocks of at most
-    _DOUBLE_LU_MAX, LU-solved through the first solve and inverted at the
-    second, else complex64 LU factors), and every solve is refined in
-    complex128 to a backward error of one float64 epsilon, so the answer is
-    accurate to complex128 whatever tol is; if 30 refinement steps on complex64
-    factors do not reach that bound the operator is refactorized once in
-    complex128 and the solve refined again.  The lattice operator
-    is solved by restarted GMRES with a diagonal preconditioner to tol/10,
-    column by column, and fails unless the true residual GMRES returns is
-    within tol.  The vacuum operator returns a copy of rhs.
+    rhs: (3N,) or (3N, m).  The plan's representation decides the method.
+    A dense operator is solved on op.lu()'s block solves, in the factors
+    its plan gives, and every solve is refined in complex128 to a backward
+    error of one float64 epsilon, so the answer is accurate to complex128
+    whatever tol is; if 30 refinement steps on complex64 factors do not
+    reach that bound the operator is refactorized once in complex128 and
+    the solve refined again.  The lattice operator is solved by restarted
+    GMRES with a diagonal preconditioner to tol/10, column by column, and
+    fails unless the true residual GMRES returns is within tol.  The
+    identity returns a copy of rhs.
     """
     if not tol > 0.0:
         raise ValueError("solver tolerance must be positive")
@@ -488,7 +558,7 @@ def solve_system(op: InteractionOperator, rhs, tol: float = 1e-10):
     if rhs_norm == 0.0:
         return np.zeros_like(rhs)
 
-    if op.kernel is not None:
+    if op.plan.representation == "dense":
         x, resid, steps, met = _refined_lu_solve(op, b, op.lu())
         if not met and op.factored[-1] == np.complex64:  # too ill-conditioned for them
             x, resid, more, met = _refined_lu_solve(op, b, op.lu(double=True))
@@ -596,31 +666,24 @@ class MediumSolver:
 
     All Green-tensor, field-coefficient and LDOS computations at a fixed
     frequency go through this object, which assembles once and builds its
-    blocks once (lu_factor: a small block is LU-solved through the first
-    solve and inverted at the second, for every later one):
-    solve, solved (memoised by key) and grid_fields give on-grid values,
+    block solves once: solve, solved (memoised by key) and grid_fields give on-grid values,
     and evaluate carries any of them (Green columns, e or m) to arbitrary
     points.  G0 rows and solved fields (Green columns by point, field
     coefficients by mode) are each memoised, read-only, for the
     _FIELDS_KEPT keys used last (_recall).
     materials maps every region id of the grid to its PermittivityModel,
-    which also gives eps at frequencies other than omega.  method is the
-    one solve decision: "dense" stores the kernel (LU) at any size,
-    "gmres" the lattice FFT operator (GMRES), "auto" the kernel up to
-    dense_cap voxels.
+    which also gives eps at frequencies other than omega.  method
+    ("auto", "dense" or "gmres") and dense_cap are plan's.
     """
 
     def __init__(self, grid: VoxelGrid, materials: Mapping, omega: float, tol: float = 1e-10,
                  method: str = "auto", dense_cap: int = 1000):
-        if method not in ("auto", "dense", "gmres"):
-            raise ValueError(f"unknown solve method {method!r}")
         self.grid = grid
         self.materials = materials
         self.omega = float(omega)
         self.tol = float(tol)
         self.eps, self.beta = eps_on_grid(grid, materials, omega)
-        dense = method == "dense" or (method == "auto" and grid.n <= dense_cap)
-        self.op = assemble(grid, self.beta, omega, dense=dense)
+        self.op = assemble(grid, self.beta, omega, plan=plan(grid, self.beta, method, dense_cap))
         self._solved, self._rows = {}, {}
 
     def solve(self, rhs):

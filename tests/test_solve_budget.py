@@ -375,7 +375,7 @@ def test_a_sweep_gathers_its_kernel_rows_into_one_held_scratch(monkeypatch):
     gathered, images = (16 * 9 * len(basis.rows) * n for n in (order * reps, 257))
     assert all(op.symmetry is basis for op in ops)
     assert all(buffer is buffers[0] for buffer in buffers)
-    assert buffers[0].nbytes == gathered <= symmetry._ROWS_CHUNK_BYTES
+    assert buffers[0].nbytes == gathered <= vie._ROWS_CHUNK_BYTES
     assert max(peaks[1:]) < gathered + images
     worker = []
 

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from greenvox import (Box, EmitterSpec, LorentzPole, MaskShape, MediumSolver,
                       assemble, build_grid, dyson_residual, eval_eps,
                       g0_closed, gamma_decomposed, im_green_at, ldos_identity_residual,
                       purcell, purcell_sweep, scaled_contrast, solve_system)
-from greenvox.geometry import write_mask
+from greenvox.geometry import eps_on_grid, write_mask
 from greenvox.modes import (MedModeIndex, e_coefficient, e_coefficient_via_green,
                             m_coefficient, noise_current_amplitude, u_numerator_e,
                             u_numerator_m, v_component_m)
@@ -199,20 +200,24 @@ def test_a_stalled_complex64_solve_refactors_in_complex128(monkeypatch, name, wi
     assert np.linalg.norm(x - reference) <= 1e-13 * np.linalg.norm(reference)
 
 
-@pytest.mark.parametrize("dtype, d", [(np.complex128, 3), (np.complex128, 401),
-                                      (np.complex64, 3), (np.complex64, 401)])
-def test_a_singular_block_is_refused_in_either_factor_form(dtype, d):
+@pytest.mark.parametrize("dtype, d, form", [(np.complex128, 3, "numpy"),
+                                            (np.complex128, 401, "getrf"),
+                                            (np.complex64, 3, "getrf"),
+                                            (np.complex64, 401, "getrf")],
+                         ids=["complex128-3", "complex128-401", "complex64-3", "complex64-401"])
+def test_a_singular_block_is_refused_in_either_factor_form(dtype, d, form):
     """An all-zero block raises SolverError before its solve returns anything, whether
-    numpy solves it (complex128, at most _DOUBLE_LU_MAX rows: gesv at each call, the
-    inverse when the operator is solved again) or LAPACK's LU does (every other block),
-    where getrf reports the zero pivot in its info at factor time."""
+    numpy solves it (the "numpy" form plan gives a complex128 block of at most
+    _DOUBLE_LU_MAX rows: gesv at each call, the inverse when the operator is solved
+    again) or LAPACK's LU does (the "getrf" form of every other block), where getrf
+    reports the zero pivot in its info at factor time."""
     import greenvox.vie as vie_mod
 
     coords, solved = np.ones((d, 2), dtype=dtype), []
     with pytest.raises(SolverError, match="singular block"):
-        solve = vie_mod.lu_factor(np.zeros((d, d), dtype=dtype))
+        solve = vie_mod.lu_factor(np.zeros((d, d), dtype=dtype), form)
         solved.append(solve(coords))
-    if dtype == np.complex128 and d <= vie_mod._DOUBLE_LU_MAX:
+    if form == "numpy":
         with pytest.raises(SolverError, match="singular block"):
             solve.invert()
         assert solve.inverse is None
@@ -357,27 +362,105 @@ SPHERE_1904 = [135, 103, 238, 373, 341, 373, 341, 135, 103, 238]
 SPHERE_4224 = [292, 236, 528, 820, 764, 820, 764, 292, 236, 528]
 
 
-@pytest.mark.parametrize("sizes, norm, dtype", [
-    (SPHERE_257, 3.0, np.complex128),
-    (SPHERE_1904, 3.0, np.complex128),
-    (SPHERE_4224, 3.0, np.complex64),
-    ([771], 3.0, np.complex64),
-    (SPHERE_4224, 1e38, np.complex64),
-    (SPHERE_257, F32_MAX, np.complex128),
-    (SPHERE_4224, F32_MAX - 2.0, np.complex128),
-    ([771], 1e48, np.complex128),
-    ([771], np.inf, np.complex128),
+def planned_bodies():
+    """(grid, materials) of the bodies whose plans the tests read: the Drude sphere of
+    radius 1 at three voxel edges, and the asymmetric body of sector_scenes."""
+    sphere = Sphere(center=(0, 0, 0), radius=1.0)
+    return {**{f"sphere {n}": (build_grid(sphere, edge), {1: DRUDE})
+               for n, edge in ((257, 0.2497), (1904, 0.13), (4224, 0.1))},
+            "asymmetric": sector_scenes()["asymmetric"][:2]}
+
+
+@pytest.mark.parametrize("body, sizes, norm, dtype", [
+    ("sphere 257", SPHERE_257, 3.0, np.complex128),
+    ("sphere 1904", SPHERE_1904, 3.0, np.complex128),
+    ("sphere 4224", SPHERE_4224, 3.0, np.complex64),
+    ("asymmetric", [771], 3.0, np.complex64),
+    ("sphere 4224", SPHERE_4224, 1e38, np.complex64),
+    ("sphere 257", SPHERE_257, F32_MAX, np.complex128),
+    ("sphere 4224", SPHERE_4224, F32_MAX - 2.0, np.complex128),
+    ("asymmetric", [771], 1e48, np.complex128),
+    ("asymmetric", [771], np.inf, np.complex128),
 ], ids=["sphere 257", "sphere 1904", "sphere 4224", "one sector 771", "large norm 4224",
         "float32 max 257", "float32 max 4224", "1e48 771", "inf 771"])
-def test_lu_precision_follows_the_block_sizes_and_the_norm(sizes, norm, dtype):
-    """The LU precision is a function of the stored blocks' sizes and ||A||_inf alone,
-    read before anything is assembled: complex128 for the ten blocks of the 257- and
-    the 1904-voxel sphere (at most 373 wide), complex64 for the 4224-voxel sphere's
-    (up to 820) and for one block of 771, and complex128 whatever the sizes once
-    ||A||_inf + 2 reaches the float32 range, where a complex64 block could overflow."""
+def test_lu_precision_follows_the_block_sizes_and_the_norm(body, sizes, norm, dtype):
+    """The planned LU precision is a function of the stored blocks' sizes alone, read
+    before anything is assembled: complex128 for the ten blocks of the 257- and the
+    1904-voxel sphere (at most 373 wide), complex64 for the 4224-voxel sphere's (up to
+    820) and for one block of 771.  lu() keeps it, and factors in complex128 whatever
+    the plan once ||A||_inf + 2 reaches the float32 range, where a complex64 block
+    could overflow: on an assembled operator planned in the same precision (the
+    257-voxel sphere in complex128, the asymmetric body in complex64) given that
+    ||A||_inf, lu() factors in dtype."""
     import greenvox.vie as vie_mod
 
-    assert vie_mod._lu_dtype(sizes, norm) == dtype
+    grid, materials = planned_bodies()[body]
+    planned = vie_mod.plan(grid, eps_on_grid(grid, materials, OMEGA)[1], "dense")
+    assert list(planned.sizes) == sizes
+    if norm == 3.0:
+        assert planned.dtype == dtype
+    like = "sphere" if planned.dtype == np.complex128 else "asymmetric"
+    op = MediumSolver(*sector_scenes()[like][:2], OMEGA, method="dense").op
+    assert op.plan.dtype == planned.dtype
+    op.norm = norm
+    op.lu()
+    assert op.factored == [dtype]
+
+
+def test_plans_are_read_before_anything_is_assembled(monkeypatch):
+    """plan reads every size decision with no G0 evaluated: the 257-voxel sphere is
+    dense, ten complex128 blocks in numpy form filled in one chunk; the 4224-voxel
+    sphere above dense_cap 1000 is the circulant lattice of 40 sites per axis, and
+    under method "dense" ten complex64 blocks up to 820 wide in getrf form, filled in
+    several chunks, refactored in complex128 in numpy form up to 400 rows; the
+    asymmetric body is one complex64 block of 771; vacuum is the identity."""
+    import greenvox.vie as vie_mod
+
+    evaluated = []
+    build = vie_mod._kernel_blocks
+    monkeypatch.setattr(vie_mod, "_kernel_blocks",
+                        lambda *args: evaluated.append(args) or build(*args))
+    bodies = planned_bodies()
+
+    def planned(body, *args):
+        grid, materials = bodies[body]
+        beta = eps_on_grid(grid, materials, OMEGA)[1]
+        return vie_mod.plan(grid, beta, *args), grid.symmetry_basis(beta)
+
+    small, basis = planned("sphere 257", "auto", 1000)
+    assert small.representation == "dense" and list(small.sizes) == SPHERE_257
+    assert small.dtype == np.complex128 and small.forms == ("numpy",) * 10
+    assert small.double_forms == small.forms and small.fill_rows == len(basis.rows)
+    lattice, _ = planned("sphere 4224", "auto", 1000)
+    assert lattice.representation == "lattice" and lattice.circulant == (40, 40, 40)
+    assert lattice.sizes == () and lattice.dtype is None
+    large, basis = planned("sphere 4224", "dense", 1000)
+    assert large.representation == "dense" and list(large.sizes) == SPHERE_4224
+    assert large.dtype == np.complex64 and max(large.sizes) == 820
+    assert large.forms == ("getrf",) * 10
+    assert large.double_forms == tuple("numpy" if d <= 400 else "getrf" for d in large.sizes)
+    assert 1 <= large.fill_rows and math.ceil(len(basis.rows) / large.fill_rows) > 1
+    one, _ = planned("asymmetric", "dense", 1000)
+    assert one.sizes == (771,) and one.dtype == np.complex64 and one.forms == ("getrf",)
+    grid = bodies["sphere 257"][0]
+    assert vie_mod.plan(grid, np.zeros(grid.n), "dense", 1000) == vie_mod.Plan("identity")
+    assert evaluated == []
+
+
+def test_a_circulant_axis_is_padded_to_an_fft_friendly_length():
+    """An axis of 13 sites takes a circulant of 27 (26 = 2 x 13 is not 11-smooth), one of
+    2 keeps 4, and the lattice product on that extent equals the pairwise kernel's to
+    1e-13."""
+    import greenvox.vie as vie_mod
+
+    grid = build_grid(Box(min_corner=(-0.65, -0.1, -0.1), max_corner=(0.65, 0.1, 0.1)), 0.1)
+    assert grid.lattice_shape == (13, 2, 2)
+    beta = lorentz_beta(grid)
+    op = assemble(grid, beta, OMEGA, plan=vie_mod.plan(grid, beta, "gmres"))
+    assert op.plan.circulant == (27, 4, 4) and op.lattice.shape == (3, 3, 27, 4, 4)
+    q = np.random.default_rng(9).normal(size=(op.n3, 2)) * (1 + 0.5j)
+    expected = pairwise_kernel(grid, OMEGA) @ q
+    assert np.linalg.norm(op.kernel_product(q) - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 @st.composite
@@ -562,7 +645,7 @@ def test_first_dense_assembly_holds_little_beside_the_blocks():
     kernel rows (the rows are gathered and folded a few MiB at a time), and leaves no
     N x N array on the grid, and no array an assembly could write to: the grid and
     its bases are shared by the solvers of every frequency."""
-    import greenvox.symmetry as symmetry
+    import greenvox.vie as vie_mod
 
     warm = build_grid(Sphere(center=(0, 0, 0), radius=1.0), 0.5)
     assemble(warm, np.ones(warm.n), OMEGA)  # imports and one-time caches, outside the count
@@ -575,7 +658,7 @@ def test_first_dense_assembly_holds_little_beside_the_blocks():
     finally:
         tracemalloc.stop()
     assert grid.n == 840 and op.sectors == (315,) * 8 and len(op.blocks) == 10
-    assert peak < op.kernel.nbytes + 2 * symmetry._ROWS_CHUNK_BYTES
+    assert peak < op.kernel.nbytes + 2 * vie_mod._ROWS_CHUNK_BYTES
 
     def arrays(value):
         if isinstance(value, np.ndarray):
@@ -598,25 +681,27 @@ def test_assembly_in_chunks_equals_the_one_chunk_assembly(name, monkeypatch):
     where they do not divide), every body assembles in at least three chunks, each
     into the front of the rows buffer the one-chunk assembly left in this thread."""
     import greenvox.symmetry as symmetry
+    import greenvox.vie as vie_mod
 
     if name == "sphere 840":
         grid, materials = build_grid(Sphere(center=(0, 0, 0), radius=1.0), 0.17), {1: DRUDE}
     else:
         grid, materials, _ = sector_scenes()[name]
     beta = MediumSolver(grid, materials, OMEGA, method="dense").beta
-    monkeypatch.setattr(symmetry, "_ROWS_CHUNK_BYTES", 1 << 40)
+    monkeypatch.setattr(vie_mod, "_ROWS_CHUNK_BYTES", 1 << 40)
     whole = assemble(grid, beta, OMEGA)
     basis, buffer = whole.symmetry, symmetry._held.rows
     order, reps = basis.members.shape
-    per_row = 48 * (order * 3 * reps + 3 * grid.n)  # rows and images, as assemble counts them
+    per_row = 48 * (order * 3 * reps + 3 * grid.n)  # rows and images, as plan counts them
     chunks = []
     transform = symmetry.SymmetryBasis.transform
     monkeypatch.setattr(symmetry.SymmetryBasis, "transform",
                         lambda self, x: chunks.append(x.shape[-1]) or transform(self, x))
     for step in sorted({1, max(1, (len(basis.rows) - 1) // 3)}):
-        monkeypatch.setattr(symmetry, "_ROWS_CHUNK_BYTES", step * per_row)
+        monkeypatch.setattr(vie_mod, "_ROWS_CHUNK_BYTES", step * per_row)
         chunks.clear()
         op = assemble(grid, beta, OMEGA)
+        assert op.plan.fill_rows == step, (name, step)
         assert len(chunks) >= 3 and sum(chunks) == 3 * len(basis.rows), (name, step)
         assert op.kernel.tobytes() == whole.kernel.tobytes(), (name, step)
         assert op.norm == whole.norm, (name, step)
@@ -675,7 +760,8 @@ def test_fft_product_matches_dense_kernel(tmp_path):
     rng = np.random.default_rng(5)
     for name, grid in lattice_grids(tmp_path).items():
         dense = assemble(grid, lorentz_beta(grid), OMEGA)
-        fft = assemble(grid, lorentz_beta(grid), OMEGA, dense=False)
+        fft = assemble(grid, lorentz_beta(grid), OMEGA,
+                       plan=vie_mod.plan(grid, lorentz_beta(grid), "gmres"))
         assert fft.kernel is None
         assert fft.lattice.flags.c_contiguous, name
         if name == "two boxes":
@@ -1125,8 +1211,8 @@ def test_grid_forms_are_gone():
 
     expected = {"assemble", "dyson_residual", "solve_system"}
     # lu_factor: the one block factorization, public so that a budget or a trace can count
-    # it by name, and not exported
-    assert vie_functions(vars(vie), vars(vie).get) == expected | {"lu_factor"}
+    # it by name; plan: an operator's size decisions, read before assembly; neither exported
+    assert vie_functions(vars(vie), vars(vie).get) == expected | {"lu_factor", "plan"}
     assert vie_functions(greenvox.__all__, lambda name: getattr(greenvox, name)) == expected
 
 
