@@ -17,7 +17,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "constants": ("Constants", "UnitSystem", "from_internal", "to_internal"),
+    "constants": ("UnitSystem",),
     "geometry": ("Box", "GridError", "MaskShape", "Sphere", "VoxelGrid", "build_grid",
                  "eps_on_grid"),
     "green_free": ("PlaneWaveMode", "fd_curl", "fd_curl_curl", "g0_closed",
@@ -25,9 +25,9 @@ _EXPORTS = {
                    "self_term", "sommerfeld_residual"),
     "ldos": ("DecayRates", "EmitterSpec", "gamma_decomposed", "im_green_at",
              "ldos_identity_residual", "purcell", "purcell_sweep", "vacuum_decay_rate"),
-    "modes": ("FieldCoefficientSample", "MedModeIndex", "NearSingularError", "e_coefficient",
-              "e_coefficient_via_green", "m_coefficient", "noise_current_amplitude",
-              "u_numerator_e", "u_numerator_m", "v_component_e", "v_component_m"),
+    "modes": ("MedModeIndex", "NearSingularError", "e_coefficient", "e_coefficient_via_green",
+              "m_coefficient", "noise_current_amplitude", "u_numerator_e", "u_numerator_m",
+              "v_component_e", "v_component_m"),
     "permittivity": ("LorentzPole", "PermittivityModel", "PrincipalValueQuadrature",
                      "coupling_alpha_tilde", "eval_eps", "kk_residual", "scaled_contrast"),
     "quadrature": ("SphereQuadrature", "make_shell_quadrature"),

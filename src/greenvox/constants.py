@@ -34,24 +34,10 @@ EPS0_SI = 8.8541878128e-12   # vacuum permittivity, F/m
 HBAR_SI = 1.054571817e-34    # reduced Planck constant, J s
 
 
-@dataclass(frozen=True)
-class Constants:
-    """Physical constants of the ambient vacuum (SI values)."""
-
-    c: float = C_SI
-    eps0: float = EPS0_SI
-    hbar: float = HBAR_SI
-
-    def __post_init__(self):
-        for name in ("c", "eps0", "hbar"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"constant {name!r} must be strictly positive")
-
-
-#: Unit tags accepted by :func:`to_internal` / :func:`from_internal`.
+#: Unit tags accepted by :meth:`UnitSystem.to_internal` and :meth:`UnitSystem.from_internal`.
 #: "dipole" is charge*length; its internal scale sqrt(eps0*hbar*c)*L0 makes
 #: decay rates come out in units of c/L0.
-UNIT_KINDS = ("length", "frequency", "rate", "time", "dipole", "dimensionless")
+UNIT_KINDS = ("length", "frequency", "rate", "dipole")
 
 
 @dataclass(frozen=True)
@@ -66,7 +52,6 @@ class UnitSystem:
 
     mode: str = "natural"
     L0: float = 1.0
-    constants: Constants = Constants()
 
     def __post_init__(self):
         if self.mode not in ("SI", "natural"):
@@ -76,17 +61,12 @@ class UnitSystem:
 
     def _scale(self, kind: str) -> float:
         """Multiplicative factor taking an SI value to its internal value."""
-        k = self.constants
         if kind == "length":
             return 1.0 / self.L0
         if kind in ("frequency", "rate"):
-            return self.L0 / k.c
-        if kind == "time":
-            return k.c / self.L0
+            return self.L0 / C_SI
         if kind == "dipole":
-            return 1.0 / ((k.eps0 * k.hbar * k.c) ** 0.5 * self.L0)
-        if kind == "dimensionless":
-            return 1.0
+            return 1.0 / ((EPS0_SI * HBAR_SI * C_SI) ** 0.5 * self.L0)
         raise ValueError(f"unknown unit tag {kind!r} (expected one of {UNIT_KINDS})")
 
     def to_internal(self, value, kind: str):
@@ -103,10 +83,3 @@ class UnitSystem:
             return value
         return value / scale
 
-
-def to_internal(value, kind: str, units: UnitSystem):
-    return units.to_internal(value, kind)
-
-
-def from_internal(value, kind: str, units: UnitSystem):
-    return units.from_internal(value, kind)

@@ -343,16 +343,14 @@ def purcell_sweep(solver_at, emitter_position, dipole, omegas):
     """Purcell/decay table over frequencies; per-row failures are recorded.
 
     solver_at(omega) returns the MediumSolver of one frequency, such as
-    SceneConfig.solver.  Returns one dict per frequency with keys omega,
-    purcell, gamma_e, gamma_m, identity_residual (relative), or an error
-    message for rows whose solver could not be built, whose solve failed
-    or which ran out of memory.  Rows are independent; each takes one
+    SceneConfig.solver.  Returns one dict per frequency, in the order of
+    omegas, with keys omega, purcell, gamma_e, gamma_m, identity_residual
+    (relative), or an error message for rows whose solver could not be
+    built, whose solve failed or which ran out of memory.  Rows are
+    independent, so omegas may come in any order; each takes one
     3-column solve and one kernel product (Gamma_e is the exact shell
     integral).
     """
-    omegas = list(omegas)
-    if any(b < a for a, b in zip(omegas[:-1], omegas[1:])):
-        raise ValueError("frequencies must be sorted ascending")
     rows = []
     for w in omegas:
         try:

@@ -3,8 +3,11 @@
 The electric-field operator of the coupled field-medium system carries
 one complex vector coefficient per continuum label: e_kappa(r) for the
 electromagnetic continuum kappa = (k, sigma, zeta) and m_mu(r) for the
-medium continuum mu = (x, nu, j).  Both reduce to Fredholm problems with
-the same kernel as the medium Green tensor:
+medium continuum mu = (x, nu, j), weighted by sqrt(hbar / (2 eps0 w)),
+1/sqrt(2 w) in natural units, w the mode frequency (omega_kappa or nu_mu);
+the functions here return the coefficients without that weight.  Both
+reduce to Fredholm problems with the same kernel as the medium Green
+tensor:
 
     e_kappa = omega Phi_kappa + int_V G0 beta e_kappa,
     m_mu    = -alpha_tilde(x, nu) nu^2 G0(., x) n_j + int_V G0 beta m_mu,
@@ -77,26 +80,6 @@ class MedModeIndex:
         n = np.zeros(3)
         n[self.j - 1] = 1.0
         return n
-
-
-@dataclass(frozen=True)
-class FieldCoefficientSample:
-    """Field coefficient value with its operator prefactor sqrt(1/(2 w)).
-
-    The electric-field operator weighs each continuum coefficient by
-    sqrt(hbar / (2 eps0 w)); in natural units that is 1/sqrt(2 w) with w
-    the mode frequency (omega_kappa or nu_mu).
-    """
-
-    location: tuple[float, float, float]
-    value: tuple[complex, complex, complex]
-    prefactor: float
-
-    def __post_init__(self):
-        if not self.prefactor > 0.0:
-            raise ValueError("operator prefactor must be positive")
-        if not all(np.isfinite(v) for v in self.value):
-            raise ValueError("field coefficient must be finite")
 
 
 def _alpha_at(solver: MediumSolver, index: int, nu: float) -> float:

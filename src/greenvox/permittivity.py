@@ -53,13 +53,12 @@ class PermittivityModel:
     """Sum-of-Lorentz-poles permittivity of one material region."""
 
     poles: tuple[LorentzPole, ...] = ()
-    region_id: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "poles", tuple(self.poles))
 
 
-VACUUM = PermittivityModel(poles=(), region_id=0)
+VACUUM = PermittivityModel()
 
 
 def eval_eps(model: PermittivityModel, omega):
@@ -189,7 +188,7 @@ def _frequency_scale(model: PermittivityModel, lam: float) -> float:
     return s
 
 
-def _model_breakpoints(model: PermittivityModel, lam: float, nu_max: float):
+def _model_breakpoints(model: PermittivityModel, nu_max: float):
     pts = {0.0, nu_max}
     for p in model.poles:
         for k in (1.0, 5.0, 25.0):
@@ -218,7 +217,7 @@ def kk_residual(model: PermittivityModel, lam: float,
     def integrand(nu):
         return coupling_alpha_tilde(model, nu) ** 2 / (nu**2 - lam**2)
 
-    pv = principal_value_integral(integrand, lam, _model_breakpoints(model, lam, nu_max),
+    pv = principal_value_integral(integrand, lam, _model_breakpoints(model, nu_max),
                                   n_nodes=quad.n_nodes, delta=quad.delta_frac * lam)
     half_residue = 1j * np.pi * coupling_alpha_tilde(model, lam) ** 2 / (2.0 * lam)
     return float(abs(pv + half_residue - (eval_eps(model, lam) - 1.0)))

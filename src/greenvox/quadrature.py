@@ -49,20 +49,17 @@ class SphereQuadrature:
         return len(self.nodes)
 
     def refine(self, factor: int = 2) -> "SphereQuadrature":
-        return make_shell_quadrature(1.0, self.n_theta * factor, self.n_phi * factor)
+        return make_shell_quadrature(self.n_theta * factor, self.n_phi * factor)
 
 
-def make_shell_quadrature(omega: float, n_theta: int = 8, n_phi: int = 16,
-                          rotation=None) -> SphereQuadrature:
+def make_shell_quadrature(n_theta: int = 8, n_phi: int = 16, rotation=None) -> SphereQuadrature:
     """Product Gauss-Legendre(cos theta) x uniform(phi) rule on k_z >= 0.
 
-    omega only labels the shell the rule will be used on (nodes are
-    direction vectors; the omega^2 shell factor is applied at use).  An
-    optional 3x3 rotation reorients the node set; shell integrals of
-    parity-even integrands are unchanged by any rotation.
+    The nodes are direction vectors, the same on every shell (the omega^2
+    shell factor is applied at use).  An optional 3x3 rotation reorients
+    the node set; shell integrals of parity-even integrands are unchanged
+    by any rotation.
     """
-    if not omega > 0.0:
-        raise ValueError("shell frequency must be positive")
     if n_theta < 2 or n_phi < 2:
         raise ValueError("quadrature orders must be at least 2")
     mu, wmu = np.polynomial.legendre.leggauss(n_theta)

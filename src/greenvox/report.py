@@ -137,7 +137,7 @@ def run_validation(cfg: SceneConfig) -> RunReport:
     grid = cfg.grid
     probes = _validate_defaults(cfg, grid)
     omega = probes["omega"]
-    quad = make_shell_quadrature(omega, cfg.n_theta, cfg.n_phi)
+    quad = make_shell_quadrature(cfg.n_theta, cfg.n_phi)
 
     def check(name, value, detail="", threshold=None, limit=None):
         """Append one check; threshold from THRESHOLDS (by the name before any

@@ -330,7 +330,7 @@ def scene_from_dict(raw: dict, source_path=None, base_dir=None) -> SceneConfig:
     except GridError as exc:
         raise SceneError([str(exc)]) from None
 
-    materials = {rid: PermittivityModel(region_id=rid, poles=tuple(
+    materials = {rid: PermittivityModel(poles=tuple(
         LorentzPole(**{k: _to_internal(units, v, "frequency") for k, v in p.items()})
         for p in poles)) for rid, poles in parsed_materials}
 

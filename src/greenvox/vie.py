@@ -152,27 +152,29 @@ class Plan:
 
     representation: "identity", "dense" or "lattice".  A dense plan holds
     sizes, the d_c of every stored block in the order of the symmetry
-    basis's classes; dtype and forms, the dtype of the first factorization
-    and the form of each block's solve in it ("numpy" or "getrf",
-    lu_factor's two); double_forms, the forms of the complex128 refactor;
-    and fill_rows, the row representatives SymmetryBasis.fill reads per
-    chunk.  A lattice plan holds circulant, the sites of the circulant
-    lattice per axis.
+    basis's classes; dtype, the dtype of the first factorization; and
+    fill_rows, the row representatives SymmetryBasis.fill reads per chunk.
+    A lattice plan holds circulant, the sites of the circulant lattice per
+    axis.
     """
 
     representation: str
     sizes: tuple = ()
     dtype: np.dtype | None = None
-    forms: tuple = ()
-    double_forms: tuple = ()
     fill_rows: int = 0
     circulant: tuple = ()
+
+    def forms(self, dtype) -> tuple:
+        """The form of each block's solve in a factorization in dtype, lu_factor's two:
+        "numpy" for a complex128 block of at most _DOUBLE_LU_MAX rows, "getrf" else."""
+        double = np.dtype(dtype) == np.complex128
+        return tuple("numpy" if double and d <= _DOUBLE_LU_MAX else "getrf" for d in self.sizes)
 
 
 def plan(grid: VoxelGrid, beta, method: str = "auto", dense_cap: int = 1000) -> Plan:
     """The Plan of the operator of grid and the per-voxel beta (N,), with nothing
-    assembled; the one function that reads dense_cap, _DOUBLE_LU_MAX and
-    _ROWS_CHUNK_BYTES.
+    assembled; with Plan.forms, the only reader of dense_cap, _DOUBLE_LU_MAX
+    and _ROWS_CHUNK_BYTES.
 
     Representation.  beta = 0 is the identity.  method "dense" stores the
     kernel at any size, "gmres" keeps the circulant lattice, and "auto"
@@ -194,8 +196,7 @@ def plan(grid: VoxelGrid, beta, method: str = "auto", dense_cap: int = 1000) -> 
     scipy.linalg, which only that form imports (its import costs more than
     every factorization of small blocks), so a process whose blocks are all
     at most _DOUBLE_LU_MAX wide, or that solves by GMRES, loads no
-    scipy.linalg.  double_forms apply the same rule to the complex128
-    refactor.
+    scipy.linalg.  Plan.forms applies the rule to either dtype.
 
     Fill.  A row representative's kernel rows and their adapted images take
     48 (3 G R + 3 N) bytes (G mirror images, R mirror orbits), and fill reads as
@@ -214,11 +215,9 @@ def plan(grid: VoxelGrid, beta, method: str = "auto", dense_cap: int = 1000) -> 
         return Plan("lattice", circulant=tuple(_smooth(2 * n) for n in grid.lattice_shape))
     basis = grid.symmetry_basis(beta)
     sizes = tuple(len(cls.voxels) for cls in basis.classes)
-    double_forms = tuple("numpy" if d <= _DOUBLE_LU_MAX else "getrf" for d in sizes)
     single = max(sizes) > _DOUBLE_LU_MAX
     rows = _ROWS_CHUNK_BYTES // (48 * (basis.order * 3 * len(basis.reps) + 3 * grid.n))
     return Plan("dense", sizes, np.dtype(np.complex64 if single else np.complex128),
-                ("getrf",) * len(sizes) if single else double_forms, double_forms,
                 min(len(basis.rows), max(1, rows)))
 
 
@@ -367,11 +366,11 @@ class InteractionOperator:
         A commutes with the mirrors and axis permutations of self.symmetry, so
         its block in every copy of a class is I - blocks[c] diag(beta_t),
         beta_t the beta of coordinate t's orbit.  Each block is built
-        C-ordered in the plan's dtype and handed to lu_factor in its form, or
-        in complex128 and the plan's double_forms with double=True (whose
-        solves replace the first ones).  A planned complex64 is raised to
-        complex128 here, the one decision that reads the entries, unless
-        bound + 2 is below the largest float32, bound = max(||A||_inf,
+        C-ordered in the plan's dtype, or in complex128 with double=True
+        (whose solves replace the first ones), and handed to lu_factor in
+        the form plan.forms gives it in that dtype.  A planned complex64 is
+        raised to complex128 here, the one decision that reads the entries,
+        unless bound + 2 is below the largest float32, bound = max(||A||_inf,
         max |blocks| max |beta|): an entry of a block of A is at most
         bound + 1 in modulus (||A||_inf bounds them for one material, an
         orthonormal block of K having entries at most ||K||_2 <=
@@ -384,14 +383,15 @@ class InteractionOperator:
         if self._lu is None or (double and self.factored[-1] != np.complex128):
             if self.plan.representation != "dense":
                 raise SolverError("LU requested from a matrix-free operator")
-            dtype, forms = self.plan.dtype, self.plan.forms
+            dtype = self.plan.dtype
             if dtype == np.complex64 and not double:
                 bound = max(self.norm, float(np.abs(self.kernel).max() * np.abs(self.beta).max()))
                 double = not bound + 2.0 < float(np.finfo(np.float32).max)
             if double:
-                dtype, forms = np.dtype(np.complex128), self.plan.double_forms
+                dtype = np.dtype(np.complex128)
             solves = []
-            for cls, kernel, form in zip(self.symmetry.classes, self.blocks, forms):
+            for cls, kernel, form in zip(self.symmetry.classes, self.blocks,
+                                         self.plan.forms(dtype)):
                 block = np.empty(kernel.shape, dtype=dtype)
                 np.multiply(kernel, -self.beta[cls.voxels], out=block, casting="same_kind")
                 block.reshape(-1)[::len(block) + 1] += 1.0

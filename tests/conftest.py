@@ -25,11 +25,9 @@ CUBE_VOXEL = 0.2
 SPHERE_RADIUS = 1.0
 SPHERE_VOXEL = 0.2497  # 257 voxels, volume defect -4.5%
 
-LORENTZ = PermittivityModel(poles=(LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4),),
-                            region_id=1)
-DRUDE = PermittivityModel(poles=(LorentzPole(omega0=0.0, omegap=1.5, gamma=0.3),),
-                          region_id=1)
-VACUUM = PermittivityModel(poles=(), region_id=1)
+LORENTZ = PermittivityModel(poles=(LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4),))
+DRUDE = PermittivityModel(poles=(LorentzPole(omega0=0.0, omegap=1.5, gamma=0.3),))
+VACUUM = PermittivityModel()
 
 
 def loglog_slope(xs, ys) -> float:

@@ -54,7 +54,7 @@ def test_criterion_1_free_space_spectral_identity():
         y = x + np.array([3.2, 1.1, -2.0])  # separated pair: visible error
         exact_pair = g0_closed(x, y, w).imag
         for nt, nphi in ((4, 8), (8, 16), (16, 32)):
-            q = make_shell_quadrature(w, nt, nphi)
+            q = make_shell_quadrature(nt, nphi)
             errs_coinc.append(np.linalg.norm(im_g0_spectral(x, x, w, q) - target))
             errs_pair.append(np.linalg.norm(im_g0_spectral(x, y, w, q) - exact_pair))
         # default order meets 1e-3 at coincidence
@@ -105,7 +105,7 @@ def test_criterion_5_ldos_identity_drude_sphere(sphere_grid, sphere_solver):
         residuals = []
         for nt, nphi in ((2, 4), (4, 8), (8, 16)):
             kappa = kappa_by_quadrature(sphere_solver, x, x,
-                                        make_shell_quadrature(OMEGA, nt, nphi))
+                                        make_shell_quadrature(nt, nphi))
             residuals.append(relative_residuals(ident, kappa)[0])
         # default quadrature meets the bound; refinement decreases the residual
         assert residuals[2] < 1e-2

@@ -1,16 +1,9 @@
 import numpy as np
 import pytest
 
-from greenvox import Constants, UnitSystem
-from greenvox.constants import UNIT_KINDS
+from greenvox import UnitSystem
+from greenvox.constants import C_SI, EPS0_SI, HBAR_SI, UNIT_KINDS
 from greenvox.ldos import vacuum_decay_rate
-
-
-def test_constants_positive_invariant():
-    with pytest.raises(ValueError):
-        Constants(c=-1.0)
-    with pytest.raises(ValueError):
-        Constants(eps0=0.0)
 
 
 def test_natural_mode_is_identity():
@@ -24,7 +17,7 @@ def test_si_length_and_frequency_definitions():
     # one reference length maps to 1.0
     assert u.to_internal(2.0, "length") == 1.0
     # omega = c / L0 maps to 1.0 internal
-    assert u.to_internal(u.constants.c / 2.0, "frequency") == pytest.approx(1.0, rel=1e-15)
+    assert u.to_internal(C_SI / 2.0, "frequency") == pytest.approx(1.0, rel=1e-15)
 
 
 def test_round_trip_property():
@@ -56,10 +49,9 @@ def test_natural_vacuum_decay_rate_form():
 def test_si_dipole_scale_consistent_with_decay_rate():
     """Gamma_0 computed internally from converted inputs equals the SI formula."""
     u = UnitSystem(mode="SI", L0=1e-6)
-    k = u.constants
     omega_si = 2.4e15           # rad/s
     d_si = 3.2e-29              # C m
-    gamma_si = omega_si**3 * d_si**2 / (3 * np.pi * k.eps0 * k.hbar * k.c**3)
+    gamma_si = omega_si**3 * d_si**2 / (3 * np.pi * EPS0_SI * HBAR_SI * C_SI**3)
     w = u.to_internal(omega_si, "frequency")
     d = u.to_internal(d_si, "dipole")
     gamma_int = vacuum_decay_rate(w, [d, 0.0, 0.0])

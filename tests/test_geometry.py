@@ -101,10 +101,10 @@ def test_mask_header_and_count_errors(tmp_path):
 
 def test_eps_on_grid_vacuum_and_signs():
     grid = build_grid(Box(min_corner=(0, 0, 0), max_corner=(0.4, 0.4, 0.4)), 0.2)
-    vac = {1: PermittivityModel(poles=(), region_id=1)}
+    vac = {1: PermittivityModel()}
     eps, beta = eps_on_grid(grid, vac, 1.3)
     assert np.all(eps == 1.0) and np.all(beta == 0.0)
-    lorentz = {1: PermittivityModel(poles=(LorentzPole(1.5, 1.0, 0.4),), region_id=1)}
+    lorentz = {1: PermittivityModel(poles=(LorentzPole(1.5, 1.0, 0.4),))}
     eps, beta = eps_on_grid(grid, lorentz, 1.3)
     assert np.all(beta.imag > 0.0)  # Im beta > 0 wherever Im eps > 0
 
@@ -113,8 +113,8 @@ def test_eps_on_grid_two_materials(tmp_path):
     outer = Box(min_corner=(-0.3, -0.3, -0.3), max_corner=(0.3, 0.3, 0.3), region_id=1)
     inner = Sphere(center=(0, 0, 0), radius=0.15, region_id=2)
     grid = build_grid([outer, inner], 0.1)
-    mats = {1: PermittivityModel(poles=(LorentzPole(1.5, 1.0, 0.4),), region_id=1),
-            2: PermittivityModel(poles=(LorentzPole(0.0, 2.0, 0.2),), region_id=2)}
+    mats = {1: PermittivityModel(poles=(LorentzPole(1.5, 1.0, 0.4),)),
+            2: PermittivityModel(poles=(LorentzPole(0.0, 2.0, 0.2),))}
     omega = 0.9
     eps, _ = eps_on_grid(grid, mats, omega)
     for rid in (1, 2):

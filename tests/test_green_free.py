@@ -196,7 +196,7 @@ def test_phi_box_orthonormality():
 # ----------------------------------------------------------------------
 
 def test_im_g0_coincidence_limit():
-    q = make_shell_quadrature(1.0, 8, 16)
+    q = make_shell_quadrature(8, 16)
     x = np.array([0.3, -0.2, 0.5])
     for w in (0.5, 1.0, 2.7):
         M = im_g0_spectral(x, x, w, q)
@@ -204,7 +204,7 @@ def test_im_g0_coincidence_limit():
 
 
 def test_im_g0_matches_closed_form_at_separation():
-    q = make_shell_quadrature(1.0, 8, 16)  # 128 nodes >= 26
+    q = make_shell_quadrature(8, 16)  # 128 nodes >= 26
     w = 1.0
     x = np.array([0.1, 0.2, -0.3])
     y = x + np.array([0.8, -0.35, 0.45])   # |x-y| ~ 1/w
@@ -217,9 +217,9 @@ def test_im_g0_rotation_invariance():
     w = 1.2
     x = np.array([0.0, 0.1, 0.2])
     y = np.array([0.7, -0.2, 0.6])
-    base = im_g0_spectral(x, y, w, make_shell_quadrature(w, 8, 16))
+    base = im_g0_spectral(x, y, w, make_shell_quadrature(8, 16))
     A = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))[0]
-    rot = im_g0_spectral(x, y, w, make_shell_quadrature(w, 8, 16, rotation=A))
+    rot = im_g0_spectral(x, y, w, make_shell_quadrature(8, 16, rotation=A))
     assert np.linalg.norm(base - rot) < 1e-6 * np.linalg.norm(base)
 
 
@@ -241,7 +241,7 @@ def test_transverse_split_against_spectral_dispersion():
         # shell oscillation scale is wp*R; grow the rule with it
         nt = int(np.ceil(0.6 * wp * R)) + 6
         if nt not in quads:
-            quads[nt] = make_shell_quadrature(1.0, nt, 2 * nt)
+            quads[nt] = make_shell_quadrature(nt, 2 * nt)
         return quads[nt]
 
     cache = {}

@@ -52,7 +52,7 @@ def test_im_green_psd_random_scenes():
 
 def test_ldos_identity_vacuum_is_quadrature_floor(vacuum_solver):
     ident = ldos_identity_residual(vacuum_solver, R_OUT, R_OUT)
-    kappa = kappa_by_quadrature(vacuum_solver, R_OUT, R_OUT, make_shell_quadrature(OMEGA, 8, 16))
+    kappa = kappa_by_quadrature(vacuum_solver, R_OUT, R_OUT, make_shell_quadrature(8, 16))
     assert np.array_equal(ident.absorption_term, np.zeros((3, 3)))
     # kappa term reduces to the free spectral sum; coincidence is exact for
     # the polynomial integrand, so only roundoff remains
@@ -88,7 +88,7 @@ def test_closed_form_kappa_matches_the_shell_quadrature(body, method, cube_grid,
              ("pair", np.array([reach, 0.1, 0.2]), np.array([-0.3, reach + 0.1, 0.1]))]
     solver = MediumSolver(grid, mats, OMEGA, TOL, method=method)
     solver.grid_fields(np.stack([p for _, x, y in cases for p in (x, y)]))  # one block solve
-    quad = make_shell_quadrature(OMEGA, 16, 32)
+    quad = make_shell_quadrature(16, 32)
     for name, x, y in cases:
         closed = ldos_identity_residual(solver, x, y)
         reference = kappa_by_quadrature(solver, x, y, quad)
@@ -110,7 +110,7 @@ def test_ldos_identity_refinement_decreases(cube_solver):
     ident = ldos_identity_residual(cube_solver, R_OUT, R_OUT)
     res_abs, res_m = [], []
     for nt, nphi in ((2, 4), (4, 8), (8, 16)):
-        quad = make_shell_quadrature(OMEGA, nt, nphi)
+        quad = make_shell_quadrature(nt, nphi)
         absorption, m = relative_residuals(ident, kappa_by_quadrature(cube_solver, R_OUT,
                                                                       R_OUT, quad))
         res_abs.append(absorption)
@@ -190,10 +190,16 @@ def test_purcell_sweep_records_row_failures(cube_grid, cube_materials):
     assert "purcell" in rows[1]
 
 
-def test_purcell_sweep_requires_sorted(cube_grid, cube_materials):
-    with pytest.raises(ValueError, match="sorted"):
-        purcell_sweep(lambda w: MediumSolver(cube_grid, cube_materials, w, TOL),
-                      tuple(R_OUT), tuple(DIPOLE), [1.0, 0.5])
+def test_purcell_sweep_takes_frequencies_in_any_order(cube_grid, cube_materials):
+    """Each row builds its own solver, so a reversed list gives the same rows reversed,
+    bit for bit."""
+    def sweep(omegas):
+        return purcell_sweep(lambda w: MediumSolver(cube_grid, cube_materials, w, TOL),
+                             tuple(R_OUT), tuple(DIPOLE), omegas)
+
+    rows = sweep([0.7, 1.0, 1.3])
+    assert all("purcell" in row for row in rows)
+    assert sweep([1.3, 1.0, 0.7]) == rows[::-1]
 
 
 def test_drude_sphere_resonance_position_stable():
@@ -203,7 +209,7 @@ def test_drude_sphere_resonance_position_stable():
     one omega-grid spacing under voxel refinement."""
     from greenvox import LorentzPole
 
-    mats = {1: PermittivityModel(poles=(LorentzPole(0.0, 1.5, 0.02),), region_id=1)}
+    mats = {1: PermittivityModel(poles=(LorentzPole(0.0, 1.5, 0.02),))}
     emitter, dipole = (1.8, 0.0, 0.0), (1.0, 0.0, 0.0)
     omegas = [round(0.67 + 0.05 * i, 3) for i in range(7)]
     spacing = 0.05

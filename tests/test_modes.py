@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from greenvox import (FieldCoefficientSample, MedModeIndex, MediumSolver,
-                      NearSingularError, PlaneWaveMode, coupling_alpha_tilde,
-                      e_coefficient, e_coefficient_via_green, eval_eps, fd_curl_curl,
-                      m_coefficient, noise_current_amplitude, phi_plane_wave,
+from greenvox import (MedModeIndex, MediumSolver, NearSingularError, PlaneWaveMode,
+                      coupling_alpha_tilde, e_coefficient, e_coefficient_via_green, eval_eps,
+                      fd_curl_curl, m_coefficient, noise_current_amplitude, phi_plane_wave,
                       scaled_contrast, u_numerator_e, u_numerator_m, v_component_e,
                       v_component_m)
 from greenvox.permittivity import principal_value_integral, _model_breakpoints
@@ -188,7 +187,7 @@ def test_v_e_frequency_integral_reproduces_ev(cube_solver):
     xp = cube_solver.grid.centers[12]
     e_here = e_coefficient(cube_solver, MODE, xp)[0]
     nu_max = 1e3 * 3.0
-    breaks = _model_breakpoints(LORENTZ, OMEGA, nu_max)
+    breaks = _model_breakpoints(LORENTZ, nu_max)
 
     def integrand(nu):
         a2 = coupling_alpha_tilde(LORENTZ, nu) ** 2
@@ -260,7 +259,7 @@ def test_m_v_frequency_integral_consistency(cube_solver):
     xp = grid.centers[12]
     m_here = m_coefficient(cube_solver, mu, xp)[0]
 
-    breaks = _model_breakpoints(LORENTZ, mu.nu, 3e3)
+    breaks = _model_breakpoints(LORENTZ, 3e3)
 
     def integrand(nu):
         a2 = coupling_alpha_tilde(LORENTZ, nu) ** 2
@@ -331,13 +330,3 @@ def test_noise_current_route_matches_m_route(cube_solver):
         assert np.allclose(lhs, rhs, rtol=1e-12)
     assert "G_m" in nc.pairing
 
-
-def test_field_coefficient_sample_invariants():
-    with pytest.raises(ValueError):
-        FieldCoefficientSample(location=(0, 0, 0), value=(1 + 0j, 0j, 0j), prefactor=0.0)
-    with pytest.raises(ValueError):
-        FieldCoefficientSample(location=(0, 0, 0), value=(np.nan + 0j, 0j, 0j),
-                               prefactor=1.0)
-    s = FieldCoefficientSample(location=(0, 0, 0), value=(1 + 2j, 0j, 0j),
-                               prefactor=1.0 / np.sqrt(2 * OMEGA))
-    assert s.prefactor == pytest.approx(1.0 / np.sqrt(2 * OMEGA))

@@ -10,6 +10,7 @@ import yaml
 
 from greenvox import SceneError, load_scene, purcell, scene_to_dict
 from greenvox.cli import main as cli_main
+from greenvox.constants import C_SI
 from greenvox.ldos import EmitterSpec
 from greenvox.scene import scene_from_dict
 
@@ -155,7 +156,7 @@ geometry:
 def test_si_and_natural_purcell_agree(tmp_path):
     """The dimensionless Purcell factor is unit-system independent."""
     natural = load_scene(write(tmp_path, "nat.yaml", CUBE_SCENE))
-    c = natural.units.constants.c
+    c = C_SI
     L0 = 1e-6
     f = c / L0  # frequency scale
     si_text = f"""
@@ -1055,14 +1056,33 @@ def test_threads_pin_an_openblas_loaded_after_the_policy(tmp_path):
     assert counts == str([1] * int(libs))
 
 
+#: the package surface: adding or removing an export changes this list
+EXPORTS = [
+    "Box", "DecayRates", "EmitterSpec", "GridError", "InteractionOperator", "LorentzPole",
+    "MaskShape", "MedModeIndex", "MediumSolver", "NearSingularError", "PermittivityModel",
+    "PlaneWaveMode", "PrincipalValueQuadrature", "SceneConfig", "SceneError", "SolverError",
+    "Sphere", "SphereQuadrature", "UnitSystem", "VoxelGrid", "assemble", "build_grid",
+    "coupling_alpha_tilde", "dyson_residual", "e_coefficient", "e_coefficient_via_green",
+    "eps_on_grid", "eval_eps", "fd_curl", "fd_curl_curl", "g0_closed", "g0_longitudinal",
+    "gamma_decomposed", "im_g0_spectral", "im_green_at", "kk_residual",
+    "ldos_identity_residual", "load_scene", "m_coefficient", "make_shell_quadrature",
+    "noise_current_amplitude", "phi_plane_wave", "purcell", "purcell_sweep", "scalar_green",
+    "scaled_contrast", "scene_to_dict", "self_term", "solve_system", "sommerfeld_residual",
+    "u_numerator_e", "u_numerator_m", "v_component_e", "v_component_m", "vacuum_decay_rate",
+]
+
+
 def test_package_exports_resolve_lazily():
     import greenvox
 
+    assert sorted(greenvox.__all__) == EXPORTS
     for name in greenvox.__all__:
         assert getattr(greenvox, name) is not None, name
     assert greenvox.scene.load_scene is load_scene
-    with pytest.raises(AttributeError):
-        greenvox.no_such_export
+    for gone in ("Constants", "to_internal", "from_internal", "FieldCoefficientSample",
+                 "no_such_export"):
+        with pytest.raises(AttributeError):
+            getattr(greenvox, gone)
 
 
 def test_cli_validate_si_scene(tmp_path, capsys):

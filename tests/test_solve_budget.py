@@ -479,7 +479,7 @@ def test_a_sweep_row_evaluates_g0_twice(monkeypatch):
 
 def test_shell_e_fields_match_direct_solve_per_submode(cube_solver):
     """Column 4q + s of the shell e-fields is the direct e for node q, submode s."""
-    quad = make_shell_quadrature(cube_solver.omega, 2, 3)
+    quad = make_shell_quadrature(2, 3)
     points = [R_OUT, cube_solver.grid.centers[21]]
     columns = [cube_solver.grid_fields(p) for p in points]
     e_shell = _e_fields_on_shell(cube_solver, quad.nodes, points, columns)

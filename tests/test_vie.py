@@ -94,7 +94,7 @@ def test_plasmonic_two_box_body_stays_within_its_gmres_budget():
     times its count, so a regression like the fourfold one the self-term delta term
     brought shows here, and the columns still match the dense solve."""
     mats = {1: DRUDE, 2: PermittivityModel(poles=(LorentzPole(omega0=0.0, omegap=3.0,
-                                                              gamma=0.1),), region_id=2)}
+                                                              gamma=0.1),))}
     grid = build_grid([Box(min_corner=(-0.4, -0.4, -0.4), max_corner=(0.0, 0.4, 0.4),
                            region_id=1),
                        Box(min_corner=(0.0, -0.4, -0.4), max_corner=(0.4, 0.4, 0.4),
@@ -119,8 +119,7 @@ def sector_scenes():
     permutations of the axes, keeps no mirror and no axis swap, only the two 3-cycles;
     the same lattice without its corner (0, 0, 0) keeps no mirror but all six axis
     permutations, so its one sector splits into A1, A2 and E."""
-    tilted = PermittivityModel(poles=(LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4),),
-                               region_id=2)
+    tilted = PermittivityModel(poles=(LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4),))
     halves = [Box(min_corner=(-0.4, -0.3, -0.2), max_corner=(0.0, 0.3, 0.2), region_id=1),
               Box(min_corner=(0.0, -0.3, -0.2), max_corner=(0.4, 0.3, 0.2), region_id=2)]
     lopsided = [Sphere(center=(0, 0, 0), radius=1.0, region_id=1),
@@ -391,7 +390,7 @@ def test_lu_precision_follows_the_block_sizes_and_the_norm(body, sizes, norm, dt
     the plan once ||A||_inf + 2 reaches the float32 range, where a complex64 block
     could overflow: on an assembled operator planned in the same precision (the
     257-voxel sphere in complex128, the asymmetric body in complex64) given that
-    ||A||_inf, lu() factors in dtype."""
+    ||A||_inf, lu() factors in dtype, each block in the form plan.forms(dtype) gives."""
     import greenvox.vie as vie_mod
 
     grid, materials = planned_bodies()[body]
@@ -405,6 +404,8 @@ def test_lu_precision_follows_the_block_sizes_and_the_norm(body, sizes, norm, dt
     op.norm = norm
     op.lu()
     assert op.factored == [dtype]
+    assert ([isinstance(solve, vie_mod._SolvedThenInverted) for solve in op._lu]
+            == [form == "numpy" for form in op.plan.forms(dtype)])
 
 
 def test_plans_are_read_before_anything_is_assembled(monkeypatch):
@@ -429,19 +430,21 @@ def test_plans_are_read_before_anything_is_assembled(monkeypatch):
 
     small, basis = planned("sphere 257", "auto", 1000)
     assert small.representation == "dense" and list(small.sizes) == SPHERE_257
-    assert small.dtype == np.complex128 and small.forms == ("numpy",) * 10
-    assert small.double_forms == small.forms and small.fill_rows == len(basis.rows)
+    assert small.dtype == np.complex128 and small.forms(small.dtype) == ("numpy",) * 10
+    assert small.fill_rows == len(basis.rows)
     lattice, _ = planned("sphere 4224", "auto", 1000)
     assert lattice.representation == "lattice" and lattice.circulant == (40, 40, 40)
     assert lattice.sizes == () and lattice.dtype is None
     large, basis = planned("sphere 4224", "dense", 1000)
     assert large.representation == "dense" and list(large.sizes) == SPHERE_4224
     assert large.dtype == np.complex64 and max(large.sizes) == 820
-    assert large.forms == ("getrf",) * 10
-    assert large.double_forms == tuple("numpy" if d <= 400 else "getrf" for d in large.sizes)
+    assert large.forms(large.dtype) == ("getrf",) * 10
+    assert large.forms(np.complex128) == tuple("numpy" if d <= 400 else "getrf"
+                                               for d in large.sizes)
     assert 1 <= large.fill_rows and math.ceil(len(basis.rows) / large.fill_rows) > 1
     one, _ = planned("asymmetric", "dense", 1000)
-    assert one.sizes == (771,) and one.dtype == np.complex64 and one.forms == ("getrf",)
+    assert one.sizes == (771,) and one.dtype == np.complex64
+    assert one.forms(one.dtype) == ("getrf",)
     grid = bodies["sphere 257"][0]
     assert vie_mod.plan(grid, np.zeros(grid.n), "dense", 1000) == vie_mod.Plan("identity")
     assert evaluated == []
@@ -483,7 +486,7 @@ def test_fft_gmres_matches_dense_lu_on_random_bodies(ids):
     site = np.argwhere(ids)
     grid = VoxelGrid((site + 0.5) * edge, edge, ids[tuple(site.T)])
     mats = {1: LORENTZ, 2: DRUDE, 3: PermittivityModel(
-        poles=(LorentzPole(omega0=2.0, omegap=2.0, gamma=0.5),), region_id=3)}
+        poles=(LorentzPole(omega0=2.0, omegap=2.0, gamma=0.5),))}
     y = np.array([-0.3, 0.25, 0.9])
     emitter = EmitterSpec(position=tuple(y), omega=OMEGA, dipole=(0.6, -0.48, 0.64))
     dense = MediumSolver(grid, mats, OMEGA, tol, method="dense")
@@ -604,7 +607,7 @@ def test_a_matrix_free_solve_builds_no_symmetry_basis():
     assert _modules_loaded_by(
         "grid = build_grid(Box(min_corner=(-0.4,) * 3, max_corner=(0.4,) * 3), 0.2)\n"
         "pole = LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4)\n"
-        "solver = MediumSolver(grid, {1: PermittivityModel(poles=(pole,), region_id=1)},\n"
+        "solver = MediumSolver(grid, {1: PermittivityModel(poles=(pole,))},\n"
         "                      1.0, 1e-8, method='gmres')\n"
         "solver.green(np.array([1.2, 0.1, -0.1]), np.array([-0.3, 1.1, 0.2]))\n") == "[]"
 
@@ -623,10 +626,8 @@ def test_scipy_serves_only_the_complex64_factors(body, loaded):
     solves meet the backward-error bound."""
     assert _modules_loaded_by(
         f"grid = build_grid({body}, 0.2497)\n"
-        "drude = PermittivityModel(poles=(LorentzPole(omega0=0.0, omegap=1.5, gamma=0.3),),\n"
-        "                          region_id=1)\n"
-        "box = PermittivityModel(poles=(LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4),),\n"
-        "                        region_id=2)\n"
+        "drude = PermittivityModel(poles=(LorentzPole(omega0=0.0, omegap=1.5, gamma=0.3),))\n"
+        "box = PermittivityModel(poles=(LorentzPole(omega0=1.5, omegap=1.0, gamma=0.4),))\n"
         "solver = MediumSolver(grid, {1: drude, 2: box}, 1.0, method='dense')\n"
         "assert grid.n == 257 and len(solver.op.blocks) == (10 if len(set(grid.material_ids))\n"
         "                                                   == 1 else 1)\n"
@@ -1138,7 +1139,7 @@ def test_identities_on_randomized_scenes():
         grid = build_grid(shape, rng.uniform(0.14, 0.2))
         mats = {1: PermittivityModel(poles=(
             LorentzPole(omega0=rng.uniform(0.0, 2.0), omegap=rng.uniform(0.5, 1.8),
-                        gamma=rng.uniform(0.05, 0.5)),), region_id=1)}
+                        gamma=rng.uniform(0.05, 0.5)),))}
         w = rng.uniform(0.6, 1.8)
         solver = MediumSolver(grid, mats, w, tol=1e-10)
         x = rng.uniform(0.9, 1.4, 3)
